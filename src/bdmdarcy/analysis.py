@@ -7,8 +7,7 @@ from math import pi
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from bdmdarcy.correction import taylor_trace_normal
-from bdmdarcy.femcore.element import LocalField
+from bdmdarcy.correction import directional_derivative, taylor_trace_normal
 
 __all__ = [
     "ManufacturedCase",
@@ -17,7 +16,6 @@ __all__ = [
     "case_ring",
     "case_polynomial_square",
     "error_norms",
-    "norm_0h",
     "interpolation_errors",
     "compute_eoc",
     "compatibility_residual",
@@ -71,7 +69,7 @@ class ManufacturedCase:
 class AnalyticVelocity:
     """Adapter exposing a case's velocity to the Taylor-extension code
     (degree None: the truncated sum is always used, never the polynomial
-    point-evaluation shortcut)."""
+    point-evaluation shortcut).  Points carry leading axes (n_b, q)."""
 
     degree = None
 
@@ -79,10 +77,16 @@ class AnalyticVelocity:
         self.case = case
 
     def eval(self, pts):
-        return self.case.velocity(pts)
+        return self.case.velocity(pts.reshape(-1, 2)).reshape(pts.shape)
 
-    def derivative(self, pts, rx, ry):
-        return self.case.velocity_derivative(pts, rx, ry)
+    def nu_derivative(self, geom, j):
+        pts = geom.points.reshape(-1, 2)
+        deriv = directional_derivative(
+            lambda rx, ry: self.case.velocity_derivative(pts, rx, ry),
+            geom.nu.reshape(-1, 2),
+            j,
+        )
+        return deriv.reshape(geom.points.shape)
 
 
 def case_circle():
@@ -193,68 +197,38 @@ class ErrorReport:
     e_total: float
 
 
-def _velocity_values(assembler, u):
-    """Discrete velocity and divergence at the error-rule nodes."""
-    t = assembler.tables
-    w = assembler.local_coeffs(u)
-    vals = np.einsum("en,qna->eqa", w, t.v_vals_err)
-    vals = np.einsum("eab,eqb->eqa", assembler.jac, vals) / assembler.det[:, None, None]
-    div = np.einsum("en,qn->eq", w, t.v_div_err) / assembler.det[:, None]
-    return w, vals, div
-
-
-def _phys_points(assembler, rule_points):
-    return assembler.v0[:, None, :] + np.einsum(
-        "eab,qb->eqa", assembler.jac, rule_points
-    )
-
-
 def error_norms(u, p, case, assembler):
     """Velocity error in the mesh-dependent norm and the mean-aligned L2
     pressure error.
 
     The boundary penalty applies the Taylor extension to the difference:
-    the discrete field goes through the polynomial path (point evaluation
-    when the order makes it exact) while the exact field always uses its
-    truncated Taylor sum.  In strong (uncorrected) mode, where no Taylor
-    data exists, the boundary term is the plain weighted trace mismatch
+    the discrete field contracts the assembler's basis traces (point
+    evaluation when the order makes it exact) while the exact field always
+    uses its truncated Taylor sum.  In strong (uncorrected) mode the traces
+    have order 0, so the boundary term is the plain weighted trace mismatch
     h_K^{-1/2} (u - u_h) . n_gamma; this is the component that exposes the
     geometric error of the polygonal approximation (dominant O(h^{1/2})).
     """
     t = assembler.tables
     wq = t.err.weights
-    pts = _phys_points(assembler, t.err.points)
+    pts = assembler.v0[:, None, :] + np.einsum("eab,qb->eqa", assembler.jac, t.err.points)
     flat = pts.reshape(-1, 2)
-    w, uh_vals, uh_div = _velocity_values(assembler, u)
+    # discrete velocity and divergence at the error-rule nodes
+    w = assembler.local_coeffs(u)
+    uh_vals = np.einsum("en,qna->eqa", w, t.v_vals_err)
+    uh_vals = np.einsum("eab,eqb->eqa", assembler.jac, uh_vals) / assembler.det[:, None, None]
+    uh_div = np.einsum("en,qn->eq", w, t.v_div_err) / assembler.det[:, None]
 
     ue = case.velocity(flat).reshape(uh_vals.shape)
     fe = case.source(flat).reshape(uh_div.shape)
     l2_sq = float(np.einsum("e,q,eqa->", assembler.det, wq, (ue - uh_vals) ** 2))
     div_sq = float(np.einsum("e,q,eq->", assembler.det, wq, (fe - uh_div) ** 2))
 
-    pen_sq = 0.0
-    if assembler.mode == "corrected":
-        exact = AnalyticVelocity(case)
-        for e in assembler.mesh.boundary_edges:
-            geom = assembler.trace[int(e)]
-            field_h = LocalField(
-                assembler.verts[geom.owner], t.element, w[geom.owner]
-            )
-            diff = taylor_trace_normal(exact, geom, assembler.taylor) - \
-                taylor_trace_normal(field_h, geom, assembler.taylor)
-            pen_sq += float(geom.weights @ diff**2) / geom.h_owner
-    else:
-        for e in assembler.mesh.boundary_edges:
-            geom = assembler.trace[int(e)]
-            field_h = LocalField(
-                assembler.verts[geom.owner], t.element, w[geom.owner]
-            )
-            diff = np.einsum(
-                "qa,qa->q",
-                case.velocity(geom.points) - field_h.eval(geom.points),
-                geom.n_gamma,
-            )
-            pen_sq += float(geom.weights @ diff**2) / geom.h_owner
+    geom = assembler.trace
+    exact = taylor_trace_normal(AnalyticVelocity(case), geom, assembler.taylor)
+    discrete = np.einsum("bqi,bi->bq", assembler.basis_trace, u[assembler.gidx[geom.owner]])
+    diff = exact - discrete
+    pen_sq = float(np.einsum("bq,b,bq->", geom.weights, 1.0 / geom.h_owner, diff**2))
 
     p_loc = p.reshape(assembler.mesh.n_triangles, -1)
     ph_vals = np.einsum("el,ql->eq", p_loc, t.p_vals_err)
@@ -279,22 +253,6 @@ def error_norms(u, p, case, assembler):
         e_p=e_p,
         e_total=e_0h + e_p,
     )
-
-
-def norm_0h(assembler, u):
-    """The mesh-dependent velocity norm of a discrete field, computed by
-    direct quadrature (independent of the assembled matrix)."""
-    t = assembler.tables
-    w, vals, div = _velocity_values(assembler, u)
-    total = float(np.einsum("e,q,eqa->", assembler.det, t.err.weights, vals**2))
-    total += float(np.einsum("e,q,eq->", assembler.det, t.err.weights, div**2))
-    if assembler.mode == "corrected":
-        for e in assembler.mesh.boundary_edges:
-            geom = assembler.trace[int(e)]
-            field = LocalField(assembler.verts[geom.owner], t.element, w[geom.owner])
-            tv = taylor_trace_normal(field, geom, assembler.taylor)
-            total += float(geom.weights @ tv**2) / geom.h_owner
-    return float(np.sqrt(total))
 
 
 def interpolation_errors(case, assembler):

@@ -17,6 +17,11 @@ Two modes are supported:
   normal moments imposed strongly on the mesh boundary (only valid for
   homogeneous Neumann data).
 
+The boundary forms share one array: the normal Taylor traces of the owning
+triangles' shape functions at every boundary quadrature node, computed once
+per assembler (plain traces, Taylor order 0, in strong mode).  The penalty,
+the Neumann load and the error norms contract it.
+
 Accumulation order is fixed (elements ascending, then boundary edges
 ascending), so repeated assemblies are bit-identical.
 """
@@ -27,7 +32,13 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from bdmdarcy.correction import TaylorConfig, edge_trace_geometry, taylor_trace_normal
+from bdmdarcy.correction import (
+    TaylorConfig,
+    directional_derivative,
+    edge_trace_geometry,
+    pullback_neumann,
+    taylor_trace_normal,
+)
 from bdmdarcy.femcore.basis import EdgeBasis, triangle_basis
 from bdmdarcy.femcore.element import (
     LocalField,
@@ -44,7 +55,9 @@ __all__ = [
     "AssembledBlocks",
     "SaddleSystem",
     "Assembler",
+    "BoundaryShapeFunctions",
     "build_saddle_system",
+    "quadrature_orders",
 ]
 
 _ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -60,20 +73,37 @@ def _edge_ref_points(l, direction, s):
     return 0.5 * (a + b) + 0.5 * np.outer(s, b - a)
 
 
-class ReferenceTables:
-    """Per-degree reference tabulations shared by all assemblers.
+def quadrature_orders(k, vol_degree=None, bnd_points=None):
+    """(volume exactness degree, boundary point count) for degree k.
 
-    Default exactness: 2k+2 for stiffness/mass volume terms, k+3 Gauss
-    points (degree 2k+5) for boundary integrals, 2k+4 for error integrals;
-    both stiffness and boundary rules can be overridden upward.
+    Defaults: 2k+2 for stiffness/mass volume terms, k+3 Gauss points
+    (degree 2k+5) for boundary integrals.  Overrides may only go upward:
+    coarser rules make the mass matrix singular or the boundary penalty
+    inexact.
     """
+    vol_min, bnd_min = 2 * k + 2, k + 3
+    if vol_degree is not None and vol_degree < vol_min:
+        raise ValueError(f"volume quadrature degree must be at least {vol_min} for k = {k}")
+    if bnd_points is not None and bnd_points < bnd_min:
+        raise ValueError(f"boundary quadrature needs at least {bnd_min} points for k = {k}")
+    return (
+        vol_min if vol_degree is None else vol_degree,
+        bnd_min if bnd_points is None else bnd_points,
+    )
+
+
+class ReferenceTables:
+    """Per-degree reference tabulations shared by all assemblers, with the
+    quadrature orders of ``quadrature_orders`` (error integrals use
+    exactness 2k+4)."""
 
     def __init__(self, k, vol_degree=None, bnd_points=None):
+        vol_degree, bnd_points = quadrature_orders(k, vol_degree, bnd_points)
         self.k = k
         self.element = bdm_reference_basis(k)
         self.pressure = triangle_basis(k - 1)
 
-        self.vol = triangle_quadrature(vol_degree or (2 * k + 2))
+        self.vol = triangle_quadrature(vol_degree)
         w = self.vol.weights
         self.v_vals = self.element.tabulate(self.vol.points)  # (q, nd, 2)
         self.v_div = self.element.tabulate_div(self.vol.points)  # (q, nd)
@@ -109,7 +139,7 @@ class ReferenceTables:
         # edge rules: DOF moments (exact for the spanning fields used in
         # interpolation) and boundary integrals (curved compositions)
         self.dof_rule = edge_quadrature(k + 2)
-        self.bnd_rule = edge_quadrature(bnd_points or (k + 3))
+        self.bnd_rule = edge_quadrature(bnd_points)
         self.leg_dof = EdgeBasis(k).eval(self.dof_rule.points)  # (g, k+1)
         self.v_edge = {}
         self.p_edge = {}
@@ -232,12 +262,54 @@ class SaddleSystem:
         return mat
 
 
+class BoundaryShapeFunctions:
+    """The global-DOF shape functions of every boundary edge's owning
+    triangle, as one field over the boundary nodes (the field protocol of
+    ``correction.taylor_trace``), with values of shape (n_b, q, n_d, 2).
+
+    Derivatives along nu are taken in reference coordinates, along
+    nu_hat = J^-1 nu, and mapped back by the Piola transform, so order j
+    costs j+1 reference tabulations over all nodes.
+    """
+
+    def __init__(self, assembler):
+        owner = assembler.trace.owner
+        self.element = assembler.tables.element
+        self.degree = self.element.k
+        self.v0 = assembler.v0[owner]
+        self.jinv = assembler.jinv[owner]
+        self.piola = assembler.jac[owner] / assembler.det[owner, None, None]
+        self.dual = assembler.local_dual[owner]
+
+    def _reference(self, points):
+        return np.einsum("bac,bqc->bqa", self.jinv, points - self.v0[:, None, :])
+
+    def _physical(self, ref_values, n_q):
+        """(n_b * q, n_span, 2) reference values -> (n_b, q, n_d, 2)."""
+        vals = ref_values.reshape((len(self.dual), n_q) + ref_values.shape[1:])
+        return np.einsum("bac,bqnc,bni->bqia", self.piola, vals, self.dual, optimize=True)
+
+    def eval(self, points):
+        ref = self._reference(points).reshape(-1, 2)
+        return self._physical(self.element.tabulate(ref), points.shape[1])
+
+    def nu_derivative(self, geom, j):
+        ref = self._reference(geom.points).reshape(-1, 2)
+        nu_hat = np.einsum("bac,bqc->bqa", self.jinv, geom.nu).reshape(-1, 2)
+        ref_deriv = directional_derivative(
+            lambda rx, ry: self.element.tabulate_derivative(ref, rx, ry), nu_hat, j
+        )
+        return self._physical(ref_deriv, geom.points.shape[1])
+
+
 class Assembler:
     """Assembles the forms of one (mesh, degree, Taylor order, mode) setup.
 
-    Heavy per-element data (affine maps, the inverse DOF matrices, boundary
-    trace geometry) is computed once and shared by the matrix, load, and
-    error-measurement routines.
+    Heavy per-element data (affine maps, the inverse DOF matrices) and the
+    boundary data (trace geometry, and the normal traces ``basis_trace`` of
+    the owners' shape functions, shape (n_b, q, n_d)) are computed once and
+    shared by the matrix, load, and error-measurement routines.  Strong mode
+    has no Taylor extension: its traces are plain traces (order 0).
     """
 
     def __init__(self, mesh, curves, k, m=None, mode="corrected",
@@ -249,6 +321,8 @@ class Assembler:
         self.mesh = mesh
         self.curves = list(curves)
         self.k = k
+        if mode == "uncorrected-strong":
+            m = 0
         self.taylor = TaylorConfig(k if m is None else m, k)
         self.mode = mode
         self.tables = reference_tables(k, vol_degree=quad_volume, bnd_points=quad_boundary)
@@ -280,7 +354,10 @@ class Assembler:
         )
         self._build_indices()
         self._build_local_duals()
-        self._build_trace_geometry()
+        self.trace = edge_trace_geometry(mesh, self.curves, t.bnd_rule, self.stats.h_K)
+        self.basis_trace = taylor_trace_normal(
+            BoundaryShapeFunctions(self), self.trace, self.taylor
+        )
 
     # -- structural setup ---------------------------------------------------
 
@@ -310,13 +387,11 @@ class Assembler:
             direction[:, l] = np.where(self.mesh.triangles[:, p] == start_vertex, 1, -1)
         self.edge_direction = direction
 
-        constrained = []
         if self.mode == "uncorrected-strong":
-            for e in self.mesh.boundary_edges:
-                constrained.append(self.dofmap.edge_dofs(e))
-        self.constrained = (
-            np.sort(np.concatenate(constrained)) if constrained else np.empty(0, np.int64)
-        )
+            boundary = self.mesh.boundary_edges  # ascending, so the dofs are sorted
+            self.constrained = ((k + 1) * boundary[:, None] + np.arange(k + 1)).ravel()
+        else:
+            self.constrained = np.empty(0, np.int64)
 
     def _build_local_duals(self):
         """Per-element DOF matrices against the mapped reference nodal basis,
@@ -353,35 +428,15 @@ class Assembler:
             dof[:, row0:, :] = np.einsum("eab,abrn->ern", m, t.s_curl, optimize=True)
         self.local_dual = np.linalg.inv(dof)  # columns: dual basis in span coords
 
-    def _build_trace_geometry(self):
-        by_id = {c.component_id: c for c in self.curves}
-        self.trace = {}
-        h_K = self.stats.h_K
-        for e in self.mesh.boundary_edges:
-            curve = by_id[self.mesh.edge_component[e]]
-            owner = int(self.mesh.edge_tris[e, 0])
-            self.trace[int(e)] = edge_trace_geometry(
-                self.mesh, curve, e, self.tables.bnd_rule, h_owner=float(h_K[owner])
-            )
-
     # -- local helpers -------------------------------------------------------
 
     def local_field(self, t, coeffs_span):
         return LocalField(self.verts[t], self.tables.element, coeffs_span)
 
-    def basis_field(self, t):
-        """All local shape functions of element t as one stacked field."""
-        return self.local_field(t, self.local_dual[t].T)
-
     def local_coeffs(self, u_global):
         """Mapped-reference-nodal coefficients of a global velocity vector,
         shape (nel, nd)."""
         return np.einsum("eni,ei->en", self.local_dual, u_global[self.gidx])
-
-    def _boundary_local_edge(self, e):
-        owner = int(self.mesh.edge_tris[e, 0])
-        (l,) = np.flatnonzero(self.mesh.tri_edges[owner] == e)
-        return owner, int(l)
 
     # -- matrix blocks --------------------------------------------------------
 
@@ -399,14 +454,13 @@ class Assembler:
         cols = [np.broadcast_to(self.gidx[:, None, :], local.shape).ravel()]
         vals = [local.ravel()]
         if self.mode == "corrected":
-            for e in self.mesh.boundary_edges:
-                geom = self.trace[int(e)]
-                owner = geom.owner
-                tv = taylor_trace_normal(self.basis_field(owner), geom, self.taylor)
-                pen = np.einsum("q,qi,qj->ij", geom.weights, tv, tv) / geom.h_owner
-                rows.append(np.repeat(self.gidx[owner], len(self.gidx[owner])))
-                cols.append(np.tile(self.gidx[owner], len(self.gidx[owner])))
-                vals.append(pen.ravel())
+            geom, tv = self.trace, self.basis_trace
+            pen = np.einsum("bq,bqi,bqj->bij", geom.weights, tv, tv)
+            pen /= geom.h_owner[:, None, None]
+            idx = self.gidx[geom.owner]
+            rows.append(np.broadcast_to(idx[:, :, None], pen.shape).ravel())
+            cols.append(np.broadcast_to(idx[:, None, :], pen.shape).ravel())
+            vals.append(pen.ravel())
         n_u = self.dofmap.n_u
         mat = sp.coo_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
@@ -426,25 +480,20 @@ class Assembler:
         if self.mode == "uncorrected-strong":
             return b0.copy(), b0
 
-        erows, ecols, evals = [], [], []
-        lengths = self.mesh.edge_lengths()
-        for e in self.mesh.boundary_edges:
-            owner, l = self._boundary_local_edge(e)
-            direction = int(self.edge_direction[owner, l])
-            tab = t.v_edge[(l, direction)]  # (g, nd, 2)
-            pvals = t.p_edge[(l, direction)]  # (g, npr)
-            u = self.jac[owner].T @ self.mesh.edge_normal[e]
-            vn = np.einsum("a,gna,eni->gi", u, tab, self.local_dual[None, owner],
-                           optimize=True) / self.det[owner]
-            w = 0.5 * lengths[e] * t.dof_rule.weights
-            loc = np.einsum("g,gl,gi->li", w, pvals, vn)
-            erows.append(np.repeat(self.pidx[owner], loc.shape[1]))
-            ecols.append(np.tile(self.gidx[owner], loc.shape[0]))
-            evals.append(loc.ravel())
-        edge_term = sp.coo_matrix(
-            (np.concatenate(evals), (np.concatenate(erows), np.concatenate(ecols))),
-            shape=shape,
-        ).tocsr()
+        edges, owner = self.trace.edges, self.trace.owner
+        local_edge = np.argmax(self.mesh.tri_edges[owner] == edges[:, None], axis=1)
+        direction = self.edge_direction[owner, local_edge]
+        keys = [(l, d) for l in range(3) for d in (1, -1)]
+        which = 2 * local_edge + (direction < 0)  # position of (l, direction) in keys
+        tab = np.stack([t.v_edge[key] for key in keys])[which]  # (n_b, g, nd, 2)
+        pvals = np.stack([t.p_edge[key] for key in keys])[which]  # (n_b, g, npr)
+        u = np.einsum("eba,eb->ea", self.jac[owner], self.trace.n_h)  # J^T n
+        vn = np.einsum("ea,egna,eni->egi", u, tab, self.local_dual[owner], optimize=True)
+        w = 0.5 * self.mesh.edge_lengths()[edges] / self.det[owner]
+        loc = np.einsum("e,g,egl,egi->eli", w, t.dof_rule.weights, pvals, vn, optimize=True)
+        rows = np.broadcast_to(self.pidx[owner, :, None], loc.shape).ravel()
+        cols = np.broadcast_to(self.gidx[owner, None, :], loc.shape).ravel()
+        edge_term = sp.coo_matrix((loc.ravel(), (rows, cols)), shape=shape).tocsr()
         return (b0 + edge_term).tocsr(), b0
 
     def rhs(self, case):
@@ -466,12 +515,10 @@ class Assembler:
         ).ravel()
 
         if self.mode == "corrected":
-            for e in self.mesh.boundary_edges:
-                geom = self.trace[int(e)]
-                gn = case.neumann(geom.projected, geom.n_gamma)
-                tv = taylor_trace_normal(self.basis_field(geom.owner), geom, self.taylor)
-                contrib = np.einsum("q,q,qi->i", geom.weights, gn, tv) / geom.h_owner
-                np.add.at(rhs_u, self.gidx[geom.owner], contrib)
+            geom = self.trace
+            gn = pullback_neumann(case.neumann, geom)
+            contrib = np.einsum("bq,bq,bqi->bi", geom.weights, gn, self.basis_trace)
+            np.add.at(rhs_u, self.gidx[geom.owner], contrib / geom.h_owner[:, None])
         elif not case.homogeneous_neumann:
             raise ValueError(
                 "strong imposition on the mesh boundary requires homogeneous "

@@ -19,7 +19,7 @@ import numpy as np
 
 from bdmdarcy import mesh as meshmod
 from bdmdarcy.analysis import case_circle, case_ring, compute_eoc, error_norms
-from bdmdarcy.assembly import Assembler
+from bdmdarcy.assembly import Assembler, quadrature_orders
 from bdmdarcy.solver import postprocess_pressure, solve
 
 __all__ = ["StudyConfig", "parse_config", "run_study", "export_fields", "main"]
@@ -91,8 +91,12 @@ _KEYS = {
 
 
 def _read_config_file(path):
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror}") from exc
     values = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -102,7 +106,10 @@ def _read_config_file(path):
         key = key.strip()
         if key not in _KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = _KEYS[key](value.strip())
+        try:
+            values[key] = _KEYS[key](value.strip())
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {value.strip()!r}") from exc
     return values
 
 
@@ -202,10 +209,21 @@ def parse_config(argv=None, file_values=None):
         if key in values and values[key] is not None:
             setattr(cfg, attr, values[key])
     if "center" in values:
-        parts = [float(x) for x in str(values["center"]).replace(",", " ").split()]
+        try:
+            parts = [float(x) for x in str(values["center"]).replace(",", " ").split()]
+        except ValueError as exc:
+            raise ConfigError("center must be two numbers") from exc
         if len(parts) != 2:
             raise ConfigError("center must be two numbers")
         cfg.center = tuple(parts)
+    if not cfg.radius > 0:
+        raise ConfigError("radius must be positive")
+    if not 0 < cfg.r_inner < cfg.r_outer:
+        raise ConfigError("ring radii must satisfy 0 < r_inner < r_outer")
+    try:
+        quadrature_orders(cfg.k, cfg.quad_volume, cfg.quad_boundary)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return cfg
 
 

@@ -1,16 +1,20 @@
 """Transfer of boundary data between the mesh boundary and the physical
 boundary.
 
-For a boundary edge e with owning triangle K, every quadrature node x on e
-carries the projection distance delta, the unit direction nu toward the
-physical boundary, the pulled-back outward normal n_gamma, and the straight
-outward normal n_h of e.  A field defined on K is extended toward the
-physical boundary by the truncated Taylor sum
+Every quadrature node x on a boundary edge e (owning triangle K) carries
+the projection distance delta, the unit direction nu toward the physical
+boundary, the pulled-back outward normal n_gamma, and the straight outward
+normal n_h of e.  A field defined on K is extended toward the physical
+boundary by the truncated Taylor sum
 
     sum_{j=0}^m  delta^j / j!  (d/d nu)^j v(x),
 
 which for a polynomial of degree <= m equals plain evaluation at the
 projected point x + delta nu; that shortcut is taken whenever it is exact.
+
+All boundary nodes are handled at once: the trace geometry holds arrays
+with a leading boundary-edge axis (n_b, in ``mesh.boundary_edges`` order)
+and a node axis (q), and the Taylor sum runs over all of them together.
 """
 
 from dataclasses import dataclass
@@ -20,8 +24,9 @@ import numpy as np
 
 __all__ = [
     "TaylorConfig",
-    "EdgeTraceGeometry",
+    "TraceGeometry",
     "edge_trace_geometry",
+    "directional_derivative",
     "taylor_trace",
     "taylor_trace_normal",
     "pullback_neumann",
@@ -45,92 +50,101 @@ class TaylorConfig:
 
 
 @dataclass
-class EdgeTraceGeometry:
-    """Per-quadrature-node projection data of one boundary edge."""
+class TraceGeometry:
+    """Projection data of the quadrature nodes of every boundary edge."""
 
-    edge_id: int
-    owner: int  # the unique triangle containing the edge
-    points: np.ndarray  # (n, 2) physical nodes on the edge
-    weights: np.ndarray  # (n,) physical weights (arc measure included)
-    delta: np.ndarray  # (n,)
-    nu: np.ndarray  # (n, 2)
-    n_gamma: np.ndarray  # (n, 2)
-    n_h: np.ndarray  # (2,) straight outward normal, constant on the edge
-    h_owner: float  # diameter of the owning triangle
-    projected: np.ndarray  # (n, 2) = points + delta * nu
+    edges: np.ndarray  # (n_b,) boundary edge ids
+    owner: np.ndarray  # (n_b,) the unique triangle containing each edge
+    points: np.ndarray  # (n_b, q, 2) physical nodes on the edges
+    weights: np.ndarray  # (n_b, q) physical weights (arc measure included)
+    delta: np.ndarray  # (n_b, q)
+    nu: np.ndarray  # (n_b, q, 2)
+    n_gamma: np.ndarray  # (n_b, q, 2)
+    n_h: np.ndarray  # (n_b, 2) straight outward normals
+    h_owner: np.ndarray  # (n_b,) diameters of the owning triangles
+    projected: np.ndarray  # (n_b, q, 2) = points + delta * nu
 
 
-def edge_trace_geometry(mesh, curve, edge_id, rule, h_owner=None):
-    """Build the trace geometry of one boundary edge.
+def edge_trace_geometry(mesh, curves, rule, h_K):
+    """Trace geometry of all boundary edges of ``mesh``.
 
-    ``rule`` is an edge quadrature rule on [-1, 1]; nodes are mapped to the
-    edge following the global (sorted-vertex) parametrization.
+    ``rule`` is an edge quadrature rule on [-1, 1]; nodes are mapped to each
+    edge following the global (sorted-vertex) parametrization.  ``h_K``
+    holds the triangle diameters.  Each boundary component projects all of
+    its nodes in one call.
     """
-    a, b = mesh.vertices[mesh.edges[edge_id]]
-    points = 0.5 * (a + b) + 0.5 * np.outer(rule.points, b - a)
-    weights = 0.5 * np.hypot(*(b - a)) * rule.weights
-    projected, delta, nu, n_gamma = curve.project_many(points)
-    owner = int(mesh.edge_tris[edge_id, 0])
-    if h_owner is None:
-        p = mesh.vertices[mesh.triangles[owner]]
-        h_owner = float(
-            max(
-                np.linalg.norm(p[1] - p[0]),
-                np.linalg.norm(p[2] - p[1]),
-                np.linalg.norm(p[0] - p[2]),
-            )
-        )
-    return EdgeTraceGeometry(
-        edge_id=int(edge_id),
+    edges = mesh.boundary_edges
+    a = mesh.vertices[mesh.edges[edges, 0]]
+    b = mesh.vertices[mesh.edges[edges, 1]]
+    points = 0.5 * (a + b)[:, None, :] + 0.5 * rule.points[None, :, None] * (b - a)[:, None, :]
+    weights = 0.5 * np.hypot((b - a)[:, 0], (b - a)[:, 1])[:, None] * rule.weights
+    # (x, delta, nu, n_gamma) of project_many, per node
+    projection = [np.empty_like(points), np.empty(points.shape[:2]),
+                  np.empty_like(points), np.empty_like(points)]
+    by_id = {c.component_id: c for c in curves}
+    component = mesh.edge_component[edges]
+    for comp in np.unique(component):
+        sel = component == comp
+        for out, values in zip(projection, by_id[comp].project_many(points[sel].reshape(-1, 2))):
+            out[sel] = values.reshape((-1,) + out.shape[1:])
+    projected, delta, nu, n_gamma = projection
+    owner = mesh.edge_tris[edges, 0]
+    return TraceGeometry(
+        edges=edges,
         owner=owner,
         points=points,
         weights=weights,
         delta=delta,
         nu=nu,
         n_gamma=n_gamma,
-        n_h=mesh.edge_normal[edge_id].copy(),
-        h_owner=h_owner,
+        n_h=mesh.edge_normal[edges],
+        h_owner=h_K[owner],
         projected=projected,
     )
 
 
-def taylor_trace(field, geom, config):
-    """Taylor extension of a field at the nodes of a boundary edge.
+def directional_derivative(partial, direction, j):
+    """The j-th derivative along ``direction`` (N, 2), from the mixed
+    partials ``partial(rx, ry)`` whose leading axis runs over the same N
+    nodes: sum_i C(j, i) dx^i dy^(j-i) v direction_x^i direction_y^(j-i)."""
+    total = 0.0
+    for i in range(j + 1):
+        part = partial(i, j - i)
+        factor = comb(j, i) * direction[:, 0] ** i * direction[:, 1] ** (j - i)
+        total = total + factor.reshape((-1,) + (1,) * (part.ndim - 1)) * part
+    return total
 
-    ``field`` exposes ``eval(points) -> (npts, ..., 2)`` and
-    ``derivative(points, rx, ry)``; a ``degree`` attribute of None marks a
-    non-polynomial field.  When the configured order makes the Taylor sum
-    exact for the field's degree, the value is taken directly at the
-    projected points; otherwise the truncated sum is assembled from mixed
-    partials contracted with powers of nu.
+
+def taylor_trace(field, geom, config):
+    """Taylor extension of a field at every boundary node, shape
+    (n_b, q, ..., 2).
+
+    ``field`` exposes ``eval(points)`` for points of shape (n_b, q, 2) and
+    ``nu_derivative(geom, j)``, the j-th derivative along nu at
+    ``geom.points``; a ``degree`` attribute of None marks a non-polynomial
+    field.  When the configured order makes the Taylor sum exact for the
+    field's degree, the value is taken directly at the projected points;
+    otherwise the truncated sum is assembled order by order.
     """
-    degree = getattr(field, "degree", None)
-    if config.fast_path and degree is not None and degree <= config.m:
+    if config.fast_path and field.degree is not None and field.degree <= config.m:
         return field.eval(geom.projected)
-    total = field.eval(geom.points).copy()
-    if config.m == 0:
-        return total
-    shape_tail = total.shape[1:]
-    nu_x, nu_y = geom.nu[:, 0], geom.nu[:, 1]
+    total = field.eval(geom.points)
     for j in range(1, config.m + 1):
-        dir_deriv = np.zeros_like(total)
-        for i in range(j + 1):
-            part = field.derivative(geom.points, i, j - i)
-            factor = comb(j, i) * nu_x**i * nu_y ** (j - i)
-            dir_deriv += factor.reshape((-1,) + (1,) * len(shape_tail)) * part
-        total += (geom.delta**j / factorial(j)).reshape(
-            (-1,) + (1,) * len(shape_tail)
-        ) * dir_deriv
+        scale = geom.delta**j / factorial(j)
+        term = field.nu_derivative(geom, j)
+        total = total + scale.reshape(scale.shape + (1,) * (term.ndim - 2)) * term
     return total
 
 
 def taylor_trace_normal(field, geom, config):
     """Normal component of the Taylor extension against the pulled-back
-    physical normal, shape (npts, ...)."""
-    return np.einsum("q...a,qa->q...", taylor_trace(field, geom, config), geom.n_gamma)
+    physical normal, shape (n_b, q, ...)."""
+    return np.einsum("bq...a,bqa->bq...", taylor_trace(field, geom, config), geom.n_gamma)
 
 
 def pullback_neumann(g, geom):
     """Neumann data pulled back from the physical boundary: evaluates the
-    boundary functional at the projected points with the physical normal."""
-    return np.asarray(g(geom.projected, geom.n_gamma), dtype=float)
+    boundary functional at the projected points with the physical normal,
+    shape (n_b, q)."""
+    values = g(geom.projected.reshape(-1, 2), geom.n_gamma.reshape(-1, 2))
+    return np.asarray(values, dtype=float).reshape(geom.delta.shape)

@@ -4,7 +4,6 @@ from bdmdarcy.femcore.quadrature import QuadratureRule, triangle_quadrature, edg
 from bdmdarcy.femcore.basis import TriangleBasis, EdgeBasis
 from bdmdarcy.femcore.element import (
     BDMElement,
-    PressureElement,
     LocalField,
     affine_map,
     piola_map,
@@ -12,7 +11,6 @@ from bdmdarcy.femcore.element import (
     bdm_reference_basis,
     interpolate_bdm,
     project_pressure,
-    eval_with_derivatives,
 )
 
 __all__ = [
@@ -22,7 +20,6 @@ __all__ = [
     "TriangleBasis",
     "EdgeBasis",
     "BDMElement",
-    "PressureElement",
     "LocalField",
     "affine_map",
     "piola_map",
@@ -30,5 +27,4 @@ __all__ = [
     "bdm_reference_basis",
     "interpolate_bdm",
     "project_pressure",
-    "eval_with_derivatives",
 ]

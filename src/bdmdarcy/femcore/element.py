@@ -10,7 +10,6 @@ functionals.
 """
 
 from functools import lru_cache
-from math import comb
 
 import numpy as np
 
@@ -21,7 +20,6 @@ __all__ = [
     "REF_VERTICES",
     "REF_EDGES",
     "BDMElement",
-    "PressureElement",
     "LocalField",
     "LocalScalarField",
     "affine_map",
@@ -30,7 +28,6 @@ __all__ = [
     "bdm_reference_basis",
     "interpolate_bdm",
     "project_pressure",
-    "eval_with_derivatives",
 ]
 
 REF_VERTICES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -158,16 +155,6 @@ def bdm_reference_basis(k):
     return BDMElement(k)
 
 
-class PressureElement:
-    """Discontinuous P_{k-1} pressure element (orthonormal reference basis,
-    mapped by plain composition)."""
-
-    def __init__(self, degree):
-        self.degree = degree
-        self.basis = triangle_basis(degree)
-        self.dim = self.basis.dim
-
-
 def piola_map(verts, ref_field):
     """Contravariant map of a reference vector field to the physical
     triangle: v(x) = J vhat(xhat) / det J."""
@@ -217,35 +204,6 @@ class LocalField:
     def divergence(self, pts):
         d = self.element.tabulate_div(self._ref_points(pts)) / self.det
         return np.einsum("qj,...j->q...", d, self.coeffs)
-
-    def derivative(self, pts, rx, ry):
-        """Physical mixed partial d^rx_x d^ry_y, shape (npts, ..., 2)."""
-        ref = self._ref_points(pts)
-        a, b = self.jinv[0, 0], self.jinv[1, 0]
-        c, d = self.jinv[0, 1], self.jinv[1, 1]
-        total = np.zeros((len(ref),) + self.coeffs.shape[:-1] + (2,))
-        for i in range(rx + 1):
-            for j in range(ry + 1):
-                factor = (
-                    comb(rx, i) * comb(ry, j)
-                    * a**i * b ** (rx - i) * c**j * d ** (ry - j)
-                )
-                if factor == 0.0:
-                    continue
-                tab = self.element.tabulate_derivative(ref, i + j, rx + ry - i - j)
-                total += factor * np.einsum(
-                    "qja,...j->q...a", tab @ self.jac.T / self.det, self.coeffs
-                )
-        return total
-
-    def derivatives(self, pts, order):
-        """All mixed partials with rx + ry <= order, keyed by (rx, ry)."""
-        return {
-            (rx, ry): self.derivative(pts, rx, ry)
-            for total in range(order + 1)
-            for rx in range(total + 1)
-            for ry in [total - rx]
-        }
 
 
 class LocalScalarField:
@@ -340,13 +298,3 @@ def project_pressure(verts, q, degree, quad_degree=None):
     # mapped basis has mass matrix det J * I
     coeffs = np.einsum("q,ql,q->l", rule.weights, basis.eval(rule.points), vals)
     return LocalScalarField(verts, basis, coeffs)
-
-
-def eval_with_derivatives(verts, coeffs, points, order, k=None):
-    """Values and all mixed partials (up to ``order``) of a local BDM field."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    if k is None:
-        # recover the degree from the coefficient count (k+1)(k+2)
-        k = int(round((np.sqrt(4 * coeffs.shape[-1] + 1) - 3) / 2))
-    field = LocalField(np.asarray(verts, dtype=float), bdm_reference_basis(k), coeffs)
-    return field.derivatives(points, order)

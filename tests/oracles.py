@@ -1,14 +1,149 @@
 """Independent slow-path evaluations used to cross-check the assembly.
 
 Everything here recomputes forms by explicit per-element quadrature through
-LocalField evaluations, never through the assembled sparse matrices.
+LocalField evaluations, never through the assembled sparse matrices.  The
+boundary terms go edge by edge: per-edge projection data, physical mixed
+partials by the chain rule, and the Taylor sum assembled from them, where
+the program computes the same traces for all boundary nodes at once.
 """
+
+from math import comb, factorial
+from types import SimpleNamespace
 
 import numpy as np
 
-from bdmdarcy.correction import taylor_trace_normal
 from bdmdarcy.femcore import affine_map, edge_quadrature, triangle_quadrature
 from bdmdarcy.femcore.element import LocalField
+
+
+def basis_field(asm, t):
+    """All global-DOF shape functions of element t as one stacked field."""
+    return asm.local_field(t, asm.local_dual[t].T)
+
+
+class Partials:
+    """A LocalField with its physical mixed partials, by the chain rule over
+    the reference partials."""
+
+    def __init__(self, field):
+        self.field = field
+        self.degree = field.degree
+
+    def eval(self, pts):
+        return self.field.eval(pts)
+
+    def derivative(self, pts, rx, ry):
+        """Physical mixed partial d^rx_x d^ry_y, shape (npts, ..., 2)."""
+        f = self.field
+        ref = f._ref_points(pts)
+        a, b = f.jinv[0, 0], f.jinv[1, 0]
+        c, d = f.jinv[0, 1], f.jinv[1, 1]
+        total = np.zeros((len(ref),) + f.coeffs.shape[:-1] + (2,))
+        for i in range(rx + 1):
+            for j in range(ry + 1):
+                factor = (
+                    comb(rx, i) * comb(ry, j)
+                    * a**i * b ** (rx - i) * c**j * d ** (ry - j)
+                )
+                if factor == 0.0:
+                    continue
+                tab = f.element.tabulate_derivative(ref, i + j, rx + ry - i - j)
+                total += factor * np.einsum(
+                    "qja,...j->q...a", tab @ f.jac.T / f.det, f.coeffs
+                )
+        return total
+
+
+class ExactPartials:
+    """A manufactured case's velocity with its closed-form partials (no
+    polynomial degree: the truncated sum is always used)."""
+
+    degree = None
+
+    def __init__(self, case):
+        self.case = case
+
+    def eval(self, pts):
+        return self.case.velocity(pts)
+
+    def derivative(self, pts, rx, ry):
+        return self.case.velocity_derivative(pts, rx, ry)
+
+
+def edge_geometry(mesh, curve, edge_id, rule, h_owner):
+    """Projection data of the nodes of one boundary edge."""
+    a, b = mesh.vertices[mesh.edges[edge_id]]
+    points = 0.5 * (a + b) + 0.5 * np.outer(rule.points, b - a)
+    projected, delta, nu, n_gamma = curve.project_many(points)
+    return SimpleNamespace(
+        edge_id=int(edge_id),
+        owner=int(mesh.edge_tris[edge_id, 0]),
+        points=points,
+        weights=0.5 * np.hypot(*(b - a)) * rule.weights,
+        delta=delta,
+        nu=nu,
+        n_gamma=n_gamma,
+        n_h=mesh.edge_normal[edge_id].copy(),
+        h_owner=float(h_owner),
+        projected=projected,
+    )
+
+
+def edge_geometries(asm):
+    """Per-edge projection data of every boundary edge, with the
+    assembler's boundary rule, in ``mesh.boundary_edges`` order."""
+    mesh = asm.mesh
+    by_id = {c.component_id: c for c in asm.curves}
+    return [
+        edge_geometry(mesh, by_id[mesh.edge_component[e]], e, asm.tables.bnd_rule,
+                      asm.stats.h_K[mesh.edge_tris[e, 0]])
+        for e in mesh.boundary_edges
+    ]
+
+
+def taylor_trace(field, geom, config):
+    """Taylor extension of a field at the nodes of one boundary edge, from
+    mixed partials contracted with powers of nu (point evaluation at the
+    projected nodes when the order makes the sum exact)."""
+    degree = getattr(field, "degree", None)
+    if config.fast_path and degree is not None and degree <= config.m:
+        return field.eval(geom.projected)
+    total = field.eval(geom.points).copy()
+    shape_tail = total.shape[1:]
+    nu_x, nu_y = geom.nu[:, 0], geom.nu[:, 1]
+    for j in range(1, config.m + 1):
+        dir_deriv = np.zeros_like(total)
+        for i in range(j + 1):
+            part = field.derivative(geom.points, i, j - i)
+            factor = comb(j, i) * nu_x**i * nu_y ** (j - i)
+            dir_deriv += factor.reshape((-1,) + (1,) * len(shape_tail)) * part
+        total += (geom.delta**j / factorial(j)).reshape(
+            (-1,) + (1,) * len(shape_tail)
+        ) * dir_deriv
+    return total
+
+
+def taylor_trace_normal(field, geom, config):
+    """Normal component of the per-edge Taylor extension against n_gamma."""
+    return np.einsum("q...a,qa->q...", taylor_trace(field, geom, config), geom.n_gamma)
+
+
+def norm_0h(asm, u):
+    """The mesh-dependent velocity norm of a discrete field, computed by
+    direct quadrature (independent of the assembled matrix)."""
+    t = asm.tables
+    w = asm.local_coeffs(u)
+    vals = np.einsum("en,qna->eqa", w, t.v_vals_err)
+    vals = np.einsum("eab,eqb->eqa", asm.jac, vals) / asm.det[:, None, None]
+    div = np.einsum("en,qn->eq", w, t.v_div_err) / asm.det[:, None]
+    total = float(np.einsum("e,q,eqa->", asm.det, t.err.weights, vals**2))
+    total += float(np.einsum("e,q,eq->", asm.det, t.err.weights, div**2))
+    if asm.mode == "corrected":
+        for geom in edge_geometries(asm):
+            field = Partials(asm.local_field(geom.owner, w[geom.owner]))
+            tv = taylor_trace_normal(field, geom, asm.taylor)
+            total += float(geom.weights @ tv**2) / geom.h_owner
+    return float(np.sqrt(total))
 
 
 def dense_matrix_a_flat(asm, vol_degree=12, edge_points=8):
@@ -24,7 +159,7 @@ def dense_matrix_a_flat(asm, vol_degree=12, edge_points=8):
         verts = asm.verts[t]
         v0, jac, det, _ = affine_map(verts)
         pts = v0 + rule.points @ jac.T
-        basis = asm.basis_field(t)  # stacked shape functions
+        basis = basis_field(asm, t)  # stacked shape functions
         vals = basis.eval(pts)  # (q, nd, 2)
         divs = basis.divergence(pts)  # (q, nd)
         local = det * (
@@ -35,13 +170,12 @@ def dense_matrix_a_flat(asm, vol_degree=12, edge_points=8):
         a[np.ix_(idx, idx)] += local
     if asm.mode == "corrected":
         erule = edge_quadrature(edge_points)
-        for e in mesh.boundary_edges:
-            geom = asm.trace[int(e)]
+        for geom in edge_geometries(asm):
             t = geom.owner
-            a_v, b_v = mesh.vertices[mesh.edges[e]]
+            a_v, b_v = mesh.vertices[mesh.edges[geom.edge_id]]
             pts = 0.5 * (a_v + b_v) + 0.5 * np.outer(erule.points, b_v - a_v)
             w = 0.5 * np.hypot(*(b_v - a_v)) * erule.weights
-            basis = asm.basis_field(t)
+            basis = basis_field(asm, t)
             vn = basis.eval(pts) @ geom.n_h  # delta = 0: plain trace
             local = np.einsum("q,qi,qj->ij", w, vn, vn) / geom.h_owner
             idx = asm.gidx[t]
@@ -59,7 +193,7 @@ def dense_matrix_b1_flat(asm, vol_degree=12, edge_points=8):
     for t in range(mesh.n_triangles):
         verts = asm.verts[t]
         v0, jac, det, _ = affine_map(verts)
-        basis = asm.basis_field(t)
+        basis = basis_field(asm, t)
         pts = v0 + rule.points @ jac.T
         divs = basis.divergence(pts)
         pvals = pbasis.eval(rule.points)
@@ -73,7 +207,7 @@ def dense_matrix_b1_flat(asm, vol_degree=12, edge_points=8):
         a_v, b_v = mesh.vertices[mesh.edges[e]]
         pts = 0.5 * (a_v + b_v) + 0.5 * np.outer(erule.points, b_v - a_v)
         w = 0.5 * np.hypot(*(b_v - a_v)) * erule.weights
-        basis = asm.basis_field(t)
+        basis = basis_field(asm, t)
         vn = basis.eval(pts) @ mesh.edge_normal[e]
         pref = (pts - v0) @ jinv.T
         pvals = pbasis.eval(pref)
@@ -91,7 +225,7 @@ def dense_rhs_u_volume(asm, source, vol_degree=12):
         verts = asm.verts[t]
         v0, jac, det, _ = affine_map(verts)
         pts = v0 + rule.points @ jac.T
-        divs = asm.basis_field(t).divergence(pts)
+        divs = basis_field(asm, t).divergence(pts)
         fv = source(pts)
         rhs[asm.gidx[t]] += det * np.einsum("q,q,qi->i", rule.weights, fv, divs)
     return rhs
@@ -112,7 +246,7 @@ def apply_operator(asm, blocks, x):
         verts = asm.verts[t]
         v0, jac, det, _ = affine_map(verts)
         pts = v0 + rule.points @ jac.T
-        basis = asm.basis_field(t)
+        basis = basis_field(asm, t)
         bvals = basis.eval(pts)
         bdivs = basis.divergence(pts)
         ufield = LocalField(verts, asm.tables.element, w[t])
@@ -129,15 +263,14 @@ def apply_operator(asm, blocks, x):
         qvals = pbasis.eval(rule.points)
         y_p[asm.pidx[t]] += -det * np.einsum("q,q,ql->l", rule.weights, udiv, qvals)
     flux_u = 0.0
-    for e in mesh.boundary_edges:
-        geom = asm.trace[int(e)]
+    for geom in edge_geometries(asm):
         t = geom.owner
         verts = asm.verts[t]
         v0, jac, det, jinv = affine_map(verts)
-        basis = asm.basis_field(t)
+        basis = basis_field(asm, t)
         ufield = LocalField(verts, asm.tables.element, w[t])
-        tv_basis = taylor_trace_normal(basis, geom, asm.taylor)  # (q, nd)
-        tv_u = taylor_trace_normal(ufield, geom, asm.taylor)  # (q,)
+        tv_basis = taylor_trace_normal(Partials(basis), geom, asm.taylor)  # (q, nd)
+        tv_u = taylor_trace_normal(Partials(ufield), geom, asm.taylor)  # (q,)
         y_u[asm.gidx[t]] += (
             np.einsum("q,q,qi->i", geom.weights, tv_u, tv_basis) / geom.h_owner
         )

@@ -4,8 +4,8 @@ identities of the constrained system."""
 import numpy as np
 import pytest
 
-from bdmdarcy.analysis import case_circle, case_polynomial_square, case_ring, norm_0h
-from bdmdarcy.assembly import Assembler, build_saddle_system
+from bdmdarcy.analysis import case_circle, case_polynomial_square, case_ring
+from bdmdarcy.assembly import Assembler, build_saddle_system, reference_tables
 from bdmdarcy.mesh import (
     coarse_mesh,
     disk_domain,
@@ -15,7 +15,13 @@ from bdmdarcy.mesh import (
     triangle_domain,
     unit_square_mesh,
 )
-from oracles import apply_operator, dense_matrix_a_flat, dense_matrix_b1_flat, dense_rhs_u_volume
+from oracles import (
+    apply_operator,
+    dense_matrix_a_flat,
+    dense_matrix_b1_flat,
+    dense_rhs_u_volume,
+    norm_0h,
+)
 
 
 def disk_assembler(levels, k, **kw):
@@ -235,3 +241,16 @@ def test_patch_test_square():
     p = postprocess_pressure(p, asm)
     err = error_norms(u, p, case, asm)
     assert err.e_total <= 1e-9
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_quadrature_overrides_may_only_go_upward(k):
+    # coarser rules make the mass matrix singular or the penalty inexact
+    with pytest.raises(ValueError):
+        reference_tables(k, vol_degree=2 * k + 1)
+    with pytest.raises(ValueError):
+        reference_tables(k, bnd_points=k + 2)
+    with pytest.raises(ValueError):
+        disk_assembler(0, k, quad_boundary=1)
+    tables = reference_tables(k, vol_degree=2 * k + 2, bnd_points=k + 3)
+    assert tables.vol.degree >= 2 * k + 2 and len(tables.bnd_rule) == k + 3

@@ -176,3 +176,37 @@ def test_dump_system_parses(tmp_path):
 def test_main_exit_codes(tmp_path):
     assert main(["--k", "1", "--levels", "0..0"]) == 0
     assert main(["--k", "0"]) == 2
+
+
+@pytest.mark.parametrize(
+    "file_text,argv,where",
+    [
+        ("k = abc\n", [], "study.cfg:1"),
+        ("levels = 0..0\ncenter = 0 zero\n", [], "center"),
+        (None, ["--radius", "-1"], "radius"),
+        (None, ["--domain", "ring", "--r-inner", "2"], "r_inner"),
+        (None, ["--k", "2", "--quad-volume", "1"], "volume quadrature"),
+        (None, ["--k", "2", "--quad-boundary", "1"], "boundary quadrature"),
+    ],
+    ids=["bad-value", "bad-center", "radius", "r-inner", "quad-volume", "quad-boundary"],
+)
+def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, file_text, argv, where):
+    if file_text is not None:
+        cfg_file = tmp_path / "study.cfg"
+        cfg_file.write_text(file_text)
+        argv = [str(cfg_file)] + argv
+    assert main(argv + ["--levels", "1..1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""  # rejected before any study starts
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and where in lines[0]
+
+
+def test_missing_config_file_exits_2(tmp_path, capsys):
+    assert main([str(tmp_path / "absent.cfg")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_upward_quadrature_overrides_accepted():
+    cfg = parse_config(["--k", "2", "--quad-volume", "6", "--quad-boundary", "5"])
+    assert (cfg.quad_volume, cfg.quad_boundary) == (6, 5)

@@ -1,18 +1,17 @@
-"""Taylor boundary extension and per-edge trace geometry."""
+"""Taylor boundary extension and boundary trace geometry."""
 
 import numpy as np
 import pytest
 
 from bdmdarcy.analysis import case_circle, case_ring
-from bdmdarcy.assembly import Assembler
+from bdmdarcy.assembly import Assembler, BoundaryShapeFunctions
 from bdmdarcy.correction import (
     TaylorConfig,
     edge_trace_geometry,
     pullback_neumann,
     taylor_trace,
-    taylor_trace_normal,
 )
-from bdmdarcy.femcore import LocalField, bdm_reference_basis, edge_quadrature
+from bdmdarcy.femcore import edge_quadrature
 from bdmdarcy.mesh import (
     coarse_mesh,
     disk_domain,
@@ -34,14 +33,18 @@ class _NoDegree:
     def eval(self, pts):
         return self._field.eval(pts)
 
-    def derivative(self, pts, rx, ry):
-        return self._field.derivative(pts, rx, ry)
+    def nu_derivative(self, geom, j):
+        return self._field.nu_derivative(geom, j)
 
 
-def first_boundary_geom(mesh, curves, n_pts=4):
-    by_id = {c.component_id: c for c in curves}
-    e = int(mesh.boundary_edges[0])
-    return edge_trace_geometry(mesh, by_id[mesh.edge_component[e]], e, edge_quadrature(n_pts))
+def boundary_geom(mesh, curves, n_pts=4):
+    return edge_trace_geometry(mesh, curves, edge_quadrature(n_pts), mesh_stats(mesh).h_K)
+
+
+def owner_values(asm, values, u):
+    """Contract per-owner shape-function values (n_b, q, n_d, ...) with the
+    global coefficient vector u."""
+    return np.einsum("bqi...,bi->bq...", values, u[asm.gidx[asm.trace.owner]])
 
 
 def test_taylor_config_bounds():
@@ -55,18 +58,16 @@ def test_taylor_config_bounds():
 
 def test_flat_edge_has_zero_shift():
     mesh = unit_square_mesh(2)
-    geom = first_boundary_geom(mesh, square_domain())
+    asm = Assembler(mesh, square_domain(), k=2)
+    geom = asm.trace
     assert np.all(geom.delta == 0.0)
-    assert np.abs(geom.n_gamma - geom.n_h).max() == 0.0
+    assert np.abs(geom.n_gamma - geom.n_h[:, None, :]).max() == 0.0
     # with zero shift the extension reduces to the plain trace for every order
-    el = bdm_reference_basis(2)
-    rng = np.random.default_rng(0)
-    verts = mesh.vertices[mesh.triangles[geom.owner]]
-    field = LocalField(verts, el, rng.standard_normal(el.dim))
-    plain = field.eval(geom.points)
+    basis = BoundaryShapeFunctions(asm)
+    plain = basis.eval(geom.points)
     for m in range(3):
-        vals = taylor_trace(field, geom, TaylorConfig(m, 2))
-        assert np.abs(vals - plain).max() < 1e-14
+        vals = taylor_trace(_NoDegree(basis), geom, TaylorConfig(m, 2))
+        assert np.abs(vals - plain).max() < 1e-14 * np.abs(plain).max()
 
 
 def test_chord_midpoint_distance():
@@ -74,20 +75,18 @@ def test_chord_midpoint_distance():
     # at distance 1 - cos(alpha) from the circle
     curves = disk_domain()
     mesh = coarse_mesh(curves)  # rim chords subtend half-angle pi/6
-    e = int(mesh.boundary_edges[0])
-    geom = edge_trace_geometry(mesh, curves[0], e, edge_quadrature(1))
-    assert geom.delta[0] == pytest.approx(1.0 - np.cos(np.pi / 6.0), abs=1e-14)
+    geom = boundary_geom(mesh, curves, n_pts=1)
+    assert geom.delta[:, 0] == pytest.approx(1.0 - np.cos(np.pi / 6.0), abs=1e-14)
 
 
 def test_delta_vanishes_toward_endpoints():
     curves = disk_domain()
     mesh = coarse_mesh(curves)
-    e = int(mesh.boundary_edges[0])
-    geom = edge_trace_geometry(mesh, curves[0], e, edge_quadrature(12))
+    delta = boundary_geom(mesh, curves, n_pts=12).delta
     # Gauss nodes are ordered from one endpoint to the other
-    assert geom.delta[0] < geom.delta[5]
-    assert geom.delta[-1] < geom.delta[6]
-    assert geom.delta.min() >= 0.0
+    assert np.all(delta[:, 0] < delta[:, 5])
+    assert np.all(delta[:, -1] < delta[:, 6])
+    assert delta.min() >= 0.0
 
 
 @pytest.mark.parametrize("m", [0, 1, 2])
@@ -95,10 +94,8 @@ def test_taylor_exact_for_low_degree_polynomials(m):
     # fields of degree <= m are extended exactly to the projected points
     curves = disk_domain()
     mesh = refine_project(coarse_mesh(curves), curves)
-    geom = first_boundary_geom(mesh, curves)
     k = 3
-    el = bdm_reference_basis(k)
-    verts = mesh.vertices[mesh.triangles[geom.owner]]
+    asm = Assembler(mesh, curves, k=k, m=m)
 
     def poly(pts):
         pts = np.atleast_2d(pts)
@@ -109,24 +106,18 @@ def test_taylor_exact_for_low_degree_polynomials(m):
             out += np.column_stack([pts[:, 0] * pts[:, 1], pts[:, 0] ** 2])
         return out
 
-    from bdmdarcy.femcore import interpolate_bdm
-
-    field = _NoDegree(interpolate_bdm(verts, poly, k))
-    vals = taylor_trace(field, geom, TaylorConfig(m, k))
-    exact = poly(geom.projected)
-    assert np.abs(vals - exact).max() < 1e-12 * (1.0 + np.abs(exact).max())
+    u = asm.interpolate_velocity(poly)  # reproduces polynomials of degree <= k
+    vals = taylor_trace(_NoDegree(BoundaryShapeFunctions(asm)), asm.trace, asm.taylor)
+    exact = poly(asm.trace.projected.reshape(-1, 2)).reshape(asm.trace.projected.shape)
+    assert np.abs(owner_values(asm, vals, u) - exact).max() < 1e-12 * (1.0 + np.abs(exact).max())
 
 
 def test_order_zero_is_plain_trace():
     curves = disk_domain()
-    mesh = coarse_mesh(curves)
-    geom = first_boundary_geom(mesh, curves)
-    el = bdm_reference_basis(2)
-    rng = np.random.default_rng(4)
-    verts = mesh.vertices[mesh.triangles[geom.owner]]
-    field = LocalField(verts, el, rng.standard_normal(el.dim))
-    vals = taylor_trace(field, geom, TaylorConfig(0, 2))
-    assert np.abs(vals - field.eval(geom.points)).max() == 0.0
+    asm = Assembler(coarse_mesh(curves), curves, k=2, m=0)
+    basis = BoundaryShapeFunctions(asm)
+    vals = taylor_trace(basis, asm.trace, asm.taylor)
+    assert np.abs(vals - basis.eval(asm.trace.points)).max() == 0.0
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -134,36 +125,34 @@ def test_fast_path_matches_taylor_sum(k):
     # order-k extension of a degree-k field: sum path == point evaluation
     curves = disk_domain()
     mesh = refine_project(coarse_mesh(curves), curves)
-    el = bdm_reference_basis(k)
-    rng = np.random.default_rng(k * 13)
+    asm = Assembler(mesh, curves, k=k)
+    basis = BoundaryShapeFunctions(asm)
     cfg = TaylorConfig(k, k)
-    by_id = {c.component_id: c for c in curves}
-    for e in mesh.boundary_edges:
-        geom = edge_trace_geometry(mesh, by_id[mesh.edge_component[e]], e, edge_quadrature(4))
-        verts = mesh.vertices[mesh.triangles[geom.owner]]
-        field = LocalField(verts, el, rng.standard_normal(el.dim))
-        fast = taylor_trace(field, geom, cfg)
-        slow = taylor_trace(_NoDegree(field), geom, cfg)
-        scale = np.abs(fast).max()
-        assert np.abs(fast - slow).max() < 1e-12 * max(scale, 1.0)
+    u = np.random.default_rng(k * 13).standard_normal(asm.dofmap.n_u)
+    fast = owner_values(asm, taylor_trace(basis, asm.trace, cfg), u)
+    slow = owner_values(asm, taylor_trace(_NoDegree(basis), asm.trace, cfg), u)
+    assert np.abs(fast - slow).max() < 1e-12 * max(np.abs(fast).max(), 1.0)
 
 
 def test_pullback_homogeneous_case_vanishes():
     curves = disk_domain()
     mesh = refine_project(coarse_mesh(curves), curves)
     case = case_circle()
-    geom = first_boundary_geom(mesh, curves)
+    geom = boundary_geom(mesh, curves)
     vals = pullback_neumann(case.neumann, geom)
+    assert vals.shape == geom.delta.shape
     assert np.abs(vals).max() == 0.0
     # and the underlying field is genuinely tangential on the circle
-    direct = np.einsum("na,na->n", case.velocity(geom.projected), geom.n_gamma)
+    direct = np.einsum(
+        "na,na->n", case.velocity(geom.projected.reshape(-1, 2)), geom.n_gamma.reshape(-1, 2)
+    )
     assert np.abs(direct).max() < 1e-12
 
 
 def test_pullback_constant_functional():
     curves = disk_domain()
     mesh = coarse_mesh(curves)
-    geom = first_boundary_geom(mesh, curves)
+    geom = boundary_geom(mesh, curves)
     vals = pullback_neumann(lambda x, n: np.full(len(x), 4.25), geom)
     assert np.all(vals == 4.25)
 
@@ -178,15 +167,14 @@ def test_pullback_ring_node_hitting_axis():
     a = np.array([np.cos(theta), -np.sin(theta)])
     b = np.array([np.cos(theta), np.sin(theta)])
     apex = np.array([0.3, 0.0])
-    mesh = _build_mesh(np.array([apex, a, b]), np.array([[0, 1, 2]]),
-                       [BoundaryCurve((0.0, 0.0), 1.0, component_id=0)], level=0)
-    curve = BoundaryCurve((0.0, 0.0), 1.0, component_id=0)
-    by_mid = {tuple(np.sort(mesh.edges[e])): e for e in mesh.boundary_edges}
-    e = by_mid[(1, 2)]
-    geom = edge_trace_geometry(mesh, curve, int(e), edge_quadrature(1))
-    assert geom.projected[0] == pytest.approx([1.0, 0.0], abs=1e-14)
+    curves = [BoundaryCurve((0.0, 0.0), 1.0, component_id=0)]
+    mesh = _build_mesh(np.array([apex, a, b]), np.array([[0, 1, 2]]), curves, level=0)
+    (chord,) = [i for i, e in enumerate(mesh.boundary_edges)
+                if tuple(np.sort(mesh.edges[e])) == (1, 2)]
+    geom = boundary_geom(mesh, curves, n_pts=1)
+    assert geom.projected[chord, 0] == pytest.approx([1.0, 0.0], abs=1e-14)
     vals = pullback_neumann(case_ring().neumann, geom)
-    assert abs(vals[0]) < 1e-13
+    assert abs(vals[chord, 0]) < 1e-13
 
 
 def test_correction_term_shrinks_linearly_with_h():
@@ -201,24 +189,19 @@ def test_correction_term_shrinks_linearly_with_h():
     for _ in range(4):
         mesh = refine_project(mesh, curves)
         asm = Assembler(mesh, curves, k=k, m=m)
+        geom = asm.trace
         u = asm.interpolate_velocity(case.velocity)
-        w = asm.local_coeffs(u)
-        worst = 0.0
-        for e in mesh.boundary_edges:
-            geom = asm.trace[int(e)]
-            field = asm.local_field(geom.owner, w[geom.owner])
-            tail = taylor_trace(field, geom, cfg) - field.eval(geom.points)
-            tail_norm = np.sqrt(
-                (geom.weights @ np.sum(tail**2, axis=1)) / geom.h_owner
-            )
-            t = asm.tables
-            vol = np.einsum("qna,n->qa", t.v_vals, w[geom.owner])
-            vol = vol @ asm.jac[geom.owner].T / asm.det[geom.owner]
-            k_norm = np.sqrt(
-                asm.det[geom.owner] * np.sum(t.vol.weights * np.sum(vol**2, axis=1))
-            )
-            worst = max(worst, tail_norm / k_norm)
+        basis = BoundaryShapeFunctions(asm)
+        tail = owner_values(asm, taylor_trace(basis, geom, cfg) - basis.eval(geom.points), u)
+        tail_norm = np.sqrt(
+            np.einsum("bq,bqa->b", geom.weights, tail**2) / geom.h_owner
+        )
+        t = asm.tables
+        w = asm.local_coeffs(u)[geom.owner]
+        vol = np.einsum("qna,bn->bqa", t.v_vals, w)
+        vol = np.einsum("bac,bqc->bqa", asm.jac[geom.owner], vol) / asm.det[geom.owner, None, None]
+        k_norm = np.sqrt(asm.det[geom.owner] * np.einsum("q,bqa->b", t.vol.weights, vol**2))
         hs.append(mesh_stats(mesh).h)
-        ratios.append(worst)
+        ratios.append(float((tail_norm / k_norm).max()))
     slope = np.polyfit(np.log(hs), np.log(ratios), 1)[0]
     assert slope == pytest.approx(1.0, abs=0.3)
