@@ -16,7 +16,6 @@ __all__ = [
     "case_ring",
     "case_polynomial_square",
     "error_norms",
-    "interpolation_errors",
     "compute_eoc",
     "compatibility_residual",
 ]
@@ -253,13 +252,6 @@ def error_norms(u, p, case, assembler):
         e_p=e_p,
         e_total=e_0h + e_p,
     )
-
-
-def interpolation_errors(case, assembler):
-    """Errors of the plain interpolants (no solve), in the study norms."""
-    u_i = assembler.interpolate_velocity(case.velocity)
-    p_i = assembler.project_pressure_global(case.pressure)
-    return error_norms(u_i, p_i, case, assembler)
 
 
 def compute_eoc(errors, hs):

@@ -195,7 +195,6 @@ class AssembledBlocks:
     c: np.ndarray  # integrals of the pressure basis functions
     flux: np.ndarray  # total-boundary-flux functional on velocity dofs
     area: float
-    mode: str
     dofmap: DofMap
     constrained: np.ndarray  # strongly constrained velocity dofs (may be empty)
     pressure_mass_diag: np.ndarray = None  # diagonal pressure mass (orthonormal basis)
@@ -207,7 +206,7 @@ class SaddleSystem:
     factored form so the sparse factorization never sees it)."""
 
     def __init__(self, matrix, rhs, n_u, n_p, rank1=None, free_u=None, full_n_u=None,
-                 c=None, area=1.0, mode="corrected", gauge=0.0, pressure_mass_diag=None):
+                 area=1.0, pressure_mass_diag=None):
         self.matrix = matrix.tocsr()
         self.rhs = rhs
         self.n_u = n_u
@@ -215,10 +214,7 @@ class SaddleSystem:
         self.rank1 = rank1
         self.free_u = free_u
         self.full_n_u = full_n_u if full_n_u is not None else n_u
-        self.c = c
         self.area = area
-        self.mode = mode
-        self.gauge = gauge
         self.pressure_mass_diag = pressure_mass_diag
 
     @property
@@ -556,7 +552,6 @@ class Assembler:
             c=self.pressure_integrals(),
             flux=self.flux_functional(),
             area=self.area,
-            mode=self.mode,
             dofmap=self.dofmap,
             constrained=self.constrained,
             pressure_mass_diag=np.repeat(self.det, self.dofmap.n_pressure_local),
@@ -642,8 +637,7 @@ def build_saddle_system(blocks, mode, gauge=0.0):
         v_vec[:n_u] = blocks.flux
         rhs = np.concatenate([blocks.rhs_u, blocks.rhs_p, [gauge]])
         return SaddleSystem(
-            m0, rhs, n_u, n_p, rank1=(u_vec, v_vec), c=blocks.c,
-            area=blocks.area, mode=mode, gauge=gauge,
+            m0, rhs, n_u, n_p, rank1=(u_vec, v_vec), area=blocks.area,
             pressure_mass_diag=blocks.pressure_mass_diag,
         )
     if mode == "uncorrected-strong":
@@ -656,8 +650,7 @@ def build_saddle_system(blocks, mode, gauge=0.0):
         )
         rhs = np.concatenate([blocks.rhs_u[free], blocks.rhs_p, [gauge]])
         return SaddleSystem(
-            m0, rhs, len(free), n_p, free_u=free, full_n_u=n_u, c=blocks.c,
-            area=blocks.area, mode=mode, gauge=gauge,
+            m0, rhs, len(free), n_p, free_u=free, full_n_u=n_u, area=blocks.area,
             pressure_mass_diag=blocks.pressure_mass_diag,
         )
     raise ValueError(f"unknown mode {mode!r}")

@@ -1,4 +1,4 @@
-"""Reference elements, quadrature, and local interpolation operators."""
+"""Reference elements, quadrature, and fields on one physical triangle."""
 
 from bdmdarcy.femcore.quadrature import QuadratureRule, triangle_quadrature, edge_quadrature
 from bdmdarcy.femcore.basis import TriangleBasis, EdgeBasis
@@ -6,11 +6,7 @@ from bdmdarcy.femcore.element import (
     BDMElement,
     LocalField,
     affine_map,
-    piola_map,
-    piola_map_inverse,
     bdm_reference_basis,
-    interpolate_bdm,
-    project_pressure,
 )
 
 __all__ = [
@@ -22,9 +18,5 @@ __all__ = [
     "BDMElement",
     "LocalField",
     "affine_map",
-    "piola_map",
-    "piola_map_inverse",
     "bdm_reference_basis",
-    "interpolate_bdm",
-    "project_pressure",
 ]

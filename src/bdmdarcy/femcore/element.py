@@ -1,19 +1,19 @@
-"""BDM_k velocity elements, discontinuous pressure elements, and the local
-interpolation/projection operators.
+"""BDM_k velocity elements on the reference triangle, and polynomial fields
+on one physical triangle.
 
 The reference element is dualized once: its nodal basis is the inverse of
 the DOF-functional matrix applied to a spanning set of vector polynomials.
 Physical elements are reached through the contravariant Piola map, which
-preserves edge normal moments; interior moments mix under the map, so local
-interpolation solves a small per-element system against the physical DOF
-functionals.
+preserves edge normal moments; interior moments mix under the map, so the
+assembler inverts a small per-element DOF matrix (``Assembler.local_dual``)
+to obtain the global-DOF shape functions and the BDM interpolant.
 """
 
 from functools import lru_cache
 
 import numpy as np
 
-from bdmdarcy.femcore.basis import EdgeBasis, TriangleBasis, triangle_basis
+from bdmdarcy.femcore.basis import EdgeBasis, triangle_basis
 from bdmdarcy.femcore.quadrature import edge_quadrature, triangle_quadrature
 
 __all__ = [
@@ -21,13 +21,8 @@ __all__ = [
     "REF_EDGES",
     "BDMElement",
     "LocalField",
-    "LocalScalarField",
     "affine_map",
-    "piola_map",
-    "piola_map_inverse",
     "bdm_reference_basis",
-    "interpolate_bdm",
-    "project_pressure",
 ]
 
 REF_VERTICES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -155,31 +150,6 @@ def bdm_reference_basis(k):
     return BDMElement(k)
 
 
-def piola_map(verts, ref_field):
-    """Contravariant map of a reference vector field to the physical
-    triangle: v(x) = J vhat(xhat) / det J."""
-    v0, j, det, jinv = affine_map(verts)
-
-    def phys(x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        ref = (x - v0) @ jinv.T
-        return np.asarray(ref_field(ref)) @ j.T / det
-
-    return phys
-
-
-def piola_map_inverse(verts, phys_field):
-    """Inverse of piola_map: vhat(xhat) = det J Jinv v(F(xhat))."""
-    v0, j, det, jinv = affine_map(verts)
-
-    def ref(xhat):
-        xhat = np.atleast_2d(np.asarray(xhat, dtype=float))
-        x = v0 + xhat @ j.T
-        return det * (np.asarray(phys_field(x)) @ jinv.T)
-
-    return ref
-
-
 class LocalField:
     """Polynomial vector field on one triangle, coefficients taken in the
     Piola-mapped reference nodal basis.  Coefficients may carry leading axes
@@ -204,97 +174,3 @@ class LocalField:
     def divergence(self, pts):
         d = self.element.tabulate_div(self._ref_points(pts)) / self.det
         return np.einsum("qj,...j->q...", d, self.coeffs)
-
-
-class LocalScalarField:
-    """Scalar polynomial on one triangle in the composition-mapped basis."""
-
-    def __init__(self, verts, basis, coeffs):
-        self.verts = np.asarray(verts, dtype=float)
-        self.basis = basis
-        self.coeffs = np.asarray(coeffs, dtype=float)
-        self.v0, self.jac, self.det, self.jinv = affine_map(self.verts)
-
-    def eval(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        ref = (pts - self.v0) @ self.jinv.T
-        return self.basis.eval(ref) @ self.coeffs
-
-
-def physical_dofs(verts, k, field, edge_rule_points=None, vol_degree=None):
-    """Apply the physical DOF functionals of the element on ``verts`` to a
-    vector field given as ``field(points) -> (npts, 2)``.
-
-    Edge moments use the element's own counterclockwise edge traversal and
-    outward normals; interior moments use composition-mapped test functions.
-    Default quadrature is exact for fields of degree k+2; raise the rule
-    orders for accurate moments of non-polynomial fields.
-    """
-    element = bdm_reference_basis(k)
-    verts = np.asarray(verts, dtype=float)
-    v0, j, det, jinv = affine_map(verts)
-    rule = edge_quadrature(edge_rule_points or (k + 2))
-    leg = EdgeBasis(k).eval(rule.points)
-    values = []
-    for l, (a_idx, b_idx) in enumerate(REF_EDGES):
-        a, b = verts[a_idx], verts[b_idx]
-        tangent = b - a
-        length = np.hypot(*tangent)
-        normal = np.array([tangent[1], -tangent[0]]) / length
-        pts = 0.5 * (a + b) + 0.5 * np.outer(rule.points, tangent)
-        vn = np.asarray(field(pts)) @ normal
-        w = 0.5 * length * rule.weights
-        values.append(np.einsum("g,gm,g->m", w, leg, vn))
-    vol = triangle_quadrature(vol_degree or (2 * k + 2))
-    phys_pts = v0 + vol.points @ j.T
-    fvals = np.asarray(field(phys_pts))
-    if element.n_grad:
-        grads = triangle_basis(k - 1).grad(vol.points)[:, 1:, :] @ jinv  # J^-T ghat
-        values.append(det * np.einsum("q,qra,qa->r", vol.weights, grads, fvals))
-    if element.n_curl:
-        gw = _bubble_times(triangle_basis(k - 2), vol.points) @ jinv  # J^-T grad w
-        curls = gw @ _ROT.T
-        values.append(det * np.einsum("q,qra,qa->r", vol.weights, curls, fvals))
-    return np.concatenate(values)
-
-
-def _physical_dof_matrix(verts, k):
-    """Physical DOF functionals applied to the Piola-mapped nodal basis."""
-    element = bdm_reference_basis(k)
-    columns = []
-    for jdof in range(element.dim):
-        coeffs = np.zeros(element.dim)
-        coeffs[jdof] = 1.0
-        basis_fn = LocalField(verts, element, coeffs)
-        columns.append(physical_dofs(verts, k, basis_fn.eval))
-    return np.column_stack(columns)
-
-
-def interpolate_bdm(verts, field, k, edge_rule_points=None, vol_degree=None):
-    """Local BDM interpolation of a pointwise-evaluable vector field.
-
-    Matches the field's edge normal moments against P_k on every edge, its
-    interior moments against gradients of P_{k-1} modulo constants, and (for
-    k >= 2) against curl(b psi) for psi in P_{k-2}.  Reproduces any field
-    already in the local space.
-    """
-    verts = np.asarray(verts, dtype=float)
-    moments = physical_dofs(
-        verts, k, field, edge_rule_points=edge_rule_points, vol_degree=vol_degree
-    )
-    coeffs = np.linalg.solve(_physical_dof_matrix(verts, k), moments)
-    return LocalField(verts, bdm_reference_basis(k), coeffs)
-
-
-def project_pressure(verts, q, degree, quad_degree=None):
-    """L2-orthogonal projection of a scalar field onto P_degree on one
-    triangle, in the composition-mapped orthonormal basis."""
-    verts = np.asarray(verts, dtype=float)
-    basis = triangle_basis(degree)
-    v0, j, det, _ = affine_map(verts)
-    rule = triangle_quadrature(quad_degree or (2 * degree + 4))
-    pts = v0 + rule.points @ j.T
-    vals = np.asarray(q(pts))
-    # mapped basis has mass matrix det J * I
-    coeffs = np.einsum("q,ql,q->l", rule.weights, basis.eval(rule.points), vals)
-    return LocalScalarField(verts, basis, coeffs)

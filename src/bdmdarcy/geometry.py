@@ -11,34 +11,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from bdmdarcy.correction import edge_trace_geometry
+from bdmdarcy.femcore.quadrature import edge_quadrature
+
 __all__ = [
     "GeometryError",
-    "ProjectionData",
     "BoundaryCurve",
     "StraightBoundary",
-    "closest_point",
-    "gamma_normal",
     "check_geometry_assumption",
 ]
 
 
 class GeometryError(Exception):
     """Projection is ambiguous or a point is not where it should be."""
-
-
-@dataclass(frozen=True)
-class ProjectionData:
-    """Closest-point projection of one query point.
-
-    x lies on the boundary component, delta = |x - x_h|, nu is the unit
-    direction from x_h toward x (set to n_gamma when delta = 0), and n_gamma
-    is the outward normal of the physical domain at x.
-    """
-
-    x: np.ndarray
-    delta: float
-    nu: np.ndarray
-    n_gamma: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -85,21 +70,6 @@ class BoundaryCurve:
         nu = np.where(delta[:, None] > 0.0, sign[:, None] * radial, n_gamma)
         return x, delta, nu, n_gamma
 
-    def normal_many(self, pts, tol=1e-12):
-        """Outward normal of the physical domain at on-curve points."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        center = np.asarray(self.center, dtype=float)
-        d = pts - center
-        r = np.hypot(d[:, 0], d[:, 1])
-        if np.any(np.abs(r - self.radius) > tol):
-            raise GeometryError("point does not lie on the circle")
-        radial = d / r[:, None]
-        return radial if self.domain_inside else -radial
-
-    def contains(self, pt, tol=1e-12):
-        center = np.asarray(self.center, dtype=float)
-        return abs(np.hypot(*(np.asarray(pt, dtype=float) - center)) - self.radius) <= tol
-
     def distance(self, pts):
         """Unsigned distance of points to the circle."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -134,35 +104,11 @@ class StraightBoundary:
         nu = np.where(delta[:, None] > 0.0, -np.sign(s)[:, None] * n, n_gamma)
         return x, delta, nu, n_gamma
 
-    def normal_many(self, pts, tol=1e-12):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        a = np.asarray(self.point, dtype=float)
-        n = np.asarray(self.normal, dtype=float)
-        if np.any(np.abs((pts - a) @ n) > tol):
-            raise GeometryError("point does not lie on the boundary line")
-        return np.broadcast_to(n, pts.shape).copy()
-
-    def contains(self, pt, tol=1e-12):
-        a = np.asarray(self.point, dtype=float)
-        n = np.asarray(self.normal, dtype=float)
-        return abs((np.asarray(pt, dtype=float) - a) @ n) <= tol
-
     def distance(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         a = np.asarray(self.point, dtype=float)
         n = np.asarray(self.normal, dtype=float)
         return np.abs((pts - a) @ n)
-
-
-def closest_point(curve, x_h):
-    """Project one point onto a boundary component."""
-    x, delta, nu, n_gamma = curve.project_many(np.asarray(x_h, dtype=float))
-    return ProjectionData(x=x[0], delta=float(delta[0]), nu=nu[0], n_gamma=n_gamma[0])
-
-
-def gamma_normal(curve, x):
-    """Outward unit normal of the physical domain at a point on the curve."""
-    return curve.normal_many(np.asarray(x, dtype=float))[0]
 
 
 def check_geometry_assumption(mesh, curves, n_nodes=8):
@@ -174,19 +120,12 @@ def check_geometry_assumption(mesh, curves, n_nodes=8):
     """
     from bdmdarcy.mesh import mesh_stats
 
-    by_id = {c.component_id: c for c in curves}
-    s, _ = np.polynomial.legendre.leggauss(n_nodes)
-    delta_max = 0.0
-    gap_max = 0.0
-    for edge_idx in mesh.boundary_edges:
-        a, b = mesh.vertices[mesh.edges[edge_idx]]
-        nodes = 0.5 * (a + b) + 0.5 * np.outer(s, b - a)
-        curve = by_id[mesh.edge_component[edge_idx]]
-        _, delta, _, n_gamma = curve.project_many(nodes)
-        n_h = mesh.edge_normal[edge_idx]
-        delta_max = max(delta_max, float(delta.max()))
-        gap_max = max(gap_max, float(np.linalg.norm(n_gamma - n_h, axis=1).max()))
-    h = mesh_stats(mesh).h
+    stats = mesh_stats(mesh)
+    geom = edge_trace_geometry(mesh, curves, edge_quadrature(n_nodes), stats.h_K)
+    delta_max = float(geom.delta.max(initial=0.0))
+    gaps = np.linalg.norm(geom.n_gamma - geom.n_h[:, None, :], axis=-1)
+    gap_max = float(gaps.max(initial=0.0))
+    h = stats.h
     return {
         "delta_max": delta_max,
         "sup_normal_gap": gap_max,

@@ -173,11 +173,10 @@ def _build_mesh(vertices, triangles, curves, level, edge_component_pairs=None):
         ids = np.array([c.component_id for c in curves])
         edge_component[boundary_edges] = ids[np.argmin(dists, axis=1)]
 
+    # a vertex takes the component of its lowest-numbered boundary edge
     vertex_component = np.full(len(vertices), -1, dtype=np.int64)
-    for e in boundary_edges:
-        for v in edges[e]:
-            if vertex_component[v] < 0:
-                vertex_component[v] = edge_component[e]
+    bverts, first = np.unique(edges[boundary_edges].ravel(), return_index=True)
+    vertex_component[bverts] = edge_component[boundary_edges[first // 2]]
 
     return Mesh(
         vertices=vertices,

@@ -22,6 +22,10 @@ __all__ = ["SolveReport", "solve", "postprocess_pressure"]
 # above this dimension the direct factorization's fill-in does not fit a
 # small machine; go straight to the preconditioned iteration
 DEFAULT_DIRECT_LIMIT = 150_000
+# GMRES relative tolerance and restart cycles; the residual contract is
+# checked on the full operator afterwards either way
+ITERATIVE_TOL = 1e-13
+MAX_CYCLES = 2
 
 
 @dataclass
@@ -73,7 +77,7 @@ def _block_preconditioner(system):
     return LinearOperator((system.dimension, system.dimension), matvec=apply)
 
 
-def _solve_iterative(system, rhs, rtol, max_cycles, x0=None):
+def _solve_iterative(system, rhs, x0=None):
     operator = LinearOperator((system.dimension, system.dimension), matvec=system.matvec)
     prec = _block_preconditioner(system)
     iterations = [0]
@@ -86,25 +90,28 @@ def _solve_iterative(system, rhs, rtol, max_cycles, x0=None):
         rhs,
         x0=x0,
         M=prec,
-        rtol=rtol,
+        rtol=ITERATIVE_TOL,
         atol=0.0,
         restart=300,
-        maxiter=max_cycles,
+        maxiter=MAX_CYCLES,
         callback=count,
         callback_type="pr_norm",
     )
     return x, iterations[0], info
 
 
-def solve(system, rhs=None, method="auto", direct_limit=DEFAULT_DIRECT_LIMIT,
-          iterative_tol=1e-13, max_cycles=2):
+def solve(system, rhs=None, method="auto"):
     """Solve the assembled system; returns (u, p, multiplier, report).
 
-    ``method`` is ``auto`` (direct below ``direct_limit`` unknowns, else
-    preconditioned iteration), ``direct``, or ``iterative``.
+    ``method`` is ``auto`` (direct up to ``DEFAULT_DIRECT_LIMIT`` unknowns,
+    else preconditioned iteration), ``direct``, or ``iterative``.  A direct
+    solve that fails or misses the residual contract falls back to the
+    iteration, started from the direct solution when there is one.
     """
     rhs = system.rhs if rhs is None else rhs
-    use_direct = method == "direct" or (method == "auto" and system.dimension <= direct_limit)
+    use_direct = method == "direct" or (
+        method == "auto" and system.dimension <= DEFAULT_DIRECT_LIMIT
+    )
     x = None
     report = None
     if use_direct:
@@ -115,14 +122,9 @@ def solve(system, rhs=None, method="auto", direct_limit=DEFAULT_DIRECT_LIMIT,
         except (RuntimeError, MemoryError) as exc:
             report = SolveReport(np.inf, "lu", system.dimension, False, message=str(exc))
             x = None
-    if method == "direct" and report is not None and report.success:
-        u, p, lam = system.split(x)
-        return u, p, lam, report
 
     if x is None or not report.success:
-        x_it, iters, info = _solve_iterative(
-            system, rhs, iterative_tol, max_cycles, x0=x
-        )
+        x_it, iters, info = _solve_iterative(system, rhs, x0=x)
         res = _residual(system, x_it, rhs)
         if x is None or res < report.residual:
             x = x_it

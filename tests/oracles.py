@@ -5,15 +5,29 @@ LocalField evaluations, never through the assembled sparse matrices.  The
 boundary terms go edge by edge: per-edge projection data, physical mixed
 partials by the chain rule, and the Taylor sum assembled from them, where
 the program computes the same traces for all boundary nodes at once.
+The random disks and rings of the property tests are drawn here too.
 """
 
 from math import comb, factorial
 from types import SimpleNamespace
 
 import numpy as np
+from hypothesis import strategies as st
 
 from bdmdarcy.femcore import affine_map, edge_quadrature, triangle_quadrature
 from bdmdarcy.femcore.element import LocalField
+from bdmdarcy.mesh import disk_domain, ring_domain
+
+
+@st.composite
+def random_domains(draw):
+    """The boundary curves of a disk or a ring with random centre and radii."""
+    center = tuple(draw(st.floats(-2.0, 2.0)) for _ in range(2))
+    if draw(st.booleans()):
+        return disk_domain(center=center, radius=draw(st.floats(0.2, 5.0)))
+    r_outer = draw(st.floats(0.3, 5.0))
+    r_inner = r_outer * draw(st.floats(0.3, 0.7))
+    return ring_domain(center=center, r_inner=r_inner, r_outer=r_outer)
 
 
 def basis_field(asm, t):

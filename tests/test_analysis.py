@@ -14,7 +14,6 @@ from bdmdarcy.analysis import (
     compatibility_residual,
     compute_eoc,
     error_norms,
-    interpolation_errors,
 )
 from bdmdarcy.assembly import Assembler
 from bdmdarcy.mesh import coarse_mesh, disk_domain, refine_project, ring_domain
@@ -175,7 +174,9 @@ def test_interpolation_alone_converges_at_order_k(domain_factory, levels):
                 mesh = refine_project(mesh, curves)
             if lvl in levels:
                 asm = Assembler(mesh, curves, k=k)
-                err = interpolation_errors(case, asm)
+                u_i = asm.interpolate_velocity(case.velocity)
+                p_i = asm.project_pressure_global(case.pressure)
+                err = error_norms(u_i, p_i, case, asm)
                 errs.append(err.e_total)
                 hs.append(err.h)
         eoc = compute_eoc(errs, hs)[-1]

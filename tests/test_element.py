@@ -1,24 +1,59 @@
-"""Reference BDM elements, Piola transforms, interpolation, projection."""
+"""Reference BDM elements, the Piola map of ``LocalField``, and the
+assembler's BDM interpolant and pressure projection on one triangle."""
 
 import numpy as np
 import pytest
 
+from bdmdarcy.assembly import Assembler
 from bdmdarcy.femcore import (
     LocalField,
-    TriangleBasis,
     affine_map,
     bdm_reference_basis,
     edge_quadrature,
-    interpolate_bdm,
-    piola_map,
-    piola_map_inverse,
-    project_pressure,
     triangle_quadrature,
 )
 from bdmdarcy.femcore.element import REF_EDGES, REF_VERTICES
+from bdmdarcy.mesh import refine_project, single_triangle_mesh, triangle_domain
 from oracles import Partials
 
 TRI = np.array([[0.2, -0.1], [1.3, 0.4], [0.3, 1.1]])
+
+
+def _assembler(k):
+    return Assembler(single_triangle_mesh(TRI), triangle_domain(TRI), k)
+
+
+def _interpolant(asm, field):
+    """The BDM_k interpolant of ``field`` on the one triangle of ``asm``, as
+    a LocalField."""
+    coeffs = asm.local_coeffs(asm.interpolate_velocity(field))
+    return asm.local_field(0, coeffs[0])
+
+
+def _projection(asm, q, pts):
+    """The elementwise L2 projection of ``q`` onto P_{k-1}, evaluated at
+    physical points of each element (pts has shape (nel, n, 2))."""
+    coeffs = asm.project_pressure_global(q).reshape(asm.mesh.n_triangles, -1)
+    ref = np.einsum("eab,enb->ena", asm.jinv, pts - asm.v0[:, None, :])
+    vals = asm.tables.pressure.eval(ref.reshape(-1, 2)).reshape(ref.shape[:2] + (-1,))
+    return np.einsum("enl,el->en", vals, coeffs)
+
+
+def _element_points(asm, rule):
+    return asm.v0[:, None, :] + np.einsum("eab,qb->eqa", asm.jac, rule.points)
+
+
+def _random_field(rng, degree):
+    """A random full vector polynomial of the given degree."""
+    exps = [(a, d - a) for d in range(degree + 1) for a in range(d + 1)]
+    coeff = rng.standard_normal((2, len(exps)))
+
+    def field(x):
+        x = np.atleast_2d(x)
+        mono = np.stack([x[:, 0] ** a * x[:, 1] ** b for a, b in exps], axis=1)
+        return mono @ coeff.T
+
+    return field, exps, coeff
 
 
 @pytest.mark.parametrize("k,dim", [(1, 6), (2, 12), (3, 20)])
@@ -47,40 +82,39 @@ def test_invalid_degree():
 
 
 def test_piola_identity_triangle():
+    # on the reference triangle itself the Piola map is the identity
     identity = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-
-    def ref_field(x):
-        x = np.atleast_2d(x)
-        return np.column_stack([x[:, 0] ** 2, x[:, 0] * x[:, 1]])
-
-    phys = piola_map(identity, ref_field)
+    el = bdm_reference_basis(2)
+    coeffs = np.random.default_rng(4).standard_normal(el.dim)
+    phys = LocalField(identity, el, coeffs)
     pts = np.array([[0.2, 0.3], [0.5, 0.1]])
-    assert np.abs(phys(pts) - ref_field(pts)).max() < 1e-15
+    ref = np.einsum("qja,j->qa", el.tabulate(pts), coeffs)
+    assert np.abs(phys.eval(pts) - ref).max() < 1e-15
 
 
 def test_piola_divergence_scaling():
-    def ref_field(x):
-        x = np.atleast_2d(x)
-        return np.column_stack([x[:, 0] ** 2 + x[:, 1], x[:, 0] * x[:, 1]])
+    el = bdm_reference_basis(2)
+    rng = np.random.default_rng(5)
+    coeffs = rng.standard_normal(el.dim)
+    phys = LocalField(TRI, el, coeffs)
 
-    def ref_div(x):
-        x = np.atleast_2d(x)
-        return 2.0 * x[:, 0] + x[:, 0]
+    def ref_field(x):
+        return np.einsum("qja,j->qa", el.tabulate(np.atleast_2d(x)), coeffs)
 
     v0, jac, det, jinv = affine_map(TRI)
-    phys = piola_map(TRI, ref_field)
-    rng = np.random.default_rng(5)
     ref_pts = rng.dirichlet([1, 1, 1], 10)[:, :2]
     phys_pts = v0 + ref_pts @ jac.T
+    ref_div = el.tabulate_div(ref_pts) @ coeffs
     h = 1e-6
     div_phys = (
-        (phys(phys_pts + [h, 0]) - phys(phys_pts - [h, 0]))[:, 0]
-        + (phys(phys_pts + [0, h]) - phys(phys_pts - [0, h]))[:, 1]
+        (phys.eval(phys_pts + [h, 0]) - phys.eval(phys_pts - [h, 0]))[:, 0]
+        + (phys.eval(phys_pts + [0, h]) - phys.eval(phys_pts - [0, h]))[:, 1]
     ) / (2 * h)
-    assert np.abs(div_phys * det - ref_div(ref_pts)).max() < 1e-7
-    # the inverse map undoes the forward map
-    back = piola_map_inverse(TRI, phys)
-    assert np.abs(back(ref_pts) - ref_field(ref_pts)).max() < 1e-13
+    assert np.abs(div_phys * det - ref_div).max() < 1e-7
+    assert np.abs(phys.divergence(phys_pts) * det - ref_div).max() < 1e-12
+    # the inverse map det J J^-1 v(F(xhat)) recovers the reference field
+    back = det * (phys.eval(phys_pts) @ jinv.T)
+    assert np.abs(back - ref_field(ref_pts)).max() < 1e-13
 
 
 def test_piola_preserves_edge_normal_moments():
@@ -92,7 +126,7 @@ def test_piola_preserves_edge_normal_moments():
     def ref_field(x):
         return np.einsum("qja,j->qa", el.tabulate(np.atleast_2d(x)), coeffs)
 
-    phys = piola_map(TRI, ref_field)
+    phys = LocalField(TRI, el, coeffs).eval
     rule = edge_quadrature(6)
     for l, (p, q) in enumerate(REF_EDGES):
         a_ref, b_ref = REF_VERTICES[p], REF_VERTICES[q]
@@ -119,7 +153,7 @@ def test_piola_preserves_edge_normal_moments():
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_interpolation_reproduces_constants(k):
     field = lambda x: np.broadcast_to([1.0, 2.0], (len(np.atleast_2d(x)), 2)).copy()
-    interp = interpolate_bdm(TRI, field, k)
+    interp = _interpolant(_assembler(k), field)
     rng = np.random.default_rng(2)
     pts = rng.dirichlet([1, 1, 1], 10) @ TRI
     assert np.abs(interp.eval(pts) - [1.0, 2.0]).max() < 1e-12
@@ -128,37 +162,28 @@ def test_interpolation_reproduces_constants(k):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_interpolation_reproduces_full_space(k):
     rng = np.random.default_rng(k)
-    exps = [(a, d - a) for d in range(k + 1) for a in range(d + 1)]
-    coeff = rng.standard_normal((2, len(exps)))
-
-    def field(x):
-        x = np.atleast_2d(x)
-        mono = np.stack([x[:, 0] ** a * x[:, 1] ** b for a, b in exps], axis=1)
-        return mono @ coeff.T
-
-    interp = interpolate_bdm(TRI, field, k)
+    field, _, _ = _random_field(rng, k)
+    interp = _interpolant(_assembler(k), field)
     pts = rng.dirichlet([1, 1, 1], 12) @ TRI
     scale = np.abs(field(pts)).max()
     assert np.abs(interp.eval(pts) - field(pts)).max() < 1e-11 * max(scale, 1.0)
 
 
 def test_commuting_diagram_divergence_free_field():
-    # (sin y, x^3) is divergence-free, so the interpolant's divergence must
-    # vanish (= the projected divergence); moments over-integrated since the
-    # first component is transcendental
+    # (y^3 + x^2, -2xy) is divergence-free and of degree k+2, so its moments
+    # integrate exactly and the interpolant's divergence must vanish (= the
+    # projected divergence)
     k = 2
 
     def field(x):
         x = np.atleast_2d(x)
-        return np.column_stack([np.sin(x[:, 1]), x[:, 0] ** 3])
+        return np.column_stack([x[:, 1] ** 3 + x[:, 0] ** 2, -2.0 * x[:, 0] * x[:, 1]])
 
-    interp = interpolate_bdm(TRI, field, k, edge_rule_points=k + 8, vol_degree=2 * k + 10)
-    proj = project_pressure(TRI, lambda x: np.zeros(len(np.atleast_2d(x))), k - 1)
+    interp = _interpolant(_assembler(k), field)
     rule = triangle_quadrature(2 * k + 4)
     v0, jac, det, _ = affine_map(TRI)
     pts = v0 + rule.points @ jac.T
-    diff = interp.divergence(pts) - proj.eval(pts)
-    err = np.sqrt(det * np.sum(rule.weights * diff**2))
+    err = np.sqrt(det * np.sum(rule.weights * interp.divergence(pts) ** 2))
     scale = np.sqrt(det * np.sum(rule.weights * np.sum(field(pts) ** 2, axis=1)))
     assert err <= 1e-10 * scale
 
@@ -168,13 +193,7 @@ def test_commuting_diagram_polynomial_field(k):
     # random field of degree k+2 (all moments integrate exactly at the
     # default rules): div of the interpolant equals the projected divergence
     rng = np.random.default_rng(40 + k)
-    exps = [(a, d - a) for d in range(k + 3) for a in range(d + 1)]
-    coeff = rng.standard_normal((2, len(exps)))
-
-    def field(x):
-        x = np.atleast_2d(x)
-        mono = np.stack([x[:, 0] ** a * x[:, 1] ** b for a, b in exps], axis=1)
-        return mono @ coeff.T
+    field, exps, coeff = _random_field(rng, k + 2)
 
     def div_field(x):
         x = np.atleast_2d(x)
@@ -186,14 +205,14 @@ def test_commuting_diagram_polynomial_field(k):
                 out += c1 * b * x[:, 0] ** a * x[:, 1] ** (b - 1)
         return out
 
-    interp = interpolate_bdm(TRI, field, k)
-    proj = project_pressure(TRI, div_field, k - 1)
+    asm = _assembler(k)
+    interp = _interpolant(asm, field)
     rule = triangle_quadrature(2 * k + 4)
-    v0, jac, det, _ = affine_map(TRI)
-    pts = v0 + rule.points @ jac.T
-    diff = interp.divergence(pts) - proj.eval(pts)
+    pts = _element_points(asm, rule)
+    diff = interp.divergence(pts[0]) - _projection(asm, div_field, pts)[0]
+    det = asm.det[0]
     err = np.sqrt(det * np.sum(rule.weights * diff**2))
-    ref = np.sqrt(det * np.sum(rule.weights * div_field(pts) ** 2))
+    ref = np.sqrt(det * np.sum(rule.weights * div_field(pts[0]) ** 2))
     assert err <= 1e-10 * ref
 
 
@@ -207,57 +226,49 @@ def test_pressure_projection_reproduces_polynomials(degree):
         x = np.atleast_2d(x)
         return sum(c * x[:, 0] ** a * x[:, 1] ** b for c, (a, b) in zip(coeff, exps))
 
-    proj = project_pressure(TRI, q, degree)
+    asm = _assembler(degree + 1)
     pts = rng.dirichlet([1, 1, 1], 8) @ TRI
-    assert np.abs(proj.eval(pts) - q(pts)).max() < 1e-12 * max(1.0, np.abs(coeff).max())
+    proj = _projection(asm, q, pts[None])[0]
+    assert np.abs(proj - q(pts)).max() < 1e-12 * max(1.0, np.abs(coeff).max())
 
 
 def test_pressure_projection_orthogonal_to_constants():
     # the residual is orthogonal to constants by construction, measured with
     # the projection's own quadrature
     q = lambda x: np.sin(np.atleast_2d(x)[:, 0] + np.atleast_2d(x)[:, 1])
-    quad_degree = 10
-    proj = project_pressure(TRI, q, 1, quad_degree=quad_degree)
-    rule = triangle_quadrature(quad_degree)
-    v0, jac, det, _ = affine_map(TRI)
-    pts = v0 + rule.points @ jac.T
-    moment = det * np.sum(rule.weights * (q(pts) - proj.eval(pts)))
-    area = det / 2
+    asm = _assembler(2)
+    rule = asm.tables.err
+    pts = _element_points(asm, rule)
+    moment = asm.det[0] * np.sum(rule.weights * (q(pts[0]) - _projection(asm, q, pts)[0]))
+    area = asm.det[0] / 2
     assert abs(moment) < 1e-12 * area
 
 
-def _children(tri):
-    m01, m12, m20 = 0.5 * (tri[0] + tri[1]), 0.5 * (tri[1] + tri[2]), 0.5 * (tri[2] + tri[0])
-    return [
-        np.array([tri[0], m01, m20]),
-        np.array([m01, tri[1], m12]),
-        np.array([m20, m12, tri[2]]),
-        np.array([m01, m12, m20]),
-    ]
-
-
-def _projection_error_sq(tri, q, degree):
-    proj = project_pressure(tri, q, degree, quad_degree=14)
+def _projection_error_sq(mesh, q, degree):
+    asm = Assembler(mesh, triangle_domain(TRI), degree + 1)
     rule = triangle_quadrature(14)
-    v0, jac, det, _ = affine_map(tri)
-    pts = v0 + rule.points @ jac.T
-    diff = q(pts) - proj.eval(pts)
-    return det * np.sum(rule.weights * diff**2)
+    pts = _element_points(asm, rule)
+    diff = q(pts.reshape(-1, 2)).reshape(pts.shape[:2]) - _projection(asm, q, pts)
+    return np.einsum("e,q,eq->", asm.det, rule.weights, diff**2)
 
 
 def test_pressure_projection_error_decay():
     # refining K into its four children reduces the P_{k-1} projection
     # error over the same region by about 2^k
     q = lambda x: np.sin(np.atleast_2d(x)[:, 0] + np.atleast_2d(x)[:, 1])
+    coarse_mesh = single_triangle_mesh(TRI)
+    fine_mesh = refine_project(coarse_mesh, triangle_domain(TRI))
     for degree in (0, 1, 2):
-        coarse = np.sqrt(_projection_error_sq(TRI, q, degree))
-        fine = np.sqrt(sum(_projection_error_sq(c, q, degree) for c in _children(TRI)))
+        coarse = np.sqrt(_projection_error_sq(coarse_mesh, q, degree))
+        fine = np.sqrt(_projection_error_sq(fine_mesh, q, degree))
         assert coarse / fine == pytest.approx(2.0 ** (degree + 1), rel=0.3)
 
 
 def test_derivatives_of_constant_field_vanish():
     k = 2
-    const = interpolate_bdm(TRI, lambda x: np.tile([0.7, -1.2], (len(np.atleast_2d(x)), 1)), k)
+    const = _interpolant(
+        _assembler(k), lambda x: np.tile([0.7, -1.2], (len(np.atleast_2d(x)), 1))
+    )
     field = Partials(const)
     centre = TRI.mean(axis=0)
     assert np.abs(field.eval(centre) - [0.7, -1.2]).max() < 1e-12
@@ -270,7 +281,7 @@ def test_second_derivative_of_quadratic():
     field = lambda x: np.column_stack(
         [np.atleast_2d(x)[:, 0] ** 2, np.zeros(len(np.atleast_2d(x)))]
     )
-    interp = Partials(interpolate_bdm(TRI, field, k))
+    interp = Partials(_interpolant(_assembler(k), field))
     pts = np.array([[0.5, 0.3], [0.8, 0.2]])
     dxx = interp.derivative(pts, 2, 0)
     assert np.abs(dxx[:, 0] - 2.0).max() < 1e-11

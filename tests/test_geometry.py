@@ -9,8 +9,6 @@ from bdmdarcy.geometry import (
     GeometryError,
     StraightBoundary,
     check_geometry_assumption,
-    closest_point,
-    gamma_normal,
 )
 from bdmdarcy.mesh import (
     coarse_mesh,
@@ -25,69 +23,73 @@ UNIT = BoundaryCurve(center=(0.0, 0.0), radius=1.0)
 INNER = BoundaryCurve(center=(0.0, 0.0), radius=0.5, domain_inside=False, component_id=1)
 
 
+def _project(curve, x_h):
+    """(x, delta, nu, n_gamma) of ``project_many`` for one point."""
+    return tuple(values[0] for values in curve.project_many(np.asarray(x_h, dtype=float)))
+
+
 def test_projection_inside_unit_circle():
-    data = closest_point(UNIT, (0.588, 0.784))
-    assert data.x == pytest.approx([0.6, 0.8], abs=1e-14)
-    assert data.delta == pytest.approx(0.02, abs=1e-14)
-    assert data.nu == pytest.approx([0.6, 0.8], abs=1e-14)
-    assert data.n_gamma == pytest.approx([0.6, 0.8], abs=1e-14)
+    x, delta, nu, n_gamma = _project(UNIT, (0.588, 0.784))
+    assert x == pytest.approx([0.6, 0.8], abs=1e-14)
+    assert delta == pytest.approx(0.02, abs=1e-14)
+    assert nu == pytest.approx([0.6, 0.8], abs=1e-14)
+    assert n_gamma == pytest.approx([0.6, 0.8], abs=1e-14)
 
 
 def test_projection_fixed_point_on_curve():
-    data = closest_point(UNIT, (1.0, 0.0))
-    assert data.x == pytest.approx([1.0, 0.0], abs=1e-15)
-    assert data.delta == 0.0
+    x, delta, nu, n_gamma = _project(UNIT, (1.0, 0.0))
+    assert x == pytest.approx([1.0, 0.0], abs=1e-15)
+    assert delta == 0.0
     # by convention nu equals the physical normal when delta vanishes
-    assert data.nu == pytest.approx(data.n_gamma, abs=1e-15)
+    assert nu == pytest.approx(n_gamma, abs=1e-15)
 
 
 def test_projection_toward_inner_ring_circle():
-    data = closest_point(INNER, (0.54, 0.0))
-    assert data.x == pytest.approx([0.5, 0.0], abs=1e-14)
-    assert data.delta == pytest.approx(0.04, abs=1e-14)
-    assert data.nu == pytest.approx([-1.0, 0.0], abs=1e-14)
+    x, delta, nu, n_gamma = _project(INNER, (0.54, 0.0))
+    assert x == pytest.approx([0.5, 0.0], abs=1e-14)
+    assert delta == pytest.approx(0.04, abs=1e-14)
+    assert nu == pytest.approx([-1.0, 0.0], abs=1e-14)
     # outward of the ring domain points into the hole
-    assert data.n_gamma == pytest.approx([-1.0, 0.0], abs=1e-14)
+    assert n_gamma == pytest.approx([-1.0, 0.0], abs=1e-14)
 
 
 def test_projection_reconstruction_and_units():
     rng = np.random.default_rng(3)
-    for _ in range(25):
-        x_h = rng.uniform(-0.9, 0.9, size=2)
-        if np.hypot(*x_h) < 1e-3:
-            continue
-        data = closest_point(UNIT, x_h)
-        assert np.linalg.norm(data.x - (x_h + data.delta * data.nu)) < 1e-13
-        assert abs(np.linalg.norm(data.nu) - 1.0) < 1e-14
-        assert abs(np.linalg.norm(data.n_gamma) - 1.0) < 1e-14
-        assert abs(np.hypot(*data.x) - 1.0) < 1e-12
-        # composing the normal map with the projection reproduces n_gamma
-        assert gamma_normal(UNIT, data.x) == pytest.approx(data.n_gamma, abs=1e-15)
+    x_h = rng.uniform(-0.9, 0.9, size=(25, 2))
+    x_h = x_h[np.hypot(x_h[:, 0], x_h[:, 1]) >= 1e-3]
+    x, delta, nu, n_gamma = UNIT.project_many(x_h)
+    assert np.linalg.norm(x - (x_h + delta[:, None] * nu), axis=1).max() < 1e-13
+    assert np.abs(np.linalg.norm(nu, axis=1) - 1.0).max() < 1e-14
+    assert np.abs(np.linalg.norm(n_gamma, axis=1) - 1.0).max() < 1e-14
+    assert np.abs(np.hypot(x[:, 0], x[:, 1]) - 1.0).max() < 1e-12
+    # projecting the projected points again reproduces n_gamma
+    _, _, _, n_again = UNIT.project_many(x)
+    assert np.abs(n_again - n_gamma).max() <= 1e-15
 
 
 def test_projection_outside_reach_fails():
     with pytest.raises(GeometryError):
-        closest_point(UNIT, (0.0, 0.0))
+        UNIT.project_many([(0.0, 0.0)])
     with pytest.raises(GeometryError):
-        closest_point(INNER, (1.5, 0.0))  # distance 1.0 >= radius 0.5
+        INNER.project_many([(1.5, 0.0)])  # distance 1.0 >= radius 0.5
 
 
 def test_gamma_normal_examples():
-    assert gamma_normal(UNIT, (0.0, 1.0)) == pytest.approx([0.0, 1.0], abs=1e-15)
-    assert gamma_normal(INNER, (0.5, 0.0)) == pytest.approx([-1.0, 0.0], abs=1e-15)
-    with pytest.raises(GeometryError):
-        gamma_normal(UNIT, (0.5, 0.5))
+    # the physical normal at points on the curve: outward of the disk, and
+    # into the hole on the inner ring circle
+    assert _project(UNIT, (0.0, 1.0))[3] == pytest.approx([0.0, 1.0], abs=1e-15)
+    assert _project(INNER, (0.5, 0.0))[3] == pytest.approx([-1.0, 0.0], abs=1e-15)
 
 
 def test_straight_boundary_projection():
     side = StraightBoundary(point=(0.0, 0.0), normal=(0.0, -1.0))
-    data = closest_point(side, (0.4, 0.25))
-    assert data.x == pytest.approx([0.4, 0.0], abs=1e-15)
-    assert data.delta == pytest.approx(0.25)
-    assert data.nu == pytest.approx([0.0, -1.0])
-    on_line = closest_point(side, (0.7, 0.0))
-    assert on_line.delta == 0.0
-    assert on_line.nu == pytest.approx([0.0, -1.0])
+    x, delta, nu, _ = _project(side, (0.4, 0.25))
+    assert x == pytest.approx([0.4, 0.0], abs=1e-15)
+    assert delta == pytest.approx(0.25)
+    assert nu == pytest.approx([0.0, -1.0])
+    _, on_line_delta, on_line_nu, _ = _project(side, (0.7, 0.0))
+    assert on_line_delta == 0.0
+    assert on_line_nu == pytest.approx([0.0, -1.0])
 
 
 def test_invalid_radius():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bdmdarcy.mesh import (
     coarse_mesh,
@@ -14,6 +16,7 @@ from bdmdarcy.mesh import (
     single_triangle_mesh,
     unit_square_mesh,
 )
+from oracles import random_domains
 
 
 def disk_hierarchy(levels):
@@ -140,6 +143,47 @@ def test_unit_square_mesh_is_flat_polygon():
     for e in mesh.boundary_edges:
         a, b = mesh.vertices[mesh.edges[e]]
         assert np.hypot(*(b - a)) == pytest.approx(0.25, abs=1e-15)
+
+
+def test_square_corners_take_lowest_boundary_edge_component():
+    # two sides meet at each corner; the corner is tagged with the component
+    # of the lower-numbered of its two boundary edges
+    mesh = unit_square_mesh(3)
+    corners = [0, 3, 12, 15]
+    assert np.abs(mesh.vertices[corners] % 1.0).max() == 0.0
+    for v in corners:
+        incident = [e for e in mesh.boundary_edges if v in mesh.edges[e]]
+        assert len(incident) == 2
+        assert len({mesh.edge_component[e] for e in incident}) == 2
+        assert mesh.vertex_component[v] == mesh.edge_component[min(incident)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_domains(), st.integers(0, 3))
+def test_refined_mesh_invariants(curves, level):
+    mesh = coarse_mesh(curves)
+    for _ in range(level):
+        mesh = refine_project(mesh, curves)
+    assert (mesh.signed_areas() > 0).all()
+
+    on_boundary = np.zeros(mesh.n_edges, dtype=bool)
+    on_boundary[mesh.boundary_edges] = True
+    assert (mesh.edge_tris[on_boundary, 1] == -1).all()
+    interior = mesh.edge_tris[~on_boundary]
+    assert (interior[:, 0] >= 0).all() and (interior[:, 0] < interior[:, 1]).all()
+
+    normal = mesh.edge_normal
+    assert np.abs(np.hypot(normal[:, 0], normal[:, 1]) - 1.0).max() <= 1e-15
+    centroid = mesh.vertices[mesh.triangles[mesh.edge_tris[:, 0]]].mean(axis=1)
+    mid = mesh.vertices[mesh.edges].mean(axis=1)
+    assert (np.einsum("ea,ea->e", centroid - mid, normal) < 0).all()
+
+    tagged = np.flatnonzero(mesh.vertex_component >= 0)
+    assert np.array_equal(tagged, np.unique(mesh.edges[mesh.boundary_edges]))
+    for curve in curves:
+        on_curve = tagged[mesh.vertex_component[tagged] == curve.component_id]
+        assert len(on_curve) > 0
+        assert curve.distance(mesh.vertices[on_curve]).max() <= 1e-14 * curve.radius
 
 
 def test_save_load_round_trip(tmp_path):

@@ -6,6 +6,7 @@ import scipy.sparse as sp
 
 from bdmdarcy.analysis import case_circle
 from bdmdarcy.assembly import Assembler, SaddleSystem
+from bdmdarcy import solver
 from bdmdarcy.mesh import coarse_mesh, disk_domain, refine_project
 from bdmdarcy.solver import postprocess_pressure, solve
 
@@ -65,6 +66,28 @@ def test_iterative_path_matches_direct():
     assert rep2.iterations > 0
     scale = np.abs(u1).max()
     assert np.abs(u1 - u2).max() <= 1e-9 * scale
+
+
+def test_failed_factorization_falls_back_to_gmres(monkeypatch):
+    system = disk_setup(levels=2, k=1).system(case_circle())
+    u_direct, _, _, _ = solve(system, method="direct")
+    real_splu = solver.spla.splu
+    calls = []
+
+    def splu(matrix, *args, **kwargs):
+        # only the saddle factorization fails; the velocity-block
+        # preconditioner of the fallback still factors
+        calls.append(matrix.shape)
+        if len(calls) == 1:
+            raise MemoryError("out of memory in the saddle factorization")
+        return real_splu(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(solver.spla, "splu", splu)
+    u, _, _, rep = solve(system)
+    assert len(calls) == 2
+    assert rep.method == "lu+gmres"
+    assert rep.success and rep.iterations > 0
+    assert np.abs(u - u_direct).max() <= 1e-9 * np.abs(u_direct).max()
 
 
 def test_postprocess_constant_pressure_to_zero():

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from bdmdarcy.analysis import AnalyticVelocity, ManufacturedCase
 from bdmdarcy.assembly import Assembler
 from bdmdarcy.correction import taylor_trace_normal
-from bdmdarcy.mesh import coarse_mesh, disk_domain, refine_project, ring_domain
-from oracles import ExactPartials, Partials, basis_field, edge_geometries
+from bdmdarcy.mesh import coarse_mesh, refine_project
+from oracles import ExactPartials, Partials, basis_field, edge_geometries, random_domains
 from oracles import taylor_trace_normal as slow_trace_normal
 
 
@@ -39,13 +39,7 @@ def relative_gap(batched, slow):
 
 @st.composite
 def setups(draw):
-    center = tuple(draw(st.floats(-2.0, 2.0)) for _ in range(2))
-    if draw(st.booleans()):
-        curves = disk_domain(center=center, radius=draw(st.floats(0.2, 5.0)))
-    else:
-        r_outer = draw(st.floats(0.3, 5.0))
-        r_inner = r_outer * draw(st.floats(0.3, 0.7))
-        curves = ring_domain(center=center, r_inner=r_inner, r_outer=r_outer)
+    curves = draw(random_domains())
     k = draw(st.integers(1, 3))
     m = draw(st.integers(0, k))
     level = draw(st.integers(0, 1))
