@@ -22,12 +22,15 @@ triangles' shape functions at every boundary quadrature node, computed once
 per assembler (plain traces, Taylor order 0, in strong mode).  The penalty,
 the Neumann load and the error norms contract it.
 
-Accumulation order is fixed (elements ascending, then boundary edges
+The matrices are kept as element blocks, with each boundary edge's terms
+added to its owning triangle's block; the global sparse blocks are scattered
+from these arrays, and the hybridized solve (``solver``) reads them as they
+are.  Accumulation order is fixed (elements ascending, then boundary edges
 ascending), so repeated assemblies are bit-identical.
 """
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -52,6 +55,7 @@ from bdmdarcy.mesh import mesh_stats
 
 __all__ = [
     "DofMap",
+    "ElementBlocks",
     "AssembledBlocks",
     "SaddleSystem",
     "Assembler",
@@ -184,6 +188,36 @@ class DofMap:
 
 
 @dataclass
+class ElementBlocks:
+    """Element saddle blocks and the interface of the hybridized system.
+
+    ``matrix[K]`` is L_K = [A_K B1_K^T; B0_K 0] in local (velocity, pressure)
+    order, with every boundary term folded into the edge's owner.  Normal
+    continuity is broken on interior edges: both adjacent elements keep a
+    copy of the edge's k+1 moments, tied by one multiplier each.  For the
+    3(k+1) local edge dofs, ``multiplier`` numbers that multiplier (-1 on
+    boundary edges) and ``sign`` is +1 on ``edge_tris[e, 0]``, -1 on the
+    other copy and 0 on boundary edges.
+    """
+
+    matrix: np.ndarray  # (nel, nd + npr, nd + npr)
+    udofs: np.ndarray  # (nel, nd) global velocity dofs of the local ones
+    multiplier: np.ndarray  # (nel, 3(k+1))
+    sign: np.ndarray  # (nel, 3(k+1))
+    c: np.ndarray  # (nel, npr) integrals of the pressure basis functions
+
+    def with_identity(self, dofs):
+        """Copy whose rows and columns of the velocity dofs ``dofs`` are
+        identity (strong imposition of homogeneous data)."""
+        e, i = np.nonzero(np.isin(self.udofs, dofs))
+        matrix = self.matrix.copy()
+        matrix[e, i, :] = 0.0
+        matrix[e, :, i] = 0.0
+        matrix[e, i, i] = 1.0
+        return replace(self, matrix=matrix)
+
+
+@dataclass
 class AssembledBlocks:
     """Sparse blocks and load vectors of the practical system."""
 
@@ -197,16 +231,18 @@ class AssembledBlocks:
     area: float
     dofmap: DofMap
     constrained: np.ndarray  # strongly constrained velocity dofs (may be empty)
+    elements: ElementBlocks  # the element arrays the sparse blocks are scattered from
     pressure_mass_diag: np.ndarray = None  # diagonal pressure mass (orthonormal basis)
 
 
 class SaddleSystem:
     """The constrained saddle-point operator  M0 + u v^T  (the rank-one part
     carries the boundary-mean coupling of the second equation; it is kept in
-    factored form so the sparse factorization never sees it)."""
+    factored form so the sparse factorization never sees it).  ``elements``
+    holds the same operator as element blocks, for the hybridized solve."""
 
     def __init__(self, matrix, rhs, n_u, n_p, rank1=None, free_u=None, full_n_u=None,
-                 area=1.0, pressure_mass_diag=None):
+                 area=1.0, pressure_mass_diag=None, elements=None):
         self.matrix = matrix.tocsr()
         self.rhs = rhs
         self.n_u = n_u
@@ -216,6 +252,7 @@ class SaddleSystem:
         self.full_n_u = full_n_u if full_n_u is not None else n_u
         self.area = area
         self.pressure_mass_diag = pressure_mass_diag
+        self.elements = elements
 
     @property
     def dimension(self):
@@ -436,9 +473,11 @@ class Assembler:
 
     # -- matrix blocks --------------------------------------------------------
 
-    def matrix_a(self):
-        """Velocity block: mass + div-div (+ boundary penalty in corrected
-        mode), symmetric by construction."""
+    @cached_property
+    def local_a(self):
+        """Element velocity blocks A_K, shape (nel, nd, nd): mass + div-div,
+        plus (corrected mode) each boundary edge's penalty in its owner;
+        symmetric by construction."""
         t = self.tables
         g = np.einsum("eba,ebc->eac", self.jac, self.jac) / self.det[:, None, None]
         span = np.einsum("eac,acnm->enm", g, t.s_mass, optimize=True)
@@ -446,35 +485,20 @@ class Assembler:
         local = np.matmul(
             np.transpose(self.local_dual, (0, 2, 1)), np.matmul(span, self.local_dual)
         )
-        rows = [np.broadcast_to(self.gidx[:, :, None], local.shape).ravel()]
-        cols = [np.broadcast_to(self.gidx[:, None, :], local.shape).ravel()]
-        vals = [local.ravel()]
         if self.mode == "corrected":
             geom, tv = self.trace, self.basis_trace
             pen = np.einsum("bq,bqi,bqj->bij", geom.weights, tv, tv)
-            pen /= geom.h_owner[:, None, None]
-            idx = self.gidx[geom.owner]
-            rows.append(np.broadcast_to(idx[:, :, None], pen.shape).ravel())
-            cols.append(np.broadcast_to(idx[:, None, :], pen.shape).ravel())
-            vals.append(pen.ravel())
-        n_u = self.dofmap.n_u
-        mat = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n_u, n_u),
-        )
-        return mat.tocsr()
+            np.add.at(local, geom.owner, pen / geom.h_owner[:, None, None])
+        return local
 
-    def matrix_b(self):
-        """(B1, B0): divergence coupling, B1 with the straight-normal
-        boundary term added."""
+    @cached_property
+    def local_b(self):
+        """Element divergence blocks (B1_K, B0_K), shape (nel, npr, nd); B1_K
+        adds the straight-normal term of the element's boundary edges."""
         t = self.tables
-        local0 = np.einsum("ln,eni->eli", t.b0_span, self.local_dual)
-        rows = np.broadcast_to(self.pidx[:, :, None], local0.shape).ravel()
-        cols = np.broadcast_to(self.gidx[:, None, :], local0.shape).ravel()
-        shape = (self.dofmap.n_p, self.dofmap.n_u)
-        b0 = sp.coo_matrix((local0.ravel(), (rows, cols)), shape=shape).tocsr()
+        b0 = np.einsum("ln,eni->eli", t.b0_span, self.local_dual)
         if self.mode == "uncorrected-strong":
-            return b0.copy(), b0
+            return b0, b0
 
         edges, owner = self.trace.edges, self.trace.owner
         local_edge = np.argmax(self.mesh.tri_edges[owner] == edges[:, None], axis=1)
@@ -487,10 +511,50 @@ class Assembler:
         vn = np.einsum("ea,egna,eni->egi", u, tab, self.local_dual[owner], optimize=True)
         w = 0.5 * self.mesh.edge_lengths()[edges] / self.det[owner]
         loc = np.einsum("e,g,egl,egi->eli", w, t.dof_rule.weights, pvals, vn, optimize=True)
-        rows = np.broadcast_to(self.pidx[owner, :, None], loc.shape).ravel()
-        cols = np.broadcast_to(self.gidx[owner, None, :], loc.shape).ravel()
-        edge_term = sp.coo_matrix((loc.ravel(), (rows, cols)), shape=shape).tocsr()
-        return (b0 + edge_term).tocsr(), b0
+        b1 = b0.copy()
+        np.add.at(b1, owner, loc)
+        return b1, b0
+
+    def matrix_a(self):
+        """Velocity block, scattered from ``local_a``."""
+        n_u = self.dofmap.n_u
+        return _scatter(self.local_a, self.gidx, self.gidx, (n_u, n_u))
+
+    def matrix_b(self):
+        """(B1, B0), scattered from ``local_b``."""
+        b1, b0 = self.local_b
+        shape = (self.dofmap.n_p, self.dofmap.n_u)
+        b0_mat = _scatter(b0, self.pidx, self.gidx, shape)
+        if b1 is b0:
+            return b0_mat.copy(), b0_mat
+        return _scatter(b1, self.pidx, self.gidx, shape), b0_mat
+
+    def element_blocks(self):
+        """The element saddle blocks of ``local_a``/``local_b`` and the
+        interior-edge multipliers that tie them (see ``ElementBlocks``)."""
+        a = self.local_a
+        b1, b0 = self.local_b
+        nel, nd = a.shape[:2]
+        matrix = np.zeros((nel, nd + b0.shape[1], nd + b0.shape[1]))
+        matrix[:, :nd, :nd] = a
+        matrix[:, :nd, nd:] = np.transpose(b1, (0, 2, 1))
+        matrix[:, nd:, :nd] = b0
+
+        mesh, k = self.mesh, self.k
+        interior = mesh.edge_tris[:, 1] >= 0
+        first = (k + 1) * (np.cumsum(interior) - 1)
+        edges = mesh.tri_edges  # (nel, 3)
+        inner = interior[edges][:, :, None]
+        multiplier = np.where(inner, first[edges][:, :, None] + np.arange(k + 1), -1)
+        sign = np.where(mesh.edge_tris[edges, 0] == np.arange(nel)[:, None], 1, -1)
+        sign = np.where(inner, sign[:, :, None], 0).repeat(k + 1, axis=2)
+        return ElementBlocks(
+            matrix=matrix,
+            udofs=self.gidx,
+            multiplier=multiplier.reshape(nel, -1),
+            sign=sign.reshape(nel, -1),
+            c=self.pressure_integrals().reshape(nel, -1),
+        )
 
     def rhs(self, case):
         """Velocity and pressure load vectors for a manufactured case."""
@@ -554,6 +618,7 @@ class Assembler:
             area=self.area,
             dofmap=self.dofmap,
             constrained=self.constrained,
+            elements=self.element_blocks(),
             pressure_mass_diag=np.repeat(self.det, self.dofmap.n_pressure_local),
         )
 
@@ -609,6 +674,17 @@ class Assembler:
         return np.einsum("q,eq,ql->el", t.err.weights, vals, t.p_vals_err).ravel()
 
 
+def _scatter(local, rows, cols, shape):
+    """Sum element blocks local[e] into the CSR matrix at (rows[e], cols[e]);
+    entries that cancel to zero (in B1, the boundary term can cancel the
+    volume term) are dropped."""
+    r = np.broadcast_to(rows[:, :, None], local.shape).ravel()
+    c = np.broadcast_to(cols[:, None, :], local.shape).ravel()
+    mat = sp.coo_matrix((local.ravel(), (r, c)), shape=shape).tocsr()
+    mat.eliminate_zeros()
+    return mat
+
+
 def build_saddle_system(blocks, mode, gauge=0.0):
     """Assemble the constrained linear system from the sparse blocks.
 
@@ -618,7 +694,8 @@ def build_saddle_system(blocks, mode, gauge=0.0):
         [ 0    c^T   0 ] [lam]     [gauge]
     where the rank-one term (c / area) flux^T couples the second equation to
     the total boundary flux; it is stored factored.  In strong mode the
-    constrained velocity rows/columns are eliminated (data is homogeneous).
+    constrained velocity rows/columns are eliminated (data is homogeneous),
+    and they become identity rows/columns of the element blocks.
     """
     n_u, n_p = blocks.dofmap.n_u, blocks.dofmap.n_p
     c_col = sp.csr_matrix(blocks.c.reshape(-1, 1))
@@ -638,7 +715,7 @@ def build_saddle_system(blocks, mode, gauge=0.0):
         rhs = np.concatenate([blocks.rhs_u, blocks.rhs_p, [gauge]])
         return SaddleSystem(
             m0, rhs, n_u, n_p, rank1=(u_vec, v_vec), area=blocks.area,
-            pressure_mass_diag=blocks.pressure_mass_diag,
+            pressure_mass_diag=blocks.pressure_mass_diag, elements=blocks.elements,
         )
     if mode == "uncorrected-strong":
         free = np.setdiff1d(np.arange(n_u), blocks.constrained)
@@ -652,5 +729,6 @@ def build_saddle_system(blocks, mode, gauge=0.0):
         return SaddleSystem(
             m0, rhs, len(free), n_p, free_u=free, full_n_u=n_u, area=blocks.area,
             pressure_mass_diag=blocks.pressure_mass_diag,
+            elements=blocks.elements.with_identity(blocks.constrained),
         )
     raise ValueError(f"unknown mode {mode!r}")

@@ -1,11 +1,14 @@
-"""Two-sided pins of the study error E_total on small problems.
+"""Two-sided pins of the study error E_total.
 
 An error that grows and one that shrinks suspiciously both fail.  The
 corrected values are the benchmark's references (the Taylor-order sweep,
-and the k = m = 3 disk); the uncorrected-strong values were recorded with
-the per-edge implementation of the boundary traces.  rtol 1e-6 leaves room
-for round-off amplified by the saddle solve (about 1e-8 relative at these
-sizes) and for nothing else.
+and levels 1-3 of the k = m = 3 disk); the uncorrected-strong values were
+recorded with the per-edge implementation of the boundary traces.  Levels 4
+and 5 of the k = m = 3 disk are exact-solve values: a sparse LU of the full
+saddle matrix followed by three steps of iterative refinement whose residual
+is formed in extended precision (E_total stable to 1e-11 across the steps).
+rtol 1e-6 leaves room for round-off amplified by the saddle solve (below
+1e-8 relative up to level 5) and for nothing else.
 """
 
 import pytest
@@ -22,6 +25,8 @@ PINS = {
         1: 0.012313572235456535,
         2: 0.001398303253806652,
         3: 0.00014849291869754497,
+        4: 1.567063214543e-05,
+        5: 1.679052330805e-06,
     },
     ("ring", 2, 0, "corrected"): {
         0: 23.147781343828893,
