@@ -232,7 +232,6 @@ class AssembledBlocks:
     dofmap: DofMap
     constrained: np.ndarray  # strongly constrained velocity dofs (may be empty)
     elements: ElementBlocks  # the element arrays the sparse blocks are scattered from
-    pressure_mass_diag: np.ndarray = None  # diagonal pressure mass (orthonormal basis)
 
 
 class SaddleSystem:
@@ -242,7 +241,7 @@ class SaddleSystem:
     holds the same operator as element blocks, for the hybridized solve."""
 
     def __init__(self, matrix, rhs, n_u, n_p, rank1=None, free_u=None, full_n_u=None,
-                 area=1.0, pressure_mass_diag=None, elements=None):
+                 area=1.0, elements=None):
         self.matrix = matrix.tocsr()
         self.rhs = rhs
         self.n_u = n_u
@@ -251,7 +250,6 @@ class SaddleSystem:
         self.free_u = free_u
         self.full_n_u = full_n_u if full_n_u is not None else n_u
         self.area = area
-        self.pressure_mass_diag = pressure_mass_diag
         self.elements = elements
 
     @property
@@ -619,7 +617,6 @@ class Assembler:
             dofmap=self.dofmap,
             constrained=self.constrained,
             elements=self.element_blocks(),
-            pressure_mass_diag=np.repeat(self.det, self.dofmap.n_pressure_local),
         )
 
     def system(self, case, gauge=0.0):
@@ -714,8 +711,7 @@ def build_saddle_system(blocks, mode, gauge=0.0):
         v_vec[:n_u] = blocks.flux
         rhs = np.concatenate([blocks.rhs_u, blocks.rhs_p, [gauge]])
         return SaddleSystem(
-            m0, rhs, n_u, n_p, rank1=(u_vec, v_vec), area=blocks.area,
-            pressure_mass_diag=blocks.pressure_mass_diag, elements=blocks.elements,
+            m0, rhs, n_u, n_p, rank1=(u_vec, v_vec), area=blocks.area, elements=blocks.elements,
         )
     if mode == "uncorrected-strong":
         free = np.setdiff1d(np.arange(n_u), blocks.constrained)
@@ -728,7 +724,6 @@ def build_saddle_system(blocks, mode, gauge=0.0):
         rhs = np.concatenate([blocks.rhs_u[free], blocks.rhs_p, [gauge]])
         return SaddleSystem(
             m0, rhs, len(free), n_p, free_u=free, full_n_u=n_u, area=blocks.area,
-            pressure_mass_diag=blocks.pressure_mass_diag,
             elements=blocks.elements.with_identity(blocks.constrained),
         )
     raise ValueError(f"unknown mode {mode!r}")

@@ -56,7 +56,7 @@ class StudyConfig:
     level_last: int = 4
     quad_volume: int = None  # override of the stiffness quadrature degree
     quad_boundary: int = None  # override of the boundary rule point count
-    solver: str = "auto"
+    solver: str = "auto"  # unread: bench/workloads.py still passes solver=
     report: str = None
     json_path: str = None
     export_fields: str = None
@@ -77,7 +77,6 @@ _KEYS = {
     "levels": str,
     "quad_volume": int,
     "quad_boundary": int,
-    "solver": str,
     "report": str,
     "json": str,
     "export_fields": str,
@@ -126,8 +125,15 @@ def _parse_levels(text):
     return first, last
 
 
+class _Parser(argparse.ArgumentParser):
+    """Bad flags raise ConfigError, so ``main`` reports them in one line."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bdmdarcy",
         description="Convergence studies for the boundary-corrected mixed "
         "Darcy discretization on curved domains.",
@@ -145,7 +151,6 @@ def build_parser():
     parser.add_argument("--seed", type=int)
     parser.add_argument("--quad-volume", dest="quad_volume", type=int)
     parser.add_argument("--quad-boundary", dest="quad_boundary", type=int)
-    parser.add_argument("--solver", choices=("auto", "direct", "iterative"))
     parser.add_argument("--radius", type=float)
     parser.add_argument("--r-inner", dest="r_inner", type=float)
     parser.add_argument("--r-outer", dest="r_outer", type=float)
@@ -162,8 +167,8 @@ def parse_config(argv=None, file_values=None):
         values.update(_read_config_file(args.config))
     for key in (
         "domain", "k", "m", "mode", "report", "json_path", "export_fields",
-        "dump_system", "seed", "quad_volume", "quad_boundary", "solver",
-        "radius", "r_inner", "r_outer",
+        "dump_system", "seed", "quad_volume", "quad_boundary", "radius",
+        "r_inner", "r_outer",
     ):
         flag = getattr(args, key, None)
         if flag is not None:
@@ -203,8 +208,8 @@ def parse_config(argv=None, file_values=None):
     for key, attr in (
         ("report", "report"), ("json", "json_path"), ("export_fields", "export_fields"),
         ("dump_system", "dump_system"), ("seed", "seed"), ("quad_volume", "quad_volume"),
-        ("quad_boundary", "quad_boundary"), ("solver", "solver"), ("radius", "radius"),
-        ("r_inner", "r_inner"), ("r_outer", "r_outer"),
+        ("quad_boundary", "quad_boundary"), ("radius", "radius"), ("r_inner", "r_inner"),
+        ("r_outer", "r_outer"),
     ):
         if key in values and values[key] is not None:
             setattr(cfg, attr, values[key])
@@ -260,7 +265,7 @@ def run_study(cfg, progress=None):
             quad_volume=cfg.quad_volume, quad_boundary=cfg.quad_boundary,
         )
         system = asm.system(case)
-        u, p, lam, rep = solve(system, method=cfg.solver)
+        u, p, lam, rep = solve(system)
         if not rep.success:
             raise RuntimeError(
                 f"solve failed at level {level}: residual {rep.residual:.3e}"
@@ -385,9 +390,7 @@ def dump_system(system, path, max_entries=20_000_000):
 def main(argv=None):
     try:
         cfg = parse_config(argv)
-    except (ConfigError, SystemExit) as exc:
-        if isinstance(exc, SystemExit):
-            raise
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

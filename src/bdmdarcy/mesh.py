@@ -80,7 +80,6 @@ class Mesh:
 class MeshStats:
     h: float
     h_K: np.ndarray = field(repr=False)
-    h_e: np.ndarray = field(repr=False)
     min_angle: float = 0.0
     uniformity: float = 1.0
 
@@ -306,7 +305,6 @@ def mesh_stats(mesh):
     return MeshStats(
         h=float(h_K.max()),
         h_K=h_K,
-        h_e=mesh.edge_lengths(),
         min_angle=float(np.degrees(angles.min())),
         uniformity=float(h_K.max() / h_K.min()),
     )

@@ -1,6 +1,6 @@
 """Solution of the saddle-point system and pressure gauge post-processing.
 
-The direct path is a hybridized solve (Arnold-Brezzi).  Normal continuity
+The solve is a hybridized one (Arnold-Brezzi).  Normal continuity
 is broken on interior edges and restored by k+1 multipliers per edge; the
 element blocks L_K = [A_K B1_K^T; B0_K 0] of ``SaddleSystem.elements``
 (every boundary term belongs to one element) are inverted in one batched
@@ -13,12 +13,9 @@ refinement against the assembled operator brings the residual to round-off
 (element blocks reach condition numbers of 6e8 at ring level 4, and the
 unrefined residual misses the contract at the finest studied levels).
 
-A residual-minimizing Krylov iteration, preconditioned with an exact
-factorization of the velocity block and the (diagonal) pressure mass, is
-the ``iterative`` method, and the fallback, started from the hybrid
-solution, when the hybrid solve fails or misses the contract.  The relative
-residual of the full operator is verified post hoc either way; failure is
-reported, never silently accepted.
+The relative residual of the full operator is verified afterwards; a miss
+is reported as ``success=False``, never silently accepted.  A singular
+element block or interface matrix raises a ``RuntimeError`` that names it.
 """
 
 from dataclasses import dataclass
@@ -26,25 +23,19 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse.linalg import LinearOperator
 
 __all__ = ["SolveReport", "solve", "postprocess_pressure"]
 
-# GMRES relative tolerance and restart cycles; the residual contract is
-# checked on the full operator afterwards either way
-ITERATIVE_TOL = 1e-13
-MAX_CYCLES = 2
 RESIDUAL_CONTRACT = 1e-10
 
 
 @dataclass
 class SolveReport:
     residual: float
-    method: str
+    method: str  # always "lu"; bench/tracer.py counts solves by method
     dimension: int
     success: bool
-    iterations: int = 0
-    message: str = ""
+    iterations: int = 0  # always 0; bench/tracer.py sums it as Krylov iterations
     fill: int = 0  # L.nnz + U.nnz of the interface factorization
     n_interface: int = 0  # interface unknowns: interior-edge multipliers and theta
 
@@ -66,7 +57,10 @@ class _Hybrid:
         self.nd = el.udofs.shape[1]
         self.ne = el.sign.shape[1]
         self.theta = int(el.multiplier.max()) + 1
-        self.inv = np.linalg.inv(el.matrix)
+        try:
+            self.inv = np.linalg.inv(el.matrix)
+        except np.linalg.LinAlgError as exc:
+            raise RuntimeError("hybridized solve failed: singular element block") from exc
 
         # L_K^-1 G_K: the signed edge-dof columns, and the c_K column of theta
         inv, sign, nd, ne = self.inv, el.sign, self.nd, self.ne
@@ -85,7 +79,10 @@ class _Hybrid:
         matrix = sp.csc_matrix((local[keep], (rows, cols)), shape=(n, n))
         # the pattern is symmetric (the values nearly so): minimum degree on
         # A^T + A gives well under half the fill of the default COLAMD
-        self.lu = spla.splu(matrix, permc_spec="MMD_AT_PLUS_A")
+        try:
+            self.lu = spla.splu(matrix, permc_spec="MMD_AT_PLUS_A")
+        except RuntimeError as exc:
+            raise RuntimeError("hybridized solve failed: singular interface matrix") from exc
         self.n_interface = n
         self.fill = int(self.lu.L.nnz + self.lu.U.nnz)
 
@@ -127,98 +124,20 @@ class _Hybrid:
         return np.concatenate([u, x_loc[:, nd:].ravel(), [lam]])
 
 
-def _solve_hybrid(system, rhs):
-    """Hybridized solve plus one refinement step; returns (x, fill, n_interface)."""
+def solve(system, rhs=None):
+    """Solve the assembled system; returns (u, p, multiplier, report).
+
+    One hybridized solve and one refinement step against the assembled
+    operator; the report's ``success`` says whether the residual meets the
+    contract.
+    """
+    rhs = system.rhs if rhs is None else rhs
     hybrid = _Hybrid(system)
     x = hybrid.apply(rhs)
     x += hybrid.apply(rhs - system.matvec(x))
-    return x, hybrid.fill, hybrid.n_interface
-
-
-def _block_preconditioner(system):
-    """Exact velocity-block solve + inverse pressure mass + multiplier
-    scaling, as a LinearOperator."""
-    n_u, n_p = system.n_u, system.n_p
-    lu_a = spla.splu(system.matrix[:n_u, :n_u].tocsc())
-    pdiag = system.pressure_mass_diag
-    if pdiag is None:
-        pdiag = np.ones(n_p)
-    lam_scale = 2.0 * system.area
-
-    def apply(x):
-        y = np.empty_like(x)
-        y[:n_u] = lu_a.solve(x[:n_u])
-        y[n_u : n_u + n_p] = x[n_u : n_u + n_p] / pdiag
-        y[n_u + n_p :] = x[n_u + n_p :] / lam_scale
-        return y
-
-    return LinearOperator((system.dimension, system.dimension), matvec=apply)
-
-
-def _solve_iterative(system, rhs, x0=None):
-    operator = LinearOperator((system.dimension, system.dimension), matvec=system.matvec)
-    prec = _block_preconditioner(system)
-    iterations = [0]
-
-    def count(_):
-        iterations[0] += 1
-
-    x, info = spla.gmres(
-        operator,
-        rhs,
-        x0=x0,
-        M=prec,
-        rtol=ITERATIVE_TOL,
-        atol=0.0,
-        restart=300,
-        maxiter=MAX_CYCLES,
-        callback=count,
-        callback_type="pr_norm",
-    )
-    return x, iterations[0], info
-
-
-def solve(system, rhs=None, method="auto"):
-    """Solve the assembled system; returns (u, p, multiplier, report).
-
-    ``method`` is ``auto`` or ``direct`` (both the hybridized solve), or
-    ``iterative``.  A hybridized solve that fails or misses the residual
-    contract falls back to the iteration, started from the hybrid solution
-    when there is one.
-    """
-    rhs = system.rhs if rhs is None else rhs
-    x = None
-    report = None
-    if method != "iterative":
-        try:
-            x, fill, n_interface = _solve_hybrid(system, rhs)
-            res = _residual(system, x, rhs)
-            report = SolveReport(res, "lu", system.dimension, res <= RESIDUAL_CONTRACT,
-                                 fill=fill, n_interface=n_interface)
-        except (RuntimeError, MemoryError, np.linalg.LinAlgError) as exc:
-            report = SolveReport(np.inf, "lu", system.dimension, False, message=str(exc))
-            x = None
-        if x is not None and not np.all(np.isfinite(x)):
-            x = None
-
-    if x is None or not report.success:
-        x_it, iters, info = _solve_iterative(system, rhs, x0=x)
-        res = _residual(system, x_it, rhs)
-        if x is None or res < report.residual:
-            x = x_it
-            prev = "" if report is None else "lu+"
-            report = SolveReport(
-                res,
-                f"{prev}gmres",
-                system.dimension,
-                res <= RESIDUAL_CONTRACT,
-                iterations=iters,
-                message="" if info == 0 else f"gmres info={info}",
-                fill=report.fill if report else 0,
-                n_interface=report.n_interface if report else 0,
-            )
-    if x is None:
-        raise RuntimeError(f"linear solve failed: {report.message}")
+    res = _residual(system, x, rhs)
+    report = SolveReport(res, "lu", system.dimension, res <= RESIDUAL_CONTRACT,
+                         fill=hybrid.fill, n_interface=hybrid.n_interface)
     u, p, lam = system.split(x)
     return u, p, lam, report
 

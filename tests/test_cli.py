@@ -1,14 +1,22 @@
 """Configuration parsing, study orchestration, and output files."""
 
 import json
+import re
+import tempfile
+import warnings
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bdmdarcy.cli import (
     CSV_COLUMNS,
     ConfigError,
     StudyConfig,
+    build_parser,
     export_fields,
     main,
     parse_config,
@@ -49,8 +57,6 @@ def test_m_below_accuracy_bound_warns_but_passes():
 
 
 def test_k2_m1_meets_bound_without_warning():
-    import warnings
-
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         cfg = parse_config(["--k", "2", "--m", "1"])
@@ -187,8 +193,13 @@ def test_main_exit_codes(tmp_path):
         (None, ["--domain", "ring", "--r-inner", "2"], "r_inner"),
         (None, ["--k", "2", "--quad-volume", "1"], "volume quadrature"),
         (None, ["--k", "2", "--quad-boundary", "1"], "boundary quadrature"),
+        (None, ["--k", "abc"], "--k"),
+        (None, ["--domain", "square"], "--domain"),
+        (None, ["--bogus"], "--bogus"),
+        (None, ["--solver", "direct"], "--solver"),
     ],
-    ids=["bad-value", "bad-center", "radius", "r-inner", "quad-volume", "quad-boundary"],
+    ids=["bad-value", "bad-center", "radius", "r-inner", "quad-volume", "quad-boundary",
+         "bad-int-flag", "bad-choice", "unknown-flag", "removed-solver-flag"],
 )
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, file_text, argv, where):
     if file_text is not None:
@@ -210,3 +221,77 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
 def test_upward_quadrature_overrides_accepted():
     cfg = parse_config(["--k", "2", "--quad-volume", "6", "--quad-boundary", "5"])
     assert (cfg.quad_volume, cfg.quad_boundary) == (6, 5)
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "--levels" in capsys.readouterr().out
+
+
+_PATHS = st.from_regex(r"[A-Za-z0-9_./]{1,12}", fullmatch=True)
+
+
+@st.composite
+def study_values(draw):
+    """Valid values of every config key that has a flag, keyed as in a file."""
+    domain = draw(st.sampled_from(["circle", "ring"]))
+    k = draw(st.integers(1, 4))
+    first = draw(st.integers(0, 5))
+    r_inner = draw(st.floats(0.01, 10.0))
+    return {
+        "domain": domain,
+        "k": k,
+        "m": draw(st.integers(0, k)),
+        "mode": draw(st.sampled_from(
+            ["corrected"] + (["uncorrected-strong"] if domain == "circle" else []))),
+        "levels": f"{first}..{draw(st.integers(first, 8))}",
+        "quad_volume": draw(st.integers(2 * k + 2, 2 * k + 6)),
+        "quad_boundary": draw(st.integers(k + 3, k + 6)),
+        "report": draw(_PATHS),
+        "json": draw(_PATHS),
+        "export_fields": draw(_PATHS),
+        "dump_system": draw(_PATHS),
+        "seed": draw(st.integers(0, 2**31)),
+        "radius": draw(st.floats(0.01, 100.0)),
+        "r_inner": r_inner,
+        "r_outer": r_inner * draw(st.floats(1.01, 10.0)),
+    }
+
+
+def _expected_config(values, center):
+    first, last = (int(x) for x in values["levels"].split(".."))
+    fields = {key: values[key] for key in values if key not in ("levels", "json")}
+    return StudyConfig(level_first=first, level_last=last, json_path=values["json"],
+                       center=center, **fields)
+
+
+@settings(max_examples=60, deadline=None)
+@given(study_values(), study_values(), st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)))
+def test_config_file_and_flags_round_trip(values, other, center):
+    center_line = {"center": f"{center[0]!r}, {center[1]!r}"}
+    flags = [x for key, value in values.items()
+             for x in ("--" + key.replace("_", "-"), str(value))]
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # m below the accuracy bound only warns
+
+        def config_file(name, entries):
+            path = Path(tmp) / name
+            path.write_text("".join(f"{key} = {value}\n" for key, value in entries.items()))
+            return str(path)
+
+        from_file = parse_config([config_file("all.cfg", {**values, **center_line})])
+        from_flags = parse_config([config_file("center.cfg", center_line)] + flags)
+        # every flag overrides the other study's value in the file
+        overridden = parse_config([config_file("other.cfg", {**other, **center_line})] + flags)
+    expected = replace(_expected_config(values, center), warnings=from_file.warnings)
+    assert from_file == from_flags == overridden == expected
+
+
+def test_readme_options_table_matches_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    first_cells = [line.split(" | ")[0] for line in readme.splitlines() if line.startswith("| `")]
+    documented = {flag for cell in first_cells for flag in re.findall(r"--[a-z][a-z-]*", cell)}
+    options = {flag for action in build_parser()._actions for flag in action.option_strings}
+    assert documented == options - {"-h", "--help"}

@@ -3,6 +3,8 @@ scaling on generated meshes."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bdmdarcy.geometry import (
     BoundaryCurve,
@@ -18,6 +20,7 @@ from bdmdarcy.mesh import (
     square_domain,
     unit_square_mesh,
 )
+from oracles import random_domains
 
 UNIT = BoundaryCurve(center=(0.0, 0.0), radius=1.0)
 INNER = BoundaryCurve(center=(0.0, 0.0), radius=0.5, domain_inside=False, component_id=1)
@@ -129,3 +132,46 @@ def test_boundary_nodes_project_back_onto_curve():
         x, delta, nu, _ = curves[0].project_many(nodes)
         assert np.abs(np.hypot(x[:, 0], x[:, 1]) - 1.0).max() < 1e-12
         assert np.abs(np.linalg.norm(nodes + delta[:, None] * nu - x, axis=1)).max() < 1e-13
+
+
+@st.composite
+def boundaries_and_points(draw):
+    """A circle of a random disk or ring (outer boundary or hole), or a line
+    with a random normal, and up to 20 points inside its projection reach;
+    the length scale of the setup comes last."""
+    n = draw(st.integers(1, 20))
+    angles = np.array(draw(st.lists(st.floats(0.0, 2 * np.pi), min_size=n, max_size=n)))
+    direction = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    if draw(st.booleans()):
+        curve = draw(st.sampled_from(draw(random_domains())))
+        # distance from the centre in (0.05, 1.95) radii: delta < radius
+        r = np.array(draw(st.lists(st.floats(0.05, 1.95), min_size=n, max_size=n)))
+        pts = np.asarray(curve.center) + curve.radius * r[:, None] * direction
+        return curve, pts, curve.radius
+    theta = draw(st.floats(0.0, 2 * np.pi))
+    point = tuple(draw(st.floats(-2.0, 2.0)) for _ in range(2))
+    length = draw(st.floats(0.5, 2.0))  # the constructor normalizes the normal
+    line = StraightBoundary(point=point, normal=(length * np.cos(theta), length * np.sin(theta)))
+    offset = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)))
+    return line, np.asarray(point) + offset[:, None] * direction, 5.0
+
+
+def _in_domain(curve, pts):
+    if isinstance(curve, StraightBoundary):
+        return (pts - np.asarray(curve.point)) @ np.asarray(curve.normal) < 0.0
+    r = np.linalg.norm(pts - np.asarray(curve.center), axis=1)
+    return (r < curve.radius) == curve.domain_inside
+
+
+@settings(max_examples=200, deadline=None)
+@given(boundaries_and_points())
+def test_project_many_properties(setup):
+    curve, p, scale = setup
+    x, delta, nu, n_gamma = curve.project_many(p)
+    assert np.abs(x - (p + delta[:, None] * nu)).max() <= 1e-14 * scale
+    assert curve.distance(x).max() <= 1e-14 * scale
+    assert np.abs(np.linalg.norm(nu, axis=1) - 1.0).max() <= 1e-15
+    assert np.abs(np.linalg.norm(n_gamma, axis=1) - 1.0).max() <= 1e-15
+    assert np.array_equal(delta, curve.distance(p))
+    step = 1e-3 * scale * n_gamma
+    assert _in_domain(curve, x - step).all() and not _in_domain(curve, x + step).any()

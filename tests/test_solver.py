@@ -1,4 +1,4 @@
-"""Linear solver contracts: residuals, fallback, gauge handling."""
+"""Linear solver contracts: residuals, named failures, gauge handling."""
 
 import numpy as np
 import pytest
@@ -84,39 +84,6 @@ def test_refinement_step_meets_contract_at_disk_level5():
     assert rep.method == "lu" and rep.residual <= 1e-12
 
 
-def test_iterative_path_matches_direct():
-    asm = disk_setup(levels=2, k=1)
-    system = asm.system(case_circle())
-    u1, p1, _, rep1 = solve(system, method="direct")
-    u2, p2, _, rep2 = solve(system, method="iterative")
-    assert rep1.success and rep2.success
-    assert rep2.iterations > 0
-    scale = np.abs(u1).max()
-    assert np.abs(u1 - u2).max() <= 1e-9 * scale
-
-
-def test_failed_factorization_falls_back_to_gmres(monkeypatch):
-    system = disk_setup(levels=2, k=1).system(case_circle())
-    u_direct, _, _, _ = solve(system, method="direct")
-    real_splu = solver.spla.splu
-    calls = []
-
-    def splu(matrix, *args, **kwargs):
-        # only the interface factorization fails; the velocity-block
-        # preconditioner of the fallback still factors
-        calls.append(matrix.shape)
-        if len(calls) == 1:
-            raise MemoryError("out of memory in the interface factorization")
-        return real_splu(matrix, *args, **kwargs)
-
-    monkeypatch.setattr(solver.spla, "splu", splu)
-    u, _, _, rep = solve(system)
-    assert len(calls) == 2
-    assert rep.method == "lu+gmres"
-    assert rep.success and rep.iterations > 0
-    assert np.abs(u - u_direct).max() <= 1e-9 * np.abs(u_direct).max()
-
-
 def test_auto_solve_factors_once_without_krylov(monkeypatch):
     # the benchmark's speed probe and span tracer hook these two attributes
     system = disk_setup(levels=2, k=3).system(case_circle())
@@ -127,7 +94,7 @@ def test_auto_solve_factors_once_without_krylov(monkeypatch):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(solver.spla, name, counted)
-    _, _, _, rep = solve(system, method="auto")
+    _, _, _, rep = solve(system)
     assert calls == {"splu": 1, "gmres": 0}
     assert rep.method == "lu"
 
@@ -144,14 +111,28 @@ def test_report_gives_interface_size_and_repeatable_fill():
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_single_triangle_strong_mode(k):
     # every edge is constrained, so the element block loses the constant
-    # pressure; at k = 1 it is exactly singular and GMRES takes over
+    # pressure; at k = 1 it is exactly singular, and the solve says so
     verts = np.array([[0.1, 0.0], [1.2, 0.3], [0.4, 1.0]])
     asm = Assembler(single_triangle_mesh(verts), triangle_domain(verts), k=k,
                     mode="uncorrected-strong")
-    _, _, _, rep = solve(asm.system(case_circle()))
-    assert rep.success and rep.residual <= 1e-10
+    system = asm.system(case_circle())
     if k == 1:
-        assert rep.method == "lu+gmres" and rep.iterations > 0
+        with pytest.raises(RuntimeError, match="^hybridized solve failed: singular element block$"):
+            solve(system)
+        return
+    _, _, _, rep = solve(system)
+    assert rep.success and rep.residual <= 1e-10
+
+
+def test_singular_interface_matrix_is_named(monkeypatch):
+    system = disk_setup(levels=1, k=1).system(case_circle())
+
+    def splu(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(solver.spla, "splu", splu)
+    with pytest.raises(RuntimeError, match="^hybridized solve failed: singular interface matrix$"):
+        solve(system)
 
 
 def test_postprocess_constant_pressure_to_zero():
