@@ -22,11 +22,15 @@ triangles' shape functions at every boundary quadrature node, computed once
 per assembler (plain traces, Taylor order 0, in strong mode).  The penalty,
 the Neumann load and the error norms contract it.
 
-The matrices are kept as element blocks, with each boundary edge's terms
-added to its owning triangle's block; the global sparse blocks are scattered
-from these arrays, and the hybridized solve (``solver``) reads them as they
-are.  Accumulation order is fixed (elements ascending, then boundary edges
-ascending), so repeated assemblies are bit-identical.
+The system is kept as element saddle blocks, with each boundary edge's terms
+added to its owning triangle's block.  The solve path reads only these:
+``SaddleSystem.matvec`` applies the operator element by element and the
+hybridized solve (``solver``) inverts the blocks as they are.  Global sparse
+matrices are scattered from the same arrays on request only:
+``SaddleSystem.matrix`` for checks and dumps, ``Assembler.matrix_a`` and
+``matrix_b`` for the blocks' own tests.  Accumulation order is fixed
+(elements ascending, then boundary edges ascending), so repeated assemblies
+are bit-identical.
 """
 
 from dataclasses import dataclass, replace
@@ -219,11 +223,8 @@ class ElementBlocks:
 
 @dataclass
 class AssembledBlocks:
-    """Sparse blocks and load vectors of the practical system."""
+    """Element blocks and load vectors of the practical system."""
 
-    A: sp.csr_matrix
-    B0: sp.csr_matrix
-    B1: sp.csr_matrix
     rhs_u: np.ndarray
     rhs_p: np.ndarray
     c: np.ndarray  # integrals of the pressure basis functions
@@ -231,37 +232,60 @@ class AssembledBlocks:
     area: float
     dofmap: DofMap
     constrained: np.ndarray  # strongly constrained velocity dofs (may be empty)
-    elements: ElementBlocks  # the element arrays the sparse blocks are scattered from
+    elements: ElementBlocks
 
 
 class SaddleSystem:
-    """The constrained saddle-point operator  M0 + u v^T  (the rank-one part
-    carries the boundary-mean coupling of the second equation; it is kept in
-    factored form so the sparse factorization never sees it).  ``elements``
-    holds the same operator as element blocks, for the hybridized solve."""
+    """The constrained saddle-point operator  M0 + u v^T  on the unknowns
+    (free velocity dofs, pressure, lam).  M0 is held as its element blocks
+    ``elements`` plus the pressure-mean column and row c; the rank-one part
+    carries the boundary-mean coupling of the second equation and is kept in
+    factored form.  ``matvec`` applies the operator element by element, and
+    the global CSR ``matrix`` of M0 is scattered from the same blocks only
+    when it is read (checks and dumps; the solve never reads it)."""
 
-    def __init__(self, matrix, rhs, n_u, n_p, rank1=None, free_u=None, full_n_u=None,
-                 area=1.0, elements=None):
-        self.matrix = matrix.tocsr()
+    def __init__(self, rhs, n_u, n_p, elements, rank1, free_u=None, full_n_u=None,
+                 area=1.0):
         self.rhs = rhs
         self.n_u = n_u
         self.n_p = n_p
+        self.elements = elements
         self.rank1 = rank1
         self.free_u = free_u
         self.full_n_u = full_n_u if full_n_u is not None else n_u
         self.area = area
-        self.elements = elements
 
     @property
     def dimension(self):
-        return self.matrix.shape[0]
+        return self.n_u + self.n_p + 1
+
+    @cached_property
+    def _index(self):
+        """(nel, nd + npr) position of each element unknown in x; strongly
+        eliminated velocity dofs point at the zero slot ``dimension``."""
+        el = self.elements
+        position = np.full(self.full_n_u, self.dimension, dtype=np.int32)
+        position[self.free_u if self.free_u is not None else slice(None)] = np.arange(self.n_u)
+        pressure = self.n_u + np.arange(self.n_p, dtype=np.int32).reshape(el.c.shape)
+        return np.concatenate([position[el.udofs], pressure], axis=1)
 
     def matvec(self, x):
-        y = self.matrix @ x
-        if self.rank1 is not None:
-            u, v = self.rank1
-            y = y + u * (v @ x)
-        return y
+        n, idx, c = self.dimension, self._index, self.elements.c.ravel()
+        x_loc = np.append(x, 0.0)[idx]
+        y_loc = (self.elements.matrix @ x_loc[:, :, None])[:, :, 0]
+        y = np.bincount(idx.ravel(), weights=y_loc.ravel(), minlength=n + 1)[:n]
+        y[self.n_u : -1] += c * x[-1]
+        y[-1] = c @ x[self.n_u : -1]
+        u, v = self.rank1
+        return y + u * (v @ x)
+
+    @cached_property
+    def matrix(self):
+        """Global CSR of M0 (the rank-one term is left out), scattered from
+        the element blocks and the column and row c."""
+        n, idx, c = self.dimension, self._index, self.elements.c
+        col = _scatter(c[:, :, None], idx[:, -c.shape[1]:], np.full((len(c), 1), n - 1), (n, n))
+        return _scatter(self.elements.matrix, idx, idx, (n, n)) + col + col.T
 
     def split(self, x):
         """(velocity in full numbering, pressure, multiplier)."""
@@ -274,23 +298,10 @@ class SaddleSystem:
 
     def operator_coo(self, max_entries=20_000_000):
         """Dense-free coordinate form of the full operator, for dumping."""
-        base = self.matrix.tocoo()
-        rows, cols, vals = [base.row], [base.col], [base.data]
-        if self.rank1 is not None:
-            u, v = self.rank1
-            iu, iv = np.flatnonzero(u), np.flatnonzero(v)
-            if base.nnz + len(iu) * len(iv) > max_entries:
-                raise ValueError("system too large to expand for dumping")
-            rr, cc = np.meshgrid(iu, iv, indexing="ij")
-            rows.append(rr.ravel())
-            cols.append(cc.ravel())
-            vals.append(np.outer(u[iu], v[iv]).ravel())
-        mat = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=self.matrix.shape,
-        )
-        mat.sum_duplicates()
-        return mat
+        u, v = (sp.csr_matrix(w) for w in self.rank1)
+        if self.matrix.nnz + u.nnz * v.nnz > max_entries:
+            raise ValueError("system too large to expand for dumping")
+        return (self.matrix + u.T @ v).tocoo()
 
 
 class BoundaryShapeFunctions:
@@ -520,12 +531,8 @@ class Assembler:
 
     def matrix_b(self):
         """(B1, B0), scattered from ``local_b``."""
-        b1, b0 = self.local_b
         shape = (self.dofmap.n_p, self.dofmap.n_u)
-        b0_mat = _scatter(b0, self.pidx, self.gidx, shape)
-        if b1 is b0:
-            return b0_mat.copy(), b0_mat
-        return _scatter(b1, self.pidx, self.gidx, shape), b0_mat
+        return tuple(_scatter(b, self.pidx, self.gidx, shape) for b in self.local_b)
 
     def element_blocks(self):
         """The element saddle blocks of ``local_a``/``local_b`` and the
@@ -603,12 +610,8 @@ class Assembler:
         return flux
 
     def blocks(self, case):
-        b1, b0 = self.matrix_b()
         rhs_u, rhs_p = self.rhs(case)
         return AssembledBlocks(
-            A=self.matrix_a(),
-            B0=b0,
-            B1=b1,
             rhs_u=rhs_u,
             rhs_p=rhs_p,
             c=self.pressure_integrals(),
@@ -672,18 +675,22 @@ class Assembler:
 
 
 def _scatter(local, rows, cols, shape):
-    """Sum element blocks local[e] into the CSR matrix at (rows[e], cols[e]);
-    entries that cancel to zero (in B1, the boundary term can cancel the
-    volume term) are dropped."""
-    r = np.broadcast_to(rows[:, :, None], local.shape).ravel()
-    c = np.broadcast_to(cols[:, None, :], local.shape).ravel()
-    mat = sp.coo_matrix((local.ravel(), (r, c)), shape=shape).tocsr()
+    """Sum element blocks local[e] into the CSR matrix at (rows[e], cols[e]).
+    Entries in row shape[0] or column shape[1] are dropped, and so are entries
+    that cancel to zero (in B1, the boundary term can cancel the volume term).
+    The indices are int32 and a contiguous ``local`` is not copied, so the
+    peak memory stays near that of the CSR itself."""
+    r, c = np.empty(local.shape, np.int32), np.empty(local.shape, np.int32)
+    r[...], c[...] = rows[:, :, None], cols[:, None, :]
+    mat = sp.csr_matrix((local.ravel(), (r.ravel(), c.ravel())),
+                        shape=(shape[0] + 1, shape[1] + 1))
     mat.eliminate_zeros()
+    mat.resize(shape)
     return mat
 
 
 def build_saddle_system(blocks, mode, gauge=0.0):
-    """Assemble the constrained linear system from the sparse blocks.
+    """The constrained linear system of the element blocks and loads.
 
     The corrected system is
         [ A    B1^T  0 ] [u]       [rhs_u]
@@ -691,39 +698,22 @@ def build_saddle_system(blocks, mode, gauge=0.0):
         [ 0    c^T   0 ] [lam]     [gauge]
     where the rank-one term (c / area) flux^T couples the second equation to
     the total boundary flux; it is stored factored.  In strong mode the
-    constrained velocity rows/columns are eliminated (data is homogeneous),
-    and they become identity rows/columns of the element blocks.
+    constrained velocity dofs are eliminated (data is homogeneous, and the
+    flux functional vanishes on the free dofs); they become identity rows and
+    columns of the element blocks.
     """
+    if mode not in ("corrected", "uncorrected-strong"):
+        raise ValueError(f"unknown mode {mode!r}")
     n_u, n_p = blocks.dofmap.n_u, blocks.dofmap.n_p
-    c_col = sp.csr_matrix(blocks.c.reshape(-1, 1))
-    if mode == "corrected":
-        m0 = sp.bmat(
-            [
-                [blocks.A, blocks.B1.T, None],
-                [blocks.B0, None, c_col],
-                [None, c_col.T, None],
-            ],
-            format="csr",
-        )
-        u_vec = np.zeros(m0.shape[0])
-        u_vec[n_u : n_u + n_p] = blocks.c / blocks.area
-        v_vec = np.zeros(m0.shape[0])
-        v_vec[:n_u] = blocks.flux
-        rhs = np.concatenate([blocks.rhs_u, blocks.rhs_p, [gauge]])
-        return SaddleSystem(
-            m0, rhs, n_u, n_p, rank1=(u_vec, v_vec), area=blocks.area, elements=blocks.elements,
-        )
+    free = np.setdiff1d(np.arange(n_u), blocks.constrained)
+    n_free = len(free)
+    u_vec = np.zeros(n_free + n_p + 1)
+    u_vec[n_free:-1] = blocks.c / blocks.area
+    v_vec = np.zeros(n_free + n_p + 1)
+    v_vec[:n_free] = blocks.flux[free]
+    rhs = np.concatenate([blocks.rhs_u[free], blocks.rhs_p, [gauge]])
+    elements, free_u = blocks.elements, None
     if mode == "uncorrected-strong":
-        free = np.setdiff1d(np.arange(n_u), blocks.constrained)
-        a_ff = blocks.A[free][:, free]
-        b0_f = blocks.B0[:, free]
-        m0 = sp.bmat(
-            [[a_ff, b0_f.T, None], [b0_f, None, c_col], [None, c_col.T, None]],
-            format="csr",
-        )
-        rhs = np.concatenate([blocks.rhs_u[free], blocks.rhs_p, [gauge]])
-        return SaddleSystem(
-            m0, rhs, len(free), n_p, free_u=free, full_n_u=n_u, area=blocks.area,
-            elements=blocks.elements.with_identity(blocks.constrained),
-        )
-    raise ValueError(f"unknown mode {mode!r}")
+        elements, free_u = elements.with_identity(blocks.constrained), free
+    return SaddleSystem(rhs, n_free, n_p, elements, (u_vec, v_vec), free_u=free_u,
+                        full_n_u=n_u, area=blocks.area)

@@ -61,7 +61,6 @@ class StudyConfig:
     json_path: str = None
     export_fields: str = None
     dump_system: str = None
-    seed: int = 0
     center: tuple = (0.0, 0.0)
     radius: float = 1.0
     r_inner: float = 0.5
@@ -81,7 +80,6 @@ _KEYS = {
     "json": str,
     "export_fields": str,
     "dump_system": str,
-    "seed": int,
     "center": str,
     "radius": float,
     "r_inner": float,
@@ -148,7 +146,6 @@ def build_parser():
     parser.add_argument("--json", dest="json_path", help="JSON output path")
     parser.add_argument("--export-fields", dest="export_fields", help="directory for field files")
     parser.add_argument("--dump-system", dest="dump_system", help="directory for matrix dumps")
-    parser.add_argument("--seed", type=int)
     parser.add_argument("--quad-volume", dest="quad_volume", type=int)
     parser.add_argument("--quad-boundary", dest="quad_boundary", type=int)
     parser.add_argument("--radius", type=float)
@@ -167,8 +164,8 @@ def parse_config(argv=None, file_values=None):
         values.update(_read_config_file(args.config))
     for key in (
         "domain", "k", "m", "mode", "report", "json_path", "export_fields",
-        "dump_system", "seed", "quad_volume", "quad_boundary", "radius",
-        "r_inner", "r_outer",
+        "dump_system", "quad_volume", "quad_boundary", "radius", "r_inner",
+        "r_outer",
     ):
         flag = getattr(args, key, None)
         if flag is not None:
@@ -198,16 +195,11 @@ def parse_config(argv=None, file_values=None):
     cfg.mode = values.get("mode", cfg.mode)
     if cfg.mode not in _MODES:
         raise ConfigError(f"mode must be one of {_MODES}")
-    if cfg.mode == "uncorrected-strong" and cfg.domain != "circle":
-        raise ConfigError(
-            "uncorrected-strong mode needs homogeneous Neumann data; only the "
-            "circle case provides it"
-        )
     if "levels" in values:
         cfg.level_first, cfg.level_last = _parse_levels(values["levels"])
     for key, attr in (
         ("report", "report"), ("json", "json_path"), ("export_fields", "export_fields"),
-        ("dump_system", "dump_system"), ("seed", "seed"), ("quad_volume", "quad_volume"),
+        ("dump_system", "dump_system"), ("quad_volume", "quad_volume"),
         ("quad_boundary", "quad_boundary"), ("radius", "radius"), ("r_inner", "r_inner"),
         ("r_outer", "r_outer"),
     ):
@@ -225,6 +217,11 @@ def parse_config(argv=None, file_values=None):
         raise ConfigError("radius must be positive")
     if not 0 < cfg.r_inner < cfg.r_outer:
         raise ConfigError("ring radii must satisfy 0 < r_inner < r_outer")
+    if cfg.mode == "uncorrected-strong" and not _domain_case(cfg).homogeneous_neumann:
+        raise ConfigError(
+            "uncorrected-strong mode needs homogeneous Neumann data; only the "
+            "unit disk centred at the origin provides it"
+        )
     try:
         quadrature_orders(cfg.k, cfg.quad_volume, cfg.quad_boundary)
     except ValueError as exc:
@@ -328,7 +325,6 @@ def write_json(rows, cfg, path):
             "m": cfg.m,
             "mode": cfg.mode,
             "levels": [cfg.level_first, cfg.level_last],
-            "seed": cfg.seed,
         },
         "rows": [{c: row[c] for c in CSV_COLUMNS} for row in rows],
     }

@@ -9,9 +9,11 @@ factored once by SuperLU.  The pressure-mean multiplier lam and the
 factored rank-one boundary-mean term enter as one border unknown,
 theta = lam + flux.u / area, whose interface row is c.p = gauge.  Velocity
 and pressure are recovered element by element, and one step of iterative
-refinement against the assembled operator brings the residual to round-off
-(element blocks reach condition numbers of 6e8 at ring level 4, and the
-unrefined residual misses the contract at the finest studied levels).
+refinement against the full operator (``SaddleSystem.matvec``, applied on
+the same element blocks) brings the residual to round-off (element blocks
+reach condition numbers of 6e8 at ring level 4, and the unrefined residual
+misses the contract at the finest studied levels).  No global sparse matrix
+of the saddle system is built.
 
 The relative residual of the full operator is verified afterwards; a miss
 is reported as ``success=False``, never silently accepted.  A singular
@@ -127,7 +129,7 @@ class _Hybrid:
 def solve(system, rhs=None):
     """Solve the assembled system; returns (u, p, multiplier, report).
 
-    One hybridized solve and one refinement step against the assembled
+    One hybridized solve and one refinement step against the element-block
     operator; the report's ``success`` says whether the residual meets the
     contract.
     """

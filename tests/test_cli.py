@@ -197,9 +197,13 @@ def test_main_exit_codes(tmp_path):
         (None, ["--domain", "square"], "--domain"),
         (None, ["--bogus"], "--bogus"),
         (None, ["--solver", "direct"], "--solver"),
+        (None, ["--seed", "1"], "--seed"),
+        (None, ["--radius", "2", "--mode", "uncorrected-strong"], "uncorrected-strong"),
+        ("center = 0.5, 0\n", ["--mode", "uncorrected-strong"], "uncorrected-strong"),
     ],
     ids=["bad-value", "bad-center", "radius", "r-inner", "quad-volume", "quad-boundary",
-         "bad-int-flag", "bad-choice", "unknown-flag", "removed-solver-flag"],
+         "bad-int-flag", "bad-choice", "unknown-flag", "removed-solver-flag",
+         "removed-seed-flag", "strong-mode-radius", "strong-mode-center"],
 )
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, file_text, argv, where):
     if file_text is not None:
@@ -240,12 +244,13 @@ def study_values(draw):
     k = draw(st.integers(1, 4))
     first = draw(st.integers(0, 5))
     r_inner = draw(st.floats(0.01, 10.0))
+    mode = draw(st.sampled_from(
+        ["corrected"] + (["uncorrected-strong"] if domain == "circle" else [])))
     return {
         "domain": domain,
         "k": k,
         "m": draw(st.integers(0, k)),
-        "mode": draw(st.sampled_from(
-            ["corrected"] + (["uncorrected-strong"] if domain == "circle" else []))),
+        "mode": mode,
         "levels": f"{first}..{draw(st.integers(first, 8))}",
         "quad_volume": draw(st.integers(2 * k + 2, 2 * k + 6)),
         "quad_boundary": draw(st.integers(k + 3, k + 6)),
@@ -253,8 +258,8 @@ def study_values(draw):
         "json": draw(_PATHS),
         "export_fields": draw(_PATHS),
         "dump_system": draw(_PATHS),
-        "seed": draw(st.integers(0, 2**31)),
-        "radius": draw(st.floats(0.01, 100.0)),
+        # strong mode needs the unit disk (centred at the origin, see below)
+        "radius": 1.0 if mode == "uncorrected-strong" else draw(st.floats(0.01, 100.0)),
         "r_inner": r_inner,
         "r_outer": r_inner * draw(st.floats(1.01, 10.0)),
     }
@@ -270,6 +275,8 @@ def _expected_config(values, center):
 @settings(max_examples=60, deadline=None)
 @given(study_values(), study_values(), st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)))
 def test_config_file_and_flags_round_trip(values, other, center):
+    if values["mode"] == "uncorrected-strong":
+        center = (0.0, 0.0)
     center_line = {"center": f"{center[0]!r}, {center[1]!r}"}
     flags = [x for key, value in values.items()
              for x in ("--" + key.replace("_", "-"), str(value))]
