@@ -22,18 +22,20 @@ triangles' shape functions at every boundary quadrature node, computed once
 per assembler (plain traces, Taylor order 0, in strong mode).  The penalty,
 the Neumann load and the error norms contract it.
 
-The system is kept as element saddle blocks, with each boundary edge's terms
-added to its owning triangle's block.  The solve path reads only these:
-``SaddleSystem.matvec`` applies the operator element by element and the
-hybridized solve (``solver``) inverts the blocks as they are.  Global sparse
-matrices are scattered from the same arrays on request only:
-``SaddleSystem.matrix`` for checks and dumps, ``Assembler.matrix_a`` and
-``matrix_b`` for the blocks' own tests.  Accumulation order is fixed
-(elements ascending, then boundary edges ascending), so repeated assemblies
-are bit-identical.
+The system is held once, as element saddle blocks: ``Assembler.elements``
+allocates one (nel, nd+npr, nd+npr) array and writes each L_K into it, with
+each boundary edge's terms added to its owning triangle's block and, in
+strong mode, identity rows and columns at the constrained dofs.  The solve
+path reads only this array: ``SaddleSystem.matvec`` applies the operator
+element by element and the hybridized solve (``solver``) inverts the blocks
+as they are.  Global sparse matrices are scattered from slices of the same
+array on request only: ``SaddleSystem.matrix`` for checks and dumps,
+``Assembler.matrix_a`` and ``matrix_b`` for the blocks' own tests.
+Accumulation order is fixed (elements ascending, then boundary edges
+ascending), so repeated assemblies are bit-identical.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -60,7 +62,6 @@ from bdmdarcy.mesh import mesh_stats
 __all__ = [
     "DofMap",
     "ElementBlocks",
-    "AssembledBlocks",
     "SaddleSystem",
     "Assembler",
     "BoundaryShapeFunctions",
@@ -69,6 +70,9 @@ __all__ = [
 ]
 
 _ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+# largest entry count ``SaddleSystem.operator_coo`` expands for a dump
+MAX_DUMP_ENTRIES = 20_000_000
 
 
 def _edge_ref_points(l, direction, s):
@@ -186,17 +190,16 @@ class DofMap:
     def n_p(self):
         return self.n_pressure_local * self.n_triangles
 
-    def edge_dofs(self, edge_id):
-        base = (self.k + 1) * edge_id
-        return np.arange(base, base + self.k + 1)
-
 
 @dataclass
 class ElementBlocks:
     """Element saddle blocks and the interface of the hybridized system.
 
     ``matrix[K]`` is L_K = [A_K B1_K^T; B0_K 0] in local (velocity, pressure)
-    order, with every boundary term folded into the edge's owner.  Normal
+    order, with every boundary term folded into the edge's owner; in strong
+    mode the rows and columns of the constrained velocity dofs are identity.
+    It is the only copy of the blocks: ``Assembler.matrix_a``/``matrix_b``
+    and ``SaddleSystem.matrix`` scatter from it.  Normal
     continuity is broken on interior edges: both adjacent elements keep a
     copy of the edge's k+1 moments, tied by one multiplier each.  For the
     3(k+1) local edge dofs, ``multiplier`` numbers that multiplier (-1 on
@@ -210,49 +213,26 @@ class ElementBlocks:
     sign: np.ndarray  # (nel, 3(k+1))
     c: np.ndarray  # (nel, npr) integrals of the pressure basis functions
 
-    def with_identity(self, dofs):
-        """Copy whose rows and columns of the velocity dofs ``dofs`` are
-        identity (strong imposition of homogeneous data)."""
-        e, i = np.nonzero(np.isin(self.udofs, dofs))
-        matrix = self.matrix.copy()
-        matrix[e, i, :] = 0.0
-        matrix[e, :, i] = 0.0
-        matrix[e, i, i] = 1.0
-        return replace(self, matrix=matrix)
-
-
-@dataclass
-class AssembledBlocks:
-    """Element blocks and load vectors of the practical system."""
-
-    rhs_u: np.ndarray
-    rhs_p: np.ndarray
-    c: np.ndarray  # integrals of the pressure basis functions
-    flux: np.ndarray  # total-boundary-flux functional on velocity dofs
-    area: float
-    dofmap: DofMap
-    constrained: np.ndarray  # strongly constrained velocity dofs (may be empty)
-    elements: ElementBlocks
-
 
 class SaddleSystem:
     """The constrained saddle-point operator  M0 + u v^T  on the unknowns
     (free velocity dofs, pressure, lam).  M0 is held as its element blocks
     ``elements`` plus the pressure-mean column and row c; the rank-one part
     carries the boundary-mean coupling of the second equation and is kept in
-    factored form.  ``matvec`` applies the operator element by element, and
-    the global CSR ``matrix`` of M0 is scattered from the same blocks only
-    when it is read (checks and dumps; the solve never reads it)."""
+    factored form.  ``free_u`` lists the velocity dofs that are unknowns (all
+    ``full_n_u`` of them in corrected mode).  ``matvec`` applies the operator
+    element by element, and the global CSR ``matrix`` of M0 is scattered
+    from the same blocks only when it is read (checks and dumps; the solve
+    never reads it)."""
 
-    def __init__(self, rhs, n_u, n_p, elements, rank1, free_u=None, full_n_u=None,
-                 area=1.0):
+    def __init__(self, rhs, elements, rank1, free_u, full_n_u, area):
         self.rhs = rhs
-        self.n_u = n_u
-        self.n_p = n_p
+        self.n_u = len(free_u)
+        self.n_p = elements.c.size
         self.elements = elements
         self.rank1 = rank1
         self.free_u = free_u
-        self.full_n_u = full_n_u if full_n_u is not None else n_u
+        self.full_n_u = full_n_u
         self.area = area
 
     @property
@@ -265,7 +245,7 @@ class SaddleSystem:
         eliminated velocity dofs point at the zero slot ``dimension``."""
         el = self.elements
         position = np.full(self.full_n_u, self.dimension, dtype=np.int32)
-        position[self.free_u if self.free_u is not None else slice(None)] = np.arange(self.n_u)
+        position[self.free_u] = np.arange(self.n_u)
         pressure = self.n_u + np.arange(self.n_p, dtype=np.int32).reshape(el.c.shape)
         return np.concatenate([position[el.udofs], pressure], axis=1)
 
@@ -289,17 +269,15 @@ class SaddleSystem:
 
     def split(self, x):
         """(velocity in full numbering, pressure, multiplier)."""
-        u = x[: self.n_u]
-        if self.free_u is not None:
-            full = np.zeros(self.full_n_u)
-            full[self.free_u] = u
-            u = full
+        u = np.zeros(self.full_n_u)
+        u[self.free_u] = x[: self.n_u]
         return u, x[self.n_u : self.n_u + self.n_p], float(x[-1])
 
-    def operator_coo(self, max_entries=20_000_000):
-        """Dense-free coordinate form of the full operator, for dumping."""
+    def operator_coo(self):
+        """Dense-free coordinate form of the full operator, for dumping; at
+        most ``MAX_DUMP_ENTRIES`` entries."""
         u, v = (sp.csr_matrix(w) for w in self.rank1)
-        if self.matrix.nnz + u.nnz * v.nnz > max_entries:
+        if self.matrix.nnz + u.nnz * v.nnz > MAX_DUMP_ENTRIES:
             raise ValueError("system too large to expand for dumping")
         return (self.matrix + u.T @ v).tocoo()
 
@@ -483,69 +461,54 @@ class Assembler:
     # -- matrix blocks --------------------------------------------------------
 
     @cached_property
-    def local_a(self):
-        """Element velocity blocks A_K, shape (nel, nd, nd): mass + div-div,
-        plus (corrected mode) each boundary edge's penalty in its owner;
-        symmetric by construction."""
-        t = self.tables
+    def elements(self):
+        """The element saddle blocks L_K = [A_K B1_K^T; B0_K 0], written once
+        into one (nel, nd + npr, nd + npr) array, and the interior-edge
+        multipliers that tie them (see ``ElementBlocks``).
+
+        A_K is mass + div-div, plus (corrected mode) each boundary edge's
+        penalty in its owner; symmetric by construction.  B1_K is B0_K plus
+        (corrected mode) the straight-normal term of the element's boundary
+        edges.  In strong mode the constrained dofs' rows and columns are
+        identity (strong imposition of homogeneous data)."""
+        t, mesh, k = self.tables, self.mesh, self.k
+        nel, nd = mesh.n_triangles, t.element.dim
+        npr = t.pressure.dim
+        matrix = np.zeros((nel, nd + npr, nd + npr))
+        a, bt, b0 = matrix[:, :nd, :nd], matrix[:, :nd, nd:], matrix[:, nd:, :nd]
+
         g = np.einsum("eba,ebc->eac", self.jac, self.jac) / self.det[:, None, None]
         span = np.einsum("eac,acnm->enm", g, t.s_mass, optimize=True)
         span += t.s_div[None, :, :] / self.det[:, None, None]
-        local = np.matmul(
+        a[...] = np.matmul(
             np.transpose(self.local_dual, (0, 2, 1)), np.matmul(span, self.local_dual)
         )
+        b0[...] = np.einsum("ln,eni->eli", t.b0_span, self.local_dual)
+        bt[...] = np.transpose(b0, (0, 2, 1))
+
         if self.mode == "corrected":
             geom, tv = self.trace, self.basis_trace
             pen = np.einsum("bq,bqi,bqj->bij", geom.weights, tv, tv)
-            np.add.at(local, geom.owner, pen / geom.h_owner[:, None, None])
-        return local
+            np.add.at(a, geom.owner, pen / geom.h_owner[:, None, None])
 
-    @cached_property
-    def local_b(self):
-        """Element divergence blocks (B1_K, B0_K), shape (nel, npr, nd); B1_K
-        adds the straight-normal term of the element's boundary edges."""
-        t = self.tables
-        b0 = np.einsum("ln,eni->eli", t.b0_span, self.local_dual)
-        if self.mode == "uncorrected-strong":
-            return b0, b0
+            edges, owner = geom.edges, geom.owner
+            local_edge = np.argmax(mesh.tri_edges[owner] == edges[:, None], axis=1)
+            direction = self.edge_direction[owner, local_edge]
+            keys = [(l, d) for l in range(3) for d in (1, -1)]
+            which = 2 * local_edge + (direction < 0)  # position of (l, direction) in keys
+            tab = np.stack([t.v_edge[key] for key in keys])[which]  # (n_b, g, nd, 2)
+            pvals = np.stack([t.p_edge[key] for key in keys])[which]  # (n_b, g, npr)
+            u = np.einsum("eba,eb->ea", self.jac[owner], geom.n_h)  # J^T n
+            vn = np.einsum("ea,egna,eni->egi", u, tab, self.local_dual[owner], optimize=True)
+            w = 0.5 * mesh.edge_lengths()[edges] / self.det[owner]
+            loc = np.einsum("e,g,egl,egi->eli", w, t.dof_rule.weights, pvals, vn, optimize=True)
+            np.add.at(bt, owner, np.transpose(loc, (0, 2, 1)))
+        else:
+            e, i = np.nonzero(np.isin(self.gidx, self.constrained))
+            matrix[e, i, :] = 0.0
+            matrix[e, :, i] = 0.0
+            matrix[e, i, i] = 1.0
 
-        edges, owner = self.trace.edges, self.trace.owner
-        local_edge = np.argmax(self.mesh.tri_edges[owner] == edges[:, None], axis=1)
-        direction = self.edge_direction[owner, local_edge]
-        keys = [(l, d) for l in range(3) for d in (1, -1)]
-        which = 2 * local_edge + (direction < 0)  # position of (l, direction) in keys
-        tab = np.stack([t.v_edge[key] for key in keys])[which]  # (n_b, g, nd, 2)
-        pvals = np.stack([t.p_edge[key] for key in keys])[which]  # (n_b, g, npr)
-        u = np.einsum("eba,eb->ea", self.jac[owner], self.trace.n_h)  # J^T n
-        vn = np.einsum("ea,egna,eni->egi", u, tab, self.local_dual[owner], optimize=True)
-        w = 0.5 * self.mesh.edge_lengths()[edges] / self.det[owner]
-        loc = np.einsum("e,g,egl,egi->eli", w, t.dof_rule.weights, pvals, vn, optimize=True)
-        b1 = b0.copy()
-        np.add.at(b1, owner, loc)
-        return b1, b0
-
-    def matrix_a(self):
-        """Velocity block, scattered from ``local_a``."""
-        n_u = self.dofmap.n_u
-        return _scatter(self.local_a, self.gidx, self.gidx, (n_u, n_u))
-
-    def matrix_b(self):
-        """(B1, B0), scattered from ``local_b``."""
-        shape = (self.dofmap.n_p, self.dofmap.n_u)
-        return tuple(_scatter(b, self.pidx, self.gidx, shape) for b in self.local_b)
-
-    def element_blocks(self):
-        """The element saddle blocks of ``local_a``/``local_b`` and the
-        interior-edge multipliers that tie them (see ``ElementBlocks``)."""
-        a = self.local_a
-        b1, b0 = self.local_b
-        nel, nd = a.shape[:2]
-        matrix = np.zeros((nel, nd + b0.shape[1], nd + b0.shape[1]))
-        matrix[:, :nd, :nd] = a
-        matrix[:, :nd, nd:] = np.transpose(b1, (0, 2, 1))
-        matrix[:, nd:, :nd] = b0
-
-        mesh, k = self.mesh, self.k
         interior = mesh.edge_tris[:, 1] >= 0
         first = (k + 1) * (np.cumsum(interior) - 1)
         edges = mesh.tri_edges  # (nel, 3)
@@ -559,6 +522,21 @@ class Assembler:
             multiplier=multiplier.reshape(nel, -1),
             sign=sign.reshape(nel, -1),
             c=self.pressure_integrals().reshape(nel, -1),
+        )
+
+    def matrix_a(self):
+        """Velocity block A, scattered from the A_K slices of ``elements``."""
+        n_u, nd = self.dofmap.n_u, self.gidx.shape[1]
+        return _scatter(self.elements.matrix[:, :nd, :nd], self.gidx, self.gidx, (n_u, n_u))
+
+    def matrix_b(self):
+        """(B1, B0), scattered from the B1_K^T and B0_K slices of
+        ``elements``."""
+        matrix, nd = self.elements.matrix, self.gidx.shape[1]
+        shape = (self.dofmap.n_p, self.dofmap.n_u)
+        return tuple(
+            _scatter(b, self.pidx, self.gidx, shape)
+            for b in (np.transpose(matrix[:, :nd, nd:], (0, 2, 1)), matrix[:, nd:, :nd])
         )
 
     def rhs(self, case):
@@ -609,21 +587,8 @@ class Assembler:
         flux[(self.k + 1) * self.mesh.boundary_edges] = 1.0
         return flux
 
-    def blocks(self, case):
-        rhs_u, rhs_p = self.rhs(case)
-        return AssembledBlocks(
-            rhs_u=rhs_u,
-            rhs_p=rhs_p,
-            c=self.pressure_integrals(),
-            flux=self.flux_functional(),
-            area=self.area,
-            dofmap=self.dofmap,
-            constrained=self.constrained,
-            elements=self.element_blocks(),
-        )
-
     def system(self, case, gauge=0.0):
-        return build_saddle_system(self.blocks(case), self.mode, gauge=gauge)
+        return build_saddle_system(self, case, gauge=gauge)
 
     # -- global interpolation (used by diagnostics and error studies) --------
 
@@ -689,8 +654,9 @@ def _scatter(local, rows, cols, shape):
     return mat
 
 
-def build_saddle_system(blocks, mode, gauge=0.0):
-    """The constrained linear system of the element blocks and loads.
+def build_saddle_system(assembler, case, gauge=0.0):
+    """The constrained linear system of an assembler's element blocks and
+    the loads of ``case``.
 
     The corrected system is
         [ A    B1^T  0 ] [u]       [rhs_u]
@@ -699,21 +665,17 @@ def build_saddle_system(blocks, mode, gauge=0.0):
     where the rank-one term (c / area) flux^T couples the second equation to
     the total boundary flux; it is stored factored.  In strong mode the
     constrained velocity dofs are eliminated (data is homogeneous, and the
-    flux functional vanishes on the free dofs); they become identity rows and
-    columns of the element blocks.
+    flux functional vanishes on the free dofs); the element blocks already
+    hold identity rows and columns for them.
     """
-    if mode not in ("corrected", "uncorrected-strong"):
-        raise ValueError(f"unknown mode {mode!r}")
-    n_u, n_p = blocks.dofmap.n_u, blocks.dofmap.n_p
-    free = np.setdiff1d(np.arange(n_u), blocks.constrained)
-    n_free = len(free)
+    rhs_u, rhs_p = assembler.rhs(case)
+    elements, area = assembler.elements, assembler.area
+    n_u = assembler.dofmap.n_u
+    free = np.setdiff1d(np.arange(n_u), assembler.constrained)
+    n_free, n_p = len(free), elements.c.size
     u_vec = np.zeros(n_free + n_p + 1)
-    u_vec[n_free:-1] = blocks.c / blocks.area
+    u_vec[n_free:-1] = elements.c.ravel() / area
     v_vec = np.zeros(n_free + n_p + 1)
-    v_vec[:n_free] = blocks.flux[free]
-    rhs = np.concatenate([blocks.rhs_u[free], blocks.rhs_p, [gauge]])
-    elements, free_u = blocks.elements, None
-    if mode == "uncorrected-strong":
-        elements, free_u = elements.with_identity(blocks.constrained), free
-    return SaddleSystem(rhs, n_free, n_p, elements, (u_vec, v_vec), free_u=free_u,
-                        full_n_u=n_u, area=blocks.area)
+    v_vec[:n_free] = assembler.flux_functional()[free]
+    rhs = np.concatenate([rhs_u[free], rhs_p, [gauge]])
+    return SaddleSystem(rhs, elements, (u_vec, v_vec), free, n_u, area)

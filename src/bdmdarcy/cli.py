@@ -373,9 +373,9 @@ def export_fields(mesh, assembler, u, p, path):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def dump_system(system, path, max_entries=20_000_000):
+def dump_system(system, path):
     """Coordinate-format text dump (row col value) of the full operator."""
-    mat = system.operator_coo(max_entries=max_entries)
+    mat = system.operator_coo()
     order = np.lexsort((mat.col, mat.row))
     lines = [f"{mat.shape[0]} {mat.shape[1]} {mat.nnz}"]
     for r, c, v in zip(mat.row[order], mat.col[order], mat.data[order]):

@@ -95,10 +95,8 @@ class _Hybrid:
     def apply(self, b):
         system, el, nd, ne = self.system, self.el, self.nd, self.ne
         n_u, n_p = system.n_u, system.n_p
-        b_u = b[:n_u]
-        if system.free_u is not None:
-            b_u = np.zeros(system.full_n_u)
-            b_u[system.free_u] = b[:n_u]
+        b_u = np.zeros(system.full_n_u)
+        b_u[system.free_u] = b[:n_u]
         b_p = b[n_u : n_u + n_p].reshape(el.c.shape)
         f = np.concatenate([np.where(self.holder, b_u[el.udofs], 0.0), b_p], axis=1)
         y = (self.inv @ f[:, :, None])[:, :, 0]
@@ -117,12 +115,9 @@ class _Hybrid:
 
         u = np.empty_like(b_u)
         u[el.udofs[self.holder]] = x_loc[:, :nd][self.holder]
-        if system.free_u is not None:
-            u = u[system.free_u]
-        lam = xi[self.theta]
-        if system.rank1 is not None:
-            # the rank-one term is (c / area) flux.u on the pressure rows
-            lam -= (system.rank1[1][:n_u] @ u) / system.area
+        u = u[system.free_u]
+        # the rank-one term is (c / area) flux.u on the pressure rows
+        lam = xi[self.theta] - (system.rank1[1][:n_u] @ u) / system.area
         return np.concatenate([u, x_loc[:, nd:].ravel(), [lam]])
 
 

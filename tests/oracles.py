@@ -245,7 +245,7 @@ def dense_rhs_u_volume(asm, source, vol_degree=12):
     return rhs
 
 
-def apply_operator(asm, blocks, x):
+def apply_operator(asm, x):
     """Matrix-free action of the constrained corrected system on a vector,
     assembled from per-element/per-edge form evaluations."""
     mesh = asm.mesh
@@ -295,7 +295,7 @@ def apply_operator(asm, blocks, x):
         pvals = pbasis.eval(pref) @ p[asm.pidx[t]]
         y_u[asm.gidx[t]] += np.einsum("q,q,qi->i", geom.weights, pvals, vn_basis)
         flux_u += geom.weights @ un
-    c = blocks.c
-    y_p += c * lam + (c / blocks.area) * flux_u
+    c = asm.pressure_integrals()
+    y_p += c * lam + (c / asm.area) * flux_u
     y_lam = c @ p
     return np.concatenate([y_u, y_p, [y_lam]])

@@ -153,12 +153,11 @@ def test_system_dimension_and_split():
 
 def test_assembled_operator_matches_matrix_free_oracle():
     asm = disk_assembler(2, 1)
-    blocks = asm.blocks(case_circle())
-    system = build_saddle_system(blocks, "corrected")
+    system = build_saddle_system(asm, case_circle())
     rng = np.random.default_rng(17)
     x = rng.standard_normal(system.dimension)
     direct = system.matvec(x)
-    oracle = apply_operator(asm, blocks, x)
+    oracle = apply_operator(asm, x)
     scale = np.abs(direct).max()
     assert np.abs(direct - oracle).max() <= 1e-12 * scale
 
@@ -204,7 +203,7 @@ def test_element_matvec_matches_lazy_matrix(curves, mode, k, level, seed):
 def test_lazy_matrix_blocks_equal_scattered_blocks(mode):
     asm = disk_assembler(2, 2, mode=mode)
     system = asm.system(case_circle())
-    free = np.arange(asm.dofmap.n_u) if system.free_u is None else system.free_u
+    free = system.free_u
     b1, b0 = asm.matrix_b()
     n_u, n_p, mat = system.n_u, system.n_p, system.matrix
     pairs = [
@@ -218,6 +217,49 @@ def test_lazy_matrix_blocks_equal_scattered_blocks(mode):
     assert np.array_equal(mat[n_u:-1, -1].toarray().ravel(), c)
     assert np.array_equal(mat[-1, n_u:-1].toarray().ravel(), c)
     assert mat.nnz == sum(block.nnz for block, _ in pairs) + 2 * np.count_nonzero(c)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_one_copy_of_the_element_blocks(mode):
+    asm = disk_assembler(1, 2, mode=mode)
+    system = asm.system(case_circle())
+    assert solve(system)[3].success
+    assert system.elements is asm.elements
+    nel, nd = asm.gidx.shape
+    npr = asm.dofmap.n_pressure_local
+    held = []
+    for value in vars(asm).values():
+        held.extend(value if isinstance(value, tuple) else [value])
+    shapes = {a.shape for a in held if isinstance(a, np.ndarray)}
+    assert not {"local_a", "local_b"} & set(vars(asm))
+    assert not {(nel, npr, nd), (nel, nd + npr, nd + npr)} & shapes
+    # matrix_a reads the blocks the solve inverts: one source of truth
+    e, i = 0, nd - 1  # an interior dof, never constrained
+    before = asm.matrix_a()[asm.gidx[e, i], asm.gidx[e, i]]
+    asm.elements.matrix[e, i, i] += 1.0
+    assert asm.matrix_a()[asm.gidx[e, i], asm.gidx[e, i]] == before + 1.0
+
+
+def test_strong_mode_blocks_hold_the_identity():
+    asm = disk_assembler(1, 2, mode="uncorrected-strong")
+    c = asm.constrained
+    a = asm.matrix_a()
+    assert (a[c][:, c] != sp.identity(len(c))).nnz == 0
+    b1, b0 = asm.matrix_b()
+    assert b1[:, c].nnz == b0[:, c].nnz == 0
+
+
+def test_dump_guard_rejects_large_systems(monkeypatch, tmp_path):
+    from bdmdarcy.cli import dump_system
+
+    system = disk_assembler(0, 1).system(case_circle())
+    assert system.operator_coo().nnz > 0
+    monkeypatch.setattr(assembly, "MAX_DUMP_ENTRIES", system.matrix.nnz - 1)
+    with pytest.raises(ValueError, match="too large to expand"):
+        system.operator_coo()
+    with pytest.raises(ValueError, match="too large to expand"):
+        dump_system(system, tmp_path / "system.txt")
+    assert not (tmp_path / "system.txt").exists()
 
 
 def test_uncorrected_strong_rejects_inhomogeneous_data():
@@ -241,7 +283,7 @@ def test_uncorrected_strong_eliminates_boundary_moments():
     assert rep.success
     # constrained moments are exactly zero in the reconstructed vector
     for e in asm.mesh.boundary_edges:
-        assert np.abs(u[asm.dofmap.edge_dofs(e)]).max() == 0.0
+        assert np.abs(u[(asm.k + 1) * e + np.arange(asm.k + 1)]).max() == 0.0
 
 
 def test_assembly_is_deterministic():

@@ -40,8 +40,7 @@ SMALL = [(setup, k) for setup in ("disk", "ring", "disk-strong", "square") for k
 
 def solve_vector(system, rhs):
     u, p, lam, rep = solve(system, rhs)
-    u_free = u if system.free_u is None else u[system.free_u]
-    return np.concatenate([u_free, p, [lam]]), rep
+    return np.concatenate([u[system.free_u], p, [lam]]), rep
 
 
 @pytest.mark.parametrize("setup,k", SMALL)
