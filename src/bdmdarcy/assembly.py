@@ -75,6 +75,12 @@ _ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])
 MAX_DUMP_ENTRIES = 20_000_000
 
 
+def _contract(m, table):
+    """sum_ab m[e, a, b] table[a, b, ...] as one GEMM, element-major and C-contiguous
+    (an einsum's element-fastest result thrashes the cache at 2^j elements)."""
+    return (m.reshape(len(m), 4) @ table.reshape(4, -1)).reshape(m.shape[:1] + table.shape[2:])
+
+
 def _edge_ref_points(l, direction, s):
     """Reference coordinates of edge nodes in the global parametrization."""
     p, q = REF_EDGES[l]
@@ -428,8 +434,6 @@ class Assembler:
             u = np.einsum("eba,eb->ea", self.jac, mesh.edge_normal[e_ids])  # J^T n
             for direction in (1, -1):
                 sel = np.flatnonzero(self.edge_direction[:, l] == direction)
-                if not len(sel):
-                    continue
                 tab = t.v_edge[(l, direction)]  # (g, nd, 2)
                 rows = np.einsum(
                     "gm,ea,gna->emn", wleg, u[sel], tab, optimize=True
@@ -437,15 +441,11 @@ class Assembler:
                 dof[sel, l * (k + 1) : (l + 1) * (k + 1), :] = rows
 
         row0 = 3 * (k + 1)
-        if t.s_grad is not None:
-            h = np.einsum("eca,ebc->eab", self.jac, self.jinv)  # J^T J^-T
-            dof[:, row0 : row0 + t.element.n_grad, :] = np.einsum(
-                "eab,abrn->ern", h, t.s_grad, optimize=True
-            )
-            row0 += t.element.n_grad
-        if t.s_curl is not None:
-            m = np.einsum("eca,cd,ebd->eab", self.jac, _ROT, self.jinv)
-            dof[:, row0:, :] = np.einsum("eab,abrn->ern", m, t.s_curl, optimize=True)
+        for table, rot in ((t.s_grad, np.eye(2)), (t.s_curl, _ROT)):  # J^T rot J^-T
+            if table is not None:
+                metric = np.einsum("eca,cd,ebd->eab", self.jac, rot, self.jinv)
+                dof[:, row0 : row0 + table.shape[2], :] = _contract(metric, table)
+                row0 += table.shape[2]
         self.local_dual = np.linalg.inv(dof)  # columns: dual basis in span coords
 
     # -- local helpers -------------------------------------------------------
@@ -478,7 +478,7 @@ class Assembler:
         a, bt, b0 = matrix[:, :nd, :nd], matrix[:, :nd, nd:], matrix[:, nd:, :nd]
 
         g = np.einsum("eba,ebc->eac", self.jac, self.jac) / self.det[:, None, None]
-        span = np.einsum("eac,acnm->enm", g, t.s_mass, optimize=True)
+        span = _contract(g, t.s_mass)
         span += t.s_div[None, :, :] / self.det[:, None, None]
         a[...] = np.matmul(
             np.transpose(self.local_dual, (0, 2, 1)), np.matmul(span, self.local_dual)

@@ -210,13 +210,13 @@ def parse_config(argv=None, file_values=None):
             parts = [float(x) for x in str(values["center"]).replace(",", " ").split()]
         except ValueError as exc:
             raise ConfigError("center must be two numbers") from exc
-        if len(parts) != 2:
-            raise ConfigError("center must be two numbers")
+        if len(parts) != 2 or not np.all(np.isfinite(parts)):
+            raise ConfigError("center must be two finite numbers")
         cfg.center = tuple(parts)
-    if not cfg.radius > 0:
-        raise ConfigError("radius must be positive")
-    if not 0 < cfg.r_inner < cfg.r_outer:
-        raise ConfigError("ring radii must satisfy 0 < r_inner < r_outer")
+    if not 0 < cfg.radius < np.inf:
+        raise ConfigError("radius must be positive and finite")
+    if not 0 < cfg.r_inner < cfg.r_outer < np.inf:
+        raise ConfigError("ring radii must satisfy 0 < r_inner < r_outer < inf")
     if cfg.mode == "uncorrected-strong" and not _domain_case(cfg).homogeneous_neumann:
         raise ConfigError(
             "uncorrected-strong mode needs homogeneous Neumann data; only the "
@@ -389,8 +389,10 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    rows = []  # the finished levels, written even when a later one fails
 
     def progress(row):
+        rows.append(row)
         eoc = "  --" if row["eoc_total"] is None else f"{row['eoc_total']:5.2f}"
         print(
             f"level {row['level']}  h={row['h']:.5f}  n_u={row['n_u']:7d}  "
@@ -405,15 +407,16 @@ def main(argv=None):
         flush=True,
     )
     try:
-        rows = run_study(cfg, progress=progress)
+        run_study(cfg, progress=progress)
+        status = 0
     except Exception as exc:
         print(f"study failed: {exc}", file=sys.stderr)
-        return 1
+        status = 1
     if cfg.report:
         write_csv(rows, cfg.report)
     if cfg.json_path:
         write_json(rows, cfg, cfg.json_path)
-    return 0
+    return status
 
 
 if __name__ == "__main__":

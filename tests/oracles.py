@@ -1,10 +1,12 @@
 """Independent slow-path evaluations used to cross-check the assembly.
 
-Everything here recomputes forms by explicit per-element quadrature through
-LocalField evaluations, never through the assembled sparse matrices.  The
-boundary terms go edge by edge: per-edge projection data, physical mixed
-partials by the chain rule, and the Taylor sum assembled from them, where
-the program computes the same traces for all boundary nodes at once.
+Everything here recomputes forms element by element, never through the
+assembled sparse matrices or the batched element arrays: mostly by explicit
+quadrature through LocalField evaluations, and in ``element_blocks`` by the
+reference tables contracted one element at a time.  The boundary terms go
+edge by edge: per-edge projection data, physical mixed partials by the
+chain rule, and the Taylor sum assembled from them, where the program
+computes the same traces for all boundary nodes at once.
 The random disks and rings of the property tests are drawn here too.
 """
 
@@ -17,6 +19,8 @@ from hypothesis import strategies as st
 from bdmdarcy.femcore import affine_map, edge_quadrature, triangle_quadrature
 from bdmdarcy.femcore.element import LocalField
 from bdmdarcy.mesh import disk_domain, ring_domain
+
+ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])  # curl w = ROT @ grad w
 
 
 @st.composite
@@ -158,6 +162,45 @@ def norm_0h(asm, u):
             tv = taylor_trace_normal(field, geom, asm.taylor)
             total += float(geom.weights @ tv**2) / geom.h_owner
     return float(np.sqrt(total))
+
+
+def element_blocks(asm):
+    """(L_K blocks, local duals) of a corrected-mode assembler, one element
+    at a time: each DOF matrix from the reference tabulations and the
+    element's own affine map, mass + div-div and the divergence rows from
+    the reference tables, then each boundary edge's penalty (per-edge Taylor
+    traces) and straight-normal term added to its owner's block."""
+    t, mesh = asm.tables, asm.mesh
+    nel, nd, npr = mesh.n_triangles, t.element.dim, t.pressure.dim
+    wleg = t.dof_rule.weights[:, None] * t.leg_dof  # (g, k+1)
+    lengths = mesh.edge_lengths()
+    blocks, dual = np.zeros((nel, nd + npr, nd + npr)), np.empty((nel, nd, nd))
+    for e in range(nel):
+        _, jac, det, jinv = affine_map(asm.verts[e])
+        rows = []
+        for l in range(3):
+            edge = mesh.tri_edges[e, l]
+            tab = t.v_edge[(l, asm.edge_direction[e, l])]  # (g, nd, 2)
+            u = jac.T @ mesh.edge_normal[edge]
+            rows.append(lengths[edge] / (2.0 * det) * wleg.T @ (tab @ u))
+        for table, metric in ((t.s_grad, jac.T @ jinv.T), (t.s_curl, jac.T @ ROT @ jinv.T)):
+            if table is not None:
+                rows.append(np.einsum("ab,abrn->rn", metric, table))
+        dual[e] = np.linalg.inv(np.concatenate(rows))
+        span = np.einsum("ab,abnm->nm", jac.T @ jac / det, t.s_mass) + t.s_div / det
+        blocks[e, :nd, :nd] = dual[e].T @ span @ dual[e]
+        blocks[e, nd:, :nd] = t.b0_span @ dual[e]
+        blocks[e, :nd, nd:] = blocks[e, nd:, :nd].T
+    for geom in edge_geometries(asm):
+        e = geom.owner
+        v0, _, _, jinv = affine_map(asm.verts[e])
+        field = asm.local_field(e, dual[e].T)
+        tv = taylor_trace_normal(Partials(field), geom, asm.taylor)  # (q, nd)
+        blocks[e, :nd, :nd] += np.einsum("q,qi,qj->ij", geom.weights, tv, tv) / geom.h_owner
+        vn = field.eval(geom.points) @ geom.n_h
+        pvals = t.pressure.eval((geom.points - v0) @ jinv.T)
+        blocks[e, :nd, nd:] += np.einsum("q,ql,qi->il", geom.weights, pvals, vn)
+    return blocks, dual
 
 
 def dense_matrix_a_flat(asm, vol_degree=12, edge_points=8):

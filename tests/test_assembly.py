@@ -14,6 +14,7 @@ from bdmdarcy.mesh import (
     coarse_mesh,
     disk_domain,
     refine_project,
+    ring_domain,
     single_triangle_mesh,
     square_domain,
     triangle_domain,
@@ -24,6 +25,7 @@ from oracles import (
     dense_matrix_a_flat,
     dense_matrix_b1_flat,
     dense_rhs_u_volume,
+    element_blocks,
     norm_0h,
     random_domains,
 )
@@ -263,8 +265,6 @@ def test_dump_guard_rejects_large_systems(monkeypatch, tmp_path):
 
 
 def test_uncorrected_strong_rejects_inhomogeneous_data():
-    from bdmdarcy.mesh import ring_domain
-
     curves = ring_domain()
     mesh = coarse_mesh(curves)
     asm = Assembler(mesh, curves, k=1, mode="uncorrected-strong")
@@ -284,6 +284,44 @@ def test_uncorrected_strong_eliminates_boundary_moments():
     # constrained moments are exactly zero in the reconstructed vector
     for e in asm.mesh.boundary_edges:
         assert np.abs(u[(asm.k + 1) * e + np.arange(asm.k + 1)]).max() == 0.0
+
+
+@pytest.mark.parametrize("levels,k", [(2, 1), (2, 2), (2, 3), (4, 3)])
+def test_element_arrays_on_power_of_two_meshes(levels, k):
+    """Ring level j has 2^(5+2j) elements, where an element-fastest
+    contraction result has a power-of-two stride.  The metric contractions
+    come out element-major, and the blocks and duals match the loop."""
+    curves = ring_domain()
+    mesh = coarse_mesh(curves)
+    for _ in range(levels):
+        mesh = refine_project(mesh, curves)
+    asm = Assembler(mesh, curves, k)
+    nel, t = mesh.n_triangles, asm.tables
+    assert nel == 2 ** (5 + 2 * levels)
+    g = np.einsum("eba,ebc->eac", asm.jac, asm.jac)
+    for table in (t.s_mass, t.s_grad, t.s_curl):
+        if table is not None:
+            assert assembly._contract(g, table).flags.c_contiguous
+    blocks, dual = element_blocks(asm)
+    for ours, oracle in ((asm.elements.matrix, blocks), (asm.local_dual, dual)):
+        error = np.linalg.norm(ours - oracle, axis=(1, 2))
+        assert np.all(error <= 1e-14 * np.linalg.norm(oracle, axis=(1, 2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    nel=st.one_of(st.sampled_from([2**j for j in range(14)]), st.integers(1, 1000)),
+    tail=st.lists(st.integers(1, 12), min_size=1, max_size=2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_contract_equals_einsum(nel, tail, seed):
+    """The GEMM contraction is bit-identical to the einsum it replaced."""
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((nel, 2, 2)) * 10.0 ** rng.integers(-6, 7, size=(nel, 1, 1))
+    table = rng.standard_normal((2, 2, *tail))
+    axes = "rn"[: len(tail)]
+    expected = np.einsum(f"eab,ab{axes}->e{axes}", m, table, optimize=True)
+    assert np.array_equal(assembly._contract(m, table), expected)
 
 
 def test_assembly_is_deterministic():

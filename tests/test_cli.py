@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bdmdarcy import cli, solver
 from bdmdarcy.cli import (
     CSV_COLUMNS,
     ConfigError,
@@ -200,10 +201,16 @@ def test_main_exit_codes(tmp_path):
         (None, ["--seed", "1"], "--seed"),
         (None, ["--radius", "2", "--mode", "uncorrected-strong"], "uncorrected-strong"),
         ("center = 0.5, 0\n", ["--mode", "uncorrected-strong"], "uncorrected-strong"),
+        (None, ["--radius", "inf"], "radius"),
+        (None, ["--domain", "ring", "--r-outer", "inf"], "r_outer"),
+        ("center = inf, 0\n", [], "center"),
+        ("center = nan, 0\n", [], "center"),
+        ("domain = ring\ncenter = 0, -inf\n", [], "center"),
     ],
     ids=["bad-value", "bad-center", "radius", "r-inner", "quad-volume", "quad-boundary",
          "bad-int-flag", "bad-choice", "unknown-flag", "removed-solver-flag",
-         "removed-seed-flag", "strong-mode-radius", "strong-mode-center"],
+         "removed-seed-flag", "strong-mode-radius", "strong-mode-center", "infinite-radius",
+         "infinite-r-outer", "infinite-center", "nan-center", "ring-infinite-center"],
 )
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, file_text, argv, where):
     if file_text is not None:
@@ -215,6 +222,36 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, file_text, argv
     assert out == ""  # rejected before any study starts
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and where in lines[0]
+
+
+def test_failed_level_keeps_finished_rows(tmp_path, capsys, monkeypatch):
+    """A study that fails at its second level still writes the first one,
+    in the same columns and formatting as a study that stops there."""
+    solves = []
+
+    def solve_failing_second_level(system):
+        u, p, lam, rep = solver.solve(system)
+        solves.append(rep)
+        return u, p, lam, replace(rep, success=len(solves) < 2)
+
+    monkeypatch.setattr(cli, "solve", solve_failing_second_level)
+    out = {name: str(tmp_path / name) for name in ("failed.csv", "failed.json", "one.csv")}
+    assert main(["--levels", "0..1", "--report", out["failed.csv"],
+                 "--json", out["failed.json"]]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("study failed: ")
+    monkeypatch.setattr(cli, "solve", solver.solve)
+    assert main(["--levels", "0..0", "--report", out["one.csv"]]) == 0
+
+    def without_wall_time(path):
+        wall = CSV_COLUMNS.index("wall_time")
+        return [line.split(",")[:wall] for line in Path(path).read_text().splitlines()]
+
+    assert without_wall_time(out["failed.csv"]) == without_wall_time(out["one.csv"])
+    assert len(without_wall_time(out["failed.csv"])) == 2  # header and level 0
+    payload = json.loads(Path(out["failed.json"]).read_text())
+    assert [row["level"] for row in payload["rows"]] == [0]
+    assert list(payload["rows"][0]) == CSV_COLUMNS
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):
