@@ -17,6 +17,13 @@ Two modes are supported:
   normal moments imposed strongly on the mesh boundary (only valid for
   homogeneous Neumann data).
 
+The boundary-mean term (c / area) flux.u of the second equation sits next
+to the multiplier's c lam, so it is folded into the multiplier:
+theta = lam + flux.u / area turns the pressure rows into B0 u + c theta and
+leaves u and p as they are.  The system's unknowns are (u, p, theta) in
+both modes; in strong mode the constrained dofs keep their numbers, as
+identity rows with zero loads.
+
 The boundary forms share one array: the normal Taylor traces of the owning
 triangles' shape functions at every boundary quadrature node, computed once
 per assembler (plain traces, Taylor order 0, in strong mode).  The penalty,
@@ -26,11 +33,11 @@ The system is held once, as element saddle blocks: ``Assembler.elements``
 allocates one (nel, nd+npr, nd+npr) array and writes each L_K into it, with
 each boundary edge's terms added to its owning triangle's block and, in
 strong mode, identity rows and columns at the constrained dofs.  The solve
-path reads only this array: ``SaddleSystem.matvec`` applies the operator
-element by element and the hybridized solve (``solver``) inverts the blocks
-as they are.  Global sparse matrices are scattered from slices of the same
-array on request only: ``SaddleSystem.matrix`` for checks and dumps,
-``Assembler.matrix_a`` and ``matrix_b`` for the blocks' own tests.
+path reads only this array and c: ``SaddleSystem.matvec`` applies the
+operator element by element and the hybridized solve (``solver``) inverts
+the blocks as they are.  Global sparse matrices are scattered from slices
+of the same array on request only: ``SaddleSystem.matrix`` for checks and
+dumps, ``Assembler.matrix_a`` and ``matrix_b`` for the blocks' own tests.
 Accumulation order is fixed (elements ascending, then boundary edges
 ascending), so repeated assemblies are bit-identical.
 """
@@ -70,9 +77,6 @@ __all__ = [
 ]
 
 _ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])
-
-# largest entry count ``SaddleSystem.operator_coo`` expands for a dump
-MAX_DUMP_ENTRIES = 20_000_000
 
 
 def _contract(m, table):
@@ -221,25 +225,23 @@ class ElementBlocks:
 
 
 class SaddleSystem:
-    """The constrained saddle-point operator  M0 + u v^T  on the unknowns
-    (free velocity dofs, pressure, lam).  M0 is held as its element blocks
-    ``elements`` plus the pressure-mean column and row c; the rank-one part
-    carries the boundary-mean coupling of the second equation and is kept in
-    factored form.  ``free_u`` lists the velocity dofs that are unknowns (all
-    ``full_n_u`` of them in corrected mode).  ``matvec`` applies the operator
-    element by element, and the global CSR ``matrix`` of M0 is scattered
-    from the same blocks only when it is read (checks and dumps; the solve
-    never reads it)."""
+    """The saddle-point operator on the unknowns (u, p, theta) of
+    ``build_saddle_system``: the element blocks ``elements`` plus the
+    pressure-mean column and row c, and no other term (the boundary-mean
+    term is folded into theta = lam + flux.u / area).  ``matvec`` applies it
+    element by element, and its global CSR ``matrix`` is scattered from the
+    same blocks only when it is read (checks and dumps; the solve never
+    reads it)."""
 
-    def __init__(self, rhs, elements, rank1, free_u, full_n_u, area):
+    # read by bench/gate.py, for which None means that every velocity dof
+    # is an unknown and that there is no rank-one term
+    free_u = rank1 = None
+
+    def __init__(self, rhs, elements):
         self.rhs = rhs
-        self.n_u = len(free_u)
-        self.n_p = elements.c.size
         self.elements = elements
-        self.rank1 = rank1
-        self.free_u = free_u
-        self.full_n_u = full_n_u
-        self.area = area
+        self.n_p = elements.c.size
+        self.n_u = len(rhs) - self.n_p - 1
 
     @property
     def dimension(self):
@@ -247,45 +249,30 @@ class SaddleSystem:
 
     @cached_property
     def _index(self):
-        """(nel, nd + npr) position of each element unknown in x; strongly
-        eliminated velocity dofs point at the zero slot ``dimension``."""
-        el = self.elements
-        position = np.full(self.full_n_u, self.dimension, dtype=np.int32)
-        position[self.free_u] = np.arange(self.n_u)
-        pressure = self.n_u + np.arange(self.n_p, dtype=np.int32).reshape(el.c.shape)
-        return np.concatenate([position[el.udofs], pressure], axis=1)
+        """(nel, nd + npr) position of each element unknown in x."""
+        c = self.elements.c
+        pressure = self.n_u + np.arange(self.n_p).reshape(c.shape)
+        return np.concatenate([self.elements.udofs, pressure], axis=1)
 
     def matvec(self, x):
         n, idx, c = self.dimension, self._index, self.elements.c.ravel()
-        x_loc = np.append(x, 0.0)[idx]
-        y_loc = (self.elements.matrix @ x_loc[:, :, None])[:, :, 0]
-        y = np.bincount(idx.ravel(), weights=y_loc.ravel(), minlength=n + 1)[:n]
+        y_loc = (self.elements.matrix @ x[idx][:, :, None])[:, :, 0]
+        y = np.bincount(idx.ravel(), weights=y_loc.ravel(), minlength=n)
         y[self.n_u : -1] += c * x[-1]
         y[-1] = c @ x[self.n_u : -1]
-        u, v = self.rank1
-        return y + u * (v @ x)
+        return y
 
     @cached_property
     def matrix(self):
-        """Global CSR of M0 (the rank-one term is left out), scattered from
-        the element blocks and the column and row c."""
+        """Global CSR of the operator, scattered from the element blocks and
+        the column and row c."""
         n, idx, c = self.dimension, self._index, self.elements.c
         col = _scatter(c[:, :, None], idx[:, -c.shape[1]:], np.full((len(c), 1), n - 1), (n, n))
         return _scatter(self.elements.matrix, idx, idx, (n, n)) + col + col.T
 
     def split(self, x):
-        """(velocity in full numbering, pressure, multiplier)."""
-        u = np.zeros(self.full_n_u)
-        u[self.free_u] = x[: self.n_u]
-        return u, x[self.n_u : self.n_u + self.n_p], float(x[-1])
-
-    def operator_coo(self):
-        """Dense-free coordinate form of the full operator, for dumping; at
-        most ``MAX_DUMP_ENTRIES`` entries."""
-        u, v = (sp.csr_matrix(w) for w in self.rank1)
-        if self.matrix.nnz + u.nnz * v.nnz > MAX_DUMP_ENTRIES:
-            raise ValueError("system too large to expand for dumping")
-        return (self.matrix + u.T @ v).tocoo()
+        """(velocity, pressure, theta)."""
+        return x[: self.n_u], x[self.n_u : -1], float(x[-1])
 
 
 class BoundaryShapeFunctions:
@@ -580,13 +567,6 @@ class Assembler:
         c = np.einsum("e,l->el", self.det, self.tables.p_ref_integral)
         return c.ravel()
 
-    def flux_functional(self):
-        """Row vector with  flux @ u = total normal flux through the mesh
-        boundary (exactly the zeroth normal moments of boundary edges)."""
-        flux = np.zeros(self.dofmap.n_u)
-        flux[(self.k + 1) * self.mesh.boundary_edges] = 1.0
-        return flux
-
     def system(self, case, gauge=0.0):
         return build_saddle_system(self, case, gauge=gauge)
 
@@ -640,42 +620,29 @@ class Assembler:
 
 
 def _scatter(local, rows, cols, shape):
-    """Sum element blocks local[e] into the CSR matrix at (rows[e], cols[e]).
-    Entries in row shape[0] or column shape[1] are dropped, and so are entries
-    that cancel to zero (in B1, the boundary term can cancel the volume term).
-    The indices are int32 and a contiguous ``local`` is not copied, so the
-    peak memory stays near that of the CSR itself."""
+    """Sum element blocks local[e] into the CSR matrix at (rows[e], cols[e]),
+    dropping entries that cancel to zero (in B1, the boundary term can cancel
+    the volume term).  The indices are int32 and a contiguous ``local`` is not
+    copied, so the peak memory stays near that of the CSR itself."""
     r, c = np.empty(local.shape, np.int32), np.empty(local.shape, np.int32)
     r[...], c[...] = rows[:, :, None], cols[:, None, :]
-    mat = sp.csr_matrix((local.ravel(), (r.ravel(), c.ravel())),
-                        shape=(shape[0] + 1, shape[1] + 1))
+    mat = sp.csr_matrix((local.ravel(), (r.ravel(), c.ravel())), shape=shape)
     mat.eliminate_zeros()
-    mat.resize(shape)
     return mat
 
 
 def build_saddle_system(assembler, case, gauge=0.0):
-    """The constrained linear system of an assembler's element blocks and
-    the loads of ``case``.
-
-    The corrected system is
+    """The linear system of an assembler's element blocks and the loads of
+    ``case``:
         [ A    B1^T  0 ] [u]       [rhs_u]
-        [ B0   0     c ] [p]   =   [rhs_p]      + boundary-mean rank-one term,
-        [ 0    c^T   0 ] [lam]     [gauge]
-    where the rank-one term (c / area) flux^T couples the second equation to
-    the total boundary flux; it is stored factored.  In strong mode the
-    constrained velocity dofs are eliminated (data is homogeneous, and the
-    flux functional vanishes on the free dofs); the element blocks already
-    hold identity rows and columns for them.
+        [ B0   0     c ] [p]   =   [rhs_p]
+        [ 0    c^T   0 ] [theta]   [gauge]
+    The paper's second equation, B0 u + c lam + (c / area) flux.u = rhs_p,
+    with flux.u the total normal flux through the mesh boundary, is this row
+    for theta = lam + flux.u / area; u and p are the same.  In strong mode
+    the constrained velocity dofs have identity rows and zero loads, so they
+    come out 0 (homogeneous data), their flux vanishes and theta = lam.
     """
     rhs_u, rhs_p = assembler.rhs(case)
-    elements, area = assembler.elements, assembler.area
-    n_u = assembler.dofmap.n_u
-    free = np.setdiff1d(np.arange(n_u), assembler.constrained)
-    n_free, n_p = len(free), elements.c.size
-    u_vec = np.zeros(n_free + n_p + 1)
-    u_vec[n_free:-1] = elements.c.ravel() / area
-    v_vec = np.zeros(n_free + n_p + 1)
-    v_vec[:n_free] = assembler.flux_functional()[free]
-    rhs = np.concatenate([rhs_u[free], rhs_p, [gauge]])
-    return SaddleSystem(rhs, elements, (u_vec, v_vec), free, n_u, area)
+    rhs_u[assembler.constrained] = 0.0
+    return SaddleSystem(np.concatenate([rhs_u, rhs_p, [gauge]]), assembler.elements)

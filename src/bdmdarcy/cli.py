@@ -38,6 +38,9 @@ CSV_COLUMNS = [
     "wall_time",
 ]
 
+# largest entry count ``dump_system`` writes
+MAX_DUMP_ENTRIES = 20_000_000
+
 _DOMAINS = ("circle", "ring")
 _MODES = ("corrected", "uncorrected-strong")
 
@@ -226,7 +229,22 @@ def parse_config(argv=None, file_values=None):
         quadrature_orders(cfg.k, cfg.quad_volume, cfg.quad_boundary)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    for key, path, directory in (
+        ("report", cfg.report, False), ("json", cfg.json_path, False),
+        ("export_fields", cfg.export_fields, True), ("dump_system", cfg.dump_system, True),
+    ):
+        if path is not None and not _can_write(Path(path), directory):
+            kind = "directory" if directory else "file"
+            raise ConfigError(f"{key}: cannot write a {kind} at {path!r}")
     return cfg
+
+
+def _can_write(path, directory):
+    """A file goes into an existing directory; a directory is made under
+    directories only."""
+    if not directory:
+        return path.parent.is_dir() and not path.is_dir()
+    return next(a for a in (path, *path.parents) if a.exists()).is_dir()
 
 
 def _domain_curves(cfg):
@@ -262,7 +280,7 @@ def run_study(cfg, progress=None):
             quad_volume=cfg.quad_volume, quad_boundary=cfg.quad_boundary,
         )
         system = asm.system(case)
-        u, p, lam, rep = solve(system)
+        u, p, _, rep = solve(system)
         if not rep.success:
             raise RuntimeError(
                 f"solve failed at level {level}: residual {rep.residual:.3e}"
@@ -374,8 +392,11 @@ def export_fields(mesh, assembler, u, p, path):
 
 
 def dump_system(system, path):
-    """Coordinate-format text dump (row col value) of the full operator."""
-    mat = system.operator_coo()
+    """Coordinate-format text dump (row col value) of ``system.matrix``; at
+    most ``MAX_DUMP_ENTRIES`` entries."""
+    if system.matrix.nnz > MAX_DUMP_ENTRIES:
+        raise ValueError("system too large to dump")
+    mat = system.matrix.tocoo()
     order = np.lexsort((mat.col, mat.row))
     lines = [f"{mat.shape[0]} {mat.shape[1]} {mat.nnz}"]
     for r, c, v in zip(mat.row[order], mat.col[order], mat.data[order]):

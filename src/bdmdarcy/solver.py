@@ -5,9 +5,10 @@ is broken on interior edges and restored by k+1 multipliers per edge; the
 element blocks L_K = [A_K B1_K^T; B0_K 0] of ``SaddleSystem.elements``
 (every boundary term belongs to one element) are inverted in one batched
 call, and what is left is a sparse interface system on the multipliers,
-factored once by SuperLU.  The pressure-mean multiplier lam and the
-factored rank-one boundary-mean term enter as one border unknown,
-theta = lam + flux.u / area, whose interface row is c.p = gauge.  Velocity
+factored once by SuperLU.  The system's last unknown, theta (the
+pressure-mean multiplier with the boundary-mean term folded in,
+theta = lam + flux.u / area; see ``SaddleSystem``), is one more interface
+unknown, whose row is c.p = gauge, and is returned as it is.  Velocity
 and pressure are recovered element by element, and one step of iterative
 refinement against the full operator (``SaddleSystem.matvec``, applied on
 the same element blocks) brings the residual to round-off (element blocks
@@ -54,7 +55,7 @@ class _Hybrid:
 
     def __init__(self, system):
         el = system.elements
-        self.system = system
+        self.n_u = system.n_u
         self.el = el
         self.nd = el.udofs.shape[1]
         self.ne = el.sign.shape[1]
@@ -93,12 +94,10 @@ class _Hybrid:
         self.holder[:, :ne] = sign >= 0
 
     def apply(self, b):
-        system, el, nd, ne = self.system, self.el, self.nd, self.ne
-        n_u, n_p = system.n_u, system.n_p
-        b_u = np.zeros(system.full_n_u)
-        b_u[system.free_u] = b[:n_u]
-        b_p = b[n_u : n_u + n_p].reshape(el.c.shape)
-        f = np.concatenate([np.where(self.holder, b_u[el.udofs], 0.0), b_p], axis=1)
+        el, nd, ne, n_u = self.el, self.nd, self.ne, self.n_u
+        f = np.concatenate(
+            [np.where(self.holder, b[el.udofs], 0.0), b[n_u:-1].reshape(el.c.shape)], axis=1
+        )
         y = (self.inv @ f[:, :, None])[:, :, 0]
 
         g = np.empty(self.theta + 1)
@@ -113,16 +112,14 @@ class _Hybrid:
         f[:, nd:] -= el.c * xi[self.theta]
         x_loc = (self.inv @ f[:, :, None])[:, :, 0]
 
-        u = np.empty_like(b_u)
+        u = np.empty(n_u)
         u[el.udofs[self.holder]] = x_loc[:, :nd][self.holder]
-        u = u[system.free_u]
-        # the rank-one term is (c / area) flux.u on the pressure rows
-        lam = xi[self.theta] - (system.rank1[1][:n_u] @ u) / system.area
-        return np.concatenate([u, x_loc[:, nd:].ravel(), [lam]])
+        return np.concatenate([u, x_loc[:, nd:].ravel(), [xi[self.theta]]])
 
 
 def solve(system, rhs=None):
-    """Solve the assembled system; returns (u, p, multiplier, report).
+    """Solve the assembled system; returns (u, p, theta, report), with theta
+    the border unknown of ``SaddleSystem``.
 
     One hybridized solve and one refinement step against the element-block
     operator; the report's ``success`` says whether the residual meets the
@@ -135,8 +132,8 @@ def solve(system, rhs=None):
     res = _residual(system, x, rhs)
     report = SolveReport(res, "lu", system.dimension, res <= RESIDUAL_CONTRACT,
                          fill=hybrid.fill, n_interface=hybrid.n_interface)
-    u, p, lam = system.split(x)
-    return u, p, lam, report
+    u, p, theta = system.split(x)
+    return u, p, theta, report
 
 
 def postprocess_pressure(p, assembler):

@@ -154,12 +154,18 @@ def test_system_dimension_and_split():
 
 
 def test_assembled_operator_matches_matrix_free_oracle():
+    """The operator on (u, p, theta) is the paper's operator on (u, p, lam)
+    for lam = theta - flux.u / area: the boundary-mean term is a change of
+    the multiplier."""
     asm = disk_assembler(2, 1)
     system = build_saddle_system(asm, case_circle())
     rng = np.random.default_rng(17)
     x = rng.standard_normal(system.dimension)
+    flux = x[(asm.k + 1) * asm.mesh.boundary_edges].sum()  # zeroth normal moments
+    paper = x.copy()
+    paper[-1] -= flux / asm.area
     direct = system.matvec(x)
-    oracle = apply_operator(asm, x)
+    oracle = apply_operator(asm, paper)
     scale = np.abs(direct).max()
     assert np.abs(direct - oracle).max() <= 1e-12 * scale
 
@@ -196,8 +202,7 @@ def test_element_matvec_matches_lazy_matrix(curves, mode, k, level, seed):
     # strong mode assemble on any domain
     system = Assembler(mesh, curves, k, mode=mode).system(case_circle())
     x = np.random.default_rng(seed).standard_normal(system.dimension)
-    u, v = system.rank1
-    expected = system.matrix @ x + u * (v @ x)
+    expected = system.matrix @ x
     assert np.abs(system.matvec(x) - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
@@ -205,13 +210,12 @@ def test_element_matvec_matches_lazy_matrix(curves, mode, k, level, seed):
 def test_lazy_matrix_blocks_equal_scattered_blocks(mode):
     asm = disk_assembler(2, 2, mode=mode)
     system = asm.system(case_circle())
-    free = system.free_u
     b1, b0 = asm.matrix_b()
     n_u, n_p, mat = system.n_u, system.n_p, system.matrix
     pairs = [
-        (mat[:n_u, :n_u], asm.matrix_a()[free][:, free]),
-        (mat[:n_u, n_u : n_u + n_p], b1[:, free].T),
-        (mat[n_u : n_u + n_p, :n_u], b0[:, free]),
+        (mat[:n_u, :n_u], asm.matrix_a()),
+        (mat[:n_u, n_u : n_u + n_p], b1.T),
+        (mat[n_u : n_u + n_p, :n_u], b0),
     ]
     for block, expected in pairs:
         assert block.nnz == expected.nnz and (block != expected).nnz == 0
@@ -252,15 +256,15 @@ def test_strong_mode_blocks_hold_the_identity():
 
 
 def test_dump_guard_rejects_large_systems(monkeypatch, tmp_path):
-    from bdmdarcy.cli import dump_system
+    from bdmdarcy import cli
 
     system = disk_assembler(0, 1).system(case_circle())
-    assert system.operator_coo().nnz > 0
-    monkeypatch.setattr(assembly, "MAX_DUMP_ENTRIES", system.matrix.nnz - 1)
-    with pytest.raises(ValueError, match="too large to expand"):
-        system.operator_coo()
-    with pytest.raises(ValueError, match="too large to expand"):
-        dump_system(system, tmp_path / "system.txt")
+    monkeypatch.setattr(cli, "MAX_DUMP_ENTRIES", system.matrix.nnz)
+    cli.dump_system(system, tmp_path / "fits.txt")
+    assert (tmp_path / "fits.txt").exists()
+    monkeypatch.setattr(cli, "MAX_DUMP_ENTRIES", system.matrix.nnz - 1)
+    with pytest.raises(ValueError, match="too large to dump"):
+        cli.dump_system(system, tmp_path / "system.txt")
     assert not (tmp_path / "system.txt").exists()
 
 
@@ -275,13 +279,17 @@ def test_uncorrected_strong_rejects_inhomogeneous_data():
 def test_uncorrected_strong_eliminates_boundary_moments():
     asm = disk_assembler(1, 2, mode="uncorrected-strong")
     system = asm.system(case_circle())
-    n_constrained = (asm.k + 1) * len(asm.mesh.boundary_edges)
-    assert system.dimension == asm.dofmap.n_u - n_constrained + asm.dofmap.n_p + 1
-    from bdmdarcy.solver import solve
+    # the constrained dofs keep their place, as identity rows with zero loads
+    assert system.dimension == asm.dofmap.n_u + asm.dofmap.n_p + 1
+    c = asm.constrained
+    assert len(c) == (asm.k + 1) * len(asm.mesh.boundary_edges)
+    assert np.all(system.rhs[c] == 0.0)
+    assert (system.matrix[c] != sp.csr_matrix((np.ones(len(c)), (np.arange(len(c)), c)),
+                                              shape=(len(c), system.dimension))).nnz == 0
 
-    u, p, lam, rep = solve(system)
+    u, p, theta, rep = solve(system)
     assert rep.success
-    # constrained moments are exactly zero in the reconstructed vector
+    # constrained moments are exactly zero in the returned vector
     for e in asm.mesh.boundary_edges:
         assert np.abs(u[(asm.k + 1) * e + np.arange(asm.k + 1)]).max() == 0.0
 

@@ -180,6 +180,32 @@ def test_dump_system_parses(tmp_path):
     int(row), int(col), float(val)
 
 
+@pytest.mark.parametrize("mode", ["corrected", "uncorrected-strong"])
+def test_dump_system_holds_the_system_matrix(tmp_path, mode):
+    """The dump is ``system.matrix`` entry for entry; in strong mode the
+    constrained dofs are in it as identity rows."""
+    from bdmdarcy.analysis import case_circle
+    from bdmdarcy.assembly import Assembler
+    from bdmdarcy.mesh import coarse_mesh, disk_domain
+
+    assert main(["--k", "2", "--levels", "0..0", "--mode", mode,
+                 "--dump-system", str(tmp_path)]) == 0
+    dump = (tmp_path / "system_level0.txt").read_text().splitlines()
+    curves = disk_domain()
+    asm = Assembler(coarse_mesh(curves), curves, k=2, mode=mode)
+    expected = asm.system(case_circle()).matrix.tocoo()
+    n = asm.dofmap.n_u + asm.dofmap.n_p + 1
+    assert dump[0] == f"{n} {n} {expected.nnz}"
+    entries = [line.split() for line in dump[1:]]
+    got = {(int(r), int(c)): float(v) for r, c, v in entries}
+    assert len(got) == len(entries) == expected.nnz
+    assert got == dict(zip(zip(expected.row.tolist(), expected.col.tolist()),
+                           expected.data.tolist()))
+    assert len(asm.constrained) == (0 if mode == "corrected" else 3 * len(asm.mesh.boundary_edges))
+    for i in asm.constrained:
+        assert {key: v for key, v in got.items() if i in key} == {(i, i): 1.0}
+
+
 def test_main_exit_codes(tmp_path):
     assert main(["--k", "1", "--levels", "0..0"]) == 0
     assert main(["--k", "0"]) == 2
@@ -206,13 +232,23 @@ def test_main_exit_codes(tmp_path):
         ("center = inf, 0\n", [], "center"),
         ("center = nan, 0\n", [], "center"),
         ("domain = ring\ncenter = 0, -inf\n", [], "center"),
+        (None, ["--report", "{tmp}/no/such/dir/out.csv"], "report"),
+        (None, ["--json", "{tmp}/missing/out.json"], "json"),
+        (None, ["--report", "{tmp}"], "report"),
+        (None, ["--dump-system", "{tmp}/file"], "dump_system"),
+        (None, ["--export-fields", "{tmp}/file"], "export_fields"),
+        (None, ["--export-fields", "{tmp}/file/fields"], "export_fields"),
     ],
     ids=["bad-value", "bad-center", "radius", "r-inner", "quad-volume", "quad-boundary",
          "bad-int-flag", "bad-choice", "unknown-flag", "removed-solver-flag",
          "removed-seed-flag", "strong-mode-radius", "strong-mode-center", "infinite-radius",
-         "infinite-r-outer", "infinite-center", "nan-center", "ring-infinite-center"],
+         "infinite-r-outer", "infinite-center", "nan-center", "ring-infinite-center",
+         "report-missing-dir", "json-missing-dir", "report-is-dir", "dump-is-file",
+         "export-is-file", "export-under-file"],
 )
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, file_text, argv, where):
+    (tmp_path / "file").write_text("")
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
     if file_text is not None:
         cfg_file = tmp_path / "study.cfg"
         cfg_file.write_text(file_text)
@@ -271,7 +307,11 @@ def test_help_exits_0(capsys):
     assert "--levels" in capsys.readouterr().out
 
 
-_PATHS = st.from_regex(r"[A-Za-z0-9_./]{1,12}", fullmatch=True)
+# output paths below a fresh directory: files go straight into it (their
+# directory must exist), directories may nest (they are made)
+_FILES = st.from_regex(r"[A-Za-z0-9_][A-Za-z0-9_.]{0,11}", fullmatch=True)
+_DIRS = st.from_regex(r"[A-Za-z0-9_][A-Za-z0-9_/]{0,11}", fullmatch=True)
+_OUTPUTS = ("report", "json", "export_fields", "dump_system")
 
 
 @st.composite
@@ -291,10 +331,10 @@ def study_values(draw):
         "levels": f"{first}..{draw(st.integers(first, 8))}",
         "quad_volume": draw(st.integers(2 * k + 2, 2 * k + 6)),
         "quad_boundary": draw(st.integers(k + 3, k + 6)),
-        "report": draw(_PATHS),
-        "json": draw(_PATHS),
-        "export_fields": draw(_PATHS),
-        "dump_system": draw(_PATHS),
+        "report": draw(_FILES),
+        "json": draw(_FILES),
+        "export_fields": draw(_DIRS),
+        "dump_system": draw(_DIRS),
         # strong mode needs the unit disk (centred at the origin, see below)
         "radius": 1.0 if mode == "uncorrected-strong" else draw(st.floats(0.01, 100.0)),
         "r_inner": r_inner,
@@ -315,10 +355,12 @@ def test_config_file_and_flags_round_trip(values, other, center):
     if values["mode"] == "uncorrected-strong":
         center = (0.0, 0.0)
     center_line = {"center": f"{center[0]!r}, {center[1]!r}"}
-    flags = [x for key, value in values.items()
-             for x in ("--" + key.replace("_", "-"), str(value))]
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("ignore")  # m below the accuracy bound only warns
+        values, other = ({**study, **{key: str(Path(tmp, study[key])) for key in _OUTPUTS}}
+                         for study in (values, other))
+        flags = [x for key, value in values.items()
+                 for x in ("--" + key.replace("_", "-"), str(value))]
 
         def config_file(name, entries):
             path = Path(tmp) / name

@@ -39,8 +39,8 @@ SMALL = [(setup, k) for setup in ("disk", "ring", "disk-strong", "square") for k
 
 
 def solve_vector(system, rhs):
-    u, p, lam, rep = solve(system, rhs)
-    return np.concatenate([u[system.free_u], p, [lam]]), rep
+    u, p, theta, rep = solve(system, rhs)
+    return np.concatenate([u, p, [theta]]), rep
 
 
 @pytest.mark.parametrize("setup,k", SMALL)
@@ -57,7 +57,7 @@ def test_against_dense_oracle(setup, k):
     system = small_system(setup, k)
     rhs = system.matvec(np.random.default_rng(7).standard_normal(system.dimension))
     x, rep = solve_vector(system, rhs)
-    expected = np.linalg.solve(system.operator_coo().toarray(), rhs)
+    expected = np.linalg.solve(system.matrix.toarray(), rhs)
     assert np.abs(x - expected).max() <= 1e-10 * np.abs(expected).max()
 
 
