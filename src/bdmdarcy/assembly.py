@@ -348,7 +348,7 @@ class Assembler:
         jac = np.stack([verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 0]], axis=-1)
         self.jac = jac
         self.det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-        if np.any(self.det <= 0):
+        if not np.all(np.isfinite(self.det) & (self.det > 0)):
             raise ValueError("mesh contains degenerate or clockwise triangles")
         jinv = np.empty_like(jac)
         jinv[:, 0, 0] = jac[:, 1, 1]

@@ -11,7 +11,7 @@ import json
 import sys
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import ceil
 from pathlib import Path
 
@@ -38,11 +38,16 @@ CSV_COLUMNS = [
     "wall_time",
 ]
 
-# largest entry count ``dump_system`` writes
+# largest entry count ``dump_system`` writes, and the entries it formats at once
 MAX_DUMP_ENTRIES = 20_000_000
+DUMP_CHUNK = 65_536
 
 _DOMAINS = ("circle", "ring")
 _MODES = ("corrected", "uncorrected-strong")
+# radii lie in [1/_SCALE, _SCALE] and centre coordinates in [-_SCALE, _SCALE]:
+# at radius 1000 the k >= 2 solves already miss the residual contract, and
+# far outside the mesh overflows or its triangles vanish in round-off
+_SCALE = 100.0
 
 
 class ConfigError(ValueError):
@@ -68,25 +73,27 @@ class StudyConfig:
     radius: float = 1.0
     r_inner: float = 0.5
     r_outer: float = 1.0
-    warnings: list = field(default_factory=list)
 
 
-_KEYS = {
-    "domain": str,
-    "k": int,
-    "m": int,
-    "mode": str,
-    "levels": str,
-    "quad_volume": int,
-    "quad_boundary": int,
-    "report": str,
-    "json": str,
-    "export_fields": str,
-    "dump_system": str,
-    "center": str,
-    "radius": float,
-    "r_inner": float,
-    "r_outer": float,
+# Every study option, keyed as in a config file: (value type, "file" or
+# "directory" for an output path, argparse keywords).  Each key is also the
+# flag --key ("-" for "_"), except the file-only ``center`` (keywords None).
+_OPTIONS = {
+    "domain": (str, None, {"choices": _DOMAINS}),
+    "k": (int, None, {"help": "velocity polynomial degree (>= 1)"}),
+    "m": (int, None, {"help": "Taylor extension order (default: k)"}),
+    "mode": (str, None, {"choices": _MODES}),
+    "levels": (str, None, {"help": "refinement range A..B (default 1..4)"}),
+    "report": (str, "file", {"help": "CSV output path"}),
+    "json": (str, "file", {"help": "JSON output path"}),
+    "export_fields": (str, "directory", {"help": "directory for field files"}),
+    "dump_system": (str, "directory", {"help": "directory for matrix dumps"}),
+    "quad_volume": (int, None, {}),
+    "quad_boundary": (int, None, {}),
+    "radius": (float, None, {}),
+    "r_inner": (float, None, {}),
+    "r_outer": (float, None, {}),
+    "center": (str, None, None),
 }
 
 
@@ -104,10 +111,10 @@ def _read_config_file(path):
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = stripped.partition("=")
         key = key.strip()
-        if key not in _KEYS:
+        if key not in _OPTIONS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            values[key] = _KEYS[key](value.strip())
+            values[key] = _OPTIONS[key][0](value.strip())
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {value.strip()!r}") from exc
     return values
@@ -140,86 +147,58 @@ def build_parser():
         "Darcy discretization on curved domains.",
     )
     parser.add_argument("config", nargs="?", help="plain-text 'key = value' config file")
-    parser.add_argument("--domain", choices=_DOMAINS)
-    parser.add_argument("--k", type=int, help="velocity polynomial degree (>= 1)")
-    parser.add_argument("--m", type=int, help="Taylor extension order (default: k)")
-    parser.add_argument("--mode", choices=_MODES)
-    parser.add_argument("--levels", help="refinement range A..B (default 1..4)")
-    parser.add_argument("--report", help="CSV output path")
-    parser.add_argument("--json", dest="json_path", help="JSON output path")
-    parser.add_argument("--export-fields", dest="export_fields", help="directory for field files")
-    parser.add_argument("--dump-system", dest="dump_system", help="directory for matrix dumps")
-    parser.add_argument("--quad-volume", dest="quad_volume", type=int)
-    parser.add_argument("--quad-boundary", dest="quad_boundary", type=int)
-    parser.add_argument("--radius", type=float)
-    parser.add_argument("--r-inner", dest="r_inner", type=float)
-    parser.add_argument("--r-outer", dest="r_outer", type=float)
+    for key, (kind, _, keywords) in _OPTIONS.items():
+        if keywords is not None:
+            parser.add_argument("--" + key.replace("_", "-"), type=kind, **keywords)
     return parser
 
 
-def parse_config(argv=None, file_values=None):
+def parse_config(argv=None):
     """Merge config-file values and command-line flags (flags win) into a
     validated StudyConfig."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    values = dict(file_values or {})
-    if args.config:
-        values.update(_read_config_file(args.config))
-    for key in (
-        "domain", "k", "m", "mode", "report", "json_path", "export_fields",
-        "dump_system", "quad_volume", "quad_boundary", "radius", "r_inner",
-        "r_outer",
-    ):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key if key != "json_path" else "json"] = flag
-    if args.levels is not None:
-        values["levels"] = args.levels
-
-    cfg = StudyConfig()
-    cfg.domain = values.get("domain", cfg.domain)
+    flags = vars(build_parser().parse_args(argv))
+    path = flags.pop("config")
+    values = _read_config_file(path) if path else {}
+    values.update((key, value) for key, value in flags.items() if value is not None)
+    levels, center = values.pop("levels", None), values.pop("center", None)
+    cfg = StudyConfig(**{"json_path" if key == "json" else key: v for key, v in values.items()})
     if cfg.domain not in _DOMAINS:
         raise ConfigError(f"domain must be one of {_DOMAINS}")
-    cfg.k = int(values.get("k", cfg.k))
     if cfg.k < 1:
         raise ConfigError("k must be at least 1")
-    cfg.m = int(values["m"]) if "m" in values and values["m"] is not None else cfg.k
+    if cfg.m is None:
+        cfg.m = cfg.k
     if cfg.m < 0 or cfg.m > cfg.k:
         raise ConfigError("m must satisfy 0 <= m <= k")
     # advisory lower bound for optimal-order accuracy
     lower = max(0, ceil(cfg.k / 2.0 - 3.0 / 4.0))
     if cfg.m < lower:
-        msg = (
+        warnings.warn(
             f"m = {cfg.m} is below the optimal-accuracy bound {lower} for "
             f"k = {cfg.k}; the study may converge suboptimally"
         )
-        cfg.warnings.append(msg)
-        warnings.warn(msg)
-    cfg.mode = values.get("mode", cfg.mode)
     if cfg.mode not in _MODES:
         raise ConfigError(f"mode must be one of {_MODES}")
-    if "levels" in values:
-        cfg.level_first, cfg.level_last = _parse_levels(values["levels"])
-    for key, attr in (
-        ("report", "report"), ("json", "json_path"), ("export_fields", "export_fields"),
-        ("dump_system", "dump_system"), ("quad_volume", "quad_volume"),
-        ("quad_boundary", "quad_boundary"), ("radius", "radius"), ("r_inner", "r_inner"),
-        ("r_outer", "r_outer"),
-    ):
-        if key in values and values[key] is not None:
-            setattr(cfg, attr, values[key])
-    if "center" in values:
+    if levels is not None:
+        cfg.level_first, cfg.level_last = _parse_levels(levels)
+    if center is not None:
         try:
-            parts = [float(x) for x in str(values["center"]).replace(",", " ").split()]
+            parts = [float(x) for x in center.replace(",", " ").split()]
         except ValueError as exc:
             raise ConfigError("center must be two numbers") from exc
         if len(parts) != 2 or not np.all(np.isfinite(parts)):
             raise ConfigError("center must be two finite numbers")
+        if max(map(abs, parts)) > _SCALE:
+            raise ConfigError(f"center coordinates must lie between {-_SCALE:g} and {_SCALE:g}")
         cfg.center = tuple(parts)
     if not 0 < cfg.radius < np.inf:
         raise ConfigError("radius must be positive and finite")
     if not 0 < cfg.r_inner < cfg.r_outer < np.inf:
         raise ConfigError("ring radii must satisfy 0 < r_inner < r_outer < inf")
+    if not 1 / _SCALE <= cfg.radius <= _SCALE:
+        raise ConfigError(f"radius must lie between {1 / _SCALE:g} and {_SCALE:g}")
+    if not 1 / _SCALE <= cfg.r_inner < cfg.r_outer <= _SCALE:
+        raise ConfigError(f"r_inner and r_outer must lie between {1 / _SCALE:g} and {_SCALE:g}")
     if cfg.mode == "uncorrected-strong" and not _domain_case(cfg).homogeneous_neumann:
         raise ConfigError(
             "uncorrected-strong mode needs homogeneous Neumann data; only the "
@@ -229,13 +208,9 @@ def parse_config(argv=None, file_values=None):
         quadrature_orders(cfg.k, cfg.quad_volume, cfg.quad_boundary)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    for key, path, directory in (
-        ("report", cfg.report, False), ("json", cfg.json_path, False),
-        ("export_fields", cfg.export_fields, True), ("dump_system", cfg.dump_system, True),
-    ):
-        if path is not None and not _can_write(Path(path), directory):
-            kind = "directory" if directory else "file"
-            raise ConfigError(f"{key}: cannot write a {kind} at {path!r}")
+    for key, (_, output, _) in _OPTIONS.items():
+        if output and key in values and not _can_write(Path(values[key]), output == "directory"):
+            raise ConfigError(f"{key}: cannot write a {output} at {values[key]!r}")
     return cfg
 
 
@@ -398,10 +373,12 @@ def dump_system(system, path):
         raise ValueError("system too large to dump")
     mat = system.matrix.tocoo()
     order = np.lexsort((mat.col, mat.row))
-    lines = [f"{mat.shape[0]} {mat.shape[1]} {mat.nnz}"]
-    for r, c, v in zip(mat.row[order], mat.col[order], mat.data[order]):
-        lines.append(f"{r} {c} {v:.17g}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w") as out:
+        out.write(f"{mat.shape[0]} {mat.shape[1]} {mat.nnz}\n")
+        for start in range(0, mat.nnz, DUMP_CHUNK):
+            chunk = order[start:start + DUMP_CHUNK]
+            out.writelines(f"{r} {c} {v:.17g}\n" for r, c, v in zip(
+                mat.row[chunk].tolist(), mat.col[chunk].tolist(), mat.data[chunk].tolist()))
 
 
 def main(argv=None):

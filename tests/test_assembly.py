@@ -255,6 +255,16 @@ def test_strong_mode_blocks_hold_the_identity():
     assert b1[:, c].nnz == b0[:, c].nnz == 0
 
 
+def test_non_finite_mesh_rejected():
+    """A NaN vertex is refused when the assembler is built, not later as a
+    singular solve."""
+    curves = disk_domain()
+    mesh = coarse_mesh(curves)
+    mesh.vertices[mesh.triangles[0, 2]] = np.nan
+    with pytest.raises(ValueError, match="degenerate or clockwise"):
+        Assembler(mesh, curves, 1)
+
+
 def test_dump_guard_rejects_large_systems(monkeypatch, tmp_path):
     from bdmdarcy import cli
 
