@@ -212,11 +212,12 @@ def error_norms(u, p, case, assembler):
     wq = t.err.weights
     pts = assembler.v0[:, None, :] + np.einsum("eab,qb->eqa", assembler.jac, t.err.points)
     flat = pts.reshape(-1, 2)
-    # discrete velocity and divergence at the error-rule nodes
+    # discrete velocity and divergence at the error-rule nodes, as GEMMs
     w = assembler.local_coeffs(u)
-    uh_vals = np.einsum("en,qna->eqa", w, t.v_vals_err)
-    uh_vals = np.einsum("eab,eqb->eqa", assembler.jac, uh_vals) / assembler.det[:, None, None]
-    uh_div = np.einsum("en,qn->eq", w, t.v_div_err) / assembler.det[:, None]
+    nel, nd = w.shape
+    uh_ref = (w @ t.v_vals_err.transpose(1, 0, 2).reshape(nd, -1)).reshape(nel, -1, 2)
+    uh_vals = uh_ref @ assembler.jac.transpose(0, 2, 1) / assembler.det[:, None, None]
+    uh_div = w @ t.v_div_err.T / assembler.det[:, None]
 
     ue = case.velocity(flat).reshape(uh_vals.shape)
     fe = case.source(flat).reshape(uh_div.shape)

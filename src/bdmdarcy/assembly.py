@@ -3,10 +3,14 @@
 Velocity unknowns are global BDM_k degrees of freedom: k+1 normal moments
 per global edge (taken against Legendre polynomials in the sorted-vertex
 parametrization, with the mesh's global edge normal) plus interior moments
-per triangle.  Each element's local shape functions are the dual basis of
-those functionals, obtained by inverting the per-element DOF matrix applied
-to the Piola-mapped reference nodal basis; this keeps the normal-moment
-coupling conforming across edges without sign bookkeeping.
+per triangle, taken against covariantly mapped reference fields J^-T phi
+(gradients, and curls of bubbles; see ``femcore.element``).  Every one of
+these functionals is invariant under the contravariant Piola map up to a
+sign, so the DOF matrix of an element's Piola-mapped reference nodal basis
+is a +-1 diagonal S_K (``Assembler.dof_sign``): the edge normal's
+orientation times the Legendre parity of the edge's parametrization, and +1
+on interior moments.  The global-DOF shape functions are the mapped nodal
+basis times S_K, and a global vector's local coefficients are S_K u_K.
 
 Two modes are supported:
 
@@ -55,12 +59,11 @@ from bdmdarcy.correction import (
     pullback_neumann,
     taylor_trace_normal,
 )
-from bdmdarcy.femcore.basis import EdgeBasis, triangle_basis
+from bdmdarcy.femcore.basis import triangle_basis
 from bdmdarcy.femcore.element import (
     LocalField,
     REF_EDGES,
     REF_VERTICES,
-    _bubble_times,
     bdm_reference_basis,
 )
 from bdmdarcy.femcore.quadrature import edge_quadrature, triangle_quadrature
@@ -75,9 +78,6 @@ __all__ = [
     "build_saddle_system",
     "quadrature_orders",
 ]
-
-_ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])
-
 
 def _contract(m, table):
     """sum_ab m[e, a, b] table[a, b, ...] as one GEMM, element-major and C-contiguous
@@ -140,29 +140,16 @@ class ReferenceTables:
         self.p_ref_integral = pint
         self.p_const_value = float(self.pressure.eval([[1.0 / 3.0, 1.0 / 3.0]])[0, 0])
 
-        # interior DOF test functions
-        if self.element.n_grad:
-            grads = triangle_basis(k - 1).grad(self.vol.points)[:, 1:, :]
-            self.s_grad = np.einsum("q,qna,qrb->abrn", w, self.v_vals, grads)
-        else:
-            self.s_grad = None
-        if self.element.n_curl:
-            gw = _bubble_times(triangle_basis(k - 2), self.vol.points)
-            self.s_curl = np.einsum("q,qna,qrb->abrn", w, self.v_vals, gw)
-        else:
-            self.s_curl = None
-
         # over-integration rule for error norms and diagnostics
         self.err = triangle_quadrature(2 * k + 4)
         self.v_vals_err = self.element.tabulate(self.err.points)
         self.v_div_err = self.element.tabulate_div(self.err.points)
         self.p_vals_err = self.pressure.eval(self.err.points)
 
-        # edge rules: DOF moments (exact for the spanning fields used in
-        # interpolation) and boundary integrals (curved compositions)
+        # edge rules: the straight-normal boundary term and boundary
+        # integrals (curved compositions)
         self.dof_rule = edge_quadrature(k + 2)
         self.bnd_rule = edge_quadrature(bnd_points)
-        self.leg_dof = EdgeBasis(k).eval(self.dof_rule.points)  # (g, k+1)
         self.v_edge = {}
         self.p_edge = {}
         for l in range(3):
@@ -292,15 +279,15 @@ class BoundaryShapeFunctions:
         self.v0 = assembler.v0[owner]
         self.jinv = assembler.jinv[owner]
         self.piola = assembler.jac[owner] / assembler.det[owner, None, None]
-        self.dual = assembler.local_dual[owner]
+        self.sign = assembler.dof_sign[owner]
 
     def _reference(self, points):
         return np.einsum("bac,bqc->bqa", self.jinv, points - self.v0[:, None, :])
 
     def _physical(self, ref_values, n_q):
         """(n_b * q, n_span, 2) reference values -> (n_b, q, n_d, 2)."""
-        vals = ref_values.reshape((len(self.dual), n_q) + ref_values.shape[1:])
-        return np.einsum("bac,bqnc,bni->bqia", self.piola, vals, self.dual, optimize=True)
+        vals = ref_values.reshape((len(self.sign), n_q) + ref_values.shape[1:])
+        return np.einsum("bac,bqnc->bqna", self.piola, vals) * self.sign[:, None, :, None]
 
     def eval(self, points):
         ref = self._reference(points).reshape(-1, 2)
@@ -318,7 +305,7 @@ class BoundaryShapeFunctions:
 class Assembler:
     """Assembles the forms of one (mesh, degree, Taylor order, mode) setup.
 
-    Heavy per-element data (affine maps, the inverse DOF matrices) and the
+    Heavy per-element data (affine maps, the DOF signs S_K) and the
     boundary data (trace geometry, and the normal traces ``basis_trace`` of
     the owners' shape functions, shape (n_b, q, n_d)) are computed once and
     shared by the matrix, load, and error-measurement routines.  Strong mode
@@ -366,7 +353,6 @@ class Assembler:
             n_pressure_local=t.pressure.dim,
         )
         self._build_indices()
-        self._build_local_duals()
         self.trace = edge_trace_geometry(mesh, self.curves, t.bnd_rule, self.stats.h_K)
         self.basis_trace = taylor_trace_normal(
             BoundaryShapeFunctions(self), self.trace, self.taylor
@@ -400,40 +386,19 @@ class Assembler:
             direction[:, l] = np.where(self.mesh.triangles[:, p] == start_vertex, 1, -1)
         self.edge_direction = direction
 
+        # S_K: +1 on interior moments; an edge moment of degree j takes the
+        # orientation of the global normal (outward of edge_tris[e, 0]) times
+        # the parity direction^j of the Legendre polynomial
+        outward = np.where(mesh.edge_tris[mesh.tri_edges, 0] == np.arange(nel)[:, None], 1.0, -1.0)
+        edge_sign = outward[:, :, None] * direction[:, :, None] ** np.arange(k + 1)
+        self.dof_sign = np.ones((nel, nd))
+        self.dof_sign[:, : 3 * (k + 1)] = edge_sign.reshape(nel, -1)
+
         if self.mode == "uncorrected-strong":
             boundary = self.mesh.boundary_edges  # ascending, so the dofs are sorted
             self.constrained = ((k + 1) * boundary[:, None] + np.arange(k + 1)).ravel()
         else:
             self.constrained = np.empty(0, np.int64)
-
-    def _build_local_duals(self):
-        """Per-element DOF matrices against the mapped reference nodal basis,
-        and their inverses."""
-        t, mesh, k = self.tables, self.mesh, self.k
-        nel, nd = mesh.n_triangles, t.element.dim
-        dof = np.zeros((nel, nd, nd))
-
-        wleg = t.dof_rule.weights[:, None] * t.leg_dof  # (g, k+1)
-        lengths = mesh.edge_lengths()
-        for l in range(3):
-            e_ids = mesh.tri_edges[:, l]
-            scale = lengths[e_ids] / (2.0 * self.det)
-            u = np.einsum("eba,eb->ea", self.jac, mesh.edge_normal[e_ids])  # J^T n
-            for direction in (1, -1):
-                sel = np.flatnonzero(self.edge_direction[:, l] == direction)
-                tab = t.v_edge[(l, direction)]  # (g, nd, 2)
-                rows = np.einsum(
-                    "gm,ea,gna->emn", wleg, u[sel], tab, optimize=True
-                ) * scale[sel, None, None]
-                dof[sel, l * (k + 1) : (l + 1) * (k + 1), :] = rows
-
-        row0 = 3 * (k + 1)
-        for table, rot in ((t.s_grad, np.eye(2)), (t.s_curl, _ROT)):  # J^T rot J^-T
-            if table is not None:
-                metric = np.einsum("eca,cd,ebd->eab", self.jac, rot, self.jinv)
-                dof[:, row0 : row0 + table.shape[2], :] = _contract(metric, table)
-                row0 += table.shape[2]
-        self.local_dual = np.linalg.inv(dof)  # columns: dual basis in span coords
 
     # -- local helpers -------------------------------------------------------
 
@@ -441,9 +406,9 @@ class Assembler:
         return LocalField(self.verts[t], self.tables.element, coeffs_span)
 
     def local_coeffs(self, u_global):
-        """Mapped-reference-nodal coefficients of a global velocity vector,
-        shape (nel, nd)."""
-        return np.einsum("eni,ei->en", self.local_dual, u_global[self.gidx])
+        """Mapped-reference-nodal coefficients S_K u_K of a global velocity
+        vector, shape (nel, nd)."""
+        return self.dof_sign * u_global[self.gidx]
 
     # -- matrix blocks --------------------------------------------------------
 
@@ -464,13 +429,14 @@ class Assembler:
         matrix = np.zeros((nel, nd + npr, nd + npr))
         a, bt, b0 = matrix[:, :nd, :nd], matrix[:, :nd, nd:], matrix[:, nd:, :nd]
 
+        # A_K = S_K (mass + div-div of the mapped nodal basis) S_K
+        s = self.dof_sign
         g = np.einsum("eba,ebc->eac", self.jac, self.jac) / self.det[:, None, None]
-        span = _contract(g, t.s_mass)
-        span += t.s_div[None, :, :] / self.det[:, None, None]
-        a[...] = np.matmul(
-            np.transpose(self.local_dual, (0, 2, 1)), np.matmul(span, self.local_dual)
-        )
-        b0[...] = np.einsum("ln,eni->eli", t.b0_span, self.local_dual)
+        a[...] = _contract(g, t.s_mass)
+        a += t.s_div[None, :, :] / self.det[:, None, None]
+        a *= s[:, :, None]
+        a *= s[:, None, :]
+        b0[...] = t.b0_span * s[:, None, :]
         bt[...] = np.transpose(b0, (0, 2, 1))
 
         if self.mode == "corrected":
@@ -486,7 +452,7 @@ class Assembler:
             tab = np.stack([t.v_edge[key] for key in keys])[which]  # (n_b, g, nd, 2)
             pvals = np.stack([t.p_edge[key] for key in keys])[which]  # (n_b, g, npr)
             u = np.einsum("eba,eb->ea", self.jac[owner], geom.n_h)  # J^T n
-            vn = np.einsum("ea,egna,eni->egi", u, tab, self.local_dual[owner], optimize=True)
+            vn = np.einsum("ea,egna->egn", u, tab) * s[owner, None, :]
             w = 0.5 * mesh.edge_lengths()[edges] / self.det[owner]
             loc = np.einsum("e,g,egl,egi->eli", w, t.dof_rule.weights, pvals, vn, optimize=True)
             np.add.at(bt, owner, np.transpose(loc, (0, 2, 1)))
@@ -501,8 +467,8 @@ class Assembler:
         edges = mesh.tri_edges  # (nel, 3)
         inner = interior[edges][:, :, None]
         multiplier = np.where(inner, first[edges][:, :, None] + np.arange(k + 1), -1)
-        sign = np.where(mesh.edge_tris[edges, 0] == np.arange(nel)[:, None], 1, -1)
-        sign = np.where(inner, sign[:, :, None], 0).repeat(k + 1, axis=2)
+        outward = s[:, : 3 * (k + 1) : k + 1, None]  # the degree-0 moments' signs
+        sign = np.where(inner, outward, 0).repeat(k + 1, axis=2)
         return ElementBlocks(
             matrix=matrix,
             udofs=self.gidx,
@@ -535,7 +501,7 @@ class Assembler:
         fvals = case.source(pts.reshape(-1, 2)).reshape(pts.shape[:2])
         rhs_u = np.zeros(self.dofmap.n_u)
         r_span = np.einsum("q,eq,qn->en", t.vol.weights, fvals, t.v_div)
-        np.add.at(rhs_u, self.gidx, np.einsum("en,eni->ei", r_span, self.local_dual))
+        np.add.at(rhs_u, self.gidx, r_span * self.dof_sign)
 
         f_mean = float(
             np.einsum("e,q,eq->", self.det, t.vol.weights, fvals) / self.area
@@ -569,54 +535,6 @@ class Assembler:
 
     def system(self, case, gauge=0.0):
         return build_saddle_system(self, case, gauge=gauge)
-
-    # -- global interpolation (used by diagnostics and error studies) --------
-
-    def interpolate_velocity(self, func):
-        """Global BDM interpolation of a smooth vector field: every global
-        DOF functional applied to the field."""
-        t, mesh, k = self.tables, self.mesh, self.k
-        coeffs = np.zeros(self.dofmap.n_u)
-        a = mesh.vertices[mesh.edges[:, 0]]
-        b = mesh.vertices[mesh.edges[:, 1]]
-        s = t.dof_rule.points
-        pts = a[:, None, :] + 0.5 * (s[None, :, None] + 1.0) * (b - a)[:, None, :]
-        vals = np.asarray(func(pts.reshape(-1, 2))).reshape(len(a), len(s), 2)
-        vn = np.einsum("ega,ea->eg", vals, mesh.edge_normal)
-        lengths = mesh.edge_lengths()
-        moments = 0.5 * lengths[:, None] * np.einsum(
-            "g,gm,eg->em", t.dof_rule.weights, t.leg_dof, vn
-        )
-        coeffs[: self.dofmap.n_edge_dofs] = moments.ravel()
-
-        if t.element.n_interior:
-            pts = self.v0[:, None, :] + np.einsum("eab,qb->eqa", self.jac, t.vol.points)
-            fvals = np.asarray(func(pts.reshape(-1, 2))).reshape(pts.shape)
-            rows = []
-            if t.s_grad is not None:
-                grads = triangle_basis(k - 1).grad(t.vol.points)[:, 1:, :]
-                gphys = np.einsum("qrb,eba->eqra", grads, self.jinv)
-                rows.append(
-                    np.einsum("e,q,eqra,eqa->er", self.det, t.vol.weights, gphys, fvals,
-                              optimize=True)
-                )
-            if t.s_curl is not None:
-                gw = _bubble_times(triangle_basis(k - 2), t.vol.points)
-                cphys = np.einsum("qrb,eba,ca->eqrc", gw, self.jinv, _ROT)
-                rows.append(
-                    np.einsum("e,q,eqra,eqa->er", self.det, t.vol.weights, cphys, fvals,
-                              optimize=True)
-                )
-            interior = np.concatenate(rows, axis=1)
-            coeffs[self.dofmap.n_edge_dofs :] = interior.ravel()
-        return coeffs
-
-    def project_pressure_global(self, func):
-        """Elementwise L2 projection onto the pressure space."""
-        t = self.tables
-        pts = self.v0[:, None, :] + np.einsum("eab,qb->eqa", self.jac, t.err.points)
-        vals = np.asarray(func(pts.reshape(-1, 2))).reshape(pts.shape[:2])
-        return np.einsum("q,eq,ql->el", t.err.weights, vals, t.p_vals_err).ravel()
 
 
 def _scatter(local, rows, cols, shape):

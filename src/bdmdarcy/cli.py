@@ -48,6 +48,10 @@ _MODES = ("corrected", "uncorrected-strong")
 # at radius 1000 the k >= 2 solves already miss the residual contract, and
 # far outside the mesh overflows or its triangles vanish in round-off
 _SCALE = 100.0
+# largest r_inner / r_outer: from 0.93 on, refinement turns triangles near the
+# inner circle inside out by level 4 (at 0.925 by level 7); 0.92 meshes stay
+# valid through level 8 and solve within the contract through level 4
+_RING_RATIO = 0.9
 
 
 class ConfigError(ValueError):
@@ -199,6 +203,8 @@ def parse_config(argv=None):
         raise ConfigError(f"radius must lie between {1 / _SCALE:g} and {_SCALE:g}")
     if not 1 / _SCALE <= cfg.r_inner < cfg.r_outer <= _SCALE:
         raise ConfigError(f"r_inner and r_outer must lie between {1 / _SCALE:g} and {_SCALE:g}")
+    if cfg.r_inner > _RING_RATIO * cfg.r_outer:
+        raise ConfigError(f"r_inner / r_outer must be at most {_RING_RATIO:g}")
     if cfg.mode == "uncorrected-strong" and not _domain_case(cfg).homogeneous_neumann:
         raise ConfigError(
             "uncorrected-strong mode needs homogeneous Neumann data; only the "

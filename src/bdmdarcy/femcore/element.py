@@ -3,10 +3,13 @@ on one physical triangle.
 
 The reference element is dualized once: its nodal basis is the inverse of
 the DOF-functional matrix applied to a spanning set of vector polynomials.
-Physical elements are reached through the contravariant Piola map, which
-preserves edge normal moments; interior moments mix under the map, so the
-assembler inverts a small per-element DOF matrix (``Assembler.local_dual``)
-to obtain the global-DOF shape functions and the BDM interpolant.
+Physical elements are reached through the contravariant Piola map
+v = J v_hat / det J.  It preserves edge normal moments up to the sign of the
+edge's orientation and parametrization, and the interior moments are taken
+against covariantly mapped test fields J^-T phi_hat, for which
+int_K v . J^-T phi_hat = int_Khat v_hat . phi_hat.  So on every element the
+DOF matrix of the mapped nodal basis is a +-1 diagonal
+(``Assembler.dof_sign``), and no element needs a DOF matrix of its own.
 """
 
 from functools import lru_cache
@@ -66,7 +69,9 @@ class BDMElement:
     """Reference BDM_k element: full vector polynomials of degree k with
     edge normal moments (k+1 per edge, against Legendre polynomials), moments
     against gradients of P_{k-1} modulo constants, and moments against
-    curl(b psi) for psi in P_{k-2} (k >= 2)."""
+    curl(b psi) for psi in P_{k-2} (k >= 2).  On a physical element the
+    interior test fields are these reference fields mapped covariantly,
+    J^-T grad q and J^-T curl(b psi) in reference coordinates."""
 
     def __init__(self, k):
         if k < 1:

@@ -131,8 +131,11 @@ def _build_mesh(vertices, triangles, curves, level, edge_component_pairs=None):
     raw = np.concatenate(
         [triangles[:, [1, 2]], triangles[:, [2, 0]], triangles[:, [0, 1]]], axis=0
     )
-    raw_sorted = np.sort(raw, axis=1)
-    edges, inverse = np.unique(raw_sorted, axis=0, return_inverse=True)
+    # number the sorted vertex pairs (a, b) by the 1-D key a * n_vertices + b,
+    # whose order is the lexicographic order of the pairs
+    n_v = len(vertices)
+    keys, inverse = np.unique(raw.min(axis=1) * n_v + raw.max(axis=1), return_inverse=True)
+    edges = np.column_stack([keys // n_v, keys % n_v])
     tri_edges = inverse.reshape(3, n_tri).T
 
     counts = np.bincount(inverse, minlength=len(edges))

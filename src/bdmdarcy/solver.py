@@ -49,6 +49,25 @@ def _residual(system, x, rhs):
     return r / norm_b if norm_b > 0 else r
 
 
+def _interface_matrix(el, inv, n):
+    """The (n, n) CSC interface matrix sum_K G_K^T L_K^-1 G_K over the
+    interior-edge multipliers and theta (the last unknown).  Its build
+    temporaries are freed on return, before the factorization."""
+    sign, nd, ne = el.sign, el.udofs.shape[1], el.sign.shape[1]
+    # L_K^-1 G_K: the signed edge-dof columns, and the c_K column of theta
+    z = np.concatenate(
+        [inv[:, :, :ne] * sign[:, None, :], inv[:, :, nd:] @ el.c[:, :, None]], axis=2
+    )
+    local = np.concatenate(
+        [sign[:, :, None] * z[:, :ne, :], el.c[:, None, :] @ z[:, nd:, :]], axis=1
+    )
+    idx = np.concatenate([el.multiplier, np.full((len(sign), 1), n - 1)], axis=1)
+    keep = (idx[:, :, None] >= 0) & (idx[:, None, :] >= 0)
+    rows = np.broadcast_to(idx[:, :, None], local.shape)[keep]
+    cols = np.broadcast_to(idx[:, None, :], local.shape)[keep]
+    return sp.csc_matrix((local[keep], (rows, cols)), shape=(n, n))
+
+
 class _Hybrid:
     """The hybridized inverse of a ``SaddleSystem``: local inverses, the
     factored interface matrix, and ``apply(b)`` ~ M^-1 b."""
@@ -65,21 +84,8 @@ class _Hybrid:
         except np.linalg.LinAlgError as exc:
             raise RuntimeError("hybridized solve failed: singular element block") from exc
 
-        # L_K^-1 G_K: the signed edge-dof columns, and the c_K column of theta
-        inv, sign, nd, ne = self.inv, el.sign, self.nd, self.ne
-        z = np.concatenate(
-            [inv[:, :, :ne] * sign[:, None, :], inv[:, :, nd:] @ el.c[:, :, None]], axis=2
-        )
-        # G_K^T L_K^-1 G_K, scattered over the interface unknowns
-        local = np.concatenate(
-            [sign[:, :, None] * z[:, :ne, :], el.c[:, None, :] @ z[:, nd:, :]], axis=1
-        )
-        idx = np.concatenate([el.multiplier, np.full((len(sign), 1), self.theta)], axis=1)
-        keep = (idx[:, :, None] >= 0) & (idx[:, None, :] >= 0)
-        rows = np.broadcast_to(idx[:, :, None], local.shape)[keep]
-        cols = np.broadcast_to(idx[:, None, :], local.shape)[keep]
         n = self.theta + 1
-        matrix = sp.csc_matrix((local[keep], (rows, cols)), shape=(n, n))
+        matrix = _interface_matrix(el, self.inv, n)
         # the pattern is symmetric (the values nearly so): minimum degree on
         # A^T + A gives well under half the fill of the default COLAMD
         try:
@@ -91,7 +97,7 @@ class _Hybrid:
 
         # each shared dof's load goes to the copy on edge_tris[e, 0]
         self.holder = np.ones(el.udofs.shape, dtype=bool)
-        self.holder[:, :ne] = sign >= 0
+        self.holder[:, : self.ne] = el.sign >= 0
 
     def apply(self, b):
         el, nd, ne, n_u = self.el, self.nd, self.ne, self.n_u

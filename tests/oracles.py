@@ -7,7 +7,9 @@ reference tables contracted one element at a time.  The boundary terms go
 edge by edge: per-edge projection data, physical mixed partials by the
 chain rule, and the Taylor sum assembled from them, where the program
 computes the same traces for all boundary nodes at once.
-The random disks and rings of the property tests are drawn here too.
+The random disks and rings of the property tests are drawn here too, and
+the canonical BDM interpolant and the pressure projection live here: only
+the tests read them.
 """
 
 from math import comb, factorial
@@ -16,8 +18,9 @@ from types import SimpleNamespace
 import numpy as np
 from hypothesis import strategies as st
 
-from bdmdarcy.femcore import affine_map, edge_quadrature, triangle_quadrature
-from bdmdarcy.femcore.element import LocalField
+from bdmdarcy.femcore import EdgeBasis, affine_map, edge_quadrature, triangle_quadrature
+from bdmdarcy.femcore.basis import triangle_basis
+from bdmdarcy.femcore.element import REF_VERTICES, LocalField, _bubble_times
 from bdmdarcy.mesh import disk_domain, ring_domain
 
 ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])  # curl w = ROT @ grad w
@@ -35,8 +38,83 @@ def random_domains(draw):
 
 
 def basis_field(asm, t):
-    """All global-DOF shape functions of element t as one stacked field."""
-    return asm.local_field(t, asm.local_dual[t].T)
+    """All global-DOF shape functions of element t as one stacked field: the
+    mapped nodal basis times the DOF signs S_K."""
+    return asm.local_field(t, np.diag(asm.dof_sign[t]))
+
+
+def _interior_test_fields(k, points):
+    """Reference interior test fields at reference points, (q, n_interior, 2):
+    gradients of P_{k-1} without the constant, then curls of bubbles times
+    P_{k-2}.  A physical element tests against them mapped covariantly."""
+    grads = triangle_basis(k - 1).grad(points)[:, 1:, :]
+    if k < 2:
+        return grads
+    return np.concatenate([grads, _bubble_times(triangle_basis(k - 2), points) @ ROT.T], axis=1)
+
+
+def interpolate_velocity(asm, func):
+    """Global BDM interpolation of a smooth vector field: every global DOF
+    functional applied to the field.  Edge moments against Legendre
+    polynomials in the sorted-vertex parametrization, with the mesh's
+    global normal; interior moments against J^-T phi for the reference
+    test fields phi, so int_K f . J^-T phi = int_Khat det J J^-1 f . phi."""
+    t, mesh, k = asm.tables, asm.mesh, asm.k
+    coeffs = np.zeros(asm.dofmap.n_u)
+    a = mesh.vertices[mesh.edges[:, 0]]
+    b = mesh.vertices[mesh.edges[:, 1]]
+    rule = edge_quadrature(k + 2)
+    s = rule.points
+    pts = a[:, None, :] + 0.5 * (s[None, :, None] + 1.0) * (b - a)[:, None, :]
+    vals = np.asarray(func(pts.reshape(-1, 2))).reshape(len(a), len(s), 2)
+    vn = np.einsum("ega,ea->eg", vals, mesh.edge_normal)
+    moments = 0.5 * mesh.edge_lengths()[:, None] * np.einsum(
+        "g,gm,eg->em", rule.weights, EdgeBasis(k).eval(s), vn
+    )
+    coeffs[: asm.dofmap.n_edge_dofs] = moments.ravel()
+
+    if t.element.n_interior:
+        pts = asm.v0[:, None, :] + np.einsum("eab,qb->eqa", asm.jac, t.vol.points)
+        fvals = np.asarray(func(pts.reshape(-1, 2))).reshape(pts.shape)
+        pulled = np.einsum("e,eab,eqb->eqa", asm.det, asm.jinv, fvals)  # det J^-1 f
+        tests = _interior_test_fields(k, t.vol.points)
+        interior = np.einsum("q,qra,eqa->er", t.vol.weights, tests, pulled)
+        coeffs[asm.dofmap.n_edge_dofs :] = interior.ravel()
+    return coeffs
+
+
+def project_pressure_global(asm, func):
+    """Elementwise L2 projection onto the pressure space."""
+    t = asm.tables
+    pts = asm.v0[:, None, :] + np.einsum("eab,qb->eqa", asm.jac, t.err.points)
+    vals = np.asarray(func(pts.reshape(-1, 2))).reshape(pts.shape[:2])
+    return np.einsum("q,eq,ql->el", t.err.weights, vals, t.p_vals_err).ravel()
+
+
+def dof_matrix(asm, e):
+    """DOF functionals of element e applied to its Piola-mapped reference
+    nodal basis J v_hat / det J, (nd, nd), from the element's own affine map:
+    edge moments with the mesh's global normal and sorted-vertex
+    parametrization, interior moments against J^-T phi for the reference
+    test fields phi.  Points are placed in reference coordinates, so no
+    physical point is mapped back."""
+    t, mesh, k = asm.tables, asm.mesh, asm.k
+    _, jac, det, jinv = affine_map(asm.verts[e])
+    rule = edge_quadrature(k + 2)
+    wleg = rule.weights[:, None] * EdgeBasis(k).eval(rule.points)  # (g, k+1)
+    local = list(mesh.triangles[e])
+    rows = []
+    for edge in mesh.tri_edges[e]:
+        ra, rb = (REF_VERTICES[local.index(v)] for v in mesh.edges[edge])
+        ref = 0.5 * (ra + rb) + 0.5 * np.outer(rule.points, rb - ra)
+        vn = t.element.tabulate(ref) @ (jac.T @ mesh.edge_normal[edge]) / det  # (g, nd)
+        length = np.hypot(*np.diff(mesh.vertices[mesh.edges[edge]], axis=0)[0])
+        rows.append(0.5 * length * wleg.T @ vn)
+    vol = triangle_quadrature(2 * k)
+    vals = t.element.tabulate(vol.points) @ jac.T / det  # (q, nd, 2)
+    tests = _interior_test_fields(k, vol.points) @ jinv  # J^-T phi, (q, r, 2)
+    rows.append(det * np.einsum("q,qra,qna->rn", vol.weights, tests, vals))
+    return np.concatenate(rows)
 
 
 class Partials:
@@ -165,28 +243,19 @@ def norm_0h(asm, u):
 
 
 def element_blocks(asm):
-    """(L_K blocks, local duals) of a corrected-mode assembler, one element
-    at a time: each DOF matrix from the reference tabulations and the
-    element's own affine map, mass + div-div and the divergence rows from
-    the reference tables, then each boundary edge's penalty (per-edge Taylor
-    traces) and straight-normal term added to its owner's block."""
+    """(L_K blocks, DOF matrices) of a corrected-mode assembler, one element
+    at a time: each DOF matrix by ``dof_matrix``, its diagonal rounded to
+    +-1 as the dual basis S_K (the tests check that the DOF matrix is that
+    diagonal), mass + div-div and the divergence rows from the reference
+    tables, then each boundary edge's penalty (per-edge Taylor traces) and
+    straight-normal term added to its owner's block."""
     t, mesh = asm.tables, asm.mesh
     nel, nd, npr = mesh.n_triangles, t.element.dim, t.pressure.dim
-    wleg = t.dof_rule.weights[:, None] * t.leg_dof  # (g, k+1)
-    lengths = mesh.edge_lengths()
-    blocks, dual = np.zeros((nel, nd + npr, nd + npr)), np.empty((nel, nd, nd))
+    dof = np.stack([dof_matrix(asm, e) for e in range(nel)])
+    dual = [np.diag(np.rint(np.diag(d))) for d in dof]
+    blocks = np.zeros((nel, nd + npr, nd + npr))
     for e in range(nel):
-        _, jac, det, jinv = affine_map(asm.verts[e])
-        rows = []
-        for l in range(3):
-            edge = mesh.tri_edges[e, l]
-            tab = t.v_edge[(l, asm.edge_direction[e, l])]  # (g, nd, 2)
-            u = jac.T @ mesh.edge_normal[edge]
-            rows.append(lengths[edge] / (2.0 * det) * wleg.T @ (tab @ u))
-        for table, metric in ((t.s_grad, jac.T @ jinv.T), (t.s_curl, jac.T @ ROT @ jinv.T)):
-            if table is not None:
-                rows.append(np.einsum("ab,abrn->rn", metric, table))
-        dual[e] = np.linalg.inv(np.concatenate(rows))
+        _, jac, det, _ = affine_map(asm.verts[e])
         span = np.einsum("ab,abnm->nm", jac.T @ jac / det, t.s_mass) + t.s_div / det
         blocks[e, :nd, :nd] = dual[e].T @ span @ dual[e]
         blocks[e, nd:, :nd] = t.b0_span @ dual[e]
@@ -200,7 +269,7 @@ def element_blocks(asm):
         vn = field.eval(geom.points) @ geom.n_h
         pvals = t.pressure.eval((geom.points - v0) @ jinv.T)
         blocks[e, :nd, nd:] += np.einsum("q,ql,qi->il", geom.weights, pvals, vn)
-    return blocks, dual
+    return blocks, dof
 
 
 def dense_matrix_a_flat(asm, vol_degree=12, edge_points=8):

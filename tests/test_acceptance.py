@@ -28,7 +28,7 @@ from bdmdarcy.mesh import (
     unit_square_mesh,
 )
 from bdmdarcy.solver import postprocess_pressure, solve
-from oracles import norm_0h
+from oracles import interpolate_velocity, norm_0h, project_pressure_global
 
 DISK_LEVELS = (3, 6)  # finest level: 24576 triangles
 RING_LEVELS = (1, 4)  # finest level: 8192 triangles
@@ -150,8 +150,8 @@ def test_criterion_05_commuting_diagram(k):
                     out += c1 * b * x[:, 0] ** a * x[:, 1] ** (b - 1)
             return out
 
-        u_i = asm.interpolate_velocity(field)
-        p_i = asm.project_pressure_global(div_field).reshape(mesh.n_triangles, -1)
+        u_i = interpolate_velocity(asm, field)
+        p_i = project_pressure_global(asm, div_field).reshape(mesh.n_triangles, -1)
         w = asm.local_coeffs(u_i)
         div_vals = np.einsum("en,qn->eq", w, t.v_div_err) / asm.det[:, None]
         proj_vals = np.einsum("el,ql->eq", p_i, t.p_vals_err)

@@ -237,8 +237,8 @@ def test_one_copy_of_the_element_blocks(mode):
     for value in vars(asm).values():
         held.extend(value if isinstance(value, tuple) else [value])
     shapes = {a.shape for a in held if isinstance(a, np.ndarray)}
-    assert not {"local_a", "local_b"} & set(vars(asm))
-    assert not {(nel, npr, nd), (nel, nd + npr, nd + npr)} & shapes
+    assert not {"local_a", "local_b", "local_dual"} & set(vars(asm))
+    assert not {(nel, npr, nd), (nel, nd, nd), (nel, nd + npr, nd + npr)} & shapes
     # matrix_a reads the blocks the solve inverts: one source of truth
     e, i = 0, nd - 1  # an interior dof, never constrained
     before = asm.matrix_a()[asm.gidx[e, i], asm.gidx[e, i]]
@@ -308,7 +308,8 @@ def test_uncorrected_strong_eliminates_boundary_moments():
 def test_element_arrays_on_power_of_two_meshes(levels, k):
     """Ring level j has 2^(5+2j) elements, where an element-fastest
     contraction result has a power-of-two stride.  The metric contractions
-    come out element-major, and the blocks and duals match the loop."""
+    come out element-major, the blocks match the loop, and every element's
+    DOF matrix is the diagonal of its signs."""
     curves = ring_domain()
     mesh = coarse_mesh(curves)
     for _ in range(levels):
@@ -317,13 +318,11 @@ def test_element_arrays_on_power_of_two_meshes(levels, k):
     nel, t = mesh.n_triangles, asm.tables
     assert nel == 2 ** (5 + 2 * levels)
     g = np.einsum("eba,ebc->eac", asm.jac, asm.jac)
-    for table in (t.s_mass, t.s_grad, t.s_curl):
-        if table is not None:
-            assert assembly._contract(g, table).flags.c_contiguous
-    blocks, dual = element_blocks(asm)
-    for ours, oracle in ((asm.elements.matrix, blocks), (asm.local_dual, dual)):
-        error = np.linalg.norm(ours - oracle, axis=(1, 2))
-        assert np.all(error <= 1e-14 * np.linalg.norm(oracle, axis=(1, 2)))
+    assert assembly._contract(g, t.s_mass).flags.c_contiguous
+    blocks, dof = element_blocks(asm)
+    error = np.linalg.norm(asm.elements.matrix - blocks, axis=(1, 2))
+    assert np.all(error <= 1e-14 * np.linalg.norm(blocks, axis=(1, 2)))
+    assert np.abs(dof - asm.dof_sign[:, :, None] * np.eye(t.element.dim)).max() <= 1e-12
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,8 +1,11 @@
-"""Reference BDM elements, the Piola map of ``LocalField``, and the
-assembler's BDM interpolant and pressure projection on one triangle."""
+"""Reference BDM elements, the Piola map of ``LocalField``, the DOF signs
+of mapped elements, and the BDM interpolant and pressure projection on one
+triangle."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bdmdarcy.assembly import Assembler
 from bdmdarcy.femcore import (
@@ -13,8 +16,15 @@ from bdmdarcy.femcore import (
     triangle_quadrature,
 )
 from bdmdarcy.femcore.element import REF_EDGES, REF_VERTICES
-from bdmdarcy.mesh import refine_project, single_triangle_mesh, triangle_domain
-from oracles import Partials
+from bdmdarcy.geometry import StraightBoundary
+from bdmdarcy.mesh import (
+    _build_mesh,
+    refine_project,
+    single_triangle_mesh,
+    triangle_domain,
+    unit_square_mesh,
+)
+from oracles import Partials, dof_matrix, interpolate_velocity, project_pressure_global
 
 TRI = np.array([[0.2, -0.1], [1.3, 0.4], [0.3, 1.1]])
 
@@ -26,14 +36,14 @@ def _assembler(k):
 def _interpolant(asm, field):
     """The BDM_k interpolant of ``field`` on the one triangle of ``asm``, as
     a LocalField."""
-    coeffs = asm.local_coeffs(asm.interpolate_velocity(field))
+    coeffs = asm.local_coeffs(interpolate_velocity(asm, field))
     return asm.local_field(0, coeffs[0])
 
 
 def _projection(asm, q, pts):
     """The elementwise L2 projection of ``q`` onto P_{k-1}, evaluated at
     physical points of each element (pts has shape (nel, n, 2))."""
-    coeffs = asm.project_pressure_global(q).reshape(asm.mesh.n_triangles, -1)
+    coeffs = project_pressure_global(asm, q).reshape(asm.mesh.n_triangles, -1)
     ref = np.einsum("eab,enb->ena", asm.jinv, pts - asm.v0[:, None, :])
     vals = asm.tables.pressure.eval(ref.reshape(-1, 2)).reshape(ref.shape[:2] + (-1,))
     return np.einsum("enl,el->en", vals, coeffs)
@@ -54,6 +64,43 @@ def _random_field(rng, degree):
         return mono @ coeff.T
 
     return field, exps, coeff
+
+
+def _affine_square(jac, shift):
+    """The 2x2 unit-square mesh under x -> jac x + shift, with its sides."""
+    corners = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]) @ jac.T + shift
+    sides = []
+    for i in range(4):
+        t = corners[(i + 1) % 4] - corners[i]
+        sides.append(StraightBoundary(point=tuple(corners[i]), normal=(t[1], -t[0]),
+                                      component_id=i))
+    square = unit_square_mesh(2)
+    return _build_mesh(square.vertices @ jac.T + shift, square.triangles, sides, 0), sides
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.integers(1, 3),
+    angle=st.floats(-np.pi, np.pi),
+    scales=st.tuples(st.floats(0.2, 5.0), st.floats(0.2, 5.0)),
+    shear=st.floats(-2.0, 2.0),
+    shift=st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+)
+def test_mapped_basis_has_the_sign_diagonal_as_dof_matrix(k, angle, scales, shear, shift):
+    """Under any affine map with det > 0, the DOF functionals (edge moments
+    with the global normal and parametrization, interior moments against
+    covariantly mapped fields) applied to the Piola-mapped nodal basis give
+    the +-1 diagonal S_K of ``Assembler.dof_sign``; both orientations of
+    the global normal and both parametrizations occur on this mesh."""
+    rotation = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    jac = rotation @ np.array([[scales[0], shear], [0.0, scales[1]]])
+    mesh, sides = _affine_square(jac, np.array(shift))
+    asm = Assembler(mesh, sides, k)
+    outward = asm.dof_sign[:, : 3 * (k + 1) : k + 1]  # the degree-0 edge moments
+    assert set(outward.ravel()) == set(asm.edge_direction.ravel()) == {-1, 1}
+    for e in range(mesh.n_triangles):
+        expected = np.diag(asm.dof_sign[e])
+        assert np.abs(dof_matrix(asm, e) - expected).max() <= 1e-12
 
 
 @pytest.mark.parametrize("k,dim", [(1, 6), (2, 12), (3, 20)])

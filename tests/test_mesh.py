@@ -186,6 +186,21 @@ def test_refined_mesh_invariants(curves, level):
         assert curve.distance(mesh.vertices[on_curve]).max() <= 1e-14 * curve.radius
 
 
+@pytest.mark.parametrize("domain", [disk_domain, ring_domain])
+def test_edge_numbering_equals_the_unique_of_sorted_pairs(domain):
+    """Edges are numbered by 1-D keys; the numbering is the one a row-wise
+    unique of the sorted vertex pairs gives."""
+    curves = domain()
+    mesh = coarse_mesh(curves)
+    for _ in range(4):
+        raw = mesh.triangles[:, [1, 2, 2, 0, 0, 1]].reshape(-1, 3, 2).transpose(1, 0, 2)
+        edges, inverse = np.unique(np.sort(raw.reshape(-1, 2), axis=1), axis=0,
+                                   return_inverse=True)
+        assert np.array_equal(mesh.edges, edges)
+        assert np.array_equal(mesh.tri_edges, inverse.reshape(3, -1).T)
+        mesh = refine_project(mesh, curves)
+
+
 def test_save_load_round_trip(tmp_path):
     curves, meshes = disk_hierarchy(2)
     mesh = meshes[-1]
