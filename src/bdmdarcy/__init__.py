@@ -7,12 +7,11 @@ Taylor expansion along the closest-point projection direction, which keeps
 the optimal O(h^k) convergence that a plain polygonal approximation loses.
 """
 
-from bdmdarcy.geometry import BoundaryCurve, StraightBoundary, GeometryError
+from bdmdarcy.geometry import BoundaryCurve, GeometryError
 from bdmdarcy.mesh import Mesh, MeshStats, coarse_mesh, refine_project, mesh_stats
 
 __all__ = [
     "BoundaryCurve",
-    "StraightBoundary",
     "GeometryError",
     "Mesh",
     "MeshStats",

@@ -14,10 +14,8 @@ __all__ = [
     "ErrorReport",
     "case_circle",
     "case_ring",
-    "case_polynomial_square",
     "error_norms",
     "compute_eoc",
-    "compatibility_residual",
 ]
 
 
@@ -154,38 +152,6 @@ def case_ring():
     )
 
 
-def case_polynomial_square(k):
-    """Polynomial patch-test data on the unit square: p of degree k-1,
-    u = -grad p (inside the discrete spaces), f = -lap p."""
-    if k == 1:
-        p = _Poly2D([[0.6]])
-    elif k == 2:
-        p = _Poly2D([[0.3, -0.6], [0.8, 0.0]])
-    else:
-        p = _Poly2D([[0.0, 0.2, 0.5], [-0.3, -1.0, 0.0], [1.0, 0.0, 0.0]])
-
-    def velocity(pts):
-        return -np.column_stack([p.derivative(pts, 1, 0), p.derivative(pts, 0, 1)])
-
-    def velocity_derivative(pts, rx, ry):
-        return -np.column_stack(
-            [p.derivative(pts, rx + 1, ry), p.derivative(pts, rx, ry + 1)]
-        )
-
-    def source(pts):
-        return -(p.derivative(pts, 2, 0) + p.derivative(pts, 0, 2))
-
-    return ManufacturedCase(
-        name=f"square-patch-k{k}",
-        domain="square",
-        velocity=velocity,
-        velocity_derivative=velocity_derivative,
-        pressure=lambda pts: p(pts),
-        source=source,
-        homogeneous_neumann=False,
-    )
-
-
 @dataclass
 class ErrorReport:
     h: float
@@ -266,52 +232,3 @@ def compute_eoc(errors, hs):
     if np.any(np.diff(hs) >= 0):
         raise ValueError("mesh sizes must decrease strictly")
     return list(np.log(errors[:-1] / errors[1:]) / np.log(hs[:-1] / hs[1:]))
-
-
-def compatibility_residual(case, n_radial=48, n_angular=720):
-    """| int_domain f - int_boundary g | / |domain|, by high-order polar (or
-    tensor) quadrature on the analytic domain."""
-    if case.domain == "circle":
-        radii = [(0.0, 1.0)]
-        circles = [(1.0, 1.0)]
-    elif case.domain == "ring":
-        radii = [(0.5, 1.0)]
-        circles = [(1.0, 1.0), (0.5, -1.0)]
-    elif case.domain == "square":
-        x, wx = np.polynomial.legendre.leggauss(n_radial)
-        x = 0.5 * (x + 1.0)
-        wx = 0.5 * wx
-        xx, yy = np.meshgrid(x, x, indexing="ij")
-        pts = np.column_stack([xx.ravel(), yy.ravel()])
-        f_int = float(np.outer(wx, wx).ravel() @ case.source(pts))
-        g_int = 0.0
-        sides = [((0.0, 0.0), (1.0, 0.0), (0.0, -1.0)), ((1.0, 0.0), (1.0, 1.0), (1.0, 0.0)),
-                 ((1.0, 1.0), (0.0, 1.0), (0.0, 1.0)), ((0.0, 1.0), (0.0, 0.0), (-1.0, 0.0))]
-        for a, b, n in sides:
-            a, b, n = map(np.asarray, (a, b, n))
-            p = a + np.outer(x, b - a)
-            normals = np.broadcast_to(n, p.shape)
-            g_int += float(wx @ case.neumann(p, normals)) * np.hypot(*(b - a))
-        return abs(f_int - g_int)
-    else:
-        raise ValueError(f"unknown domain {case.domain!r}")
-
-    theta = 2.0 * pi * np.arange(n_angular) / n_angular
-    w_theta = 2.0 * pi / n_angular
-    unit = np.column_stack([np.cos(theta), np.sin(theta)])
-    r, wr = np.polynomial.legendre.leggauss(n_radial)
-    f_int = 0.0
-    area = 0.0
-    for r0, r1 in radii:
-        rr = 0.5 * (r1 - r0) * (r + 1.0) + r0
-        wrr = 0.5 * (r1 - r0) * wr
-        pts = (rr[:, None, None] * unit[None, :, :]).reshape(-1, 2)
-        fvals = case.source(pts).reshape(len(rr), n_angular)
-        f_int += float(np.einsum("r,rt->", wrr * rr * w_theta, fvals))
-        area += pi * (r1**2 - r0**2)
-    g_int = 0.0
-    for radius, sign in circles:
-        pts = radius * unit
-        normals = sign * unit
-        g_int += float(w_theta * radius * case.neumann(pts, normals).sum())
-    return abs(f_int - g_int) / area

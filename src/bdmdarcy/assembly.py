@@ -28,10 +28,13 @@ leaves u and p as they are.  The system's unknowns are (u, p, theta) in
 both modes; in strong mode the constrained dofs keep their numbers, as
 identity rows with zero loads.
 
-The boundary forms share one array: the normal Taylor traces of the owning
-triangles' shape functions at every boundary quadrature node, computed once
-per assembler (plain traces, Taylor order 0, in strong mode).  The penalty,
-the Neumann load and the error norms contract it.
+Every boundary form is an integral over the straight boundary edges, taken
+with one rule: the trace geometry's k+3 Gauss nodes per edge
+(``Assembler.trace``).  The penalty, the Neumann load and the error norms
+contract one array there, the normal Taylor traces of the owning triangles'
+shape functions, computed once per assembler (plain traces, Taylor order 0,
+in strong mode); the straight-normal term of B1 takes the shape functions'
+values and the pressure basis at the same nodes.
 
 The system is held once, as element saddle blocks: ``Assembler.elements``
 allocates one (nel, nd+npr, nd+npr) array and writes each L_K into it, with
@@ -60,12 +63,7 @@ from bdmdarcy.correction import (
     taylor_trace_normal,
 )
 from bdmdarcy.femcore.basis import triangle_basis
-from bdmdarcy.femcore.element import (
-    LocalField,
-    REF_EDGES,
-    REF_VERTICES,
-    bdm_reference_basis,
-)
+from bdmdarcy.femcore.element import LocalField, REF_EDGES, bdm_reference_basis
 from bdmdarcy.femcore.quadrature import edge_quadrature, triangle_quadrature
 from bdmdarcy.mesh import mesh_stats
 
@@ -83,16 +81,6 @@ def _contract(m, table):
     """sum_ab m[e, a, b] table[a, b, ...] as one GEMM, element-major and C-contiguous
     (an einsum's element-fastest result thrashes the cache at 2^j elements)."""
     return (m.reshape(len(m), 4) @ table.reshape(4, -1)).reshape(m.shape[:1] + table.shape[2:])
-
-
-def _edge_ref_points(l, direction, s):
-    """Reference coordinates of edge nodes in the global parametrization."""
-    p, q = REF_EDGES[l]
-    a, b = (REF_VERTICES[p], REF_VERTICES[q]) if direction > 0 else (
-        REF_VERTICES[q],
-        REF_VERTICES[p],
-    )
-    return 0.5 * (a + b) + 0.5 * np.outer(s, b - a)
 
 
 def quadrature_orders(k, vol_degree=None, bnd_points=None):
@@ -146,17 +134,8 @@ class ReferenceTables:
         self.v_div_err = self.element.tabulate_div(self.err.points)
         self.p_vals_err = self.pressure.eval(self.err.points)
 
-        # edge rules: the straight-normal boundary term and boundary
-        # integrals (curved compositions)
-        self.dof_rule = edge_quadrature(k + 2)
+        # the one edge rule of every boundary-edge integral
         self.bnd_rule = edge_quadrature(bnd_points)
-        self.v_edge = {}
-        self.p_edge = {}
-        for l in range(3):
-            for direction in (1, -1):
-                pts = _edge_ref_points(l, direction, self.dof_rule.points)
-                self.v_edge[(l, direction)] = self.element.tabulate(pts)
-                self.p_edge[(l, direction)] = self.pressure.eval(pts)
 
 
 @lru_cache(maxsize=None)
@@ -285,9 +264,9 @@ class BoundaryShapeFunctions:
         return np.einsum("bac,bqc->bqa", self.jinv, points - self.v0[:, None, :])
 
     def _physical(self, ref_values, n_q):
-        """(n_b * q, n_span, 2) reference values -> (n_b, q, n_d, 2)."""
+        """(n_b * q, n_d, 2) reference values -> (n_b, q, n_d, 2)."""
         vals = ref_values.reshape((len(self.sign), n_q) + ref_values.shape[1:])
-        return np.einsum("bac,bqnc->bqna", self.piola, vals) * self.sign[:, None, :, None]
+        return (vals @ self.piola.transpose(0, 2, 1)[:, None]) * self.sign[:, None, :, None]
 
     def eval(self, points):
         ref = self._reference(points).reshape(-1, 2)
@@ -444,18 +423,12 @@ class Assembler:
             pen = np.einsum("bq,bqi,bqj->bij", geom.weights, tv, tv)
             np.add.at(a, geom.owner, pen / geom.h_owner[:, None, None])
 
-            edges, owner = geom.edges, geom.owner
-            local_edge = np.argmax(mesh.tri_edges[owner] == edges[:, None], axis=1)
-            direction = self.edge_direction[owner, local_edge]
-            keys = [(l, d) for l in range(3) for d in (1, -1)]
-            which = 2 * local_edge + (direction < 0)  # position of (l, direction) in keys
-            tab = np.stack([t.v_edge[key] for key in keys])[which]  # (n_b, g, nd, 2)
-            pvals = np.stack([t.p_edge[key] for key in keys])[which]  # (n_b, g, npr)
-            u = np.einsum("eba,eb->ea", self.jac[owner], geom.n_h)  # J^T n
-            vn = np.einsum("ea,egna->egn", u, tab) * s[owner, None, :]
-            w = 0.5 * mesh.edge_lengths()[edges] / self.det[owner]
-            loc = np.einsum("e,g,egl,egi->eli", w, t.dof_rule.weights, pvals, vn, optimize=True)
-            np.add.at(bt, owner, np.transpose(loc, (0, 2, 1)))
+            # straight-normal term int_e p (v . n_h), on the same nodes
+            shapes = BoundaryShapeFunctions(self)
+            vn = (shapes.eval(geom.points) @ geom.n_h[:, None, :, None])[..., 0]  # (n_b, q, nd)
+            pvals = t.pressure.eval(shapes._reference(geom.points).reshape(-1, 2))
+            pw = geom.weights[:, :, None] * pvals.reshape(vn.shape[:2] + (npr,))
+            np.add.at(bt, geom.owner, vn.transpose(0, 2, 1) @ pw)
         else:
             e, i = np.nonzero(np.isin(self.gidx, self.constrained))
             matrix[e, i, :] = 0.0

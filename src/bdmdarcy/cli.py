@@ -52,6 +52,11 @@ _SCALE = 100.0
 # inner circle inside out by level 4 (at 0.925 by level 7); 0.92 meshes stay
 # valid through level 8 and solve within the contract through level 4
 _RING_RATIO = 0.9
+# largest degree: through level 2 the default disk and ring studies (and the
+# strong disk) stay 10x inside the residual contract up to k = 9 (the disk's
+# level 0, 2.4e-12, is the tightest); at k = 10 that level reaches 1e-11,
+# and from k = 12 on it misses the contract
+K_MAX = 9
 
 
 class ConfigError(ValueError):
@@ -84,7 +89,7 @@ class StudyConfig:
 # flag --key ("-" for "_"), except the file-only ``center`` (keywords None).
 _OPTIONS = {
     "domain": (str, None, {"choices": _DOMAINS}),
-    "k": (int, None, {"help": "velocity polynomial degree (>= 1)"}),
+    "k": (int, None, {"help": f"velocity polynomial degree (1..{K_MAX})"}),
     "m": (int, None, {"help": "Taylor extension order (default: k)"}),
     "mode": (str, None, {"choices": _MODES}),
     "levels": (str, None, {"help": "refinement range A..B (default 1..4)"}),
@@ -168,8 +173,8 @@ def parse_config(argv=None):
     cfg = StudyConfig(**{"json_path" if key == "json" else key: v for key, v in values.items()})
     if cfg.domain not in _DOMAINS:
         raise ConfigError(f"domain must be one of {_DOMAINS}")
-    if cfg.k < 1:
-        raise ConfigError("k must be at least 1")
+    if not 1 <= cfg.k <= K_MAX:
+        raise ConfigError(f"k must lie between 1 and {K_MAX}")
     if cfg.m is None:
         cfg.m = cfg.k
     if cfg.m < 0 or cfg.m > cfg.k:

@@ -56,7 +56,7 @@ class TraceGeometry:
     edges: np.ndarray  # (n_b,) boundary edge ids
     owner: np.ndarray  # (n_b,) the unique triangle containing each edge
     points: np.ndarray  # (n_b, q, 2) physical nodes on the edges
-    weights: np.ndarray  # (n_b, q) physical weights (arc measure included)
+    weights: np.ndarray  # (n_b, q) weights on the straight edge: 0.5 |b - a| w_g
     delta: np.ndarray  # (n_b, q)
     nu: np.ndarray  # (n_b, q, 2)
     n_gamma: np.ndarray  # (n_b, q, 2)

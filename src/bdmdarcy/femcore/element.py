@@ -95,8 +95,8 @@ class BDMElement:
 
     # -- span basis: (phi_i, 0) for i < n_scalar, then (0, phi_i) ----------
 
-    def _span_values(self, pts, rx=0, ry=0):
-        s = self.scalar.eval_derivative(pts, rx, ry)
+    def _span_values(self, pts):
+        s = self.scalar.eval(pts)
         npts = s.shape[0]
         out = np.zeros((npts, self.dim, 2))
         out[:, : self.n_scalar, 0] = s
@@ -135,18 +135,23 @@ class BDMElement:
 
     # -- tabulation of the nodal basis ------------------------------------
 
+    def _nodal(self, pts, rx=0, ry=0):
+        """Mixed partial of the nodal basis, as one GEMM per component (the
+        span's two halves carry the x and y components)."""
+        s = self.scalar.eval_derivative(pts, rx, ry)
+        c, n = self.nodal_coeff, self.n_scalar
+        return np.stack([s @ c[:n], s @ c[n:]], axis=-1)
+
     def tabulate(self, pts):
         """Nodal basis values at reference points, shape (npts, dim, 2)."""
-        return np.einsum("qna,nj->qja", self._span_values(pts), self.nodal_coeff)
+        return self._nodal(pts)
 
     def tabulate_div(self, pts):
         return self._span_div(pts) @ self.nodal_coeff
 
     def tabulate_derivative(self, pts, rx, ry):
         """Reference mixed partial of each nodal basis function."""
-        return np.einsum(
-            "qna,nj->qja", self._span_values(pts, rx, ry), self.nodal_coeff
-        )
+        return self._nodal(pts, rx, ry)
 
 
 @lru_cache(maxsize=None)
@@ -175,7 +180,3 @@ class LocalField:
         """Values at physical points, shape (npts, ..., 2)."""
         vals = self.element.tabulate(self._ref_points(pts))  # (q, nd, 2)
         return np.einsum("qja,...j->q...a", vals @ self.jac.T / self.det, self.coeffs)
-
-    def divergence(self, pts):
-        d = self.element.tabulate_div(self._ref_points(pts)) / self.det
-        return np.einsum("qj,...j->q...", d, self.coeffs)

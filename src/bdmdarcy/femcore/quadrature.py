@@ -21,9 +21,6 @@ class QuadratureRule:
     weights: np.ndarray  # (n,)
     degree: int
 
-    def __len__(self):
-        return len(self.weights)
-
 
 # Symmetric triangle rules, given in barycentric orbits.  Weights are
 # normalized to sum to 1 and scaled by the reference area 1/2 below.

@@ -1,4 +1,4 @@
-"""Body-fitted triangulations of the disk, ring, and polygonal test domains.
+"""Body-fitted triangulations of the disk and the ring.
 
 Meshes are generated deterministically: a small structured coarse mesh is
 refined uniformly (red refinement), and midpoints of boundary edges are
@@ -12,18 +12,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from bdmdarcy.geometry import BoundaryCurve, GeometryError, StraightBoundary
+from bdmdarcy.geometry import BoundaryCurve, GeometryError
 
 __all__ = [
     "Mesh",
     "MeshStats",
     "disk_domain",
     "ring_domain",
-    "square_domain",
-    "triangle_domain",
     "coarse_mesh",
-    "unit_square_mesh",
-    "single_triangle_mesh",
     "refine_project",
     "mesh_stats",
     "save_mesh",
@@ -64,24 +60,11 @@ class Mesh:
     def n_edges(self):
         return len(self.edges)
 
-    def signed_areas(self):
-        a = self.vertices[self.triangles[:, 0]]
-        b = self.vertices[self.triangles[:, 1]]
-        c = self.vertices[self.triangles[:, 2]]
-        u, v = b - a, c - a
-        return 0.5 * (u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
-
-    def edge_lengths(self):
-        d = self.vertices[self.edges[:, 1]] - self.vertices[self.edges[:, 0]]
-        return np.hypot(d[:, 0], d[:, 1])
-
 
 @dataclass
 class MeshStats:
     h: float
     h_K: np.ndarray = field(repr=False)
-    min_angle: float = 0.0
-    uniformity: float = 1.0
 
 
 def disk_domain(center=(0.0, 0.0), radius=1.0):
@@ -97,28 +80,6 @@ def ring_domain(center=(0.0, 0.0), r_inner=0.5, r_outer=1.0):
         BoundaryCurve(center=tuple(center), radius=r_outer, component_id=0),
         BoundaryCurve(center=tuple(center), radius=r_inner, domain_inside=False, component_id=1),
     ]
-
-
-def square_domain():
-    """Sides of the unit square as four straight components."""
-    return [
-        StraightBoundary(point=(0.0, 0.0), normal=(0.0, -1.0), component_id=0),
-        StraightBoundary(point=(1.0, 0.0), normal=(1.0, 0.0), component_id=1),
-        StraightBoundary(point=(1.0, 1.0), normal=(0.0, 1.0), component_id=2),
-        StraightBoundary(point=(0.0, 1.0), normal=(-1.0, 0.0), component_id=3),
-    ]
-
-
-def triangle_domain(verts):
-    """The sides of one counterclockwise triangle as straight components."""
-    verts = np.asarray(verts, dtype=float)
-    comps = []
-    for i in range(3):
-        a, b = verts[i], verts[(i + 1) % 3]
-        t = b - a
-        n = np.array([t[1], -t[0]]) / np.hypot(*t)
-        comps.append(StraightBoundary(point=tuple(a), normal=tuple(n), component_id=i))
-    return comps
 
 
 def _build_mesh(vertices, triangles, curves, level, edge_component_pairs=None):
@@ -223,34 +184,6 @@ def coarse_mesh(curves):
     raise ValueError("coarse_mesh supports one circle (disk) or two (ring)")
 
 
-def unit_square_mesh(n, level=0):
-    """Structured n-by-n unit square mesh, two triangles per cell."""
-    xs = np.linspace(0.0, 1.0, n + 1)
-    xx, yy = np.meshgrid(xs, xs, indexing="ij")
-    vertices = np.column_stack([xx.ravel(), yy.ravel()])
-
-    def vid(i, j):
-        return i * (n + 1) + j
-
-    triangles = []
-    for i in range(n):
-        for j in range(n):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            triangles.append([v00, v10, v11])
-            triangles.append([v00, v11, v01])
-    return _build_mesh(vertices, np.array(triangles), square_domain(), level=level)
-
-
-def single_triangle_mesh(verts):
-    """A mesh of one counterclockwise triangle, its sides the boundary."""
-    verts = np.asarray(verts, dtype=float)
-    u, v = verts[1] - verts[0], verts[2] - verts[0]
-    if u[0] * v[1] - u[1] * v[0] <= 0:
-        raise ValueError("triangle vertices must be counterclockwise")
-    return _build_mesh(verts, np.array([[0, 1, 2]]), triangle_domain(verts), level=0)
-
-
 def refine_project(mesh, curves):
     """Red refinement with boundary-midpoint projection.
 
@@ -284,7 +217,7 @@ def refine_project(mesh, curves):
 
 
 def mesh_stats(mesh):
-    """Exact element diameters, minimum interior angle, uniformity ratio."""
+    """Exact element diameters (longest sides) and their maximum h."""
     p = mesh.vertices[mesh.triangles]
     sides = np.stack(
         [
@@ -295,22 +228,7 @@ def mesh_stats(mesh):
         axis=1,
     )
     h_K = sides.max(axis=1)
-    # law of cosines per corner
-    a2, b2, c2 = sides[:, 0] ** 2, sides[:, 1] ** 2, sides[:, 2] ** 2
-    angles = np.stack(
-        [
-            np.arccos(np.clip((b2 + c2 - a2) / (2 * np.sqrt(b2 * c2)), -1, 1)),
-            np.arccos(np.clip((a2 + c2 - b2) / (2 * np.sqrt(a2 * c2)), -1, 1)),
-            np.arccos(np.clip((a2 + b2 - c2) / (2 * np.sqrt(a2 * b2)), -1, 1)),
-        ],
-        axis=1,
-    )
-    return MeshStats(
-        h=float(h_K.max()),
-        h_K=h_K,
-        min_angle=float(np.degrees(angles.min())),
-        uniformity=float(h_K.max() / h_K.min()),
-    )
+    return MeshStats(h=float(h_K.max()), h_K=h_K)
 
 
 def save_mesh(mesh, path):

@@ -52,7 +52,15 @@ def _residual(system, x, rhs):
 def _interface_matrix(el, inv, n):
     """The (n, n) CSC interface matrix sum_K G_K^T L_K^-1 G_K over the
     interior-edge multipliers and theta (the last unknown).  Its build
-    temporaries are freed on return, before the factorization."""
+    temporaries are freed on return, before the factorization.
+
+    Sums that come out exactly 0.0 stay stored, so the pattern is the union
+    of the element blocks' patterns and structurally symmetric.  Dropping
+    them (7,807 entries at disk k=m=3 level 5) breaks that symmetry in 14
+    entries, and the minimum-degree order on A^T + A then gives more fill
+    (4.06M -> 4.27M) and a factorization about four times slower (0.6 ->
+    2.6 s CPU; at ring level 4, 0.56 -> 0.79 s); why it is that much slower
+    was not traced."""
     sign, nd, ne = el.sign, el.udofs.shape[1], el.sign.shape[1]
     # L_K^-1 G_K: the signed edge-dof columns, and the c_K column of theta
     z = np.concatenate(

@@ -9,25 +9,18 @@ study-based checks at the finest levels take a few minutes each.
 import numpy as np
 import pytest
 
-from bdmdarcy.analysis import (
-    case_circle,
-    case_polynomial_square,
-    compute_eoc,
-    error_norms,
-)
+from bdmdarcy.analysis import case_circle, compute_eoc, error_norms
 from bdmdarcy.assembly import Assembler, BoundaryShapeFunctions
 from bdmdarcy.cli import StudyConfig, run_study
 from bdmdarcy.correction import TaylorConfig, taylor_trace
-from bdmdarcy.geometry import check_geometry_assumption
-from bdmdarcy.mesh import (
-    coarse_mesh,
-    disk_domain,
-    refine_project,
-    ring_domain,
+from bdmdarcy.mesh import coarse_mesh, disk_domain, refine_project, ring_domain
+from bdmdarcy.solver import postprocess_pressure, solve
+from domains import (
+    case_polynomial_square,
+    check_geometry_assumption,
     square_domain,
     unit_square_mesh,
 )
-from bdmdarcy.solver import postprocess_pressure, solve
 from oracles import interpolate_velocity, norm_0h, project_pressure_global
 
 DISK_LEVELS = (3, 6)  # finest level: 24576 triangles

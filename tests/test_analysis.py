@@ -7,17 +7,11 @@ closed forms (exact to machine precision for these analytic formulas).
 import numpy as np
 import pytest
 
-from bdmdarcy.analysis import (
-    case_circle,
-    case_polynomial_square,
-    case_ring,
-    compatibility_residual,
-    compute_eoc,
-    error_norms,
-)
+from bdmdarcy.analysis import case_circle, case_ring, compute_eoc, error_norms
 from bdmdarcy.assembly import Assembler
 from bdmdarcy.mesh import coarse_mesh, disk_domain, refine_project, ring_domain
 from bdmdarcy.solver import postprocess_pressure, solve
+from domains import case_polynomial_square, compatibility_residual
 from oracles import interpolate_velocity, project_pressure_global
 
 

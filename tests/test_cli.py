@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from bdmdarcy import cli, solver
 from bdmdarcy.cli import (
     CSV_COLUMNS,
+    K_MAX,
     ConfigError,
     StudyConfig,
     build_parser,
@@ -248,6 +249,7 @@ def test_main_exit_codes(tmp_path):
         (None, ["--k", "2", "--quad-volume", "1"], "volume quadrature"),
         (None, ["--k", "2", "--quad-boundary", "1"], "boundary quadrature"),
         (None, ["--k", "abc"], "--k"),
+        (None, ["--k", str(K_MAX + 1)], "k must"),
         (None, ["--domain", "square"], "--domain"),
         (None, ["--bogus"], "--bogus"),
         (None, ["--solver", "direct"], "--solver"),
@@ -274,7 +276,7 @@ def test_main_exit_codes(tmp_path):
         (None, ["--domain", "ring", "--r-inner", "0.99", "--r-outer", "1"], "r_inner / r_outer"),
     ],
     ids=["bad-value", "bad-center", "radius", "r-inner", "quad-volume", "quad-boundary",
-         "bad-int-flag", "bad-choice", "unknown-flag", "removed-solver-flag",
+         "bad-int-flag", "k-above-max", "bad-choice", "unknown-flag", "removed-solver-flag",
          "removed-seed-flag", "strong-mode-radius", "strong-mode-center", "infinite-radius",
          "infinite-r-outer", "infinite-center", "nan-center", "ring-infinite-center",
          "report-missing-dir", "json-missing-dir", "report-is-dir", "dump-is-file",

@@ -12,14 +12,8 @@ from bdmdarcy.correction import (
     taylor_trace,
 )
 from bdmdarcy.femcore import edge_quadrature
-from bdmdarcy.mesh import (
-    coarse_mesh,
-    disk_domain,
-    mesh_stats,
-    refine_project,
-    square_domain,
-    unit_square_mesh,
-)
+from bdmdarcy.mesh import coarse_mesh, disk_domain, mesh_stats, refine_project
+from domains import square_domain, unit_square_mesh
 from oracles import interpolate_velocity
 
 

@@ -16,15 +16,15 @@ from bdmdarcy.femcore import (
     triangle_quadrature,
 )
 from bdmdarcy.femcore.element import REF_EDGES, REF_VERTICES
-from bdmdarcy.geometry import StraightBoundary
-from bdmdarcy.mesh import (
-    _build_mesh,
-    refine_project,
-    single_triangle_mesh,
-    triangle_domain,
-    unit_square_mesh,
+from bdmdarcy.mesh import _build_mesh, refine_project
+from domains import StraightBoundary, single_triangle_mesh, triangle_domain, unit_square_mesh
+from oracles import (
+    Partials,
+    divergence,
+    dof_matrix,
+    interpolate_velocity,
+    project_pressure_global,
 )
-from oracles import Partials, dof_matrix, interpolate_velocity, project_pressure_global
 
 TRI = np.array([[0.2, -0.1], [1.3, 0.4], [0.3, 1.1]])
 
@@ -158,7 +158,7 @@ def test_piola_divergence_scaling():
         + (phys.eval(phys_pts + [0, h]) - phys.eval(phys_pts - [0, h]))[:, 1]
     ) / (2 * h)
     assert np.abs(div_phys * det - ref_div).max() < 1e-7
-    assert np.abs(phys.divergence(phys_pts) * det - ref_div).max() < 1e-12
+    assert np.abs(divergence(phys, phys_pts) * det - ref_div).max() < 1e-12
     # the inverse map det J J^-1 v(F(xhat)) recovers the reference field
     back = det * (phys.eval(phys_pts) @ jinv.T)
     assert np.abs(back - ref_field(ref_pts)).max() < 1e-13
@@ -230,7 +230,7 @@ def test_commuting_diagram_divergence_free_field():
     rule = triangle_quadrature(2 * k + 4)
     v0, jac, det, _ = affine_map(TRI)
     pts = v0 + rule.points @ jac.T
-    err = np.sqrt(det * np.sum(rule.weights * interp.divergence(pts) ** 2))
+    err = np.sqrt(det * np.sum(rule.weights * divergence(interp, pts) ** 2))
     scale = np.sqrt(det * np.sum(rule.weights * np.sum(field(pts) ** 2, axis=1)))
     assert err <= 1e-10 * scale
 
@@ -256,7 +256,7 @@ def test_commuting_diagram_polynomial_field(k):
     interp = _interpolant(asm, field)
     rule = triangle_quadrature(2 * k + 4)
     pts = _element_points(asm, rule)
-    diff = interp.divergence(pts[0]) - _projection(asm, div_field, pts)[0]
+    diff = divergence(interp, pts[0]) - _projection(asm, div_field, pts)[0]
     det = asm.det[0]
     err = np.sqrt(det * np.sum(rule.weights * diff**2))
     ref = np.sqrt(det * np.sum(rule.weights * div_field(pts[0]) ** 2))

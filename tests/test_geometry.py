@@ -6,17 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bdmdarcy.geometry import (
-    BoundaryCurve,
-    GeometryError,
+from bdmdarcy.geometry import BoundaryCurve, GeometryError
+from bdmdarcy.mesh import coarse_mesh, disk_domain, refine_project, ring_domain
+from domains import (
     StraightBoundary,
     check_geometry_assumption,
-)
-from bdmdarcy.mesh import (
-    coarse_mesh,
-    disk_domain,
-    refine_project,
-    ring_domain,
     square_domain,
     unit_square_mesh,
 )

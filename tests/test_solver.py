@@ -3,20 +3,18 @@
 import numpy as np
 import pytest
 
-from bdmdarcy.analysis import case_circle, case_polynomial_square, case_ring
+from bdmdarcy.analysis import case_circle, case_ring
 from bdmdarcy.assembly import Assembler
 from bdmdarcy import solver
-from bdmdarcy.mesh import (
-    coarse_mesh,
-    disk_domain,
-    refine_project,
-    ring_domain,
+from bdmdarcy.mesh import coarse_mesh, disk_domain, refine_project, ring_domain
+from bdmdarcy.solver import postprocess_pressure, solve
+from domains import (
+    case_polynomial_square,
     single_triangle_mesh,
     square_domain,
     triangle_domain,
     unit_square_mesh,
 )
-from bdmdarcy.solver import postprocess_pressure, solve
 
 
 def small_system(setup, k):
@@ -105,6 +103,22 @@ def test_report_gives_interface_size_and_repeatable_fill():
     n_interior_edges = int(np.sum(asm.mesh.edge_tris[:, 1] >= 0))
     assert rep1.n_interface == (asm.k + 1) * n_interior_edges + 1
     assert rep1.fill > 0 and rep1.fill == rep2.fill
+
+
+def test_interface_pattern_keeps_every_block_pair_and_its_zeros():
+    """The interface matrix stores every (multiplier, multiplier) pair of
+    each element block and theta's row and column, the pairs whose sum is
+    exactly 0.0 included (see ``solver._interface_matrix``)."""
+    el = disk_setup(levels=2, k=3).elements
+    n = int(el.multiplier.max()) + 2
+    matrix = solver._interface_matrix(el, np.linalg.inv(el.matrix), n)
+    assert np.count_nonzero(matrix.data == 0.0) > 0  # this mesh has such sums
+    stored = np.zeros((n, n), dtype=bool)
+    stored[matrix.indices, np.repeat(np.arange(n), np.diff(matrix.indptr))] = True
+    for multiplier in el.multiplier:
+        idx = np.append(multiplier[multiplier >= 0], n - 1)
+        assert stored[np.ix_(idx, idx)].all()
+    assert stored[-1].all() and stored[:, -1].all()
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

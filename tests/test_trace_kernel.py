@@ -1,5 +1,5 @@
-"""The batched boundary traces against the per-edge slow path of
-``oracles``, on random disks and rings."""
+"""The batched boundary traces and element blocks against the per-edge
+slow path of ``oracles``, on random disks and rings."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -9,7 +9,14 @@ from bdmdarcy.analysis import AnalyticVelocity, ManufacturedCase
 from bdmdarcy.assembly import Assembler
 from bdmdarcy.correction import taylor_trace_normal
 from bdmdarcy.mesh import coarse_mesh, refine_project
-from oracles import ExactPartials, Partials, basis_field, edge_geometries, random_domains
+from oracles import (
+    ExactPartials,
+    Partials,
+    basis_field,
+    edge_geometries,
+    element_blocks,
+    random_domains,
+)
 from oracles import taylor_trace_normal as slow_trace_normal
 
 
@@ -74,3 +81,8 @@ def test_batched_traces_match_per_edge_slow_path(setup):
     exact = taylor_trace_normal(AnalyticVelocity(case), geom, asm.taylor)
     slow_exact = np.stack([slow_trace_normal(ExactPartials(case), e, asm.taylor) for e in edges])
     assert relative_gap(exact, slow_exact) <= 1e-12
+
+    # every boundary form of the blocks (penalty, straight-normal term)
+    blocks, _ = element_blocks(asm)
+    error = np.linalg.norm(asm.elements.matrix - blocks, axis=(1, 2))
+    assert np.all(error <= 1e-14 * np.linalg.norm(blocks, axis=(1, 2)))
