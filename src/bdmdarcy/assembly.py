@@ -34,7 +34,9 @@ with one rule: the trace geometry's k+3 Gauss nodes per edge
 contract one array there, the normal Taylor traces of the owning triangles'
 shape functions, computed once per assembler (plain traces, Taylor order 0,
 in strong mode); the straight-normal term of B1 takes the shape functions'
-values and the pressure basis at the same nodes.
+values and the pressure basis at the same nodes.  All of these, and the
+vertex velocities of the field export, evaluate shape functions through one
+batched evaluator, ``ShapeFunctions``.
 
 The system is held once, as element saddle blocks: ``Assembler.elements``
 allocates one (nel, nd+npr, nd+npr) array and writes each L_K into it, with
@@ -63,7 +65,7 @@ from bdmdarcy.correction import (
     taylor_trace_normal,
 )
 from bdmdarcy.femcore.basis import triangle_basis
-from bdmdarcy.femcore.element import LocalField, REF_EDGES, bdm_reference_basis
+from bdmdarcy.femcore.element import REF_EDGES, bdm_reference_basis
 from bdmdarcy.femcore.quadrature import edge_quadrature, triangle_quadrature
 from bdmdarcy.mesh import mesh_stats
 
@@ -72,7 +74,7 @@ __all__ = [
     "ElementBlocks",
     "SaddleSystem",
     "Assembler",
-    "BoundaryShapeFunctions",
+    "ShapeFunctions",
     "build_saddle_system",
     "quadrature_orders",
 ]
@@ -241,18 +243,19 @@ class SaddleSystem:
         return x[: self.n_u], x[self.n_u : -1], float(x[-1])
 
 
-class BoundaryShapeFunctions:
-    """The global-DOF shape functions of every boundary edge's owning
-    triangle, as one field over the boundary nodes (the field protocol of
-    ``correction.taylor_trace``), with values of shape (n_b, q, n_d, 2).
+class ShapeFunctions:
+    """The global-DOF shape functions of the triangles ``owner``, one
+    triangle per row of points: at points of shape (n, q, 2) the values have
+    shape (n, q, n_d, 2).  This is the program's one element evaluator; every
+    element is affine, so one batched Piola map serves all of them.  Over
+    the boundary edges' owners it is the field of ``correction.taylor_trace``.
 
     Derivatives along nu are taken in reference coordinates, along
     nu_hat = J^-1 nu, and mapped back by the Piola transform, so order j
     costs j+1 reference tabulations over all nodes.
     """
 
-    def __init__(self, assembler):
-        owner = assembler.trace.owner
+    def __init__(self, assembler, owner):
         self.element = assembler.tables.element
         self.degree = self.element.k
         self.v0 = assembler.v0[owner]
@@ -284,7 +287,8 @@ class BoundaryShapeFunctions:
 class Assembler:
     """Assembles the forms of one (mesh, degree, Taylor order, mode) setup.
 
-    Heavy per-element data (affine maps, the DOF signs S_K) and the
+    Heavy per-element data (the affine maps v0, jac, det, jinv and the DOF
+    signs S_K, which ``ShapeFunctions`` reads for any set of elements) and the
     boundary data (trace geometry, and the normal traces ``basis_trace`` of
     the owners' shape functions, shape (n_b, q, n_d)) are computed once and
     shared by the matrix, load, and error-measurement routines.  Strong mode
@@ -309,7 +313,6 @@ class Assembler:
 
         t = self.tables
         verts = mesh.vertices[mesh.triangles]  # (nel, 3, 2)
-        self.verts = verts
         self.v0 = verts[:, 0, :]
         jac = np.stack([verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 0]], axis=-1)
         self.jac = jac
@@ -334,7 +337,7 @@ class Assembler:
         self._build_indices()
         self.trace = edge_trace_geometry(mesh, self.curves, t.bnd_rule, self.stats.h_K)
         self.basis_trace = taylor_trace_normal(
-            BoundaryShapeFunctions(self), self.trace, self.taylor
+            ShapeFunctions(self, self.trace.owner), self.trace, self.taylor
         )
 
     # -- structural setup ---------------------------------------------------
@@ -381,9 +384,6 @@ class Assembler:
 
     # -- local helpers -------------------------------------------------------
 
-    def local_field(self, t, coeffs_span):
-        return LocalField(self.verts[t], self.tables.element, coeffs_span)
-
     def local_coeffs(self, u_global):
         """Mapped-reference-nodal coefficients S_K u_K of a global velocity
         vector, shape (nel, nd)."""
@@ -424,7 +424,7 @@ class Assembler:
             np.add.at(a, geom.owner, pen / geom.h_owner[:, None, None])
 
             # straight-normal term int_e p (v . n_h), on the same nodes
-            shapes = BoundaryShapeFunctions(self)
+            shapes = ShapeFunctions(self, geom.owner)
             vn = (shapes.eval(geom.points) @ geom.n_h[:, None, :, None])[..., 0]  # (n_b, q, nd)
             pvals = t.pressure.eval(shapes._reference(geom.points).reshape(-1, 2))
             pw = geom.weights[:, :, None] * pvals.reshape(vn.shape[:2] + (npr,))

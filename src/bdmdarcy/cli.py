@@ -19,7 +19,7 @@ import numpy as np
 
 from bdmdarcy import mesh as meshmod
 from bdmdarcy.analysis import case_circle, case_ring, compute_eoc, error_norms
-from bdmdarcy.assembly import Assembler, quadrature_orders
+from bdmdarcy.assembly import Assembler, ShapeFunctions, quadrature_orders
 from bdmdarcy.solver import postprocess_pressure, solve
 
 __all__ = ["StudyConfig", "parse_config", "run_study", "export_fields", "main"]
@@ -338,18 +338,13 @@ def write_json(rows, cfg, path):
 def export_fields(mesh, assembler, u, p, path):
     """Legacy ASCII unstructured-grid file: points, triangle cells, cellwise
     pressure means, and vertex-sampled velocity vectors."""
-    w = assembler.local_coeffs(u)
-    tables = assembler.tables
     # velocity at each vertex, sampled from its lowest-index adjacent triangle
-    owner = np.full(mesh.n_vertices, -1, dtype=np.int64)
-    for t in range(mesh.n_triangles - 1, -1, -1):
-        owner[mesh.triangles[t]] = t
-    velocity = np.zeros((mesh.n_vertices, 2))
-    for v in range(mesh.n_vertices):
-        t = owner[v]
-        velocity[v] = assembler.local_field(t, w[t]).eval(mesh.vertices[v])[0]
+    owner = np.full(mesh.n_vertices, mesh.n_triangles)
+    np.minimum.at(owner, mesh.triangles, np.arange(mesh.n_triangles)[:, None])
+    values = ShapeFunctions(assembler, owner).eval(mesh.vertices[:, None, :])[:, 0]
+    velocity = np.einsum("vja,vj->va", values, u[assembler.gidx[owner]])
     p_loc = p.reshape(mesh.n_triangles, -1)
-    cell_mean = p_loc[:, 0] * tables.p_const_value
+    cell_mean = p_loc[:, 0] * assembler.tables.p_const_value
 
     lines = [
         "# vtk DataFile Version 3.0",

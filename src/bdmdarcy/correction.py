@@ -53,7 +53,6 @@ class TaylorConfig:
 class TraceGeometry:
     """Projection data of the quadrature nodes of every boundary edge."""
 
-    edges: np.ndarray  # (n_b,) boundary edge ids
     owner: np.ndarray  # (n_b,) the unique triangle containing each edge
     points: np.ndarray  # (n_b, q, 2) physical nodes on the edges
     weights: np.ndarray  # (n_b, q) weights on the straight edge: 0.5 |b - a| w_g
@@ -90,7 +89,6 @@ def edge_trace_geometry(mesh, curves, rule, h_K):
     projected, delta, nu, n_gamma = projection
     owner = mesh.edge_tris[edges, 0]
     return TraceGeometry(
-        edges=edges,
         owner=owner,
         points=points,
         weights=weights,

@@ -1,13 +1,8 @@
-"""Reference elements, quadrature, and fields on one physical triangle."""
+"""Reference elements, bases and quadrature."""
 
 from bdmdarcy.femcore.quadrature import QuadratureRule, triangle_quadrature, edge_quadrature
 from bdmdarcy.femcore.basis import TriangleBasis, EdgeBasis
-from bdmdarcy.femcore.element import (
-    BDMElement,
-    LocalField,
-    affine_map,
-    bdm_reference_basis,
-)
+from bdmdarcy.femcore.element import BDMElement, bdm_reference_basis
 
 __all__ = [
     "QuadratureRule",
@@ -16,7 +11,5 @@ __all__ = [
     "TriangleBasis",
     "EdgeBasis",
     "BDMElement",
-    "LocalField",
-    "affine_map",
     "bdm_reference_basis",
 ]

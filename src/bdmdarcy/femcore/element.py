@@ -1,5 +1,4 @@
-"""BDM_k velocity elements on the reference triangle, and polynomial fields
-on one physical triangle.
+"""BDM_k velocity elements on the reference triangle.
 
 The reference element is dualized once: its nodal basis is the inverse of
 the DOF-functional matrix applied to a spanning set of vector polynomials.
@@ -10,6 +9,8 @@ against covariantly mapped test fields J^-T phi_hat, for which
 int_K v . J^-T phi_hat = int_Khat v_hat . phi_hat.  So on every element the
 DOF matrix of the mapped nodal basis is a +-1 diagonal
 (``Assembler.dof_sign``), and no element needs a DOF matrix of its own.
+Every element is affine, so one batched map evaluates the mapped basis on
+all of them at once (``assembly.ShapeFunctions``).
 """
 
 from functools import lru_cache
@@ -23,8 +24,6 @@ __all__ = [
     "REF_VERTICES",
     "REF_EDGES",
     "BDMElement",
-    "LocalField",
-    "affine_map",
     "bdm_reference_basis",
 ]
 
@@ -37,17 +36,6 @@ REF_EDGE_NORMALS = np.array(
 REF_EDGE_LENGTHS = np.array([np.sqrt(2.0), 1.0, 1.0])
 
 _ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])  # curl w = _ROT @ grad w
-
-
-def affine_map(verts):
-    """(v0, J, detJ, Jinv) of the affine map from the reference triangle."""
-    verts = np.asarray(verts, dtype=float)
-    j = np.column_stack([verts[1] - verts[0], verts[2] - verts[0]])
-    det = j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0]
-    if det <= 0:
-        raise ValueError("triangle is degenerate or clockwise")
-    jinv = np.array([[j[1, 1], -j[0, 1]], [-j[1, 0], j[0, 0]]]) / det
-    return verts[0], j, det, jinv
 
 
 def _bubble_times(scalar, pts):
@@ -158,25 +146,3 @@ class BDMElement:
 def bdm_reference_basis(k):
     """Shared reference elements (dual basis built once per degree)."""
     return BDMElement(k)
-
-
-class LocalField:
-    """Polynomial vector field on one triangle, coefficients taken in the
-    Piola-mapped reference nodal basis.  Coefficients may carry leading axes
-    (a stack of fields sharing the element)."""
-
-    def __init__(self, verts, element, coeffs):
-        self.verts = np.asarray(verts, dtype=float)
-        self.element = element
-        self.coeffs = np.asarray(coeffs, dtype=float)
-        self.degree = element.k
-        self.v0, self.jac, self.det, self.jinv = affine_map(self.verts)
-
-    def _ref_points(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return (pts - self.v0) @ self.jinv.T
-
-    def eval(self, pts):
-        """Values at physical points, shape (npts, ..., 2)."""
-        vals = self.element.tabulate(self._ref_points(pts))  # (q, nd, 2)
-        return np.einsum("qja,...j->q...a", vals @ self.jac.T / self.det, self.coeffs)

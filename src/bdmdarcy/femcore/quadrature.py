@@ -1,9 +1,9 @@
 """Quadrature rules on the reference triangle and the reference edge.
 
 The reference triangle is {(0,0), (1,0), (0,1)} (area 1/2), the reference
-edge is [-1, 1].  Triangle rules use classic symmetric point sets for low
-degree and a collapsed tensor-product Gauss rule beyond that, so any
-requested exactness degree is available.
+edge is [-1, 1].  Triangle rules use the classic symmetric point sets of
+degrees 2 and 4 up to degree 4 and a collapsed tensor-product Gauss rule
+beyond that, so any requested exactness degree is available.
 """
 
 from dataclasses import dataclass
@@ -25,16 +25,10 @@ class QuadratureRule:
 # Symmetric triangle rules, given in barycentric orbits.  Weights are
 # normalized to sum to 1 and scaled by the reference area 1/2 below.
 _SYMMETRIC_RULES = {
-    1: [((1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0), 1.0)],
     2: [((2.0 / 3.0, 1.0 / 6.0, 1.0 / 6.0), 1.0 / 3.0)],
     4: [
         ((0.108103018168070, 0.445948490915965, 0.445948490915965), 0.223381589678011),
         ((0.816847572980459, 0.091576213509771, 0.091576213509771), 0.109951743655322),
-    ],
-    5: [
-        ((1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0), 0.225),
-        ((0.059715871789770, 0.470142064105115, 0.470142064105115), 0.132394152788506),
-        ((0.797426985353087, 0.101286507323456, 0.101286507323456), 0.125939180544827),
     ],
 }
 
@@ -74,14 +68,10 @@ def triangle_quadrature(degree):
     """Rule on the reference triangle exact for polynomials up to ``degree``."""
     if degree < 0:
         raise ValueError("quadrature degree must be nonnegative")
-    if degree <= 1:
-        return _symmetric_rule(1)
-    if degree == 2:
+    if degree <= 2:
         return _symmetric_rule(2)
     if degree <= 4:
         return _symmetric_rule(4)
-    if degree == 5:
-        return _symmetric_rule(5)
     return _collapsed_rule(degree)
 
 

@@ -82,8 +82,10 @@ def ring_domain(center=(0.0, 0.0), r_inner=0.5, r_outer=1.0):
     ]
 
 
-def _build_mesh(vertices, triangles, curves, level, edge_component_pairs=None):
-    """Assemble topology, orientation, and boundary tags."""
+def _build_mesh(vertices, triangles, curves, level, boundary_records=None):
+    """Assemble topology, orientation, and boundary tags.  The boundary
+    components come from ``boundary_records``, rows (a, b, component) of
+    ``save_mesh``, when given, else from the nearest of ``curves``."""
     vertices = np.asarray(vertices, dtype=float)
     triangles = np.asarray(triangles, dtype=np.int64)
     n_tri = len(triangles)
@@ -126,10 +128,21 @@ def _build_mesh(vertices, triangles, curves, level, edge_component_pairs=None):
 
     boundary_edges = np.flatnonzero(counts == 1)
     edge_component = np.full(len(edges), -1, dtype=np.int64)
-    if edge_component_pairs is not None:
-        lookup = {tuple(sorted(pair)): comp for (pair, comp) in edge_component_pairs}
-        for e in boundary_edges:
-            edge_component[e] = lookup[tuple(edges[e])]
+    if boundary_records is not None:
+        # the records' edges by the same key as above
+        pairs = np.sort(boundary_records[:, :2], axis=1)
+        record_keys = pairs[:, 0] * n_v + pairs[:, 1]
+        at = np.minimum(np.searchsorted(keys, record_keys), len(keys) - 1)
+        bad = (pairs[:, 0] < 0) | (pairs[:, 1] >= n_v) | (keys[at] != record_keys)
+        bad |= counts[at] != 1
+        if bad.any():
+            i = np.flatnonzero(bad)[0]
+            raise ValueError(f"boundary-edge record {i} {tuple(boundary_records[i].tolist())} "
+                             "is not a boundary edge of the mesh")
+        n_missing = len(boundary_edges) - len(np.unique(at))
+        if n_missing:
+            raise ValueError(f"{n_missing} boundary edges have no record")
+        edge_component[at] = boundary_records[:, 2]
     elif curves:
         mid = 0.5 * (a[boundary_edges] + b[boundary_edges])
         dists = np.column_stack([c.distance(mid) for c in curves])
@@ -258,8 +271,8 @@ def load_mesh(path, level=0):
     triangles = np.array(
         [[int(x) for x in tokens[1 + n_v + i].split()] for i in range(n_t)]
     )
-    pairs = []
-    for i in range(n_b):
-        a, b, comp = (int(x) for x in tokens[1 + n_v + n_t + i].split())
-        pairs.append(((a, b), comp))
-    return _build_mesh(vertices, triangles, curves=None, level=level, edge_component_pairs=pairs)
+    records = np.array(
+        [[int(x) for x in tokens[1 + n_v + n_t + i].split()] for i in range(n_b)],
+        dtype=np.int64,
+    ).reshape(n_b, 3)
+    return _build_mesh(vertices, triangles, curves=None, level=level, boundary_records=records)

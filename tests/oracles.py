@@ -7,6 +7,8 @@ reference tables contracted one element at a time.  The boundary terms go
 edge by edge: per-edge projection data, physical mixed partials by the
 chain rule, and the Taylor sum assembled from them, where the program
 computes the same traces for all boundary nodes at once.
+The per-triangle field ``LocalField`` and its ``affine_map`` live here as
+the reference of the program's batched evaluator, ``assembly.ShapeFunctions``.
 The random disks and rings of the property tests are drawn here too, and
 the canonical BDM interpolant and the pressure projection live here: only
 the tests read them.
@@ -18,13 +20,57 @@ from types import SimpleNamespace
 import numpy as np
 from hypothesis import strategies as st
 
-from bdmdarcy.femcore import EdgeBasis, affine_map, edge_quadrature, triangle_quadrature
+from bdmdarcy.femcore import EdgeBasis, edge_quadrature, triangle_quadrature
 from bdmdarcy.femcore.basis import triangle_basis
-from bdmdarcy.femcore.element import REF_VERTICES, LocalField, _bubble_times
+from bdmdarcy.femcore.element import REF_VERTICES, _bubble_times
 from bdmdarcy.mesh import disk_domain, ring_domain
 from domains import edge_lengths
 
 ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])  # curl w = ROT @ grad w
+
+
+def affine_map(verts):
+    """(v0, J, detJ, Jinv) of the affine map from the reference triangle."""
+    verts = np.asarray(verts, dtype=float)
+    j = np.column_stack([verts[1] - verts[0], verts[2] - verts[0]])
+    det = j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0]
+    if det <= 0:
+        raise ValueError("triangle is degenerate or clockwise")
+    jinv = np.array([[j[1, 1], -j[0, 1]], [-j[1, 0], j[0, 0]]]) / det
+    return verts[0], j, det, jinv
+
+
+class LocalField:
+    """Polynomial vector field on one triangle, coefficients taken in the
+    Piola-mapped reference nodal basis.  Coefficients may carry leading axes
+    (a stack of fields sharing the element)."""
+
+    def __init__(self, verts, element, coeffs):
+        self.verts = np.asarray(verts, dtype=float)
+        self.element = element
+        self.coeffs = np.asarray(coeffs, dtype=float)
+        self.degree = element.k
+        self.v0, self.jac, self.det, self.jinv = affine_map(self.verts)
+
+    def _ref_points(self, pts):
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        return (pts - self.v0) @ self.jinv.T
+
+    def eval(self, pts):
+        """Values at physical points, shape (npts, ..., 2)."""
+        vals = self.element.tabulate(self._ref_points(pts))  # (q, nd, 2)
+        return np.einsum("qja,...j->q...a", vals @ self.jac.T / self.det, self.coeffs)
+
+
+def element_vertices(asm, t):
+    """The vertices of triangle t of an assembler's mesh, (3, 2)."""
+    return asm.mesh.vertices[asm.mesh.triangles[t]]
+
+
+def local_field(asm, t, coeffs):
+    """The LocalField of triangle t of an assembler's mesh, with
+    coefficients in its mapped reference nodal basis."""
+    return LocalField(element_vertices(asm, t), asm.tables.element, coeffs)
 
 
 @st.composite
@@ -47,7 +93,7 @@ def divergence(field, pts):
 def basis_field(asm, t):
     """All global-DOF shape functions of element t as one stacked field: the
     mapped nodal basis times the DOF signs S_K."""
-    return asm.local_field(t, np.diag(asm.dof_sign[t]))
+    return local_field(asm, t, np.diag(asm.dof_sign[t]))
 
 
 def _interior_test_fields(k, points):
@@ -106,7 +152,7 @@ def dof_matrix(asm, e):
     test fields phi.  Points are placed in reference coordinates, so no
     physical point is mapped back."""
     t, mesh, k = asm.tables, asm.mesh, asm.k
-    _, jac, det, jinv = affine_map(asm.verts[e])
+    _, jac, det, jinv = affine_map(element_vertices(asm, e))
     rule = edge_quadrature(k + 2)
     wleg = rule.weights[:, None] * EdgeBasis(k).eval(rule.points)  # (g, k+1)
     local = list(mesh.triangles[e])
@@ -243,7 +289,7 @@ def norm_0h(asm, u):
     total += float(np.einsum("e,q,eq->", asm.det, t.err.weights, div**2))
     if asm.mode == "corrected":
         for geom in edge_geometries(asm):
-            field = Partials(asm.local_field(geom.owner, w[geom.owner]))
+            field = Partials(local_field(asm, geom.owner, w[geom.owner]))
             tv = taylor_trace_normal(field, geom, asm.taylor)
             total += float(geom.weights @ tv**2) / geom.h_owner
     return float(np.sqrt(total))
@@ -262,15 +308,15 @@ def element_blocks(asm):
     dual = [np.diag(np.rint(np.diag(d))) for d in dof]
     blocks = np.zeros((nel, nd + npr, nd + npr))
     for e in range(nel):
-        _, jac, det, _ = affine_map(asm.verts[e])
+        _, jac, det, _ = affine_map(element_vertices(asm, e))
         span = np.einsum("ab,abnm->nm", jac.T @ jac / det, t.s_mass) + t.s_div / det
         blocks[e, :nd, :nd] = dual[e].T @ span @ dual[e]
         blocks[e, nd:, :nd] = t.b0_span @ dual[e]
         blocks[e, :nd, nd:] = blocks[e, nd:, :nd].T
     for geom in edge_geometries(asm):
         e = geom.owner
-        v0, _, _, jinv = affine_map(asm.verts[e])
-        field = asm.local_field(e, dual[e].T)
+        v0, _, _, jinv = affine_map(element_vertices(asm, e))
+        field = local_field(asm, e, dual[e].T)
         tv = taylor_trace_normal(Partials(field), geom, asm.taylor)  # (q, nd)
         blocks[e, :nd, :nd] += np.einsum("q,qi,qj->ij", geom.weights, tv, tv) / geom.h_owner
         vn = field.eval(geom.points) @ geom.n_h
@@ -289,7 +335,7 @@ def dense_matrix_a_flat(asm, vol_degree=12, edge_points=8):
     a = np.zeros((n_u, n_u))
     rule = triangle_quadrature(vol_degree)
     for t in range(mesh.n_triangles):
-        verts = asm.verts[t]
+        verts = element_vertices(asm, t)
         v0, jac, det, _ = affine_map(verts)
         pts = v0 + rule.points @ jac.T
         basis = basis_field(asm, t)  # stacked shape functions
@@ -324,7 +370,7 @@ def dense_matrix_b1_flat(asm, vol_degree=12, edge_points=8):
     rule = triangle_quadrature(vol_degree)
     pbasis = asm.tables.pressure
     for t in range(mesh.n_triangles):
-        verts = asm.verts[t]
+        verts = element_vertices(asm, t)
         v0, jac, det, _ = affine_map(verts)
         basis = basis_field(asm, t)
         pts = v0 + rule.points @ jac.T
@@ -335,7 +381,7 @@ def dense_matrix_b1_flat(asm, vol_degree=12, edge_points=8):
     erule = edge_quadrature(edge_points)
     for e in mesh.boundary_edges:
         t = int(mesh.edge_tris[e, 0])
-        verts = asm.verts[t]
+        verts = element_vertices(asm, t)
         v0, jac, det, jinv = affine_map(verts)
         a_v, b_v = mesh.vertices[mesh.edges[e]]
         pts = 0.5 * (a_v + b_v) + 0.5 * np.outer(erule.points, b_v - a_v)
@@ -355,7 +401,7 @@ def dense_rhs_u_volume(asm, source, vol_degree=12):
     rhs = np.zeros(asm.dofmap.n_u)
     rule = triangle_quadrature(vol_degree)
     for t in range(mesh.n_triangles):
-        verts = asm.verts[t]
+        verts = element_vertices(asm, t)
         v0, jac, det, _ = affine_map(verts)
         pts = v0 + rule.points @ jac.T
         divs = divergence(basis_field(asm, t), pts)
@@ -376,7 +422,7 @@ def apply_operator(asm, x):
     rule = asm.tables.vol
     pbasis = asm.tables.pressure
     for t in range(mesh.n_triangles):
-        verts = asm.verts[t]
+        verts = element_vertices(asm, t)
         v0, jac, det, _ = affine_map(verts)
         pts = v0 + rule.points @ jac.T
         basis = basis_field(asm, t)
@@ -398,7 +444,7 @@ def apply_operator(asm, x):
     flux_u = 0.0
     for geom in edge_geometries(asm):
         t = geom.owner
-        verts = asm.verts[t]
+        verts = element_vertices(asm, t)
         v0, jac, det, jinv = affine_map(verts)
         basis = basis_field(asm, t)
         ufield = LocalField(verts, asm.tables.element, w[t])

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from bdmdarcy.analysis import case_circle, compute_eoc, error_norms
-from bdmdarcy.assembly import Assembler, BoundaryShapeFunctions
+from bdmdarcy.assembly import Assembler, ShapeFunctions
 from bdmdarcy.cli import StudyConfig, run_study
 from bdmdarcy.correction import TaylorConfig, taylor_trace
 from bdmdarcy.mesh import coarse_mesh, disk_domain, refine_project, ring_domain
@@ -266,7 +266,7 @@ def test_criterion_10_fast_path_equivalence(k):
     mesh = mesh_hierarchy(curves, (3,))[3]
     asm = Assembler(mesh, curves, k=k)
     cfg = TaylorConfig(k, k)
-    basis = BoundaryShapeFunctions(asm)
+    basis = ShapeFunctions(asm, asm.trace.owner)
 
     class _Slow:
         degree = None

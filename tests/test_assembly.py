@@ -24,6 +24,7 @@ from oracles import (
     dense_matrix_b1_flat,
     dense_rhs_u_volume,
     element_blocks,
+    local_field,
     norm_0h,
     random_domains,
 )
@@ -370,8 +371,8 @@ def test_global_hdiv_conformity(k):
         pts = 0.5 * (a + b) + 0.5 * np.outer(s, b - a)
         n = mesh.edge_normal[e]
         t0, t1 = mesh.edge_tris[e]
-        v0 = asm.local_field(t0, w[t0]).eval(pts) @ n
-        v1 = asm.local_field(t1, w[t1]).eval(pts) @ n
+        v0 = local_field(asm, t0, w[t0]).eval(pts) @ n
+        v1 = local_field(asm, t1, w[t1]).eval(pts) @ n
         assert np.abs(v0 - v1).max() <= 1e-11 * scale
 
 

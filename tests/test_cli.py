@@ -169,6 +169,36 @@ def test_export_fields_round_trip(tmp_path):
     assert np.abs(coords - mesh.vertices).max() <= 1e-15
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("domain", ["disk", "ring"])
+def test_export_velocity_matches_the_per_triangle_field(tmp_path, domain, k):
+    """Each vertex velocity is the per-triangle reference field of the
+    vertex's lowest-index adjacent triangle, evaluated at the vertex."""
+    from bdmdarcy.assembly import Assembler
+    from bdmdarcy.mesh import coarse_mesh, disk_domain, refine_project, ring_domain
+    from oracles import local_field
+
+    curves = disk_domain() if domain == "disk" else ring_domain()
+    mesh = refine_project(coarse_mesh(curves), curves)
+    asm = Assembler(mesh, curves, k=k)
+    rng = np.random.default_rng(k)
+    u = rng.standard_normal(asm.dofmap.n_u)
+    path = tmp_path / "fields.vtk"
+    export_fields(mesh, asm, u, rng.standard_normal(asm.dofmap.n_p), path)
+    lines = path.read_text().splitlines()
+    start = lines.index("VECTORS velocity double") + 1
+    velocity = np.array([[float(x) for x in line.split()[:2]]
+                         for line in lines[start:start + mesh.n_vertices]])
+
+    w = asm.local_coeffs(u)
+    expected = []
+    for v, x in enumerate(mesh.vertices):
+        t = np.flatnonzero((mesh.triangles == v).any(axis=1))[0]
+        expected.append(local_field(asm, t, w[t]).eval(x)[0])
+    expected = np.array(expected)
+    assert np.abs(velocity - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
 def test_dump_system_parses(tmp_path):
     cfg = tiny_config(dump_system=str(tmp_path / "dumps"))
     run_study(cfg)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bdmdarcy.analysis import case_circle, case_ring
-from bdmdarcy.assembly import Assembler, BoundaryShapeFunctions
+from bdmdarcy.assembly import Assembler, ShapeFunctions
 from bdmdarcy.correction import (
     TaylorConfig,
     edge_trace_geometry,
@@ -58,7 +58,7 @@ def test_flat_edge_has_zero_shift():
     assert np.all(geom.delta == 0.0)
     assert np.abs(geom.n_gamma - geom.n_h[:, None, :]).max() == 0.0
     # with zero shift the extension reduces to the plain trace for every order
-    basis = BoundaryShapeFunctions(asm)
+    basis = ShapeFunctions(asm, asm.trace.owner)
     plain = basis.eval(geom.points)
     for m in range(3):
         vals = taylor_trace(_NoDegree(basis), geom, TaylorConfig(m, 2))
@@ -102,7 +102,7 @@ def test_taylor_exact_for_low_degree_polynomials(m):
         return out
 
     u = interpolate_velocity(asm, poly)  # reproduces polynomials of degree <= k
-    vals = taylor_trace(_NoDegree(BoundaryShapeFunctions(asm)), asm.trace, asm.taylor)
+    vals = taylor_trace(_NoDegree(ShapeFunctions(asm, asm.trace.owner)), asm.trace, asm.taylor)
     exact = poly(asm.trace.projected.reshape(-1, 2)).reshape(asm.trace.projected.shape)
     assert np.abs(owner_values(asm, vals, u) - exact).max() < 1e-12 * (1.0 + np.abs(exact).max())
 
@@ -110,7 +110,7 @@ def test_taylor_exact_for_low_degree_polynomials(m):
 def test_order_zero_is_plain_trace():
     curves = disk_domain()
     asm = Assembler(coarse_mesh(curves), curves, k=2, m=0)
-    basis = BoundaryShapeFunctions(asm)
+    basis = ShapeFunctions(asm, asm.trace.owner)
     vals = taylor_trace(basis, asm.trace, asm.taylor)
     assert np.abs(vals - basis.eval(asm.trace.points)).max() == 0.0
 
@@ -121,7 +121,7 @@ def test_fast_path_matches_taylor_sum(k):
     curves = disk_domain()
     mesh = refine_project(coarse_mesh(curves), curves)
     asm = Assembler(mesh, curves, k=k)
-    basis = BoundaryShapeFunctions(asm)
+    basis = ShapeFunctions(asm, asm.trace.owner)
     cfg = TaylorConfig(k, k)
     u = np.random.default_rng(k * 13).standard_normal(asm.dofmap.n_u)
     fast = owner_values(asm, taylor_trace(basis, asm.trace, cfg), u)
@@ -186,7 +186,7 @@ def test_correction_term_shrinks_linearly_with_h():
         asm = Assembler(mesh, curves, k=k, m=m)
         geom = asm.trace
         u = interpolate_velocity(asm, case.velocity)
-        basis = BoundaryShapeFunctions(asm)
+        basis = ShapeFunctions(asm, asm.trace.owner)
         tail = owner_values(asm, taylor_trace(basis, geom, cfg) - basis.eval(geom.points), u)
         tail_norm = np.sqrt(
             np.einsum("bq,bqa->b", geom.weights, tail**2) / geom.h_owner

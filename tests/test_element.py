@@ -8,21 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bdmdarcy.assembly import Assembler
-from bdmdarcy.femcore import (
-    LocalField,
-    affine_map,
-    bdm_reference_basis,
-    edge_quadrature,
-    triangle_quadrature,
-)
+from bdmdarcy.femcore import bdm_reference_basis, edge_quadrature, triangle_quadrature
 from bdmdarcy.femcore.element import REF_EDGES, REF_VERTICES
 from bdmdarcy.mesh import _build_mesh, refine_project
 from domains import StraightBoundary, single_triangle_mesh, triangle_domain, unit_square_mesh
 from oracles import (
+    LocalField,
     Partials,
+    affine_map,
     divergence,
     dof_matrix,
     interpolate_velocity,
+    local_field,
     project_pressure_global,
 )
 
@@ -37,7 +34,7 @@ def _interpolant(asm, field):
     """The BDM_k interpolant of ``field`` on the one triangle of ``asm``, as
     a LocalField."""
     coeffs = asm.local_coeffs(interpolate_velocity(asm, field))
-    return asm.local_field(0, coeffs[0])
+    return local_field(asm, 0, coeffs[0])
 
 
 def _projection(asm, q, pts):

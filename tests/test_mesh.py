@@ -200,16 +200,51 @@ def test_edge_numbering_equals_the_unique_of_sorted_pairs(domain):
         mesh = refine_project(mesh, curves)
 
 
-def test_save_load_round_trip(tmp_path):
-    curves, meshes = disk_hierarchy(2)
-    mesh = meshes[-1]
-    path = tmp_path / "disk.txt"
+@pytest.mark.parametrize("domain", [disk_domain, ring_domain])
+def test_save_load_round_trip(tmp_path, domain):
+    curves = domain()
+    mesh = refine_project(refine_project(coarse_mesh(curves), curves), curves)
+    path = tmp_path / "mesh.txt"
     save_mesh(mesh, path)
     loaded = load_mesh(path, level=mesh.level)
     assert np.array_equal(loaded.triangles, mesh.triangles)
     assert np.abs(loaded.vertices - mesh.vertices).max() == 0.0  # 17 digits round trip
     assert np.array_equal(np.sort(loaded.boundary_edges), np.sort(mesh.boundary_edges))
     assert np.array_equal(loaded.edge_component, mesh.edge_component)
+
+
+def _corrupt_interior(mesh, record):
+    return mesh.edges[np.flatnonzero(mesh.edge_tris[:, 1] >= 0)[0]]
+
+
+def _corrupt_out_of_range(mesh, record):
+    # a second vertex past the end whose edge key a * n_v + b is that of
+    # the boundary edge (a + 1, b - n_v)
+    return record[0] - 1, record[1] + mesh.n_vertices
+
+
+def _corrupt_duplicate(mesh, record):
+    return mesh.edges[mesh.boundary_edges[0]]
+
+
+@pytest.mark.parametrize("corrupt", [_corrupt_interior, _corrupt_out_of_range, _corrupt_duplicate])
+def test_load_rejects_records_that_do_not_match_the_mesh(tmp_path, corrupt):
+    """A boundary-edge record that names an interior edge, a vertex out of
+    range or an edge already recorded is a ValueError that names the
+    records, not a KeyError deep in the loader."""
+    curves = ring_domain()
+    mesh = refine_project(coarse_mesh(curves), curves)
+    path = tmp_path / "ring.txt"
+    save_mesh(mesh, path)
+    lines = path.read_text().splitlines()
+    last = len(lines) - 1  # the last boundary record; its edge has a >= 1
+    a, b, comp = (int(x) for x in lines[last].split())
+    assert a >= 1
+    i, j = corrupt(mesh, (a, b))
+    lines[last] = f"{i} {j} {comp}"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="record"):
+        load_mesh(path, level=mesh.level)
 
 
 def test_non_manifold_rejected():
