@@ -271,6 +271,11 @@ def load_mesh(path, level=0):
     triangles = np.array(
         [[int(x) for x in tokens[1 + n_v + i].split()] for i in range(n_t)]
     )
+    bad = np.flatnonzero(((triangles < 0) | (triangles >= n_v)).any(axis=1))
+    if len(bad):
+        i = bad[0]
+        raise ValueError(f"triangle line {i} {tuple(triangles[i].tolist())} names a vertex "
+                         f"outside 0..{n_v - 1}")
     records = np.array(
         [[int(x) for x in tokens[1 + n_v + n_t + i].split()] for i in range(n_b)],
         dtype=np.int64,

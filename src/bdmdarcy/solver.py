@@ -2,9 +2,11 @@
 
 The solve is a hybridized one (Arnold-Brezzi).  Normal continuity
 is broken on interior edges and restored by k+1 multipliers per edge; the
-element blocks L_K = [A_K B1_K^T; B0_K 0] of ``SaddleSystem.elements``
-(every boundary term belongs to one element) are inverted in one batched
-call, and what is left is a sparse interface system on the multipliers,
+element blocks L_K = S_K L^ S_K of ``SaddleSystem.elements`` (every
+boundary term belongs to one element) are inverted once per class of
+bit-identical blocks L^, in one batched call, and L_K^-1 is S_K L^^-1 S_K
+bit for bit (partial pivoting chooses by magnitude, and sign flips are
+exact).  What is left is a sparse interface system on the multipliers,
 factored once by SuperLU.  The system's last unknown, theta (the
 pressure-mean multiplier with the boundary-mean term folded in,
 theta = lam + flux.u / area; see ``SaddleSystem``), is one more interface
@@ -51,8 +53,12 @@ def _residual(system, x, rhs):
 
 def _interface_matrix(el, inv, n):
     """The (n, n) CSC interface matrix sum_K G_K^T L_K^-1 G_K over the
-    interior-edge multipliers and theta (the last unknown).  Its build
-    temporaries are freed on return, before the factorization.
+    interior-edge multipliers and theta (the last unknown), from the class
+    inverses ``inv``: G~^T L^^-1 G~ is formed once per class, with G~ the
+    unsigned edge-dof columns and the c column of theta, and each element's
+    block is that one with the rows and columns of its edge dofs times
+    sign * S_K.  Its build temporaries are freed on return, before the
+    factorization.
 
     Sums that come out exactly 0.0 stay stored, so the pattern is the union
     of the element blocks' patterns and structurally symmetric.  Dropping
@@ -61,15 +67,16 @@ def _interface_matrix(el, inv, n):
     (4.06M -> 4.27M) and a factorization about four times slower (0.6 ->
     2.6 s CPU; at ring level 4, 0.56 -> 0.79 s); why it is that much slower
     was not traced."""
-    sign, nd, ne = el.sign, el.udofs.shape[1], el.sign.shape[1]
-    # L_K^-1 G_K: the signed edge-dof columns, and the c_K column of theta
-    z = np.concatenate(
-        [inv[:, :, :ne] * sign[:, None, :], inv[:, :, nd:] @ el.c[:, :, None]], axis=2
-    )
-    local = np.concatenate(
-        [sign[:, :, None] * z[:, :ne, :], el.c[:, None, :] @ z[:, nd:, :]], axis=1
-    )
-    idx = np.concatenate([el.multiplier, np.full((len(sign), 1), n - 1)], axis=1)
+    nd, ne = el.udofs.shape[1], el.sign.shape[1]
+    c = np.empty((len(inv), el.c.shape[1]))
+    c[el.cls] = el.c  # c_K depends on det only, so it is one per class
+    # L^^-1 G~: the edge-dof columns, and the c column of theta
+    z = np.concatenate([inv[:, :, :ne], inv[:, :, nd:] @ c[:, :, None]], axis=2)
+    local = np.concatenate([z[:, :ne, :], c[:, None, :] @ z[:, nd:, :]], axis=1)[el.cls]
+    d = np.concatenate([el.sign * el.flip[:, :ne], np.ones((len(el.cls), 1))], axis=1)
+    local *= d[:, :, None]
+    local *= d[:, None, :]
+    idx = np.concatenate([el.multiplier, np.full((len(el.sign), 1), n - 1)], axis=1)
     keep = (idx[:, :, None] >= 0) & (idx[:, None, :] >= 0)
     rows = np.broadcast_to(idx[:, :, None], local.shape)[keep]
     cols = np.broadcast_to(idx[:, None, :], local.shape)[keep]
@@ -77,8 +84,9 @@ def _interface_matrix(el, inv, n):
 
 
 class _Hybrid:
-    """The hybridized inverse of a ``SaddleSystem``: local inverses, the
-    factored interface matrix, and ``apply(b)`` ~ M^-1 b."""
+    """The hybridized inverse of a ``SaddleSystem``: one inverse per class
+    of element blocks, the factored interface matrix, and
+    ``apply(b)`` ~ M^-1 b."""
 
     def __init__(self, system):
         el = system.elements
@@ -88,7 +96,7 @@ class _Hybrid:
         self.ne = el.sign.shape[1]
         self.theta = int(el.multiplier.max()) + 1
         try:
-            self.inv = np.linalg.inv(el.matrix)
+            self.inv = np.linalg.inv(el.matrix)  # one per class
         except np.linalg.LinAlgError as exc:
             raise RuntimeError("hybridized solve failed: singular element block") from exc
 
@@ -112,7 +120,7 @@ class _Hybrid:
         f = np.concatenate(
             [np.where(self.holder, b[el.udofs], 0.0), b[n_u:-1].reshape(el.c.shape)], axis=1
         )
-        y = (self.inv @ f[:, :, None])[:, :, 0]
+        y = el.apply(f, self.inv)
 
         g = np.empty(self.theta + 1)
         inner = el.multiplier >= 0
@@ -124,7 +132,7 @@ class _Hybrid:
 
         f[:, :ne] -= el.sign * xi[el.multiplier]  # sign 0 where there is no multiplier
         f[:, nd:] -= el.c * xi[self.theta]
-        x_loc = (self.inv @ f[:, :, None])[:, :, 0]
+        x_loc = el.apply(f, self.inv)
 
         u = np.empty(n_u)
         u[el.udofs[self.holder]] = x_loc[:, :nd][self.holder]

@@ -3,7 +3,9 @@
 Everything here recomputes forms element by element, never through the
 assembled sparse matrices or the batched element arrays: mostly by explicit
 quadrature through LocalField evaluations, and in ``element_blocks`` by the
-reference tables contracted one element at a time.  The boundary terms go
+reference tables contracted one element at a time.  ``signed_blocks`` is
+the exception: the assembler's own arithmetic applied to every element's
+geometry and signs, with no classes, for comparisons bit for bit.  The boundary terms go
 edge by edge: per-edge projection data, physical mixed partials by the
 chain rule, and the Taylor sum assembled from them, where the program
 computes the same traces for all boundary nodes at once.
@@ -20,6 +22,7 @@ from types import SimpleNamespace
 import numpy as np
 from hypothesis import strategies as st
 
+from bdmdarcy.assembly import ShapeFunctions, _contract
 from bdmdarcy.femcore import EdgeBasis, edge_quadrature, triangle_quadrature
 from bdmdarcy.femcore.basis import triangle_basis
 from bdmdarcy.femcore.element import REF_VERTICES, _bubble_times
@@ -323,6 +326,40 @@ def element_blocks(asm):
         pvals = t.pressure.eval((geom.points - v0) @ jinv.T)
         blocks[e, :nd, nd:] += np.einsum("q,ql,qi->il", geom.weights, pvals, vn)
     return blocks, dof
+
+
+def signed_blocks(asm):
+    """The (nel, nd + npr, nd + npr) blocks L_K with the arithmetic of
+    ``Assembler.elements`` applied to each element: mass + div-div from its
+    own (g, det), signed by S_K, then its boundary terms (corrected mode) or
+    identity rows and columns at its constrained dofs (strong mode)."""
+    t = asm.tables
+    nel, nd, npr = asm.mesh.n_triangles, t.element.dim, t.pressure.dim
+    s = asm.dof_sign
+    blocks = np.zeros((nel, nd + npr, nd + npr))
+    a, bt, b0 = blocks[:, :nd, :nd], blocks[:, :nd, nd:], blocks[:, nd:, :nd]
+    g = np.einsum("eba,ebc->eac", asm.jac, asm.jac) / asm.det[:, None, None]
+    a[...] = _contract(g, t.s_mass)
+    a += t.s_div[None, :, :] / asm.det[:, None, None]
+    a *= s[:, :, None]
+    a *= s[:, None, :]
+    b0[...] = t.b0_span * s[:, None, :]
+    bt[...] = np.transpose(b0, (0, 2, 1))
+    if asm.mode == "corrected":
+        geom, tv = asm.trace, asm.basis_trace
+        pen = np.einsum("bq,bqi,bqj->bij", geom.weights, tv, tv)
+        np.add.at(a, geom.owner, pen / geom.h_owner[:, None, None])
+        shapes = ShapeFunctions(asm, geom.owner)
+        vn = (shapes.eval(geom.points) @ geom.n_h[:, None, :, None])[..., 0]
+        pvals = t.pressure.eval(shapes._reference(geom.points).reshape(-1, 2))
+        pw = geom.weights[:, :, None] * pvals.reshape(vn.shape[:2] + (npr,))
+        np.add.at(bt, geom.owner, vn.transpose(0, 2, 1) @ pw)
+    else:
+        e, i = np.nonzero(np.isin(asm.gidx, asm.constrained))
+        blocks[e, i, :] = 0.0
+        blocks[e, :, i] = 0.0
+        blocks[e, i, i] = 1.0
+    return blocks
 
 
 def dense_matrix_a_flat(asm, vol_degree=12, edge_points=8):

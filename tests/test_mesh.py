@@ -247,6 +247,21 @@ def test_load_rejects_records_that_do_not_match_the_mesh(tmp_path, corrupt):
         load_mesh(path, level=mesh.level)
 
 
+@pytest.mark.parametrize("line", ["0 1 22", "0 1 -2"])
+def test_load_rejects_triangle_vertices_out_of_range(tmp_path, line):
+    """A triangle line naming a vertex past the end, or a negative one
+    (which would wrap to another vertex), is a ValueError that names it."""
+    curves = disk_domain()
+    mesh = refine_project(coarse_mesh(curves), curves)
+    path = tmp_path / "disk.txt"
+    save_mesh(mesh, path)
+    lines = path.read_text().splitlines()
+    lines[1 + mesh.n_vertices] = line
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"triangle line 0 .* outside 0..{mesh.n_vertices - 1}"):
+        load_mesh(path, level=mesh.level)
+
+
 def test_non_manifold_rejected():
     from bdmdarcy.mesh import _build_mesh
 

@@ -84,5 +84,5 @@ def test_batched_traces_match_per_edge_slow_path(setup):
 
     # every boundary form of the blocks (penalty, straight-normal term)
     blocks, _ = element_blocks(asm)
-    error = np.linalg.norm(asm.elements.matrix - blocks, axis=(1, 2))
+    error = np.linalg.norm(asm.elements.expand() - blocks, axis=(1, 2))
     assert np.all(error <= 1e-14 * np.linalg.norm(blocks, axis=(1, 2)))
