@@ -191,7 +191,7 @@ def error_norms(u, p, case, assembler):
     div_sq = float(np.einsum("e,q,eq->", assembler.det, wq, (fe - uh_div) ** 2))
 
     geom = assembler.trace
-    exact = taylor_trace_normal(AnalyticVelocity(case), geom, assembler.taylor)
+    exact = taylor_trace_normal(AnalyticVelocity(case), geom, assembler.m)
     discrete = np.einsum("bqi,bi->bq", assembler.basis_trace, u[assembler.gidx[geom.owner]])
     diff = exact - discrete
     pen_sq = float(np.einsum("bq,b,bq->", geom.weights, 1.0 / geom.h_owner, diff**2))

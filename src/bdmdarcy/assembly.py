@@ -65,7 +65,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from bdmdarcy.correction import (
-    TaylorConfig,
     directional_derivative,
     edge_trace_geometry,
     pullback_neumann,
@@ -96,15 +95,15 @@ def quadrature_orders(k, vol_degree=None, bnd_points=None):
     """(volume exactness degree, boundary point count) for degree k.
 
     Defaults: 2k+2 for stiffness/mass volume terms, k+3 Gauss points
-    (degree 2k+5) for boundary integrals.  Overrides may only go upward:
-    coarser rules make the mass matrix singular or the boundary penalty
-    inexact.
+    (degree 2k+5) for boundary integrals.  Overrides may only go upward
+    (coarser rules make the mass matrix singular or the boundary penalty
+    inexact), to at most 2k+20 and k+20: far larger ones ask for gigabytes.
     """
-    vol_min, bnd_min = 2 * k + 2, k + 3
-    if vol_degree is not None and vol_degree < vol_min:
-        raise ValueError(f"volume quadrature degree must be at least {vol_min} for k = {k}")
-    if bnd_points is not None and bnd_points < bnd_min:
-        raise ValueError(f"boundary quadrature needs at least {bnd_min} points for k = {k}")
+    vol_min, vol_max, bnd_min, bnd_max = 2 * k + 2, 2 * k + 20, k + 3, k + 20
+    if vol_degree is not None and not vol_min <= vol_degree <= vol_max:
+        raise ValueError(f"volume quadrature degree must lie in {vol_min}..{vol_max} for k = {k}")
+    if bnd_points is not None and not bnd_min <= bnd_points <= bnd_max:
+        raise ValueError(f"boundary quadrature needs {bnd_min}..{bnd_max} points for k = {k}")
     return (
         vol_min if vol_degree is None else vol_degree,
         bnd_min if bnd_points is None else bnd_points,
@@ -327,8 +326,9 @@ class Assembler:
     signs S_K, which ``ShapeFunctions`` reads for any set of elements) and the
     boundary data (trace geometry, and the normal traces ``basis_trace`` of
     the owners' shape functions, shape (n_b, q, n_d)) are computed once and
-    shared by the matrix, load, and error-measurement routines.  Strong mode
-    has no Taylor extension: its traces are plain traces (order 0).
+    shared by the matrix, load, and error-measurement routines.  ``m`` is
+    the Taylor order, an int in 0..k (default k).  Strong mode has no Taylor
+    extension: it ignores ``m`` and takes plain traces (``self.m`` = 0).
     """
 
     def __init__(self, mesh, curves, k, m=None, mode="corrected",
@@ -337,12 +337,13 @@ class Assembler:
             raise ValueError(f"unknown mode {mode!r}")
         if k < 1:
             raise ValueError("BDM discretizations need k >= 1")
+        m = 0 if mode == "uncorrected-strong" else k if m is None else m
+        if not 0 <= m <= k:
+            raise ValueError("Taylor order must satisfy 0 <= m <= k")
         self.mesh = mesh
         self.curves = list(curves)
         self.k = k
-        if mode == "uncorrected-strong":
-            m = 0
-        self.taylor = TaylorConfig(k if m is None else m, k)
+        self.m = m
         self.mode = mode
         self.tables = reference_tables(k, vol_degree=quad_volume, bnd_points=quad_boundary)
         self.stats = mesh_stats(mesh)
@@ -373,7 +374,7 @@ class Assembler:
         self._build_indices()
         self.trace = edge_trace_geometry(mesh, self.curves, t.bnd_rule, self.stats.h_K)
         self.basis_trace = taylor_trace_normal(
-            ShapeFunctions(self, self.trace.owner), self.trace, self.taylor
+            ShapeFunctions(self, self.trace.owner), self.trace, self.m
         )
 
     # -- structural setup ---------------------------------------------------

@@ -67,7 +67,7 @@ class ConfigError(ValueError):
 class StudyConfig:
     domain: str = "circle"
     k: int = 1
-    m: int = None  # defaults to k
+    m: int = None  # defaults to k; 0 in strong mode
     mode: str = "corrected"
     level_first: int = 1
     level_last: int = 4
@@ -175,19 +175,21 @@ def parse_config(argv=None):
         raise ConfigError(f"domain must be one of {_DOMAINS}")
     if not 1 <= cfg.k <= K_MAX:
         raise ConfigError(f"k must lie between 1 and {K_MAX}")
+    if cfg.mode not in _MODES:
+        raise ConfigError(f"mode must be one of {_MODES}")
+    if cfg.mode == "uncorrected-strong" and cfg.m not in (None, 0):
+        raise ConfigError("uncorrected-strong mode has no Taylor extension; m must be 0")
     if cfg.m is None:
-        cfg.m = cfg.k
+        cfg.m = 0 if cfg.mode == "uncorrected-strong" else cfg.k
     if cfg.m < 0 or cfg.m > cfg.k:
         raise ConfigError("m must satisfy 0 <= m <= k")
     # advisory lower bound for optimal-order accuracy
     lower = max(0, ceil(cfg.k / 2.0 - 3.0 / 4.0))
-    if cfg.m < lower:
+    if cfg.m < lower and cfg.mode == "corrected":
         warnings.warn(
             f"m = {cfg.m} is below the optimal-accuracy bound {lower} for "
             f"k = {cfg.k}; the study may converge suboptimally"
         )
-    if cfg.mode not in _MODES:
-        raise ConfigError(f"mode must be one of {_MODES}")
     if levels is not None:
         cfg.level_first, cfg.level_last = _parse_levels(levels)
     if center is not None:

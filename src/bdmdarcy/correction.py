@@ -23,7 +23,6 @@ from math import comb, factorial
 import numpy as np
 
 __all__ = [
-    "TaylorConfig",
     "TraceGeometry",
     "edge_trace_geometry",
     "directional_derivative",
@@ -31,22 +30,6 @@ __all__ = [
     "taylor_trace_normal",
     "pullback_neumann",
 ]
-
-
-@dataclass(frozen=True)
-class TaylorConfig:
-    """Order of the boundary Taylor extension for a degree-k field."""
-
-    m: int
-    k: int
-
-    def __post_init__(self):
-        if not 0 <= self.m <= self.k:
-            raise ValueError("Taylor order must satisfy 0 <= m <= k")
-
-    @property
-    def fast_path(self):
-        return self.m >= self.k
 
 
 @dataclass
@@ -113,31 +96,31 @@ def directional_derivative(partial, direction, j):
     return total
 
 
-def taylor_trace(field, geom, config):
-    """Taylor extension of a field at every boundary node, shape
-    (n_b, q, ..., 2).
+def taylor_trace(field, geom, m):
+    """Taylor extension of order ``m`` (an int >= 0) of a field at every
+    boundary node, shape (n_b, q, ..., 2).
 
     ``field`` exposes ``eval(points)`` for points of shape (n_b, q, 2) and
     ``nu_derivative(geom, j)``, the j-th derivative along nu at
     ``geom.points``; a ``degree`` attribute of None marks a non-polynomial
-    field.  When the configured order makes the Taylor sum exact for the
-    field's degree, the value is taken directly at the projected points;
-    otherwise the truncated sum is assembled order by order.
+    field.  When the sum is exact, a polynomial field of degree <= m, the
+    value is taken directly at the projected points; otherwise the
+    truncated sum is assembled order by order.
     """
-    if config.fast_path and field.degree is not None and field.degree <= config.m:
+    if field.degree is not None and field.degree <= m:
         return field.eval(geom.projected)
     total = field.eval(geom.points)
-    for j in range(1, config.m + 1):
+    for j in range(1, m + 1):
         scale = geom.delta**j / factorial(j)
         term = field.nu_derivative(geom, j)
         total = total + scale.reshape(scale.shape + (1,) * (term.ndim - 2)) * term
     return total
 
 
-def taylor_trace_normal(field, geom, config):
-    """Normal component of the Taylor extension against the pulled-back
-    physical normal, shape (n_b, q, ...)."""
-    return np.einsum("bq...a,bqa->bq...", taylor_trace(field, geom, config), geom.n_gamma)
+def taylor_trace_normal(field, geom, m):
+    """Normal component of the order-m Taylor extension against the
+    pulled-back physical normal, shape (n_b, q, ...)."""
+    return np.einsum("bq...a,bqa->bq...", taylor_trace(field, geom, m), geom.n_gamma)
 
 
 def pullback_neumann(g, geom):

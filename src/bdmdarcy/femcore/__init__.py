@@ -1,7 +1,7 @@
 """Reference elements, bases and quadrature."""
 
 from bdmdarcy.femcore.quadrature import QuadratureRule, triangle_quadrature, edge_quadrature
-from bdmdarcy.femcore.basis import TriangleBasis, EdgeBasis
+from bdmdarcy.femcore.basis import TriangleBasis
 from bdmdarcy.femcore.element import BDMElement, bdm_reference_basis
 
 __all__ = [
@@ -9,7 +9,6 @@ __all__ = [
     "triangle_quadrature",
     "edge_quadrature",
     "TriangleBasis",
-    "EdgeBasis",
     "BDMElement",
     "bdm_reference_basis",
 ]

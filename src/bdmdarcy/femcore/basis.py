@@ -1,4 +1,4 @@
-"""Polynomial bases on the reference triangle and the reference edge."""
+"""Orthonormal polynomial bases on the reference triangle."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -6,7 +6,7 @@ from math import factorial, isqrt
 
 import numpy as np
 
-__all__ = ["TriangleBasis", "EdgeBasis"]
+__all__ = ["TriangleBasis"]
 
 
 def _monomial_exponents(degree):
@@ -123,16 +123,3 @@ def triangle_basis(degree):
     """Shared, immutable TriangleBasis instances."""
     return TriangleBasis(degree)
 
-
-class EdgeBasis:
-    """Legendre polynomials P_0 .. P_degree on the reference edge [-1, 1]."""
-
-    def __init__(self, degree):
-        if degree < 0:
-            raise ValueError("degree must be nonnegative")
-        self.degree = degree
-        self.dim = degree + 1
-
-    def eval(self, s):
-        """Values at parameters s, shape (npts, dim)."""
-        return np.polynomial.legendre.legvander(np.asarray(s, dtype=float), self.degree)

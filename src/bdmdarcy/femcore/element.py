@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from bdmdarcy.femcore.basis import EdgeBasis, triangle_basis
+from bdmdarcy.femcore.basis import triangle_basis
 from bdmdarcy.femcore.quadrature import edge_quadrature, triangle_quadrature
 
 __all__ = [
@@ -101,8 +101,7 @@ class BDMElement:
         k = self.k
         rows = []
         edge_rule = edge_quadrature(k + 2)
-        legendre = EdgeBasis(k)
-        leg_vals = legendre.eval(edge_rule.points)  # (g, k+1)
+        leg_vals = np.polynomial.legendre.legvander(edge_rule.points, k)  # (g, k+1)
         for l, (a_idx, b_idx) in enumerate(REF_EDGES):
             a, b = REF_VERTICES[a_idx], REF_VERTICES[b_idx]
             pts = 0.5 * (a + b) + 0.5 * np.outer(edge_rule.points, b - a)

@@ -261,23 +261,37 @@ def save_mesh(mesh, path):
 
 def load_mesh(path, level=0):
     """Inverse of save_mesh; topology is rebuilt, components come from the
-    boundary-edge records."""
+    boundary-edge records.  A malformed file is a ValueError naming the
+    line, or the expected against the found line count."""
     with open(path) as f:
-        tokens = f.read().split("\n")
-    n_v, n_b, n_t = (int(x) for x in tokens[0].split())
-    vertices = np.array(
-        [[float(x) for x in tokens[1 + i].split()[:2]] for i in range(n_v)]
-    )
-    triangles = np.array(
-        [[int(x) for x in tokens[1 + n_v + i].split()] for i in range(n_t)]
-    )
+        lines = f.read().splitlines() or [""]
+
+    def table(first, count, kind, width):
+        """Lines first .. first + count - 1 as a (count, width) array."""
+        rows = []
+        for i in range(first, first + count):
+            try:
+                row = [kind(x) for x in lines[i].split()]
+            except ValueError:
+                row = ()
+            if len(row) != width:
+                raise ValueError(f"{path}, line {i + 1}: expected {width} {kind.__name__} "
+                                 f"values, found {lines[i]!r}")
+            rows.append(row)
+        return np.array(rows, dtype=kind).reshape(count, width)
+
+    n_v, n_b, n_t = table(0, 1, int, 3)[0]
+    if min(n_v, n_b, n_t) < 0:
+        raise ValueError(f"{path}, line 1: negative count in {lines[0]!r}")
+    if len(lines) < 1 + n_v + n_t + n_b:
+        raise ValueError(f"{path}: the counts {n_v} {n_b} {n_t} on line 1 need "
+                         f"{1 + n_v + n_t + n_b} lines, found {len(lines)}")
+    vertices = table(1, n_v, float, 4)[:, :2].copy()
+    triangles = table(1 + n_v, n_t, int, 3)
     bad = np.flatnonzero(((triangles < 0) | (triangles >= n_v)).any(axis=1))
     if len(bad):
         i = bad[0]
         raise ValueError(f"triangle line {i} {tuple(triangles[i].tolist())} names a vertex "
                          f"outside 0..{n_v - 1}")
-    records = np.array(
-        [[int(x) for x in tokens[1 + n_v + n_t + i].split()] for i in range(n_b)],
-        dtype=np.int64,
-    ).reshape(n_b, 3)
+    records = table(1 + n_v + n_t, n_b, int, 3)
     return _build_mesh(vertices, triangles, curves=None, level=level, boundary_records=records)

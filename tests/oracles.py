@@ -21,9 +21,10 @@ from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import strategies as st
+from numpy.polynomial.legendre import legvander
 
 from bdmdarcy.assembly import ShapeFunctions, _contract
-from bdmdarcy.femcore import EdgeBasis, edge_quadrature, triangle_quadrature
+from bdmdarcy.femcore import edge_quadrature, triangle_quadrature
 from bdmdarcy.femcore.basis import triangle_basis
 from bdmdarcy.femcore.element import REF_VERTICES, _bubble_times
 from bdmdarcy.mesh import disk_domain, ring_domain
@@ -125,7 +126,7 @@ def interpolate_velocity(asm, func):
     vals = np.asarray(func(pts.reshape(-1, 2))).reshape(len(a), len(s), 2)
     vn = np.einsum("ega,ea->eg", vals, mesh.edge_normal)
     moments = 0.5 * edge_lengths(mesh)[:, None] * np.einsum(
-        "g,gm,eg->em", rule.weights, EdgeBasis(k).eval(s), vn
+        "g,gm,eg->em", rule.weights, legvander(s, k), vn
     )
     coeffs[: asm.dofmap.n_edge_dofs] = moments.ravel()
 
@@ -157,7 +158,7 @@ def dof_matrix(asm, e):
     t, mesh, k = asm.tables, asm.mesh, asm.k
     _, jac, det, jinv = affine_map(element_vertices(asm, e))
     rule = edge_quadrature(k + 2)
-    wleg = rule.weights[:, None] * EdgeBasis(k).eval(rule.points)  # (g, k+1)
+    wleg = rule.weights[:, None] * legvander(rule.points, k)  # (g, k+1)
     local = list(mesh.triangles[e])
     rows = []
     for edge in mesh.tri_edges[e]:
@@ -253,17 +254,17 @@ def edge_geometries(asm):
     ]
 
 
-def taylor_trace(field, geom, config):
-    """Taylor extension of a field at the nodes of one boundary edge, from
-    mixed partials contracted with powers of nu (point evaluation at the
-    projected nodes when the order makes the sum exact)."""
+def taylor_trace(field, geom, m):
+    """Order-m Taylor extension of a field at the nodes of one boundary edge,
+    from mixed partials contracted with powers of nu (point evaluation at the
+    projected nodes when the sum is exact, for a polynomial of degree <= m)."""
     degree = getattr(field, "degree", None)
-    if config.fast_path and degree is not None and degree <= config.m:
+    if degree is not None and degree <= m:
         return field.eval(geom.projected)
     total = field.eval(geom.points).copy()
     shape_tail = total.shape[1:]
     nu_x, nu_y = geom.nu[:, 0], geom.nu[:, 1]
-    for j in range(1, config.m + 1):
+    for j in range(1, m + 1):
         dir_deriv = np.zeros_like(total)
         for i in range(j + 1):
             part = field.derivative(geom.points, i, j - i)
@@ -275,9 +276,9 @@ def taylor_trace(field, geom, config):
     return total
 
 
-def taylor_trace_normal(field, geom, config):
+def taylor_trace_normal(field, geom, m):
     """Normal component of the per-edge Taylor extension against n_gamma."""
-    return np.einsum("q...a,qa->q...", taylor_trace(field, geom, config), geom.n_gamma)
+    return np.einsum("q...a,qa->q...", taylor_trace(field, geom, m), geom.n_gamma)
 
 
 def norm_0h(asm, u):
@@ -293,7 +294,7 @@ def norm_0h(asm, u):
     if asm.mode == "corrected":
         for geom in edge_geometries(asm):
             field = Partials(local_field(asm, geom.owner, w[geom.owner]))
-            tv = taylor_trace_normal(field, geom, asm.taylor)
+            tv = taylor_trace_normal(field, geom, asm.m)
             total += float(geom.weights @ tv**2) / geom.h_owner
     return float(np.sqrt(total))
 
@@ -320,7 +321,7 @@ def element_blocks(asm):
         e = geom.owner
         v0, _, _, jinv = affine_map(element_vertices(asm, e))
         field = local_field(asm, e, dual[e].T)
-        tv = taylor_trace_normal(Partials(field), geom, asm.taylor)  # (q, nd)
+        tv = taylor_trace_normal(Partials(field), geom, asm.m)  # (q, nd)
         blocks[e, :nd, :nd] += np.einsum("q,qi,qj->ij", geom.weights, tv, tv) / geom.h_owner
         vn = field.eval(geom.points) @ geom.n_h
         pvals = t.pressure.eval((geom.points - v0) @ jinv.T)
@@ -485,8 +486,8 @@ def apply_operator(asm, x):
         v0, jac, det, jinv = affine_map(verts)
         basis = basis_field(asm, t)
         ufield = LocalField(verts, asm.tables.element, w[t])
-        tv_basis = taylor_trace_normal(Partials(basis), geom, asm.taylor)  # (q, nd)
-        tv_u = taylor_trace_normal(Partials(ufield), geom, asm.taylor)  # (q,)
+        tv_basis = taylor_trace_normal(Partials(basis), geom, asm.m)  # (q, nd)
+        tv_u = taylor_trace_normal(Partials(ufield), geom, asm.m)  # (q,)
         y_u[asm.gidx[t]] += (
             np.einsum("q,q,qi->i", geom.weights, tv_u, tv_basis) / geom.h_owner
         )

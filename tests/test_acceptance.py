@@ -12,7 +12,7 @@ import pytest
 from bdmdarcy.analysis import case_circle, compute_eoc, error_norms
 from bdmdarcy.assembly import Assembler, ShapeFunctions
 from bdmdarcy.cli import StudyConfig, run_study
-from bdmdarcy.correction import TaylorConfig, taylor_trace
+from bdmdarcy.correction import taylor_trace
 from bdmdarcy.mesh import coarse_mesh, disk_domain, refine_project, ring_domain
 from bdmdarcy.solver import postprocess_pressure, solve
 from domains import (
@@ -265,7 +265,6 @@ def test_criterion_10_fast_path_equivalence(k):
     curves = disk_domain()
     mesh = mesh_hierarchy(curves, (3,))[3]
     asm = Assembler(mesh, curves, k=k)
-    cfg = TaylorConfig(k, k)
     basis = ShapeFunctions(asm, asm.trace.owner)
 
     class _Slow:
@@ -274,8 +273,8 @@ def test_criterion_10_fast_path_equivalence(k):
         nu_derivative = basis.nu_derivative
 
     # all shape functions of every owner: any discrete field combines them
-    fast = taylor_trace(basis, asm.trace, cfg)
-    slow = taylor_trace(_Slow(), asm.trace, cfg)
+    fast = taylor_trace(basis, asm.trace, k)
+    slow = taylor_trace(_Slow(), asm.trace, k)
     scale = np.abs(fast).max(axis=(1, 2, 3))
     worst = float((np.abs(fast - slow).max(axis=(1, 2, 3)) / scale).max())
     ok = worst <= 1e-12

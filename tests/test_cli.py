@@ -286,6 +286,7 @@ def test_main_exit_codes(tmp_path):
         (None, ["--seed", "1"], "--seed"),
         (None, ["--radius", "2", "--mode", "uncorrected-strong"], "uncorrected-strong"),
         ("center = 0.5, 0\n", ["--mode", "uncorrected-strong"], "uncorrected-strong"),
+        (None, ["--mode", "uncorrected-strong", "--k", "2", "--m", "1"], "m must be 0"),
         (None, ["--radius", "inf"], "radius"),
         (None, ["--domain", "ring", "--r-outer", "inf"], "r_outer"),
         ("center = inf, 0\n", [], "center"),
@@ -307,10 +308,10 @@ def test_main_exit_codes(tmp_path):
     ],
     ids=["bad-value", "bad-center", "radius", "r-inner", "quad-volume", "quad-boundary",
          "bad-int-flag", "k-above-max", "bad-choice", "unknown-flag", "removed-solver-flag",
-         "removed-seed-flag", "strong-mode-radius", "strong-mode-center", "infinite-radius",
-         "infinite-r-outer", "infinite-center", "nan-center", "ring-infinite-center",
-         "report-missing-dir", "json-missing-dir", "report-is-dir", "dump-is-file",
-         "export-is-file", "export-under-file", "radius-1e160", "radius-1e150",
+         "removed-seed-flag", "strong-mode-radius", "strong-mode-center", "strong-mode-m",
+         "infinite-radius", "infinite-r-outer", "infinite-center", "nan-center",
+         "ring-infinite-center", "report-missing-dir", "json-missing-dir", "report-is-dir",
+         "dump-is-file", "export-is-file", "export-under-file", "radius-1e160", "radius-1e150",
          "radius-1e-160", "radius-1e-300", "center-1e17", "ring-r-outer-1e160", "thin-ring"],
 )
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, file_text, argv, where):
@@ -367,6 +368,26 @@ def test_upward_quadrature_overrides_accepted():
     assert (cfg.quad_volume, cfg.quad_boundary) == (6, 5)
 
 
+@pytest.mark.parametrize("flag,value", [("--quad-volume", 25), ("--quad-volume", 6000),
+                                        ("--quad-boundary", 23), ("--quad-boundary", 10**6)])
+def test_quadrature_overrides_are_capped(flag, value):
+    # the caps are 2k+20 and k+20; uncapped, --quad-volume 6000 asks for
+    # 1.6 GiB and --quad-boundary 10^6 for 7 TiB
+    parse_config(["--k", "2", "--quad-volume", "24", "--quad-boundary", "22"])
+    with pytest.raises(ConfigError, match="quadrature"):
+        parse_config(["--k", "2", flag, str(value)])
+
+
+def test_strong_mode_taylor_order_is_zero():
+    # strong mode runs order 0, and reports it; the accuracy advisory stays off
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert parse_config(["--k", "3", "--mode", "uncorrected-strong"]).m == 0
+        assert parse_config(["--k", "3", "--mode", "uncorrected-strong", "--m", "0"]).m == 0
+    with pytest.raises(ConfigError, match="m must be 0"):
+        parse_config(["--k", "2", "--mode", "uncorrected-strong", "--m", "1"])
+
+
 def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
@@ -393,7 +414,8 @@ def study_values(draw):
     return {
         "domain": domain,
         "k": k,
-        "m": draw(st.integers(0, k)),
+        # strong mode has no Taylor extension: its order is 0
+        "m": 0 if mode == "uncorrected-strong" else draw(st.integers(0, k)),
         "mode": mode,
         "levels": f"{first}..{draw(st.integers(first, 8))}",
         "quad_volume": draw(st.integers(2 * k + 2, 2 * k + 6)),

@@ -5,12 +5,7 @@ import pytest
 
 from bdmdarcy.analysis import case_circle, case_ring
 from bdmdarcy.assembly import Assembler, ShapeFunctions
-from bdmdarcy.correction import (
-    TaylorConfig,
-    edge_trace_geometry,
-    pullback_neumann,
-    taylor_trace,
-)
+from bdmdarcy.correction import edge_trace_geometry, pullback_neumann, taylor_trace
 from bdmdarcy.femcore import edge_quadrature
 from bdmdarcy.mesh import coarse_mesh, disk_domain, mesh_stats, refine_project
 from domains import square_domain, unit_square_mesh
@@ -43,12 +38,16 @@ def owner_values(asm, values, u):
 
 
 def test_taylor_config_bounds():
-    TaylorConfig(0, 3)
-    TaylorConfig(3, 3)
-    with pytest.raises(ValueError):
-        TaylorConfig(4, 3)
-    with pytest.raises(ValueError):
-        TaylorConfig(-1, 2)
+    # the Taylor order of a degree-k assembler lies in 0..k; strong mode ignores it
+    curves = disk_domain()
+    mesh = coarse_mesh(curves)
+    assert Assembler(mesh, curves, k=3, m=0).m == 0
+    assert Assembler(mesh, curves, k=3).m == Assembler(mesh, curves, k=3, m=3).m == 3
+    for k, m in [(3, 4), (2, -1), (1, 2)]:
+        with pytest.raises(ValueError, match="0 <= m <= k"):
+            Assembler(mesh, curves, k=k, m=m)
+    for m in (None, -1, 2, 3):
+        assert Assembler(mesh, curves, k=2, m=m, mode="uncorrected-strong").m == 0
 
 
 def test_flat_edge_has_zero_shift():
@@ -61,7 +60,7 @@ def test_flat_edge_has_zero_shift():
     basis = ShapeFunctions(asm, asm.trace.owner)
     plain = basis.eval(geom.points)
     for m in range(3):
-        vals = taylor_trace(_NoDegree(basis), geom, TaylorConfig(m, 2))
+        vals = taylor_trace(_NoDegree(basis), geom, m)
         assert np.abs(vals - plain).max() < 1e-14 * np.abs(plain).max()
 
 
@@ -102,7 +101,7 @@ def test_taylor_exact_for_low_degree_polynomials(m):
         return out
 
     u = interpolate_velocity(asm, poly)  # reproduces polynomials of degree <= k
-    vals = taylor_trace(_NoDegree(ShapeFunctions(asm, asm.trace.owner)), asm.trace, asm.taylor)
+    vals = taylor_trace(_NoDegree(ShapeFunctions(asm, asm.trace.owner)), asm.trace, asm.m)
     exact = poly(asm.trace.projected.reshape(-1, 2)).reshape(asm.trace.projected.shape)
     assert np.abs(owner_values(asm, vals, u) - exact).max() < 1e-12 * (1.0 + np.abs(exact).max())
 
@@ -111,7 +110,7 @@ def test_order_zero_is_plain_trace():
     curves = disk_domain()
     asm = Assembler(coarse_mesh(curves), curves, k=2, m=0)
     basis = ShapeFunctions(asm, asm.trace.owner)
-    vals = taylor_trace(basis, asm.trace, asm.taylor)
+    vals = taylor_trace(basis, asm.trace, asm.m)
     assert np.abs(vals - basis.eval(asm.trace.points)).max() == 0.0
 
 
@@ -122,10 +121,9 @@ def test_fast_path_matches_taylor_sum(k):
     mesh = refine_project(coarse_mesh(curves), curves)
     asm = Assembler(mesh, curves, k=k)
     basis = ShapeFunctions(asm, asm.trace.owner)
-    cfg = TaylorConfig(k, k)
     u = np.random.default_rng(k * 13).standard_normal(asm.dofmap.n_u)
-    fast = owner_values(asm, taylor_trace(basis, asm.trace, cfg), u)
-    slow = owner_values(asm, taylor_trace(_NoDegree(basis), asm.trace, cfg), u)
+    fast = owner_values(asm, taylor_trace(basis, asm.trace, k), u)
+    slow = owner_values(asm, taylor_trace(_NoDegree(basis), asm.trace, k), u)
     assert np.abs(fast - slow).max() < 1e-12 * max(np.abs(fast).max(), 1.0)
 
 
@@ -179,7 +177,6 @@ def test_correction_term_shrinks_linearly_with_h():
     case = case_ring()  # smooth non-polynomial field on the disk as well
     mesh = coarse_mesh(curves)
     k, m = 2, 2
-    cfg = TaylorConfig(m, k)
     hs, ratios = [], []
     for _ in range(4):
         mesh = refine_project(mesh, curves)
@@ -187,7 +184,7 @@ def test_correction_term_shrinks_linearly_with_h():
         geom = asm.trace
         u = interpolate_velocity(asm, case.velocity)
         basis = ShapeFunctions(asm, asm.trace.owner)
-        tail = owner_values(asm, taylor_trace(basis, geom, cfg) - basis.eval(geom.points), u)
+        tail = owner_values(asm, taylor_trace(basis, geom, m) - basis.eval(geom.points), u)
         tail_norm = np.sqrt(
             np.einsum("bq,bqa->b", geom.weights, tail**2) / geom.h_owner
         )

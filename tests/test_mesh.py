@@ -262,6 +262,25 @@ def test_load_rejects_triangle_vertices_out_of_range(tmp_path, line):
         load_mesh(path, level=mesh.level)
 
 
+@pytest.mark.parametrize("edit,message", [
+    (lambda lines: lines[:-2], r"need \d+ lines, found \d+"),
+    (lambda lines: lines[:2] + ["0.5 abc 0 -1"] + lines[3:], "line 3: expected 4 float"),
+    (lambda lines: lines[:-1] + ["0 1"], r"line \d+: expected 3 int"),
+    (lambda lines: ["3 x 1"] + lines[1:], "line 1: expected 3 int"),
+], ids=["truncated", "non-numeric-vertex", "short-record", "bad-header"])
+def test_load_rejects_malformed_lines(tmp_path, edit, message):
+    """A truncated file, or a line that is not the numbers it should be, is
+    a ValueError naming the line or the line counts, not an IndexError or
+    numpy's message."""
+    curves = disk_domain()
+    mesh = refine_project(coarse_mesh(curves), curves)
+    path = tmp_path / "disk.txt"
+    save_mesh(mesh, path)
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    with pytest.raises(ValueError, match=message):
+        load_mesh(path, level=mesh.level)
+
+
 def test_non_manifold_rejected():
     from bdmdarcy.mesh import _build_mesh
 

@@ -4,6 +4,8 @@ from math import factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bdmdarcy.femcore import edge_quadrature, triangle_quadrature
 
@@ -20,6 +22,20 @@ def test_triangle_rule_exact_to_degree(degree):
         for b in range(degree + 1 - a):
             got = np.sum(rule.weights * rule.points[:, 0] ** a * rule.points[:, 1] ** b)
             assert got == pytest.approx(monomial_integral(a, b), abs=1e-13)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 40))
+def test_triangle_rule_positive_inside_and_exact(degree):
+    # one rule family for every degree, the lowest ones included
+    rule = triangle_quadrature(degree)
+    x, y = rule.points.T
+    assert rule.degree == degree and np.all(rule.weights > 0)
+    assert np.all(x > 0) and np.all(y > 0) and np.all(x + y <= 1)
+    for a in range(degree + 1):
+        for b in range(degree + 1 - a):
+            got = np.sum(rule.weights * x**a * y**b)
+            assert abs(got - monomial_integral(a, b)) <= 1e-14
 
 
 def test_triangle_weights_sum_to_area():

@@ -69,7 +69,7 @@ def test_batched_traces_match_per_edge_slow_path(setup):
 
     # every shape function of every owner, and a random combination of them
     slow_basis = np.stack([
-        slow_trace_normal(Partials(basis_field(asm, e.owner)), e, asm.taylor) for e in edges
+        slow_trace_normal(Partials(basis_field(asm, e.owner)), e, asm.m) for e in edges
     ])
     assert relative_gap(asm.basis_trace, slow_basis) <= 1e-12
     rng = np.random.default_rng(seed)
@@ -78,8 +78,8 @@ def test_batched_traces_match_per_edge_slow_path(setup):
                         np.einsum("bqi,bi->bq", slow_basis, u_loc)) <= 1e-12
 
     case = random_trig_case(rng)
-    exact = taylor_trace_normal(AnalyticVelocity(case), geom, asm.taylor)
-    slow_exact = np.stack([slow_trace_normal(ExactPartials(case), e, asm.taylor) for e in edges])
+    exact = taylor_trace_normal(AnalyticVelocity(case), geom, asm.m)
+    slow_exact = np.stack([slow_trace_normal(ExactPartials(case), e, asm.m) for e in edges])
     assert relative_gap(exact, slow_exact) <= 1e-12
 
     # every boundary form of the blocks (penalty, straight-normal term)
