@@ -28,6 +28,14 @@ leaves u and p as they are.  The system's unknowns are (u, p, theta) in
 both modes; in strong mode the constrained dofs keep their numbers, as
 identity rows with zero loads.
 
+The border row c.p = gauge has the units of area times pressure.  The
+system holds it, and the column c, times ``Assembler.theta_scale``, the
+power of two nearest 1 / (half-extent of the mesh)^2: exactly 1 on the unit
+disk and ring, and an exact scaling elsewhere, so that the row is sized
+like the others on a domain of any size.  Unscaled, on a disk of radius 100
+its terms c_l p_l reach 2.6e12, and one unit in their last place is 8.9e-11
+of the relative residual.
+
 Every boundary form is an integral over the straight boundary edges, taken
 with one rule: the trace geometry's k+3 Gauss nodes per edge
 (``Assembler.trace``).  The penalty, the Neumann load and the error norms
@@ -178,6 +186,19 @@ class DofMap:
 CHUNK = 256  # elements per gathered batch of blocks in ``ElementBlocks.apply``
 
 
+def _nested_dissection(edge_tris, interior):
+    """The interior edges in nested-dissection order of the triangle index
+    tree.  Red refinement numbers the children of triangle t 4t..4t+3, so an
+    edge whose triangles first differ in bit b - 1 separates two subtrees
+    of the subtree t >> b: edges come by that bit (finest separators first),
+    then by the subtree, then by index.  On any other numbering this is a
+    recursive bisection of the triangle index range, still a valid order."""
+    e = np.flatnonzero(interior)
+    t1, t2 = edge_tris[e, 0], edge_tris[e, 1]
+    bit = np.frexp(t1 ^ t2)[1]  # bit_length, exact below 2^53
+    return e[np.lexsort((e, t1 >> bit, bit))]
+
+
 @dataclass
 class ElementBlocks:
     """Element saddle blocks and the interface of the hybridized system.
@@ -194,7 +215,9 @@ class ElementBlocks:
     keep a copy of the edge's k+1 moments, tied by one multiplier each.  For
     the 3(k+1) local edge dofs, ``multiplier`` numbers that multiplier (-1 on
     boundary edges) and ``sign`` is +1 on ``edge_tris[e, 0]``, -1 on the
-    other copy and 0 on boundary edges.
+    other copy and 0 on boundary edges.  The multipliers are numbered edge
+    by edge in ``_nested_dissection`` order, so the solver factors the
+    interface matrix in its own numbering.
     """
 
     matrix: np.ndarray  # (n_cls, nd + npr, nd + npr) unsigned class blocks
@@ -203,7 +226,7 @@ class ElementBlocks:
     udofs: np.ndarray  # (nel, nd) global velocity dofs of the local ones
     multiplier: np.ndarray  # (nel, 3(k+1))
     sign: np.ndarray  # (nel, 3(k+1))
-    c: np.ndarray  # (nel, npr) integrals of the pressure basis functions
+    c: np.ndarray  # (nel, npr) theta_scale times the pressure basis integrals
 
     def apply(self, x, blocks=None):
         """S_K blocks[cls[K]] S_K x[K] for every element K, x of shape
@@ -230,11 +253,11 @@ class ElementBlocks:
 class SaddleSystem:
     """The saddle-point operator on the unknowns (u, p, theta) of
     ``build_saddle_system``: the element blocks ``elements`` plus the
-    pressure-mean column and row c, and no other term (the boundary-mean
-    term is folded into theta = lam + flux.u / area).  ``matvec`` applies it
-    element by element, and its global CSR ``matrix`` is scattered from the
-    same blocks only when it is read (checks and dumps; the solve never
-    reads it)."""
+    pressure-mean column and row c (times ``Assembler.theta_scale``), and no
+    other term (the boundary-mean term is folded into theta).  ``matvec``
+    applies it element by element, and its global CSR ``matrix`` is
+    scattered from the same blocks only when it is read (checks and dumps;
+    the solve never reads it)."""
 
     # read by bench/gate.py, for which None means that every velocity dof
     # is an unknown and that there is no rank-one term
@@ -363,6 +386,8 @@ class Assembler:
         jinv[:, 1, 1] = jac[:, 0, 0]
         self.jinv = jinv / self.det[:, None, None]
         self.area = float(self.det.sum() / 2.0)
+        half = np.ptp(mesh.vertices, axis=0).max() / 2.0  # border row scale, see above
+        self.theta_scale = 4.0 ** -np.round(np.log2(half))
 
         self.dofmap = DofMap(
             k=k,
@@ -484,7 +509,8 @@ class Assembler:
             matrix[e, constrained, constrained] = 1.0
 
         interior = mesh.edge_tris[:, 1] >= 0
-        first = (k + 1) * (np.cumsum(interior) - 1)
+        first = np.zeros(mesh.n_edges, dtype=np.int64)
+        first[_nested_dissection(mesh.edge_tris, interior)] = (k + 1) * np.arange(interior.sum())
         edges = mesh.tri_edges  # (nel, 3)
         inner = interior[edges][:, :, None]
         multiplier = np.where(inner, first[edges][:, :, None] + np.arange(k + 1), -1)
@@ -497,7 +523,7 @@ class Assembler:
             udofs=self.gidx,
             multiplier=multiplier.reshape(nel, -1),
             sign=sign.reshape(nel, -1),
-            c=self.pressure_integrals().reshape(nel, -1),
+            c=self.theta_scale * self.pressure_integrals().reshape(nel, -1),
         )
 
     def matrix_a(self):
@@ -579,12 +605,15 @@ def build_saddle_system(assembler, case, gauge=0.0):
         [ A    B1^T  0 ] [u]       [rhs_u]
         [ B0   0     c ] [p]   =   [rhs_p]
         [ 0    c^T   0 ] [theta]   [gauge]
-    The paper's second equation, B0 u + c lam + (c / area) flux.u = rhs_p,
-    with flux.u the total normal flux through the mesh boundary, is this row
-    for theta = lam + flux.u / area; u and p are the same.  In strong mode
+    with c and gauge times s = ``assembler.theta_scale`` (see the module
+    docstring).  The paper's second equation,
+    B0 u + c lam + (c / area) flux.u = rhs_p, with flux.u the total normal
+    flux through the mesh boundary, is this row for
+    theta = (lam + flux.u / area) / s; u and p are the same.  In strong mode
     the constrained velocity dofs have identity rows and zero loads, so they
-    come out 0 (homogeneous data), their flux vanishes and theta = lam.
+    come out 0 (homogeneous data), their flux vanishes and theta = lam / s.
     """
     rhs_u, rhs_p = assembler.rhs(case)
     rhs_u[assembler.constrained] = 0.0
-    return SaddleSystem(np.concatenate([rhs_u, rhs_p, [gauge]]), assembler.elements)
+    border = assembler.theta_scale * gauge
+    return SaddleSystem(np.concatenate([rhs_u, rhs_p, [border]]), assembler.elements)

@@ -7,16 +7,19 @@ boundary term belongs to one element) are inverted once per class of
 bit-identical blocks L^, in one batched call, and L_K^-1 is S_K L^^-1 S_K
 bit for bit (partial pivoting chooses by magnitude, and sign flips are
 exact).  What is left is a sparse interface system on the multipliers,
-factored once by SuperLU.  The system's last unknown, theta (the
-pressure-mean multiplier with the boundary-mean term folded in,
-theta = lam + flux.u / area; see ``SaddleSystem``), is one more interface
-unknown, whose row is c.p = gauge, and is returned as it is.  Velocity
-and pressure are recovered element by element, and one step of iterative
-refinement against the full operator (``SaddleSystem.matvec``, applied on
-the same element blocks) brings the residual to round-off (element blocks
-reach condition numbers of 6e8 at ring level 4, and the unrefined residual
-misses the contract at the finest studied levels).  No global sparse matrix
-of the saddle system is built.
+factored once by SuperLU in the order of its unknowns: the interior-edge
+multipliers come numbered in nested-dissection order of the triangle tree
+(``assembly._nested_dissection``; George 1973, Lipton, Rose & Tarjan 1979),
+so SuperLU computes no ordering of its own.  The system's last unknown,
+theta (the pressure-mean multiplier with the boundary-mean term folded in;
+see ``build_saddle_system``), is the last interface unknown, whose row is
+c.p = gauge, and is returned as it is.  Velocity and pressure are recovered
+element by element, and one step of iterative refinement against the full
+operator (``SaddleSystem.matvec``, applied on the same element blocks)
+brings the residual to round-off (element blocks reach condition numbers of
+6e8 at ring level 4, and the unrefined residual misses the contract at the
+finest studied levels).  No global sparse matrix of the saddle system is
+built.
 
 The relative residual of the full operator is verified afterwards; a miss
 is reported as ``success=False``, never silently accepted.  A singular
@@ -61,12 +64,11 @@ def _interface_matrix(el, inv, n):
     factorization.
 
     Sums that come out exactly 0.0 stay stored, so the pattern is the union
-    of the element blocks' patterns and structurally symmetric.  Dropping
-    them (7,807 entries at disk k=m=3 level 5) breaks that symmetry in 14
-    entries, and the minimum-degree order on A^T + A then gives more fill
-    (4.06M -> 4.27M) and a factorization about four times slower (0.6 ->
-    2.6 s CPU; at ring level 4, 0.56 -> 0.79 s); why it is that much slower
-    was not traced."""
+    of the element blocks' patterns and structurally symmetric.  In the
+    natural order that the solve factors in, dropping them (7,807 entries at
+    disk k=m=3 level 5) changes neither the fill nor the factor time; under
+    the minimum-degree order used before, it gave more fill and a four times
+    slower factorization."""
     nd, ne = el.udofs.shape[1], el.sign.shape[1]
     c = np.empty((len(inv), el.c.shape[1]))
     c[el.cls] = el.c  # c_K depends on det only, so it is one per class
@@ -78,9 +80,13 @@ def _interface_matrix(el, inv, n):
     local *= d[:, None, :]
     idx = np.concatenate([el.multiplier, np.full((len(el.sign), 1), n - 1)], axis=1)
     keep = (idx[:, :, None] >= 0) & (idx[:, None, :] >= 0)
-    rows = np.broadcast_to(idx[:, :, None], local.shape)[keep]
-    cols = np.broadcast_to(idx[:, None, :], local.shape)[keep]
-    return sp.csc_matrix((local[keep], (rows, cols)), shape=(n, n))
+    # theta's diagonal has one term per element: summed here in element
+    # order, as the COO build sums duplicates in an order set by the numbering
+    keep[:, -1, -1] = False
+    rows = np.append(np.broadcast_to(idx[:, :, None], local.shape)[keep], n - 1)
+    cols = np.append(np.broadcast_to(idx[:, None, :], local.shape)[keep], n - 1)
+    values = np.append(local[keep], local[:, -1, -1].sum())
+    return sp.csc_matrix((values, (rows, cols)), shape=(n, n))
 
 
 class _Hybrid:
@@ -102,10 +108,10 @@ class _Hybrid:
 
         n = self.theta + 1
         matrix = _interface_matrix(el, self.inv, n)
-        # the pattern is symmetric (the values nearly so): minimum degree on
-        # A^T + A gives well under half the fill of the default COLAMD
+        # the multipliers are numbered in nested-dissection order of the
+        # triangle tree (``assembly._nested_dissection``): SuperLU keeps it
         try:
-            self.lu = spla.splu(matrix, permc_spec="MMD_AT_PLUS_A")
+            self.lu = spla.splu(matrix, permc_spec="NATURAL")
         except RuntimeError as exc:
             raise RuntimeError("hybridized solve failed: singular interface matrix") from exc
         self.n_interface = n

@@ -2,6 +2,7 @@
 identities of the constrained system."""
 
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from bdmdarcy import assembly, solver
 from bdmdarcy.analysis import case_circle, case_ring, error_norms
 from bdmdarcy.assembly import Assembler, build_saddle_system, reference_tables
 from bdmdarcy.mesh import (
+    _build_mesh,
     coarse_mesh,
     disk_domain,
     load_mesh,
@@ -310,6 +312,108 @@ def test_save_load_round_trip_gives_the_same_rows(curves, mode, k, level):
     assert np.array_equal(el.cls, el_loaded.cls)
     assert np.array_equal(el.matrix, el_loaded.matrix)
     assert row == row_loaded
+
+
+def _refined(domain, level):
+    curves = domain()
+    mesh = coarse_mesh(curves)
+    for _ in range(level):
+        mesh = refine_project(mesh, curves)
+    return mesh, curves
+
+
+def _loaded_ring():
+    mesh, curves = _refined(ring_domain, 2)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_mesh(mesh, Path(tmp) / "mesh.txt")
+        return load_mesh(Path(tmp) / "mesh.txt", level=mesh.level), curves
+
+
+_TRIANGLE = np.array([[0.1, 0.0], [1.2, 0.3], [0.4, 1.0]])
+ORDER_MESHES = {
+    **{f"{domain.__name__}-L{level}": (lambda domain=domain, level=level: _refined(domain, level))
+       for domain in (disk_domain, ring_domain) for level in range(5)},
+    "unit-square": lambda: (unit_square_mesh(4), square_domain()),
+    "single-triangle": lambda: (single_triangle_mesh(_TRIANGLE), triangle_domain(_TRIANGLE)),
+    "loaded-ring-L2": _loaded_ring,
+}
+
+
+def check_multiplier_order(mesh, curves, k):
+    """The interior edges' order is a permutation of them, and the element
+    blocks number the k+1 multipliers of the edge at position i of that
+    order (k+1)i .. (k+1)i + k, the same on both sides of the edge."""
+    interior = mesh.edge_tris[:, 1] >= 0
+    order = assembly._nested_dissection(mesh.edge_tris, interior)
+    assert np.array_equal(np.sort(order), np.flatnonzero(interior))
+    position = np.full(mesh.n_edges, -1)
+    position[order] = np.arange(len(order))
+    numbers = (k + 1) * position[:, None] + np.arange(k + 1)
+    numbers[~interior] = -1
+    el = Assembler(mesh, curves, k).elements
+    assert np.array_equal(el.multiplier, numbers[mesh.tri_edges].reshape(mesh.n_triangles, -1))
+    return order
+
+
+@pytest.mark.parametrize("name", ORDER_MESHES)
+def test_multipliers_are_numbered_in_nested_dissection_order(name):
+    mesh, curves = ORDER_MESHES[name]()
+    order = check_multiplier_order(mesh, curves, k=2)
+    if not name.startswith(("disk", "ring")):
+        return
+    # red refinement: the triangles of one level-j ancestor are the index
+    # range with the same t >> 2(level - j), and every such subtree's own
+    # edges come before the edges that separate it from the others
+    t1, t2 = mesh.edge_tris[order].T
+    for j in range(mesh.level + 1):
+        shift = 2 * (mesh.level - j)
+        separator = (t1 >> shift) != (t2 >> shift)
+        assert np.all(np.diff(separator.astype(int)) >= 0)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from([disk_domain, ring_domain]), st.integers(0, 3), st.randoms())
+def test_any_triangle_numbering_gives_a_valid_order(domain, level, random):
+    """A mesh numbered in no tree order (here, the refined mesh with its
+    triangles shuffled) still gets a permutation of its interior edges, and
+    the solve meets the contract."""
+    mesh, curves = _refined(domain, level)
+    perm = list(range(mesh.n_triangles))
+    random.shuffle(perm)
+    mesh = _build_mesh(mesh.vertices, mesh.triangles[perm], curves, level=level)
+    check_multiplier_order(mesh, curves, k=1)
+    assert solve(Assembler(mesh, curves, 1).system(case_circle()))[3].success
+
+
+@pytest.mark.parametrize("name", ORDER_MESHES)
+def test_interface_matrix_is_the_edge_order_one_relabelled(name):
+    """The interface matrix of the nested-dissection numbering is that of
+    the numbering by ascending interior edge, relabelled: the same stored
+    entries, explicit zeros included, with the same values bit for bit."""
+    mesh, curves = ORDER_MESHES[name]()
+    k = 3
+    el = Assembler(mesh, curves, k).elements
+    inv = np.linalg.inv(el.matrix)
+    n = int(el.multiplier.max()) + 2
+    interior = mesh.edge_tris[:, 1] >= 0
+    first = (k + 1) * (np.cumsum(interior) - 1)
+    by_edge = (first[mesh.tri_edges][:, :, None] + np.arange(k + 1)).reshape(mesh.n_triangles, -1)
+    inner = el.multiplier >= 0
+    by_edge = np.where(inner, by_edge, -1)
+    relabel = np.full(n, n - 1)
+    relabel[el.multiplier[inner]] = by_edge[inner]
+
+    def entries(matrix, label):
+        coo = matrix.tocoo()
+        rows, cols = label[coo.row], label[coo.col]
+        at = np.lexsort((cols, rows))
+        return rows[at], cols[at], coo.data[at]
+
+    nested = entries(solver._interface_matrix(el, inv, n), relabel)
+    edge_order = entries(solver._interface_matrix(replace(el, multiplier=by_edge), inv, n),
+                         np.arange(n))
+    for a, b in zip(nested, edge_order):
+        assert np.array_equal(a, b)
 def test_strong_mode_blocks_hold_the_identity():
     asm = disk_assembler(1, 2, mode="uncorrected-strong")
     c = asm.constrained

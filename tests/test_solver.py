@@ -5,7 +5,8 @@ import pytest
 
 from bdmdarcy.analysis import case_circle, case_ring
 from bdmdarcy.assembly import Assembler
-from bdmdarcy import solver
+from bdmdarcy import cli, solver
+from bdmdarcy.cli import StudyConfig
 from bdmdarcy.mesh import coarse_mesh, disk_domain, refine_project, ring_domain
 from bdmdarcy.solver import postprocess_pressure, solve
 from domains import (
@@ -119,6 +120,45 @@ def test_interface_pattern_keeps_every_block_pair_and_its_zeros():
         idx = np.append(multiplier[multiplier >= 0], n - 1)
         assert stored[np.ix_(idx, idx)].all()
     assert stored[-1].all() and stored[:, -1].all()
+
+
+def test_interface_is_factored_in_its_own_numbering():
+    """The multipliers come numbered in nested-dissection order, so SuperLU
+    must not reorder the columns."""
+    system = disk_setup(levels=2, k=3).system(case_circle())
+    perm_c = solver._Hybrid(system).lu.perm_c
+    assert np.array_equal(perm_c, np.arange(len(perm_c)))
+
+
+# L.nnz + U.nnz at k=3 under SuperLU's minimum-degree order on A^T + A,
+# which factored the interface before the nested-dissection numbering
+MMD_FILL = {("disk", 4): 798_798, ("ring", 3): 894_893}
+
+
+@pytest.mark.parametrize("domain,level", MMD_FILL)
+def test_interface_fill_stays_near_minimum_degree(domain, level):
+    curves = disk_domain() if domain == "disk" else ring_domain()
+    mesh = coarse_mesh(curves)
+    for _ in range(level):
+        mesh = refine_project(mesh, curves)
+    case = case_circle() if domain == "disk" else case_ring()
+    rep = solve(Assembler(mesh, curves, k=3).system(case))[3]
+    assert rep.success and rep.fill <= 1.10 * MMD_FILL[domain, level]
+
+
+@pytest.mark.parametrize("k,m", [(k, m) for k in (1, 2, 3) for m in range(k + 1)])
+def test_residual_contract_on_disks_of_radius_100(k, m):
+    """At the far corners of the accepted geometry the border row c.p =
+    gauge has terms of 2.6e12 (k=2); scaled with the domain, it stays at
+    round-off of the other rows (see ``assembly``)."""
+    for center in [(100.0, 100.0), (100.0, -100.0), (-100.0, 100.0), (-100.0, -100.0)]:
+        cfg = StudyConfig(domain="circle", k=k, m=m, center=center, radius=100.0)
+        curves, case = cli._domain_curves(cfg), cli._domain_case(cfg)
+        mesh = coarse_mesh(curves)
+        for level in (0, 1):
+            rep = solve(Assembler(mesh, curves, k, m=m).system(case))[3]
+            assert rep.success, (center, level, rep.residual)
+            mesh = refine_project(mesh, curves)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
