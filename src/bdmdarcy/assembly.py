@@ -186,14 +186,14 @@ class DofMap:
 CHUNK = 256  # elements per gathered batch of blocks in ``ElementBlocks.apply``
 
 
-def _nested_dissection(edge_tris, interior):
+def _nested_dissection(edge_tris):
     """The interior edges in nested-dissection order of the triangle index
     tree.  Red refinement numbers the children of triangle t 4t..4t+3, so an
     edge whose triangles first differ in bit b - 1 separates two subtrees
     of the subtree t >> b: edges come by that bit (finest separators first),
     then by the subtree, then by index.  On any other numbering this is a
     recursive bisection of the triangle index range, still a valid order."""
-    e = np.flatnonzero(interior)
+    e = np.flatnonzero(edge_tris[:, 1] >= 0)
     t1, t2 = edge_tris[e, 0], edge_tris[e, 1]
     bit = np.frexp(t1 ^ t2)[1]  # bit_length, exact below 2^53
     return e[np.lexsort((e, t1 >> bit, bit))]
@@ -509,8 +509,9 @@ class Assembler:
             matrix[e, constrained, constrained] = 1.0
 
         interior = mesh.edge_tris[:, 1] >= 0
+        order = _nested_dissection(mesh.edge_tris)
         first = np.zeros(mesh.n_edges, dtype=np.int64)
-        first[_nested_dissection(mesh.edge_tris, interior)] = (k + 1) * np.arange(interior.sum())
+        first[order] = (k + 1) * np.arange(len(order))
         edges = mesh.tri_edges  # (nel, 3)
         inner = interior[edges][:, :, None]
         multiplier = np.where(inner, first[edges][:, :, None] + np.arange(k + 1), -1)

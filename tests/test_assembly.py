@@ -344,7 +344,7 @@ def check_multiplier_order(mesh, curves, k):
     blocks number the k+1 multipliers of the edge at position i of that
     order (k+1)i .. (k+1)i + k, the same on both sides of the edge."""
     interior = mesh.edge_tris[:, 1] >= 0
-    order = assembly._nested_dissection(mesh.edge_tris, interior)
+    order = assembly._nested_dissection(mesh.edge_tris)
     assert np.array_equal(np.sort(order), np.flatnonzero(interior))
     position = np.full(mesh.n_edges, -1)
     position[order] = np.arange(len(order))
