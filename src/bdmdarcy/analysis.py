@@ -7,7 +7,7 @@ from math import pi
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from bdmdarcy.correction import directional_derivative, taylor_trace_normal
+from bdmdarcy.correction import directional_derivative, dot2, taylor_trace_normal
 
 __all__ = [
     "ManufacturedCase",
@@ -60,7 +60,7 @@ class ManufacturedCase:
         """Boundary functional u . n on the physical boundary."""
         if self.homogeneous_neumann:
             return np.zeros(len(np.atleast_2d(pts)))
-        return np.einsum("na,na->n", self.velocity(pts), np.asarray(normals))
+        return dot2(self.velocity(pts), np.asarray(normals))
 
 
 class AnalyticVelocity:
@@ -176,8 +176,7 @@ def error_norms(u, p, case, assembler):
     """
     t = assembler.tables
     wq = t.err.weights
-    pts = assembler.v0[:, None, :] + np.einsum("eab,qb->eqa", assembler.jac, t.err.points)
-    flat = pts.reshape(-1, 2)
+    flat = assembler.physical_points(t.err.points).reshape(-1, 2)
     # discrete velocity and divergence at the error-rule nodes, as GEMMs
     w = assembler.local_coeffs(u)
     nel, nd = w.shape

@@ -64,6 +64,13 @@ scattered from the expanded blocks on request only:
 ``matrix_b`` for the blocks' own tests.  Accumulation order is fixed
 (elements ascending, then boundary edges ascending), so repeated
 assemblies are bit-identical.
+
+Every contraction over a length-2 axis of per-element or per-node arrays
+(the affine maps of reference points, the inverse maps, J^T J, the normal
+components) is two products and one sum per coordinate plane
+(``_matvec2``, ``correction.dot2``): the bits of ``np.einsum``, at several
+times its speed.  Never ``@`` for these: BLAS may fuse the multiply-adds,
+and the last bit of the rows moves.
 """
 
 from dataclasses import dataclass
@@ -74,6 +81,7 @@ import scipy.sparse as sp
 
 from bdmdarcy.correction import (
     directional_derivative,
+    dot2,
     edge_trace_geometry,
     pullback_neumann,
     taylor_trace_normal,
@@ -92,6 +100,13 @@ __all__ = [
     "build_saddle_system",
     "quadrature_orders",
 ]
+
+
+def _matvec2(m, x):
+    """m x with 2x2 matrices m and 2-vectors x, broadcast over the leading
+    axes: one ``dot2`` per coordinate plane, the bits of ``np.einsum``."""
+    return np.stack([dot2(m[..., a, :], x) for a in (0, 1)], axis=-1)
+
 
 def _contract(m, table):
     """sum_ab m[e, a, b] table[a, b, ...] as one GEMM, element-major and C-contiguous
@@ -322,7 +337,7 @@ class ShapeFunctions:
         self.sign = assembler.dof_sign[owner]
 
     def _reference(self, points):
-        return np.einsum("bac,bqc->bqa", self.jinv, points - self.v0[:, None, :])
+        return _matvec2(self.jinv[:, None], points - self.v0[:, None, :])
 
     def _physical(self, ref_values, n_q):
         """(n_b * q, n_d, 2) reference values -> (n_b, q, n_d, 2)."""
@@ -335,7 +350,7 @@ class ShapeFunctions:
 
     def nu_derivative(self, geom, j):
         ref = self._reference(geom.points).reshape(-1, 2)
-        nu_hat = np.einsum("bac,bqc->bqa", self.jinv, geom.nu).reshape(-1, 2)
+        nu_hat = _matvec2(self.jinv[:, None], geom.nu).reshape(-1, 2)
         ref_deriv = directional_derivative(
             lambda rx, ry: self.element.tabulate_derivative(ref, rx, ry), nu_hat, j
         )
@@ -475,11 +490,16 @@ class Assembler:
         else:
             alone, constrained = np.nonzero(np.isin(self.gidx, self.constrained))
 
-        g = np.einsum("eba,ebc->eac", self.jac, self.jac) / self.det[:, None, None]
+        jt = self.jac.transpose(0, 2, 1)
+        g = _matvec2(jt[:, None], jt) / self.det[:, None, None]  # J^T J / det
         key = np.column_stack([g.reshape(nel, 4), self.det, np.zeros(nel)]).view(np.int64)
         key[alone, -1] = alone + 1
-        _, rep, cls = np.unique(key, axis=0, return_index=True, return_inverse=True)
-        cls = cls.reshape(nel)
+        # one class per distinct key, numbered in key order; rep: first element
+        order = np.lexsort(key.T[::-1])
+        new = np.r_[True, np.any(key[order[1:]] != key[order[:-1]], axis=1)]
+        rep = order[new]
+        cls = np.empty(nel, dtype=np.int64)
+        cls[order] = np.cumsum(new) - 1
 
         # the unsigned blocks L^: mass + div-div of the mapped nodal basis
         matrix = np.zeros((len(rep), nd + npr, nd + npr))
@@ -543,16 +563,21 @@ class Assembler:
             for b in (np.transpose(matrix[:, :nd, nd:], (0, 2, 1)), matrix[:, nd:, :nd])
         )
 
+    def physical_points(self, ref_points):
+        """The images v0 + J x of reference points (q, 2) in every element,
+        shape (nel, q, 2)."""
+        return self.v0[:, None, :] + _matvec2(self.jac[:, None], ref_points)
+
     def rhs(self, case):
         """Velocity and pressure load vectors for a manufactured case."""
         t = self.tables
-        pts = self.v0[:, None, :] + np.einsum(
-            "eab,qb->eqa", self.jac, t.vol.points
-        )  # (nel, q, 2)
+        pts = self.physical_points(t.vol.points)
         fvals = case.source(pts.reshape(-1, 2)).reshape(pts.shape[:2])
-        rhs_u = np.zeros(self.dofmap.n_u)
         r_span = np.einsum("q,eq,qn->en", t.vol.weights, fvals, t.v_div)
-        np.add.at(rhs_u, self.gidx, r_span * self.dof_sign)
+        # one scatter of the volume entries, then the Neumann entries, in
+        # element and edge order: a dof of an owner with two boundary edges
+        # takes two Neumann terms, and this order fixes the bits of its sum
+        dofs, loads = [self.gidx.ravel()], [(r_span * self.dof_sign).ravel()]
 
         f_mean = float(
             np.einsum("e,q,eq->", self.det, t.vol.weights, fvals) / self.area
@@ -565,12 +590,15 @@ class Assembler:
             geom = self.trace
             gn = pullback_neumann(case.neumann, geom)
             contrib = np.einsum("bq,bq,bqi->bi", geom.weights, gn, self.basis_trace)
-            np.add.at(rhs_u, self.gidx[geom.owner], contrib / geom.h_owner[:, None])
+            dofs.append(self.gidx[geom.owner].ravel())
+            loads.append((contrib / geom.h_owner[:, None]).ravel())
         elif not case.homogeneous_neumann:
             raise ValueError(
                 "strong imposition on the mesh boundary requires homogeneous "
                 "Neumann data"
             )
+        rhs_u = np.bincount(np.concatenate(dofs), weights=np.concatenate(loads),
+                            minlength=self.dofmap.n_u)
         return rhs_u, rhs_p
 
     def constant_pressure(self):

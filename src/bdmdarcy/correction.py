@@ -26,6 +26,7 @@ __all__ = [
     "TraceGeometry",
     "edge_trace_geometry",
     "directional_derivative",
+    "dot2",
     "taylor_trace",
     "taylor_trace_normal",
     "pullback_neumann",
@@ -84,6 +85,17 @@ def edge_trace_geometry(mesh, curves, rule, h_K):
     )
 
 
+def dot2(a, b):
+    """a . b over a last axis of length 2, broadcast over the leading axes:
+    the two products and one sum of ``np.einsum``, without its generic loop.
+    einsum adds the products to a zeroed output, so its sum is never -0.0;
+    the final + 0.0 gives the same bits.  Never ``@``: BLAS may fuse the
+    multiply-adds and change the last bit."""
+    out = a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
+    out += 0.0
+    return out
+
+
 def directional_derivative(partial, direction, j):
     """The j-th derivative along ``direction`` (N, 2), from the mixed
     partials ``partial(rx, ry)`` whose leading axis runs over the same N
@@ -120,7 +132,8 @@ def taylor_trace(field, geom, m):
 def taylor_trace_normal(field, geom, m):
     """Normal component of the order-m Taylor extension against the
     pulled-back physical normal, shape (n_b, q, ...)."""
-    return np.einsum("bq...a,bqa->bq...", taylor_trace(field, geom, m), geom.n_gamma)
+    trace = taylor_trace(field, geom, m)
+    return dot2(trace, np.expand_dims(geom.n_gamma, tuple(range(2, trace.ndim - 1))))
 
 
 def pullback_neumann(g, geom):

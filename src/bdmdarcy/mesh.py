@@ -123,7 +123,8 @@ def _build_mesh(vertices, triangles, curves, level, boundary_records=None):
     normal = np.column_stack([tangent[:, 1], -tangent[:, 0]])
     normal /= np.hypot(normal[:, 0], normal[:, 1])[:, None]
     centroid = vertices[tri_verts].mean(axis=1)
-    inward = np.einsum("ij,ij->i", centroid - 0.5 * (a + b), normal) > 0
+    d = centroid - 0.5 * (a + b)
+    inward = d[:, 0] * normal[:, 0] + d[:, 1] * normal[:, 1] > 0
     normal[inward] *= -1.0
 
     boundary_edges = np.flatnonzero(counts == 1)

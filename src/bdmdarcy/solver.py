@@ -83,9 +83,14 @@ def _interface_matrix(el, inv, n):
     # theta's diagonal has one term per element: summed here in element
     # order, as the COO build sums duplicates in an order set by the numbering
     keep[:, -1, -1] = False
-    rows = np.append(np.broadcast_to(idx[:, :, None], local.shape)[keep], n - 1)
-    cols = np.append(np.broadcast_to(idx[:, None, :], local.shape)[keep], n - 1)
-    values = np.append(local[keep], local[:, -1, -1].sum())
+    idx = idx.astype(np.int32)
+    m = np.count_nonzero(keep)
+    rows, cols, values = np.empty(m + 1, np.int32), np.empty(m + 1, np.int32), np.empty(m + 1)
+    rows[:m] = np.broadcast_to(idx[:, :, None], local.shape)[keep]
+    cols[:m] = np.broadcast_to(idx[:, None, :], local.shape)[keep]
+    values[:m] = local[keep]
+    rows[m] = cols[m] = n - 1
+    values[m] = local[:, -1, -1].sum()
     return sp.csc_matrix((values, (rows, cols)), shape=(n, n))
 
 

@@ -10,10 +10,12 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from bdmdarcy import assembly, solver
 from bdmdarcy.analysis import case_circle, case_ring, error_norms
 from bdmdarcy.assembly import Assembler, build_saddle_system, reference_tables
+from bdmdarcy.correction import dot2
 from bdmdarcy.mesh import (
     _build_mesh,
     coarse_mesh,
@@ -507,6 +509,45 @@ def test_contract_equals_einsum(nel, tail, seed):
     axes = "rn"[: len(tail)]
     expected = np.einsum(f"eab,ab{axes}->e{axes}", m, table, optimize=True)
     assert np.array_equal(assembly._contract(m, table), expected)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# finite values whose products cannot overflow, signed zeros drawn often
+_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-1e150, 1e150))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 5), st.integers(1, 4), st.data())
+def test_length_2_contractions_equal_einsum_bit_for_bit(n, q, d, data):
+    """``_matvec2`` and ``dot2`` give the bits of the einsums they stand
+    for, signed zeros included, in every broadcast pattern the program
+    uses: (n,1,2,2) x (q,2) (element maps of reference points),
+    (n,1,2,2) x (n,q,2) (inverse maps of physical points and of nu), J^T J,
+    and the dot products of the normal traces and the Neumann data."""
+    arrays = lambda *shape: data.draw(hnp.arrays(np.float64, shape, elements=_VALUES))
+    m, x, y = arrays(n, 2, 2), arrays(q, 2), arrays(n, q, 2)
+    assert _same_bits(assembly._matvec2(m[:, None], x), np.einsum("eab,qb->eqa", m, x))
+    assert _same_bits(assembly._matvec2(m[:, None], y), np.einsum("bac,bqc->bqa", m, y))
+    mt = m.transpose(0, 2, 1)
+    assert _same_bits(assembly._matvec2(mt[:, None], mt), np.einsum("eba,ebc->eac", m, m))
+    t = arrays(n, q, d, 2)
+    assert _same_bits(dot2(t, y[:, :, None, :]), np.einsum("bq...a,bqa->bq...", t, y))
+    assert _same_bits(dot2(x, y[0]), np.einsum("na,na->n", x, y[0]))
+
+
+@pytest.mark.parametrize("domain,level", [(disk_domain, 2), (ring_domain, 1)])
+def test_physical_points_equal_the_einsum_map(domain, level):
+    curves = domain()
+    mesh = coarse_mesh(curves)
+    for _ in range(level):
+        mesh = refine_project(mesh, curves)
+    asm = Assembler(mesh, curves, 3)
+    for rule in (asm.tables.vol, asm.tables.err):
+        expected = asm.v0[:, None, :] + np.einsum("eab,qb->eqa", asm.jac, rule.points)
+        assert _same_bits(asm.physical_points(rule.points), expected)
 
 
 def test_assembly_is_deterministic():

@@ -128,6 +128,38 @@ def test_csv_deterministic_apart_from_wall_time(tmp_path):
     assert strip_wall(paths[0]) == strip_wall(paths[1])
 
 
+# CSV rows less wall_time, as written by --report
+PINNED_ROWS = {
+    ("circle", 3, "1..2"): [
+        "1,0.61965683746373812,360,144,0.0058662028641668605,0.0060742796954740361,"
+        "0.0038690941663295304,0.012313572235601047,,4.5261687015678683e-15",
+        "2,0.33706269530518751,1392,576,0.00055300087932220489,0.00070948638278500666,"
+        "0.0004987584248482387,0.0013983032541305179,3.5727601891221652,1.1323374562826104e-14",
+    ],
+    ("ring", 2, "0..1"): [
+        "0,0.5710695820026781,288,96,22.801976550699731,0.46763257752690168,"
+        "0.33526827726569103,23.142039527186732,,6.292805098734069e-16",
+        "1,0.30219543245250152,1056,384,5.8156024027510389,0.13037174035593946,"
+        "0.073995817549992862,5.8910593463046075,2.1498039043788517,1.8930813369639096e-15",
+    ],
+}
+
+
+@pytest.mark.parametrize("study", PINNED_ROWS, ids=lambda s: "{}-k{}-L{}".format(*s))
+def test_rows_are_byte_identical_to_the_recorded_ones(tmp_path, study):
+    """Every digit of the rows is pinned, not just E_total to rtol 1e-6: a
+    speed-up that reorders a sum shows here.  Recorded with numpy 2.4.6,
+    scipy 1.17.1 and scipy-openblas 0.3.31 on x86-64; another numpy or BLAS
+    may move the last digits."""
+    domain, k, levels = study
+    path = tmp_path / "rows.csv"
+    assert main(["--domain", domain, "--k", str(k), "--levels", levels,
+                 "--report", str(path)]) == 0
+    lines = path.read_text().splitlines()
+    assert lines[0].endswith(",wall_time")
+    assert [line.rsplit(",", 1)[0] for line in lines[1:]] == PINNED_ROWS[study]
+
+
 def test_json_mirrors_csv(tmp_path):
     cfg = tiny_config(report=str(tmp_path / "r.csv"), json_path=str(tmp_path / "r.json"))
     code = main(["--k", "1", "--levels", "0..1",

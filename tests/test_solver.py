@@ -135,15 +135,36 @@ def test_interface_is_factored_in_its_own_numbering():
 MMD_FILL = {("disk", 4): 798_798, ("ring", 3): 894_893}
 
 
-@pytest.mark.parametrize("domain,level", MMD_FILL)
-def test_interface_fill_stays_near_minimum_degree(domain, level):
+def k3_report(domain, level):
+    """The solve report of the k=3 study's problem at one level."""
     curves = disk_domain() if domain == "disk" else ring_domain()
     mesh = coarse_mesh(curves)
     for _ in range(level):
         mesh = refine_project(mesh, curves)
     case = case_circle() if domain == "disk" else case_ring()
-    rep = solve(Assembler(mesh, curves, k=3).system(case))[3]
+    return solve(Assembler(mesh, curves, k=3).system(case))[3]
+
+
+@pytest.mark.parametrize("domain,level", MMD_FILL)
+def test_interface_fill_stays_near_minimum_degree(domain, level):
+    rep = k3_report(domain, level)
     assert rep.success and rep.fill <= 1.10 * MMD_FILL[domain, level]
+
+
+# (interface unknowns, L.nnz + U.nnz) at k=3 in the nested-dissection order:
+# an exact count tells a changed interface from a fill near the guard above
+INTERFACE = {
+    ("disk", 3): (2209, 165_986),
+    ("disk", 4): (9025, 875_842),
+    ("ring", 2): (2817, 157_506),
+    ("ring", 3): (11_777, 902_786),
+}
+
+
+@pytest.mark.parametrize("domain,level", INTERFACE)
+def test_interface_size_and_fill_pinned(domain, level):
+    rep = k3_report(domain, level)
+    assert (rep.n_interface, rep.fill) == INTERFACE[domain, level]
 
 
 @pytest.mark.parametrize("k,m", [(k, m) for k in (1, 2, 3) for m in range(k + 1)])
