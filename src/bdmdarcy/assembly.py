@@ -443,7 +443,6 @@ class Assembler:
         for l, (p, q) in enumerate(REF_EDGES):
             start_vertex = self.mesh.edges[self.mesh.tri_edges[:, l], 0]
             direction[:, l] = np.where(self.mesh.triangles[:, p] == start_vertex, 1, -1)
-        self.edge_direction = direction
 
         # S_K: +1 on interior moments; an edge moment of degree j takes the
         # orientation of the global normal (outward of edge_tris[e, 0]) times

@@ -69,7 +69,7 @@ class BDMElement:
         self.n_scalar = self.scalar.dim
         self.dim = 2 * self.n_scalar  # (k+1)(k+2)
         self.n_edge_moments = k + 1
-        self.n_grad = triangle_basis(k - 1).dim - 1 if k >= 1 else 0
+        self.n_grad = triangle_basis(k - 1).dim - 1
         self.n_curl = triangle_basis(k - 2).dim if k >= 2 else 0
         self.n_interior = self.n_grad + self.n_curl
         assert 3 * self.n_edge_moments + self.n_interior == self.dim

@@ -22,8 +22,6 @@ __all__ = [
     "coarse_mesh",
     "refine_project",
     "mesh_stats",
-    "save_mesh",
-    "load_mesh",
 ]
 
 
@@ -45,7 +43,6 @@ class Mesh:
     tri_edges: np.ndarray  # (T, 3) int
     boundary_edges: np.ndarray  # (Eb,) int
     edge_component: np.ndarray  # (E,) int, -1 on interior edges
-    vertex_component: np.ndarray  # (V,) int, -1 on interior vertices
     level: int = 0
 
     @property
@@ -82,10 +79,9 @@ def ring_domain(center=(0.0, 0.0), r_inner=0.5, r_outer=1.0):
     ]
 
 
-def _build_mesh(vertices, triangles, curves, level, boundary_records=None):
-    """Assemble topology, orientation, and boundary tags.  The boundary
-    components come from ``boundary_records``, rows (a, b, component) of
-    ``save_mesh``, when given, else from the nearest of ``curves``."""
+def _build_mesh(vertices, triangles, curves, level):
+    """Assemble topology, orientation, and boundary tags.  Each boundary
+    edge takes the component of the curve nearest its midpoint."""
     vertices = np.asarray(vertices, dtype=float)
     triangles = np.asarray(triangles, dtype=np.int64)
     n_tri = len(triangles)
@@ -129,31 +125,10 @@ def _build_mesh(vertices, triangles, curves, level, boundary_records=None):
 
     boundary_edges = np.flatnonzero(counts == 1)
     edge_component = np.full(len(edges), -1, dtype=np.int64)
-    if boundary_records is not None:
-        # the records' edges by the same key as above
-        pairs = np.sort(boundary_records[:, :2], axis=1)
-        record_keys = pairs[:, 0] * n_v + pairs[:, 1]
-        at = np.minimum(np.searchsorted(keys, record_keys), len(keys) - 1)
-        bad = (pairs[:, 0] < 0) | (pairs[:, 1] >= n_v) | (keys[at] != record_keys)
-        bad |= counts[at] != 1
-        if bad.any():
-            i = np.flatnonzero(bad)[0]
-            raise ValueError(f"boundary-edge record {i} {tuple(boundary_records[i].tolist())} "
-                             "is not a boundary edge of the mesh")
-        n_missing = len(boundary_edges) - len(np.unique(at))
-        if n_missing:
-            raise ValueError(f"{n_missing} boundary edges have no record")
-        edge_component[at] = boundary_records[:, 2]
-    elif curves:
-        mid = 0.5 * (a[boundary_edges] + b[boundary_edges])
-        dists = np.column_stack([c.distance(mid) for c in curves])
-        ids = np.array([c.component_id for c in curves])
-        edge_component[boundary_edges] = ids[np.argmin(dists, axis=1)]
-
-    # a vertex takes the component of its lowest-numbered boundary edge
-    vertex_component = np.full(len(vertices), -1, dtype=np.int64)
-    bverts, first = np.unique(edges[boundary_edges].ravel(), return_index=True)
-    vertex_component[bverts] = edge_component[boundary_edges[first // 2]]
+    mid = 0.5 * (a[boundary_edges] + b[boundary_edges])
+    dists = np.column_stack([c.distance(mid) for c in curves])
+    ids = np.array([c.component_id for c in curves])
+    edge_component[boundary_edges] = ids[np.argmin(dists, axis=1)]
 
     return Mesh(
         vertices=vertices,
@@ -164,7 +139,6 @@ def _build_mesh(vertices, triangles, curves, level, boundary_records=None):
         tri_edges=tri_edges,
         boundary_edges=boundary_edges,
         edge_component=edge_component,
-        vertex_component=vertex_component,
         level=level,
     )
 
@@ -244,55 +218,3 @@ def mesh_stats(mesh):
     h_K = sides.max(axis=1)
     return MeshStats(h=float(h_K.max()), h_K=h_K)
 
-
-def save_mesh(mesh, path):
-    """Plain-text export: counts, vertices, triangles, boundary edges."""
-    lines = [f"{mesh.n_vertices} {len(mesh.boundary_edges)} {mesh.n_triangles}"]
-    for v, comp in zip(mesh.vertices, mesh.vertex_component):
-        on_b = 1 if comp >= 0 else 0
-        lines.append(f"{v[0]:.17g} {v[1]:.17g} {on_b} {comp}")
-    for t in mesh.triangles:
-        lines.append(f"{t[0]} {t[1]} {t[2]}")
-    for e in mesh.boundary_edges:
-        i, j = mesh.edges[e]
-        lines.append(f"{i} {j} {mesh.edge_component[e]}")
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
-
-
-def load_mesh(path, level=0):
-    """Inverse of save_mesh; topology is rebuilt, components come from the
-    boundary-edge records.  A malformed file is a ValueError naming the
-    line, or the expected against the found line count."""
-    with open(path) as f:
-        lines = f.read().splitlines() or [""]
-
-    def table(first, count, kind, width):
-        """Lines first .. first + count - 1 as a (count, width) array."""
-        rows = []
-        for i in range(first, first + count):
-            try:
-                row = [kind(x) for x in lines[i].split()]
-            except ValueError:
-                row = ()
-            if len(row) != width:
-                raise ValueError(f"{path}, line {i + 1}: expected {width} {kind.__name__} "
-                                 f"values, found {lines[i]!r}")
-            rows.append(row)
-        return np.array(rows, dtype=kind).reshape(count, width)
-
-    n_v, n_b, n_t = table(0, 1, int, 3)[0]
-    if min(n_v, n_b, n_t) < 0:
-        raise ValueError(f"{path}, line 1: negative count in {lines[0]!r}")
-    if len(lines) < 1 + n_v + n_t + n_b:
-        raise ValueError(f"{path}: the counts {n_v} {n_b} {n_t} on line 1 need "
-                         f"{1 + n_v + n_t + n_b} lines, found {len(lines)}")
-    vertices = table(1, n_v, float, 4)[:, :2].copy()
-    triangles = table(1 + n_v, n_t, int, 3)
-    bad = np.flatnonzero(((triangles < 0) | (triangles >= n_v)).any(axis=1))
-    if len(bad):
-        i = bad[0]
-        raise ValueError(f"triangle line {i} {tuple(triangles[i].tolist())} names a vertex "
-                         f"outside 0..{n_v - 1}")
-    records = table(1 + n_v + n_t, n_b, int, 3)
-    return _build_mesh(vertices, triangles, curves=None, level=level, boundary_records=records)

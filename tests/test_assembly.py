@@ -1,9 +1,7 @@
 """Assembled forms against dense/matrix-free oracles and structural
 identities of the constrained system."""
 
-import tempfile
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,10 +18,8 @@ from bdmdarcy.mesh import (
     _build_mesh,
     coarse_mesh,
     disk_domain,
-    load_mesh,
     refine_project,
     ring_domain,
-    save_mesh,
 )
 from domains import (
     case_polynomial_square,
@@ -292,30 +288,6 @@ def test_class_blocks_are_the_element_blocks_bit_for_bit(curves, mode, k, level)
     assert np.array_equal(np.linalg.inv(blocks), inverses)
 
 
-@settings(max_examples=10, deadline=None)
-@given(random_domains(), st.sampled_from(MODES), st.integers(1, 3), st.integers(0, 3))
-def test_save_load_round_trip_gives_the_same_rows(curves, mode, k, level):
-    """Vertices round-trip exactly at 17 digits, so a loaded mesh has the
-    same classes and blocks, and its study row is the same, bit for bit."""
-    mesh = coarse_mesh(curves)
-    for _ in range(level):
-        mesh = refine_project(mesh, curves)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "mesh.txt"
-        save_mesh(mesh, path)
-        loaded = load_mesh(path, level=mesh.level)
-    rows = []
-    for m in (mesh, loaded):
-        asm = Assembler(m, curves, k, mode=mode)
-        u, p, _, rep = solve(asm.system(case_circle()))
-        err = error_norms(u, postprocess_pressure(p, asm), case_circle(), asm)
-        rows.append((asm.elements, rep.residual, rep.fill, err))
-    (el, *row), (el_loaded, *row_loaded) = rows
-    assert np.array_equal(el.cls, el_loaded.cls)
-    assert np.array_equal(el.matrix, el_loaded.matrix)
-    assert row == row_loaded
-
-
 def _refined(domain, level):
     curves = domain()
     mesh = coarse_mesh(curves)
@@ -324,20 +296,12 @@ def _refined(domain, level):
     return mesh, curves
 
 
-def _loaded_ring():
-    mesh, curves = _refined(ring_domain, 2)
-    with tempfile.TemporaryDirectory() as tmp:
-        save_mesh(mesh, Path(tmp) / "mesh.txt")
-        return load_mesh(Path(tmp) / "mesh.txt", level=mesh.level), curves
-
-
 _TRIANGLE = np.array([[0.1, 0.0], [1.2, 0.3], [0.4, 1.0]])
 ORDER_MESHES = {
     **{f"{domain.__name__}-L{level}": (lambda domain=domain, level=level: _refined(domain, level))
        for domain in (disk_domain, ring_domain) for level in range(5)},
     "unit-square": lambda: (unit_square_mesh(4), square_domain()),
     "single-triangle": lambda: (single_triangle_mesh(_TRIANGLE), triangle_domain(_TRIANGLE)),
-    "loaded-ring-L2": _loaded_ring,
 }
 
 
@@ -612,6 +576,70 @@ def test_patch_test_square():
     p = postprocess_pressure(p, asm)
     err = error_norms(u, p, case, asm)
     assert err.e_total <= 1e-9
+
+
+@st.composite
+def accepted_domains(draw):
+    """A disk or a ring from the geometry the CLI accepts: radii in
+    [0.01, 100] (drawn by decade), centre in [-100, 100]^2 and
+    r_inner / r_outer <= 0.9."""
+    center = tuple(draw(st.floats(-100.0, 100.0)) for _ in range(2))
+    if draw(st.booleans()):
+        return disk_domain(center=center, radius=10.0 ** draw(st.floats(-2.0, 2.0)))
+    r_outer = 10.0 ** draw(st.floats(np.log10(0.01 / 0.9), 2.0))
+    r_inner = min(10.0 ** draw(st.floats(-2.0, np.log10(0.9 * r_outer))), 0.9 * r_outer)
+    return ring_domain(center=center, r_inner=r_inner, r_outer=r_outer)
+
+
+def residual_floor(system, x):
+    """eps || |M| |x| || / ||b||: the round-off of the relative residual of x
+    itself, which no double-precision solve can go below."""
+    norm_b = np.linalg.norm(system.rhs)
+    scale = np.linalg.norm(abs(system.matrix) @ abs(x))
+    return np.finfo(float).eps * scale / norm_b if norm_b > 0 else 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(accepted_domains(), st.integers(1, 3), st.integers(0, 1))
+def test_patch_test_on_curved_domains(curves, k, level):
+    """Polynomial data inside the discrete spaces (p of degree k-1, u = -grad
+    p of degree k-2 <= m = k) is reproduced to round-off on disks and rings
+    over the whole accepted geometry.  The solve meets the residual contract
+    unless the data's own residual floor is above it: large rings with a
+    small hole reach 4e-10 there (r_outer = 100, r_inner = 1, k = 2), and
+    then the residual is at that floor."""
+    mesh = coarse_mesh(curves)
+    for _ in range(level):
+        mesh = refine_project(mesh, curves)
+    asm = Assembler(mesh, curves, k)
+    case = case_polynomial_square(k)
+    system = asm.system(case)
+    u, p, theta, rep = solve(system)
+    floor = residual_floor(system, np.concatenate([u, p, [theta]]))
+    assert rep.residual <= max(solver.RESIDUAL_CONTRACT, floor)
+    err = error_norms(u, postprocess_pressure(p, asm), case, asm).e_total
+    if k == 1:  # u = 0 and p is constant: an absolute bound
+        assert err <= 1e-10
+    else:
+        zero = error_norms(np.zeros_like(u), np.zeros_like(p), case, asm).e_total
+        assert err <= 1e-9 * zero
+
+
+def test_patch_test_taylor_order_below_the_velocity_degree_is_sharp():
+    """With m = 0 < deg u = 1 (k = 3) the boundary transfer is not exact for
+    the patch data: the error stays far above round-off and decreases
+    under refinement (0.374, 0.126, 0.0448 at levels 0..2)."""
+    curves = disk_domain()
+    case = case_polynomial_square(3)
+    mesh = coarse_mesh(curves)
+    errors = []
+    for _ in range(3):
+        asm = Assembler(mesh, curves, 3, m=0)
+        u, p, _, rep = solve(asm.system(case))
+        assert rep.success
+        errors.append(error_norms(u, postprocess_pressure(p, asm), case, asm).e_total)
+        mesh = refine_project(mesh, curves)
+    assert errors[0] > errors[1] > errors[2] > 1e-2
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

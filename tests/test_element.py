@@ -94,7 +94,8 @@ def test_mapped_basis_has_the_sign_diagonal_as_dof_matrix(k, angle, scales, shea
     mesh, sides = _affine_square(jac, np.array(shift))
     asm = Assembler(mesh, sides, k)
     outward = asm.dof_sign[:, : 3 * (k + 1) : k + 1]  # the degree-0 edge moments
-    assert set(outward.ravel()) == set(asm.edge_direction.ravel()) == {-1, 1}
+    direction = outward * asm.dof_sign[:, 1 : 3 * (k + 1) : k + 1]  # degree 1 over degree 0
+    assert set(outward.ravel()) == set(direction.ravel()) == {-1, 1}
     for e in range(mesh.n_triangles):
         expected = np.diag(asm.dof_sign[e])
         assert np.abs(dof_matrix(asm, e) - expected).max() <= 1e-12

@@ -1,4 +1,4 @@
-"""Mesh generation, topology, refinement, and the text round trip."""
+"""Mesh generation, topology, and refinement."""
 
 import numpy as np
 import pytest
@@ -8,14 +8,16 @@ from hypothesis import strategies as st
 from bdmdarcy.mesh import (
     coarse_mesh,
     disk_domain,
-    load_mesh,
     mesh_stats,
     refine_project,
     ring_domain,
-    save_mesh,
 )
 from domains import mesh_quality, signed_areas, single_triangle_mesh, unit_square_mesh
 from oracles import random_domains
+
+
+def boundary_vertices(mesh):
+    return np.unique(mesh.edges[mesh.boundary_edges])
 
 
 def disk_hierarchy(levels):
@@ -58,8 +60,8 @@ def test_boundary_midpoint_is_projected():
     curves, meshes = disk_hierarchy(1)
     m1 = meshes[1]
     # every boundary vertex created by refinement must land on the circle
-    new_boundary = m1.vertices[[v for v in range(7, m1.n_vertices)
-                                if m1.vertex_component[v] >= 0]]
+    bverts = boundary_vertices(m1)
+    new_boundary = m1.vertices[bverts[bverts >= 7]]
     assert np.abs(np.hypot(new_boundary[:, 0], new_boundary[:, 1]) - 1.0).max() < 1e-15
 
 
@@ -101,7 +103,7 @@ def test_adjacency_counts_and_orientation():
 def test_all_boundary_vertices_on_curve():
     curves, meshes = disk_hierarchy(3)
     mesh = meshes[-1]
-    on_b = mesh.vertex_component >= 0
+    on_b = boundary_vertices(mesh)
     r = np.hypot(mesh.vertices[on_b, 0], mesh.vertices[on_b, 1])
     assert np.abs(r - 1.0).max() < 1e-12
 
@@ -145,8 +147,7 @@ def test_unit_square_mesh_is_flat_polygon():
 
 
 def test_square_corners_take_lowest_boundary_edge_component():
-    # two sides meet at each corner; the corner is tagged with the component
-    # of the lower-numbered of its two boundary edges
+    # two sides meet at each corner: its two boundary edges lie on two sides
     mesh = unit_square_mesh(3)
     corners = [0, 3, 12, 15]
     assert np.abs(mesh.vertices[corners] % 1.0).max() == 0.0
@@ -154,7 +155,6 @@ def test_square_corners_take_lowest_boundary_edge_component():
         incident = [e for e in mesh.boundary_edges if v in mesh.edges[e]]
         assert len(incident) == 2
         assert len({mesh.edge_component[e] for e in incident}) == 2
-        assert mesh.vertex_component[v] == mesh.edge_component[min(incident)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -177,10 +177,9 @@ def test_refined_mesh_invariants(curves, level):
     mid = mesh.vertices[mesh.edges].mean(axis=1)
     assert (np.einsum("ea,ea->e", centroid - mid, normal) < 0).all()
 
-    tagged = np.flatnonzero(mesh.vertex_component >= 0)
-    assert np.array_equal(tagged, np.unique(mesh.edges[mesh.boundary_edges]))
     for curve in curves:
-        on_curve = tagged[mesh.vertex_component[tagged] == curve.component_id]
+        on_curve = np.unique(mesh.edges[mesh.boundary_edges[
+            mesh.edge_component[mesh.boundary_edges] == curve.component_id]])
         assert len(on_curve) > 0
         assert curve.distance(mesh.vertices[on_curve]).max() <= 1e-14 * curve.radius
 
@@ -200,87 +199,6 @@ def test_edge_numbering_equals_the_unique_of_sorted_pairs(domain):
         mesh = refine_project(mesh, curves)
 
 
-@pytest.mark.parametrize("domain", [disk_domain, ring_domain])
-def test_save_load_round_trip(tmp_path, domain):
-    curves = domain()
-    mesh = refine_project(refine_project(coarse_mesh(curves), curves), curves)
-    path = tmp_path / "mesh.txt"
-    save_mesh(mesh, path)
-    loaded = load_mesh(path, level=mesh.level)
-    assert np.array_equal(loaded.triangles, mesh.triangles)
-    assert np.abs(loaded.vertices - mesh.vertices).max() == 0.0  # 17 digits round trip
-    assert np.array_equal(np.sort(loaded.boundary_edges), np.sort(mesh.boundary_edges))
-    assert np.array_equal(loaded.edge_component, mesh.edge_component)
-
-
-def _corrupt_interior(mesh, record):
-    return mesh.edges[np.flatnonzero(mesh.edge_tris[:, 1] >= 0)[0]]
-
-
-def _corrupt_out_of_range(mesh, record):
-    # a second vertex past the end whose edge key a * n_v + b is that of
-    # the boundary edge (a + 1, b - n_v)
-    return record[0] - 1, record[1] + mesh.n_vertices
-
-
-def _corrupt_duplicate(mesh, record):
-    return mesh.edges[mesh.boundary_edges[0]]
-
-
-@pytest.mark.parametrize("corrupt", [_corrupt_interior, _corrupt_out_of_range, _corrupt_duplicate])
-def test_load_rejects_records_that_do_not_match_the_mesh(tmp_path, corrupt):
-    """A boundary-edge record that names an interior edge, a vertex out of
-    range or an edge already recorded is a ValueError that names the
-    records, not a KeyError deep in the loader."""
-    curves = ring_domain()
-    mesh = refine_project(coarse_mesh(curves), curves)
-    path = tmp_path / "ring.txt"
-    save_mesh(mesh, path)
-    lines = path.read_text().splitlines()
-    last = len(lines) - 1  # the last boundary record; its edge has a >= 1
-    a, b, comp = (int(x) for x in lines[last].split())
-    assert a >= 1
-    i, j = corrupt(mesh, (a, b))
-    lines[last] = f"{i} {j} {comp}"
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match="record"):
-        load_mesh(path, level=mesh.level)
-
-
-@pytest.mark.parametrize("line", ["0 1 22", "0 1 -2"])
-def test_load_rejects_triangle_vertices_out_of_range(tmp_path, line):
-    """A triangle line naming a vertex past the end, or a negative one
-    (which would wrap to another vertex), is a ValueError that names it."""
-    curves = disk_domain()
-    mesh = refine_project(coarse_mesh(curves), curves)
-    path = tmp_path / "disk.txt"
-    save_mesh(mesh, path)
-    lines = path.read_text().splitlines()
-    lines[1 + mesh.n_vertices] = line
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match=f"triangle line 0 .* outside 0..{mesh.n_vertices - 1}"):
-        load_mesh(path, level=mesh.level)
-
-
-@pytest.mark.parametrize("edit,message", [
-    (lambda lines: lines[:-2], r"need \d+ lines, found \d+"),
-    (lambda lines: lines[:2] + ["0.5 abc 0 -1"] + lines[3:], "line 3: expected 4 float"),
-    (lambda lines: lines[:-1] + ["0 1"], r"line \d+: expected 3 int"),
-    (lambda lines: ["3 x 1"] + lines[1:], "line 1: expected 3 int"),
-], ids=["truncated", "non-numeric-vertex", "short-record", "bad-header"])
-def test_load_rejects_malformed_lines(tmp_path, edit, message):
-    """A truncated file, or a line that is not the numbers it should be, is
-    a ValueError naming the line or the line counts, not an IndexError or
-    numpy's message."""
-    curves = disk_domain()
-    mesh = refine_project(coarse_mesh(curves), curves)
-    path = tmp_path / "disk.txt"
-    save_mesh(mesh, path)
-    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
-    with pytest.raises(ValueError, match=message):
-        load_mesh(path, level=mesh.level)
-
-
 def test_non_manifold_rejected():
     from bdmdarcy.mesh import _build_mesh
 
@@ -288,4 +206,4 @@ def test_non_manifold_rejected():
     vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, 2.0]])
     triangles = np.array([[0, 1, 2], [1, 3, 2], [1, 4, 2]])
     with pytest.raises(ValueError):
-        _build_mesh(vertices, triangles, curves=None, level=0)
+        _build_mesh(vertices, triangles, disk_domain(), level=0)
