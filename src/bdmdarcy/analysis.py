@@ -46,7 +46,11 @@ class ManufacturedCase:
     """Closed-form solution data: velocity u, pressure p, source f = div u,
     and the Neumann functional u . n evaluated with a supplied normal.  The
     formulas are globally smooth, so they stand in for their own extensions
-    off the physical domain."""
+    off the physical domain.  A case is also the velocity field of
+    ``correction.taylor_trace``, at points with leading axes (n_b, q); its
+    degree None selects the truncated sum, never point evaluation."""
+
+    degree = None
 
     name: str
     domain: str
@@ -62,24 +66,13 @@ class ManufacturedCase:
             return np.zeros(len(np.atleast_2d(pts)))
         return dot2(self.velocity(pts), np.asarray(normals))
 
-
-class AnalyticVelocity:
-    """Adapter exposing a case's velocity to the Taylor-extension code
-    (degree None: the truncated sum is always used, never the polynomial
-    point-evaluation shortcut).  Points carry leading axes (n_b, q)."""
-
-    degree = None
-
-    def __init__(self, case):
-        self.case = case
-
     def eval(self, pts):
-        return self.case.velocity(pts.reshape(-1, 2)).reshape(pts.shape)
+        return self.velocity(pts.reshape(-1, 2)).reshape(pts.shape)
 
     def nu_derivative(self, geom, j):
         pts = geom.points.reshape(-1, 2)
         deriv = directional_derivative(
-            lambda rx, ry: self.case.velocity_derivative(pts, rx, ry),
+            lambda rx, ry: self.velocity_derivative(pts, rx, ry),
             geom.nu.reshape(-1, 2),
             j,
         )
@@ -190,7 +183,7 @@ def error_norms(u, p, case, assembler):
     div_sq = float(np.einsum("e,q,eq->", assembler.det, wq, (fe - uh_div) ** 2))
 
     geom = assembler.trace
-    exact = taylor_trace_normal(AnalyticVelocity(case), geom, assembler.m)
+    exact = taylor_trace_normal(case, geom, assembler.m)
     discrete = np.einsum("bqi,bi->bq", assembler.basis_trace, u[assembler.gidx[geom.owner]])
     diff = exact - discrete
     pen_sq = float(np.einsum("bq,b,bq->", geom.weights, 1.0 / geom.h_owner, diff**2))

@@ -362,11 +362,12 @@ class Assembler:
 
     Heavy per-element data (the affine maps v0, jac, det, jinv and the DOF
     signs S_K, which ``ShapeFunctions`` reads for any set of elements) and the
-    boundary data (trace geometry, and the normal traces ``basis_trace`` of
-    the owners' shape functions, shape (n_b, q, n_d)) are computed once and
-    shared by the matrix, load, and error-measurement routines.  ``m`` is
-    the Taylor order, an int in 0..k (default k).  Strong mode has no Taylor
-    extension: it ignores ``m`` and takes plain traces (``self.m`` = 0).
+    boundary data (trace geometry, the owners' shape functions
+    ``boundary_shapes`` and their normal traces ``basis_trace``, shape
+    (n_b, q, n_d)) are computed once and shared by the matrix, load, and
+    error-measurement routines.  ``m`` is the Taylor order, an int in 0..k
+    (default k).  Strong mode has no Taylor extension: it ignores ``m`` and
+    takes plain traces (``self.m`` = 0).
     """
 
     def __init__(self, mesh, curves, k, m=None, mode="corrected",
@@ -413,9 +414,8 @@ class Assembler:
         )
         self._build_indices()
         self.trace = edge_trace_geometry(mesh, self.curves, t.bnd_rule, self.stats.h_K)
-        self.basis_trace = taylor_trace_normal(
-            ShapeFunctions(self, self.trace.owner), self.trace, self.m
-        )
+        self.boundary_shapes = ShapeFunctions(self, self.trace.owner)
+        self.basis_trace = taylor_trace_normal(self.boundary_shapes, self.trace, self.m)
 
     # -- structural setup ---------------------------------------------------
 
@@ -510,13 +510,12 @@ class Assembler:
 
         if self.mode == "corrected":
             # each boundary term T of L_K goes to the owner's class as S_K T S_K
-            geom, tv = self.trace, self.basis_trace
+            geom, tv, shapes = self.trace, self.basis_trace, self.boundary_shapes
             flip = s[geom.owner]
             pen = np.einsum("bq,bqi,bqj->bij", geom.weights, tv, tv) / geom.h_owner[:, None, None]
             np.add.at(a, cls[geom.owner], flip[:, :, None] * pen * flip[:, None, :])
 
             # straight-normal term int_e p (v . n_h), on the same nodes
-            shapes = ShapeFunctions(self, geom.owner)
             vn = (shapes.eval(geom.points) @ geom.n_h[:, None, :, None])[..., 0]  # (n_b, q, nd)
             pvals = t.pressure.eval(shapes._reference(geom.points).reshape(-1, 2))
             pw = geom.weights[:, :, None] * pvals.reshape(vn.shape[:2] + (npr,))

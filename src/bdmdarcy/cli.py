@@ -259,9 +259,7 @@ def run_study(cfg, progress=None):
     for _ in range(cfg.level_first):
         mesh = meshmod.refine_project(mesh, curves)
     rows = []
-    errors, hs = [], []
-    level = cfg.level_first
-    while level <= cfg.level_last:
+    for level in range(cfg.level_first, cfg.level_last + 1):
         t0 = time.perf_counter()
         asm = Assembler(
             mesh, curves, cfg.k, m=cfg.m, mode=cfg.mode,
@@ -275,9 +273,8 @@ def run_study(cfg, progress=None):
             )
         p = postprocess_pressure(p, asm)
         err = error_norms(u, p, case, asm)
-        errors.append(err.e_total)
-        hs.append(err.h)
-        eoc = compute_eoc(errors[-2:], hs[-2:])[0] if len(errors) >= 2 else None
+        eoc = compute_eoc([rows[-1]["E_total"], err.e_total],
+                          [rows[-1]["h"], err.h])[0] if rows else None
         row = {
             "level": level,
             "h": err.h,
@@ -304,7 +301,6 @@ def run_study(cfg, progress=None):
             dump_system(system, outdir / f"system_level{level}.txt")
         if level < cfg.level_last:
             mesh = meshmod.refine_project(mesh, curves)
-        level += 1
     return rows
 
 

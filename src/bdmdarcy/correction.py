@@ -22,6 +22,8 @@ from math import comb, factorial
 
 import numpy as np
 
+from bdmdarcy.geometry import project
+
 __all__ = [
     "TraceGeometry",
     "edge_trace_geometry",
@@ -54,23 +56,14 @@ def edge_trace_geometry(mesh, curves, rule, h_K):
     ``rule`` is an edge quadrature rule on [-1, 1]; nodes are mapped to each
     edge following the global (sorted-vertex) parametrization.  ``h_K``
     holds the triangle diameters.  Each boundary component projects all of
-    its nodes in one call.
+    its nodes in one call (``geometry.project``).
     """
     edges = mesh.boundary_edges
     a = mesh.vertices[mesh.edges[edges, 0]]
     b = mesh.vertices[mesh.edges[edges, 1]]
     points = 0.5 * (a + b)[:, None, :] + 0.5 * rule.points[None, :, None] * (b - a)[:, None, :]
     weights = 0.5 * np.hypot((b - a)[:, 0], (b - a)[:, 1])[:, None] * rule.weights
-    # (x, delta, nu, n_gamma) of project_many, per node
-    projection = [np.empty_like(points), np.empty(points.shape[:2]),
-                  np.empty_like(points), np.empty_like(points)]
-    by_id = {c.component_id: c for c in curves}
-    component = mesh.edge_component[edges]
-    for comp in np.unique(component):
-        sel = component == comp
-        for out, values in zip(projection, by_id[comp].project_many(points[sel].reshape(-1, 2))):
-            out[sel] = values.reshape((-1,) + out.shape[1:])
-    projected, delta, nu, n_gamma = projection
+    projected, delta, nu, n_gamma = project(curves, mesh.edge_component[edges], points)
     owner = mesh.edge_tris[edges, 0]
     return TraceGeometry(
         owner=owner,

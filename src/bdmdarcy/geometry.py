@@ -3,14 +3,15 @@
 Each boundary component supplies the projection map rho(x_h) = x_h +
 delta(x_h) nu(x_h) onto the physical boundary, the distance delta, the unit
 direction nu, and the pulled-back outward normal of the physical domain.
-Every component is a circle: the disk has one, the ring two.
+A component is the position of its curve in the domain's list of curves,
+and every curve is a circle: the disk has one, the ring two.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["GeometryError", "BoundaryCurve"]
+__all__ = ["GeometryError", "BoundaryCurve", "project"]
 
 
 class GeometryError(Exception):
@@ -30,7 +31,6 @@ class BoundaryCurve:
     center: tuple
     radius: float
     domain_inside: bool = True
-    component_id: int = 0
 
     def __post_init__(self):
         if self.radius <= 0:
@@ -67,3 +67,14 @@ class BoundaryCurve:
         center = np.asarray(self.center, dtype=float)
         r = np.hypot(pts[:, 0] - center[0], pts[:, 1] - center[1])
         return np.abs(r - self.radius)
+
+
+def project(curves, component, points):
+    """(x, delta, nu, n_gamma) of points (n, ..., 2), row i projected onto
+    ``curves[component[i]]``: one ``project_many`` call per curve, in row order."""
+    out = [np.empty(points.shape[:-1] + tail) for tail in ((2,), (), (2,), (2,))]
+    for i, curve in enumerate(curves):
+        sel = component == i
+        for part, values in zip(out, curve.project_many(points[sel].reshape(-1, 2))):
+            part[sel] = values.reshape((-1,) + part.shape[1:])
+    return tuple(out)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from bdmdarcy.geometry import BoundaryCurve, GeometryError
+from bdmdarcy.geometry import BoundaryCurve, GeometryError, project
 
 __all__ = [
     "Mesh",
@@ -42,7 +42,7 @@ class Mesh:
     edge_normal: np.ndarray  # (E, 2)
     tri_edges: np.ndarray  # (T, 3) int
     boundary_edges: np.ndarray  # (Eb,) int
-    edge_component: np.ndarray  # (E,) int, -1 on interior edges
+    edge_component: np.ndarray  # (E,) int, index into the curves; -1 on interior edges
     level: int = 0
 
     @property
@@ -66,16 +66,16 @@ class MeshStats:
 
 def disk_domain(center=(0.0, 0.0), radius=1.0):
     """The unit disk boundary (one circle component)."""
-    return [BoundaryCurve(center=tuple(center), radius=radius, component_id=0)]
+    return [BoundaryCurve(center=tuple(center), radius=radius)]
 
 
 def ring_domain(center=(0.0, 0.0), r_inner=0.5, r_outer=1.0):
-    """The ring boundary: outer circle (id 0) and inner hole (id 1)."""
+    """The ring boundary: outer circle (component 0) and inner hole (1)."""
     if not 0.0 < r_inner < r_outer:
         raise GeometryError("ring radii must satisfy 0 < r_inner < r_outer")
     return [
-        BoundaryCurve(center=tuple(center), radius=r_outer, component_id=0),
-        BoundaryCurve(center=tuple(center), radius=r_inner, domain_inside=False, component_id=1),
+        BoundaryCurve(center=tuple(center), radius=r_outer),
+        BoundaryCurve(center=tuple(center), radius=r_inner, domain_inside=False),
     ]
 
 
@@ -127,8 +127,7 @@ def _build_mesh(vertices, triangles, curves, level):
     edge_component = np.full(len(edges), -1, dtype=np.int64)
     mid = 0.5 * (a[boundary_edges] + b[boundary_edges])
     dists = np.column_stack([c.distance(mid) for c in curves])
-    ids = np.array([c.component_id for c in curves])
-    edge_component[boundary_edges] = ids[np.argmin(dists, axis=1)]
+    edge_component[boundary_edges] = np.argmin(dists, axis=1)
 
     return Mesh(
         vertices=vertices,
@@ -146,18 +145,17 @@ def _build_mesh(vertices, triangles, curves, level):
 def coarse_mesh(curves):
     """Coarse body-fitted mesh of the disk (six-triangle fan about the
     center) or the ring (16 angular sectors, two triangles each)."""
-    circles = [c for c in curves if isinstance(c, BoundaryCurve)]
-    if len(circles) == 1:
-        (circle,) = circles
+    if len(curves) == 1:
+        (circle,) = curves
         angles = 2.0 * np.pi * np.arange(6) / 6.0
         rim = np.column_stack([np.cos(angles), np.sin(angles)])
         vertices = np.vstack([[0.0, 0.0], rim]) * circle.radius
         vertices += np.asarray(circle.center)
         triangles = np.array([[0, 1 + j, 1 + (j + 1) % 6] for j in range(6)])
         return _build_mesh(vertices, triangles, curves, level=0)
-    if len(circles) == 2:
-        outer = max(circles, key=lambda c: c.radius)
-        inner = min(circles, key=lambda c: c.radius)
+    if len(curves) == 2:
+        outer = max(curves, key=lambda c: c.radius)
+        inner = min(curves, key=lambda c: c.radius)
         n = 16
         angles = 2.0 * np.pi * np.arange(n) / n
         unit = np.column_stack([np.cos(angles), np.sin(angles)])
@@ -180,11 +178,8 @@ def refine_project(mesh, curves):
     refined mesh stays body-fitted.
     """
     mid = 0.5 * (mesh.vertices[mesh.edges[:, 0]] + mesh.vertices[mesh.edges[:, 1]])
-    by_id = {c.component_id: c for c in curves}
-    for comp in np.unique(mesh.edge_component[mesh.boundary_edges]):
-        sel = mesh.boundary_edges[mesh.edge_component[mesh.boundary_edges] == comp]
-        projected, _, _, _ = by_id[comp].project_many(mid[sel])
-        mid[sel] = projected
+    bnd = mesh.boundary_edges
+    mid[bnd] = project(curves, mesh.edge_component[bnd], mid[bnd])[0]
 
     n_old = mesh.n_vertices
     vertices = np.vstack([mesh.vertices, mid])

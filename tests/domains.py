@@ -2,8 +2,8 @@
 geometry measures that only the tests read.
 
 The straight components pass through ``mesh``, ``assembly`` and
-``correction`` by duck typing: they supply ``project_many``, ``distance``
-and ``component_id`` as ``geometry.BoundaryCurve`` does, and
+``correction`` by duck typing: they supply ``project_many`` and
+``distance`` as ``geometry.BoundaryCurve`` does, and
 ``mesh.coarse_mesh`` only meshes circles, so polygonal meshes are built
 here with ``mesh._build_mesh``.
 """
@@ -27,7 +27,6 @@ class StraightBoundary:
 
     point: tuple
     normal: tuple
-    component_id: int = 0
 
     def __post_init__(self):
         n = np.hypot(*self.normal)
@@ -55,10 +54,10 @@ class StraightBoundary:
 def square_domain():
     """Sides of the unit square as four straight components."""
     return [
-        StraightBoundary(point=(0.0, 0.0), normal=(0.0, -1.0), component_id=0),
-        StraightBoundary(point=(1.0, 0.0), normal=(1.0, 0.0), component_id=1),
-        StraightBoundary(point=(1.0, 1.0), normal=(0.0, 1.0), component_id=2),
-        StraightBoundary(point=(0.0, 1.0), normal=(-1.0, 0.0), component_id=3),
+        StraightBoundary(point=(0.0, 0.0), normal=(0.0, -1.0)),
+        StraightBoundary(point=(1.0, 0.0), normal=(1.0, 0.0)),
+        StraightBoundary(point=(1.0, 1.0), normal=(0.0, 1.0)),
+        StraightBoundary(point=(0.0, 1.0), normal=(-1.0, 0.0)),
     ]
 
 
@@ -70,7 +69,7 @@ def triangle_domain(verts):
         a, b = verts[i], verts[(i + 1) % 3]
         t = b - a
         n = np.array([t[1], -t[0]]) / np.hypot(*t)
-        comps.append(StraightBoundary(point=tuple(a), normal=tuple(n), component_id=i))
+        comps.append(StraightBoundary(point=tuple(a), normal=tuple(n)))
     return comps
 
 

@@ -246,9 +246,8 @@ def edge_geometries(asm):
     """Per-edge projection data of every boundary edge, with the
     assembler's boundary rule, in ``mesh.boundary_edges`` order."""
     mesh = asm.mesh
-    by_id = {c.component_id: c for c in asm.curves}
     return [
-        edge_geometry(mesh, by_id[mesh.edge_component[e]], e, asm.tables.bnd_rule,
+        edge_geometry(mesh, asm.curves[mesh.edge_component[e]], e, asm.tables.bnd_rule,
                       asm.stats.h_K[mesh.edge_tris[e, 0]])
         for e in mesh.boundary_edges
     ]

@@ -160,7 +160,7 @@ def test_pullback_ring_node_hitting_axis():
     a = np.array([np.cos(theta), -np.sin(theta)])
     b = np.array([np.cos(theta), np.sin(theta)])
     apex = np.array([0.3, 0.0])
-    curves = [BoundaryCurve((0.0, 0.0), 1.0, component_id=0)]
+    curves = [BoundaryCurve((0.0, 0.0), 1.0)]
     mesh = _build_mesh(np.array([apex, a, b]), np.array([[0, 1, 2]]), curves, level=0)
     (chord,) = [i for i, e in enumerate(mesh.boundary_edges)
                 if tuple(np.sort(mesh.edges[e])) == (1, 2)]

@@ -69,8 +69,7 @@ def _affine_square(jac, shift):
     sides = []
     for i in range(4):
         t = corners[(i + 1) % 4] - corners[i]
-        sides.append(StraightBoundary(point=tuple(corners[i]), normal=(t[1], -t[0]),
-                                      component_id=i))
+        sides.append(StraightBoundary(point=tuple(corners[i]), normal=(t[1], -t[0])))
     square = unit_square_mesh(2)
     return _build_mesh(square.vertices @ jac.T + shift, square.triangles, sides, 0), sides
 

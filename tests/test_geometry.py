@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bdmdarcy.geometry import BoundaryCurve, GeometryError
+from bdmdarcy.femcore.quadrature import edge_quadrature
+from bdmdarcy.geometry import BoundaryCurve, GeometryError, project
 from bdmdarcy.mesh import coarse_mesh, disk_domain, refine_project, ring_domain
 from domains import (
     StraightBoundary,
@@ -17,7 +18,7 @@ from domains import (
 from oracles import random_domains
 
 UNIT = BoundaryCurve(center=(0.0, 0.0), radius=1.0)
-INNER = BoundaryCurve(center=(0.0, 0.0), radius=0.5, domain_inside=False, component_id=1)
+INNER = BoundaryCurve(center=(0.0, 0.0), radius=0.5, domain_inside=False)
 
 
 def _project(curve, x_h):
@@ -126,6 +127,49 @@ def test_boundary_nodes_project_back_onto_curve():
         x, delta, nu, _ = curves[0].project_many(nodes)
         assert np.abs(np.hypot(x[:, 0], x[:, 1]) - 1.0).max() < 1e-12
         assert np.abs(np.linalg.norm(nodes + delta[:, None] * nu - x, axis=1)).max() < 1e-13
+
+
+def _boundary_meshes():
+    """(curves, mesh) of the disk and the ring at levels 0..2, and of the
+    polygonal square."""
+    for domain in (disk_domain, ring_domain):
+        curves = domain()
+        mesh = coarse_mesh(curves)
+        for level in range(3):
+            yield pytest.param(curves, mesh, id=f"{domain.__name__}-L{level}")
+            mesh = refine_project(mesh, curves)
+    yield pytest.param(square_domain(), unit_square_mesh(3), id="square")
+
+
+@pytest.mark.parametrize("curves, mesh", _boundary_meshes())
+def test_project_equals_the_per_edge_projection(curves, mesh, monkeypatch):
+    """``project`` gives, bit for bit, each boundary edge's own curve's
+    ``project_many`` of its nodes (n_b, q, 2) and of its midpoints (n_b, 2),
+    and calls ``project_many`` once per curve."""
+    edges = mesh.boundary_edges
+    a, b = mesh.vertices[mesh.edges[edges, 0]], mesh.vertices[mesh.edges[edges, 1]]
+    s = edge_quadrature(5).points
+    nodes = 0.5 * (a + b)[:, None, :] + 0.5 * s[None, :, None] * (b - a)[:, None, :]
+    component = mesh.edge_component[edges]
+
+    kind, calls = type(curves[0]), []
+    original = kind.project_many
+
+    def counted(curve, pts):
+        calls.append(curve)
+        return original(curve, pts)
+
+    monkeypatch.setattr(kind, "project_many", counted)
+    at_nodes = project(curves, component, nodes)
+    assert calls == curves
+    monkeypatch.undo()
+
+    midpoints = 0.5 * (a + b)
+    for points, result in [(nodes, at_nodes), (midpoints, project(curves, component, midpoints))]:
+        for i, e in enumerate(edges):
+            expected = curves[mesh.edge_component[e]].project_many(points[i])
+            for got, want in zip(result, expected):
+                np.testing.assert_array_equal(got[i], want.reshape(got[i].shape))
 
 
 @st.composite

@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bdmdarcy.analysis import case_circle, case_ring
+from bdmdarcy.assembly import Assembler
+from bdmdarcy.geometry import BoundaryCurve
 from bdmdarcy.mesh import (
     coarse_mesh,
     disk_domain,
@@ -12,6 +15,7 @@ from bdmdarcy.mesh import (
     refine_project,
     ring_domain,
 )
+from bdmdarcy.solver import solve
 from domains import mesh_quality, signed_areas, single_triangle_mesh, unit_square_mesh
 from oracles import random_domains
 
@@ -137,6 +141,25 @@ def test_ring_components_tagged():
         assert (r > 0.75) == (mesh.edge_component[e] == 0)
 
 
+@pytest.mark.parametrize("curves, case", [
+    ([BoundaryCurve((0.0, 0.0), 1.0)], case_circle()),
+    ([BoundaryCurve((0.0, 0.0), 1.0), BoundaryCurve((0.0, 0.0), 0.5, domain_inside=False)],
+     case_ring()),
+], ids=["disk", "ring"])
+def test_curves_built_directly_refine_onto_their_own_curve(curves, case):
+    """A boundary component is its curve's position in ``curves``: curves
+    built without ``disk_domain``/``ring_domain`` refine each boundary
+    midpoint onto its own circle, and the refined mesh solves."""
+    mesh = coarse_mesh(curves)
+    for _ in range(2):
+        mesh = refine_project(mesh, curves)
+    for component, curve in enumerate(curves):
+        on_curve = np.unique(mesh.edges[mesh.boundary_edges[
+            mesh.edge_component[mesh.boundary_edges] == component]])
+        assert curve.distance(mesh.vertices[on_curve]).max() <= 1e-14
+    assert solve(Assembler(mesh, curves, 2).system(case))[3].success
+
+
 def test_unit_square_mesh_is_flat_polygon():
     mesh = unit_square_mesh(4)
     assert mesh.n_triangles == 32
@@ -177,9 +200,9 @@ def test_refined_mesh_invariants(curves, level):
     mid = mesh.vertices[mesh.edges].mean(axis=1)
     assert (np.einsum("ea,ea->e", centroid - mid, normal) < 0).all()
 
-    for curve in curves:
+    for component, curve in enumerate(curves):
         on_curve = np.unique(mesh.edges[mesh.boundary_edges[
-            mesh.edge_component[mesh.boundary_edges] == curve.component_id]])
+            mesh.edge_component[mesh.boundary_edges] == component]])
         assert len(on_curve) > 0
         assert curve.distance(mesh.vertices[on_curve]).max() <= 1e-14 * curve.radius
 
