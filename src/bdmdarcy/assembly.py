@@ -28,13 +28,13 @@ leaves u and p as they are.  The system's unknowns are (u, p, theta) in
 both modes; in strong mode the constrained dofs keep their numbers, as
 identity rows with zero loads.
 
-The border row c.p = gauge has the units of area times pressure.  The
-system holds it, and the column c, times ``Assembler.theta_scale``, the
-power of two nearest 1 / (half-extent of the mesh)^2: exactly 1 on the unit
-disk and ring, and an exact scaling elsewhere, so that the row is sized
-like the others on a domain of any size.  Unscaled, on a disk of radius 100
-its terms c_l p_l reach 2.6e12, and one unit in their last place is 8.9e-11
-of the relative residual.
+The border row c.p = gauge, the pressure's only normalisation, has the
+units of area times pressure.  The system holds it, and the column c, times
+``Assembler.theta_scale``, the power of two nearest 1 / (half-extent of the
+mesh)^2: exactly 1 on the unit disk and ring, and an exact scaling
+elsewhere, so that the row is sized like the others on a domain of any
+size.  Unscaled, on a disk of radius 100 its terms c_l p_l reach 2.6e12,
+and one unit in their last place is 8.9e-11 of the relative residual.
 
 Every boundary form is an integral over the straight boundary edges, taken
 with one rule: the trace geometry's k+3 Gauss nodes per edge
@@ -598,12 +598,6 @@ class Assembler:
         rhs_u = np.bincount(np.concatenate(dofs), weights=np.concatenate(loads),
                             minlength=self.dofmap.n_u)
         return rhs_u, rhs_p
-
-    def constant_pressure(self):
-        """Coefficients of the pressure function identically one."""
-        vec = np.zeros(self.dofmap.n_p)
-        vec[self.pidx[:, 0]] = 1.0 / self.tables.p_const_value
-        return vec
 
     def pressure_integrals(self):
         """c_l = integral of the l-th pressure basis function."""

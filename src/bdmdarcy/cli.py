@@ -20,7 +20,7 @@ import numpy as np
 from bdmdarcy import mesh as meshmod
 from bdmdarcy.analysis import case_circle, case_ring, compute_eoc, error_norms
 from bdmdarcy.assembly import Assembler, ShapeFunctions, quadrature_orders
-from bdmdarcy.solver import postprocess_pressure, solve
+from bdmdarcy.solver import solve
 
 __all__ = ["StudyConfig", "parse_config", "run_study", "export_fields", "main"]
 
@@ -271,7 +271,6 @@ def run_study(cfg, progress=None):
             raise RuntimeError(
                 f"solve failed at level {level}: residual {rep.residual:.3e}"
             )
-        p = postprocess_pressure(p, asm)
         err = error_norms(u, p, case, asm)
         eoc = compute_eoc([rows[-1]["E_total"], err.e_total],
                           [rows[-1]["h"], err.h])[0] if rows else None
@@ -371,16 +370,15 @@ def export_fields(mesh, assembler, u, p, path):
 
 
 def dump_system(system, path):
-    """Coordinate-format text dump (row col value) of ``system.matrix``; at
-    most ``MAX_DUMP_ENTRIES`` entries."""
+    """Coordinate-format text dump (row col value) of ``system.matrix`` in its
+    canonical CSR order; at most ``MAX_DUMP_ENTRIES`` entries."""
     if system.matrix.nnz > MAX_DUMP_ENTRIES:
         raise ValueError("system too large to dump")
     mat = system.matrix.tocoo()
-    order = np.lexsort((mat.col, mat.row))
     with open(path, "w") as out:
         out.write(f"{mat.shape[0]} {mat.shape[1]} {mat.nnz}\n")
         for start in range(0, mat.nnz, DUMP_CHUNK):
-            chunk = order[start:start + DUMP_CHUNK]
+            chunk = slice(start, start + DUMP_CHUNK)
             out.writelines(f"{r} {c} {v:.17g}\n" for r, c, v in zip(
                 mat.row[chunk].tolist(), mat.col[chunk].tolist(), mat.data[chunk].tolist()))
 

@@ -1,4 +1,4 @@
-"""Solution of the saddle-point system and pressure gauge post-processing.
+"""Solution of the saddle-point system.
 
 The solve is a hybridized one (Arnold-Brezzi).  Normal continuity
 is broken on interior edges and restored by k+1 multipliers per edge; the
@@ -32,7 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-__all__ = ["SolveReport", "solve", "postprocess_pressure"]
+__all__ = ["SolveReport", "solve"]
 
 RESIDUAL_CONTRACT = 1e-10
 
@@ -41,7 +41,6 @@ RESIDUAL_CONTRACT = 1e-10
 class SolveReport:
     residual: float
     method: str  # always "lu"; bench/tracer.py counts solves by method
-    dimension: int
     success: bool
     iterations: int = 0  # always 0; bench/tracer.py sums it as Krylov iterations
     fill: int = 0  # L.nnz + U.nnz of the interface factorization
@@ -163,15 +162,8 @@ def solve(system, rhs=None):
     x = hybrid.apply(rhs)
     x += hybrid.apply(rhs - system.matvec(x))
     res = _residual(system, x, rhs)
-    report = SolveReport(res, "lu", system.dimension, res <= RESIDUAL_CONTRACT,
+    report = SolveReport(res, "lu", res <= RESIDUAL_CONTRACT,
                          fill=hybrid.fill, n_interface=hybrid.n_interface)
     u, p, theta = system.split(x)
     return u, p, theta, report
 
-
-def postprocess_pressure(p, assembler):
-    """Shift a pressure vector to the zero-mean representative over the
-    meshed region."""
-    c = assembler.pressure_integrals()
-    mean = float(c @ p) / assembler.area
-    return p - mean * assembler.constant_pressure()

@@ -12,8 +12,8 @@ computes the same traces for all boundary nodes at once.
 The per-triangle field ``LocalField`` and its ``affine_map`` live here as
 the reference of the program's batched evaluator, ``assembly.ShapeFunctions``.
 The random disks and rings of the property tests are drawn here too, and
-the canonical BDM interpolant and the pressure projection live here: only
-the tests read them.
+the canonical BDM interpolant, the pressure projection and the constant
+pressure live here: only the tests read them.
 """
 
 from math import comb, factorial
@@ -138,6 +138,13 @@ def interpolate_velocity(asm, func):
         interior = np.einsum("q,qra,eqa->er", t.vol.weights, tests, pulled)
         coeffs[asm.dofmap.n_edge_dofs :] = interior.ravel()
     return coeffs
+
+
+def constant_pressure(asm):
+    """Coefficients of the pressure function identically one."""
+    vec = np.zeros(asm.dofmap.n_p)
+    vec[asm.pidx[:, 0]] = 1.0 / asm.tables.p_const_value
+    return vec
 
 
 def project_pressure_global(asm, func):

@@ -132,7 +132,7 @@ def test_csv_deterministic_apart_from_wall_time(tmp_path):
 PINNED_ROWS = {
     ("circle", 3, "1..2"): [
         "1,0.61965683746373812,360,144,0.0058662028641668605,0.0060742796954740361,"
-        "0.0038690941663295304,0.012313572235601047,,4.5261687015678683e-15",
+        "0.0038690941663295309,0.012313572235601047,,4.5261687015678683e-15",
         "2,0.33706269530518751,1392,576,0.00055300087932220489,0.00070948638278500666,"
         "0.0004987584248482387,0.0013983032541305179,3.5727601891221652,1.1323374562826104e-14",
     ],
