@@ -58,11 +58,13 @@ at levels <= 2.  ``SaddleSystem.matvec`` applies S_K L^ S_K element by
 element and the hybridized solve (``solver``) inverts each class block
 once.  Sign flips are exact and LU with partial pivoting is
 sign-symmetric, so every signed block, product and inverse equals, entry
-for entry, that of the element's own block.  Global sparse matrices are
-scattered from the expanded blocks on request only:
-``SaddleSystem.matrix`` for checks and dumps, ``Assembler.matrix_a`` and
-``matrix_b`` for the blocks' own tests.  Accumulation order is fixed
-(elements ascending, then boundary edges ascending), so repeated
+for entry, that of the element's own block.  The global sparse matrix is
+built on request only, by one builder, ``operator_csr``: it writes the
+canonical CSR straight from the class blocks, one element row at a time,
+with no expanded (nel, nd + npr, nd + npr) blocks.  ``SaddleSystem.matrix``
+(checks and dumps) is that CSR, and ``Assembler.matrix_a`` and
+``matrix_b`` (the blocks' own tests) are slices of it.  Accumulation order
+is fixed (elements ascending, then boundary edges ascending), so repeated
 assemblies are bit-identical.
 
 Every contraction over a length-2 axis of per-element or per-node arrays
@@ -224,8 +226,8 @@ class ElementBlocks:
     bit-identical geometry, and ``flip[K]`` is S_K padded with +1 on
     pressure.  Every boundary term is folded into the edge's owner; in
     strong mode the rows and columns of the constrained velocity dofs are
-    identity.  It is the only copy of the blocks: ``Assembler.matrix_a``/
-    ``matrix_b`` and ``SaddleSystem.matrix`` scatter from ``expand()``.
+    identity.  It is the only copy of the blocks: ``operator_csr`` writes
+    the global CSR from ``matrix``, ``cls`` and ``flip``.
     Normal continuity is broken on interior edges: both adjacent elements
     keep a copy of the edge's k+1 moments, tied by one multiplier each.  For
     the 3(k+1) local edge dofs, ``multiplier`` numbers that multiplier (-1 on
@@ -256,23 +258,15 @@ class ElementBlocks:
         y *= self.flip
         return y
 
-    def expand(self):
-        """The (nel, nd + npr, nd + npr) signed blocks L_K, gathered once
-        with the signs applied in place; for the global matrices only."""
-        out = self.matrix[self.cls]
-        out *= self.flip[:, :, None]
-        out *= self.flip[:, None, :]
-        return out
-
 
 class SaddleSystem:
     """The saddle-point operator on the unknowns (u, p, theta) of
     ``build_saddle_system``: the element blocks ``elements`` plus the
     pressure-mean column and row c (times ``Assembler.theta_scale``), and no
     other term (the boundary-mean term is folded into theta).  ``matvec``
-    applies it element by element, and its global CSR ``matrix`` is
-    scattered from the same blocks only when it is read (checks and dumps;
-    the solve never reads it)."""
+    applies it element by element, and its global CSR ``matrix`` is written
+    from the same class blocks only when it is read (checks and dumps; the
+    solve never reads it)."""
 
     # read by bench/gate.py, for which None means that every velocity dof
     # is an unknown and that there is no rank-one term
@@ -290,10 +284,7 @@ class SaddleSystem:
 
     @cached_property
     def _index(self):
-        """(nel, nd + npr) position of each element unknown in x."""
-        c = self.elements.c
-        pressure = self.n_u + np.arange(self.n_p).reshape(c.shape)
-        return np.concatenate([self.elements.udofs, pressure], axis=1)
+        return _element_index(self.elements, self.n_u)
 
     def matvec(self, x):
         n, idx, c = self.dimension, self._index, self.elements.c.ravel()
@@ -305,11 +296,9 @@ class SaddleSystem:
 
     @cached_property
     def matrix(self):
-        """Global CSR of the operator, scattered from the element blocks and
-        the column and row c."""
-        n, idx, c = self.dimension, self._index, self.elements.c
-        col = _scatter(c[:, :, None], idx[:, -c.shape[1]:], np.full((len(c), 1), n - 1), (n, n))
-        return _scatter(self.elements.expand(), idx, idx, (n, n)) + col + col.T
+        """Global CSR of the operator, written from the class blocks and the
+        column and row c by ``operator_csr``."""
+        return operator_csr(self.elements, self.n_u)
 
     def split(self, x):
         """(velocity, pressure, theta)."""
@@ -546,20 +535,16 @@ class Assembler:
         )
 
     def matrix_a(self):
-        """Velocity block A, scattered from the A_K slices of the expanded
-        ``elements``."""
-        n_u, nd = self.dofmap.n_u, self.gidx.shape[1]
-        return _scatter(self.elements.expand()[:, :nd, :nd], self.gidx, self.gidx, (n_u, n_u))
+        """Velocity block A, the (u, u) slice of ``operator_csr``."""
+        n_u = self.dofmap.n_u
+        return operator_csr(self.elements, n_u)[:n_u, :n_u]
 
     def matrix_b(self):
-        """(B1, B0), scattered from the B1_K^T and B0_K slices of the
-        expanded ``elements``."""
-        matrix, nd = self.elements.expand(), self.gidx.shape[1]
-        shape = (self.dofmap.n_p, self.dofmap.n_u)
-        return tuple(
-            _scatter(b, self.pidx, self.gidx, shape)
-            for b in (np.transpose(matrix[:, :nd, nd:], (0, 2, 1)), matrix[:, nd:, :nd])
-        )
+        """(B1, B0): the transposed (u, p) and the (p, u) slices of
+        ``operator_csr``."""
+        n_u = self.dofmap.n_u
+        mat = operator_csr(self.elements, n_u)
+        return mat[:n_u, n_u:-1].T.tocsr(), mat[n_u:-1, :n_u]
 
     def physical_points(self, ref_points):
         """The images v0 + J x of reference points (q, 2) in every element,
@@ -608,14 +593,50 @@ class Assembler:
         return build_saddle_system(self, case, gauge=gauge)
 
 
-def _scatter(local, rows, cols, shape):
-    """Sum element blocks local[e] into the CSR matrix at (rows[e], cols[e]),
-    dropping entries that cancel to zero (in B1, the boundary term can cancel
-    the volume term).  The indices are int32 and a contiguous ``local`` is not
-    copied, so the peak memory stays near that of the CSR itself."""
-    r, c = np.empty(local.shape, np.int32), np.empty(local.shape, np.int32)
-    r[...], c[...] = rows[:, :, None], cols[:, None, :]
-    mat = sp.csr_matrix((local.ravel(), (r.ravel(), c.ravel())), shape=shape)
+ROW_CHUNK = 16_384  # element rows per gathered batch of ``operator_csr``
+
+
+def _element_index(elements, n_u):
+    """(nel, nd + npr) position of each element unknown in the system's x:
+    the velocity dofs, then the element's pressure block after the n_u
+    velocity unknowns."""
+    c = elements.c
+    return np.concatenate([elements.udofs, n_u + np.arange(c.size).reshape(c.shape)], axis=1)
+
+
+def operator_csr(elements, n_u):
+    """The canonical CSR of the saddle operator on (u, p, theta), written
+    straight from the class blocks, with no expanded blocks and no COO
+    triplets.  The element rows of every L_K are counting-sorted by global
+    row and written N = nd + npr entries each, a chunk at a time, so a
+    shared edge dof's row is its two element rows one after the other.  A
+    pressure row belongs to one element, and its last entry, in L_K's zero
+    pressure block, holds theta's column c instead; then come theta's row c.
+    ``sum_duplicates`` adds the two terms of a shared entry (a + b = b + a,
+    so their order does not set the bits) and ``eliminate_zeros`` drops the
+    zeros, among them the ones that cancel (in B1, the boundary term can
+    cancel the volume term), both in place."""
+    idx = _element_index(elements, n_u)
+    N, c = idx.shape[1], elements.c.ravel()
+    n = n_u + len(c) + 1
+    rows = idx.ravel()
+    order = np.argsort(rows, kind="stable")
+    length = np.bincount(rows, minlength=n) * N
+    length[-1] = len(c)
+    indptr = np.zeros(n + 1, np.int32)
+    np.cumsum(length, out=indptr[1:])
+    data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], np.int32)
+    block, cols = data[: len(rows) * N].reshape(-1, N), indices[: len(rows) * N].reshape(-1, N)
+    for first in range(0, len(order), ROW_CHUNK):
+        part = slice(first, first + ROW_CHUNK)
+        e, a = np.divmod(order[part], N)
+        np.multiply(elements.matrix[elements.cls[e], a], elements.flip[e], out=block[part])
+        block[part] *= elements.flip[e, a][:, None]
+        cols[part] = idx[e]
+    block[-len(c) :, -1], cols[-len(c) :, -1] = c, n - 1  # the pressure rows come last
+    data[indptr[-2] :], indices[indptr[-2] :] = c, np.arange(n_u, n - 1)
+    mat = sp.csr_matrix((data, indices, indptr), shape=(n, n))
+    mat.sum_duplicates()
     mat.eliminate_zeros()
     return mat
 

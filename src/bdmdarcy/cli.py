@@ -371,16 +371,24 @@ def export_fields(mesh, assembler, u, p, path):
 
 def dump_system(system, path):
     """Coordinate-format text dump (row col value) of ``system.matrix`` in its
-    canonical CSR order; at most ``MAX_DUMP_ENTRIES`` entries."""
-    if system.matrix.nnz > MAX_DUMP_ENTRIES:
+    canonical CSR order; at most ``MAX_DUMP_ENTRIES`` entries, written a
+    chunk at a time from the CSR arrays themselves, with no copy of the
+    matrix."""
+    mat = system.matrix
+    if mat.nnz > MAX_DUMP_ENTRIES:
         raise ValueError("system too large to dump")
-    mat = system.matrix.tocoo()
+    indptr = mat.indptr
     with open(path, "w") as out:
         out.write(f"{mat.shape[0]} {mat.shape[1]} {mat.nnz}\n")
         for start in range(0, mat.nnz, DUMP_CHUNK):
-            chunk = slice(start, start + DUMP_CHUNK)
+            stop = min(start + DUMP_CHUNK, mat.nnz)
+            # the rows that hold entries start..stop-1, and how many each
+            first = np.searchsorted(indptr, start, side="right") - 1
+            last = np.searchsorted(indptr, stop, side="left")
+            count = np.diff(np.clip(indptr[first : last + 1], start, stop))
+            rows = np.repeat(np.arange(first, last), count)
             out.writelines(f"{r} {c} {v:.17g}\n" for r, c, v in zip(
-                mat.row[chunk].tolist(), mat.col[chunk].tolist(), mat.data[chunk].tolist()))
+                rows.tolist(), mat.indices[start:stop].tolist(), mat.data[start:stop].tolist()))
 
 
 def main(argv=None):

@@ -43,7 +43,7 @@ class SolveReport:
     method: str  # always "lu"; bench/tracer.py counts solves by method
     success: bool
     iterations: int = 0  # always 0; bench/tracer.py sums it as Krylov iterations
-    fill: int = 0  # L.nnz + U.nnz of the interface factorization
+    fill: int = 0  # SuperLU's count of stored interface factor entries (lu.nnz)
     n_interface: int = 0  # interface unknowns: interior-edge multipliers and theta
 
 
@@ -119,7 +119,7 @@ class _Hybrid:
         except RuntimeError as exc:
             raise RuntimeError("hybridized solve failed: singular interface matrix") from exc
         self.n_interface = n
-        self.fill = int(self.lu.L.nnz + self.lu.U.nnz)
+        self.fill = int(self.lu.nnz)
 
         # each shared dof's load goes to the copy on edge_tris[e, 0]
         self.holder = np.ones(el.udofs.shape, dtype=bool)

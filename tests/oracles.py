@@ -13,13 +13,16 @@ The per-triangle field ``LocalField`` and its ``affine_map`` live here as
 the reference of the program's batched evaluator, ``assembly.ShapeFunctions``.
 The random disks and rings of the property tests are drawn here too, and
 the canonical BDM interpolant, the pressure projection and the constant
-pressure live here: only the tests read them.
+pressure live here: only the tests read them.  So do the expanded element
+blocks and the COO scatter of the global matrices from them, the
+reference of the program's one-pass CSR builder.
 """
 
 from math import comb, factorial
 from types import SimpleNamespace
 
 import numpy as np
+import scipy.sparse as sp
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import legvander
 
@@ -367,6 +370,34 @@ def signed_blocks(asm):
         blocks[e, :, i] = 0.0
         blocks[e, i, i] = 1.0
     return blocks
+
+
+def expand(elements):
+    """The (nel, nd + npr, nd + npr) signed blocks L_K of ``ElementBlocks``,
+    gathered from the class blocks with the signs applied in place."""
+    out = elements.matrix[elements.cls]
+    out *= elements.flip[:, :, None]
+    out *= elements.flip[:, None, :]
+    return out
+
+
+def scatter(local, rows, cols, shape):
+    """Sum element blocks local[e] into a CSR matrix at (rows[e], cols[e])
+    through COO triplets, dropping the entries that are zero: the reference
+    of ``assembly.operator_csr``."""
+    r, c = np.empty(local.shape, np.int32), np.empty(local.shape, np.int32)
+    r[...], c[...] = rows[:, :, None], cols[:, None, :]
+    mat = sp.csr_matrix((local.ravel(), (r.ravel(), c.ravel())), shape=shape)
+    mat.eliminate_zeros()
+    return mat
+
+
+def scattered_operator(system):
+    """The saddle operator's CSR as the sum of three COO scatters: the
+    expanded element blocks, the column c and the row c."""
+    n, idx, c = system.dimension, system._index, system.elements.c
+    col = scatter(c[:, :, None], idx[:, -c.shape[1]:], np.full((len(c), 1), n - 1), (n, n))
+    return scatter(expand(system.elements), idx, idx, (n, n)) + col + col.T
 
 
 def dense_matrix_a_flat(asm, vol_degree=12, edge_points=8):

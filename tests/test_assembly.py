@@ -35,9 +35,12 @@ from oracles import (
     dense_matrix_b1_flat,
     dense_rhs_u_volume,
     element_blocks,
+    expand,
     local_field,
     norm_0h,
     random_domains,
+    scatter,
+    scattered_operator,
     signed_blocks,
 )
 from bdmdarcy.solver import solve
@@ -191,15 +194,16 @@ def test_solve_path_builds_no_global_matrix(monkeypatch, mode):
             return func(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(assembly, "_scatter", counted("_scatter", assembly._scatter))
+    monkeypatch.setattr(assembly, "operator_csr",
+                        counted("operator_csr", assembly.operator_csr))
     monkeypatch.setattr(sp, "bmat", counted("bmat", sp.bmat))
     system = disk_assembler(1, 2, mode=mode).system(case_circle())
     assert solve(system)[3].success
     assert "matrix" not in vars(system) and calls == []
     system.matrix
-    assert calls == ["_scatter", "_scatter"]  # built once, on first read
+    assert calls == ["operator_csr"]  # built once, on first read
     system.matrix
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 @settings(max_examples=30, deadline=None)
@@ -217,23 +221,33 @@ def test_element_matvec_matches_lazy_matrix(curves, mode, k, level, seed):
     assert np.abs(system.matvec(x) - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_lazy_matrix_blocks_equal_scattered_blocks(mode):
-    asm = disk_assembler(2, 2, mode=mode)
+def _same_csr(mat, expected):
+    """The same canonical CSR, bit for bit: index pointers, column indices
+    and the bit patterns of the values."""
+    assert mat.has_canonical_format and expected.has_canonical_format
+    assert np.array_equal(mat.indptr, expected.indptr)
+    assert np.array_equal(mat.indices, expected.indices)
+    assert np.array_equal(mat.data.view(np.int64), expected.data.view(np.int64))
+
+
+@settings(max_examples=30, deadline=None)
+@given(random_domains(), st.sampled_from(MODES), st.integers(1, 3), st.integers(0, 1))
+def test_operator_csr_equals_the_scattered_blocks(curves, mode, k, level):
+    """The one-pass CSR of the operator is the COO scatter of the expanded
+    element blocks plus the column and row c, and ``matrix_a``/``matrix_b``
+    are the scatters of the A_K, B1_K^T and B0_K slices, bit for bit."""
+    mesh = coarse_mesh(curves)
+    for _ in range(level):
+        mesh = refine_project(mesh, curves)
+    asm = Assembler(mesh, curves, k, mode=mode)
     system = asm.system(case_circle())
+    _same_csr(system.matrix, scattered_operator(system))
+    blocks, nd = expand(asm.elements), asm.gidx.shape[1]
+    n_u, n_p = asm.dofmap.n_u, asm.dofmap.n_p
+    _same_csr(asm.matrix_a(), scatter(blocks[:, :nd, :nd], asm.gidx, asm.gidx, (n_u, n_u)))
     b1, b0 = asm.matrix_b()
-    n_u, n_p, mat = system.n_u, system.n_p, system.matrix
-    pairs = [
-        (mat[:n_u, :n_u], asm.matrix_a()),
-        (mat[:n_u, n_u : n_u + n_p], b1.T),
-        (mat[n_u : n_u + n_p, :n_u], b0),
-    ]
-    for block, expected in pairs:
-        assert block.nnz == expected.nnz and (block != expected).nnz == 0
-    c = asm.pressure_integrals()
-    assert np.array_equal(mat[n_u:-1, -1].toarray().ravel(), c)
-    assert np.array_equal(mat[-1, n_u:-1].toarray().ravel(), c)
-    assert mat.nnz == sum(block.nnz for block, _ in pairs) + 2 * np.count_nonzero(c)
+    _same_csr(b1, scatter(blocks[:, :nd, nd:].transpose(0, 2, 1), asm.pidx, asm.gidx, (n_p, n_u)))
+    _same_csr(b0, scatter(blocks[:, nd:, :nd], asm.pidx, asm.gidx, (n_p, n_u)))
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -282,7 +296,7 @@ def test_class_blocks_are_the_element_blocks_bit_for_bit(curves, mode, k, level)
         mesh = refine_project(mesh, curves)
     asm = Assembler(mesh, curves, k, mode=mode)
     el = asm.elements
-    blocks = el.expand()
+    blocks = expand(el)
     assert np.array_equal(blocks, signed_blocks(asm))
     flip = el.flip
     inverses = flip[:, :, None] * np.linalg.inv(el.matrix)[el.cls] * flip[:, None, :]
@@ -455,7 +469,7 @@ def test_element_arrays_on_power_of_two_meshes(levels, k):
     g = np.einsum("eba,ebc->eac", asm.jac, asm.jac)
     assert assembly._contract(g, t.s_mass).flags.c_contiguous
     blocks, dof = element_blocks(asm)
-    error = np.linalg.norm(asm.elements.expand() - blocks, axis=(1, 2))
+    error = np.linalg.norm(expand(asm.elements) - blocks, axis=(1, 2))
     assert np.all(error <= 1e-14 * np.linalg.norm(blocks, axis=(1, 2)))
     assert np.abs(dof - asm.dof_sign[:, :, None] * np.eye(t.element.dim)).max() <= 1e-12
 

@@ -107,6 +107,11 @@ def test_report_gives_interface_size_and_repeatable_fill():
     assert rep1.fill > 0 and rep1.fill == rep2.fill
 
 
+def test_fill_is_superlus_count_of_stored_factor_entries():
+    system = disk_setup(levels=2, k=3).system(case_circle())
+    assert solve(system)[3].fill == solver._Hybrid(system).lu.nnz
+
+
 def test_interface_pattern_keeps_every_block_pair_and_its_zeros():
     """The interface matrix stores every (multiplier, multiplier) pair of
     each element block and theta's row and column, the pairs whose sum is
@@ -136,36 +141,42 @@ def test_interface_is_factored_in_its_own_numbering():
 MMD_FILL = {("disk", 4): 798_798, ("ring", 3): 894_893}
 
 
-def k3_report(domain, level):
-    """The solve report of the k=3 study's problem at one level."""
+def k3_assembler(domain, level):
+    """The assembler of the k=3 study's problem at one level."""
     curves = disk_domain() if domain == "disk" else ring_domain()
     mesh = coarse_mesh(curves)
     for _ in range(level):
         mesh = refine_project(mesh, curves)
-    case = case_circle() if domain == "disk" else case_ring()
-    return solve(Assembler(mesh, curves, k=3).system(case))[3]
+    return Assembler(mesh, curves, k=3)
 
 
 @pytest.mark.parametrize("domain,level", MMD_FILL)
 def test_interface_fill_stays_near_minimum_degree(domain, level):
-    rep = k3_report(domain, level)
-    assert rep.success and rep.fill <= 1.10 * MMD_FILL[domain, level]
+    """The interface factored in its own numbering, as the solve does, with
+    its fill counted as L.nnz + U.nnz like MMD_FILL."""
+    el = k3_assembler(domain, level).elements
+    n = int(el.multiplier.max()) + 2
+    lu = solver.spla.splu(solver._interface_matrix(el, np.linalg.inv(el.matrix), n),
+                          permc_spec="NATURAL")
+    assert lu.L.nnz + lu.U.nnz <= 1.10 * MMD_FILL[domain, level]
 
 
-# (interface unknowns, L.nnz + U.nnz) at k=3 in the nested-dissection order:
-# an exact count tells a changed interface from a fill near the guard above
+# (interface unknowns, SuperLU's lu.nnz) at k=3 in the nested-dissection
+# order: an exact count tells a changed interface from a fill near the guard
+# above
 INTERFACE = {
-    ("disk", 3): (2209, 165_986),
-    ("disk", 4): (9025, 875_842),
-    ("ring", 2): (2817, 157_506),
-    ("ring", 3): (11_777, 902_786),
+    ("disk", 3): (2209, 169_410),
+    ("disk", 4): (9025, 879_266),
+    ("ring", 2): (2817, 160_418),
+    ("ring", 3): (11_777, 906_210),
 }
 
 
 @pytest.mark.parametrize("domain,level", INTERFACE)
 def test_interface_size_and_fill_pinned(domain, level):
-    rep = k3_report(domain, level)
-    assert (rep.n_interface, rep.fill) == INTERFACE[domain, level]
+    case = case_circle() if domain == "disk" else case_ring()
+    rep = solve(k3_assembler(domain, level).system(case))[3]
+    assert rep.success and (rep.n_interface, rep.fill) == INTERFACE[domain, level]
 
 
 @pytest.mark.parametrize("k,m", [(k, m) for k in (1, 2, 3) for m in range(k + 1)])
