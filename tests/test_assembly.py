@@ -230,6 +230,29 @@ def _same_csr(mat, expected):
     assert np.array_equal(mat.data.view(np.int64), expected.data.view(np.int64))
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_lazy_matrix_blocks_equal_scattered_blocks(mode):
+    """On a fixed disk, each block of the lazy operator is the COO scatter of
+    its slice of the expanded element blocks, and the border row and column
+    are c; nothing else is stored."""
+    asm = disk_assembler(2, 2, mode=mode)
+    system = asm.system(case_circle())
+    blocks, nd = expand(asm.elements), asm.gidx.shape[1]
+    n_u, n_p, mat = system.n_u, system.n_p, system.matrix
+    pairs = [
+        (mat[:n_u, :n_u], scatter(blocks[:, :nd, :nd], asm.gidx, asm.gidx, (n_u, n_u))),
+        (mat[:n_u, n_u : n_u + n_p],
+         scatter(blocks[:, :nd, nd:], asm.gidx, asm.pidx, (n_u, n_p))),
+        (mat[n_u : n_u + n_p, :n_u], scatter(blocks[:, nd:, :nd], asm.pidx, asm.gidx, (n_p, n_u))),
+    ]
+    for block, expected in pairs:
+        assert block.nnz == expected.nnz and (block != expected).nnz == 0
+    c = asm.pressure_integrals()
+    assert np.array_equal(mat[n_u:-1, -1].toarray().ravel(), c)
+    assert np.array_equal(mat[-1, n_u:-1].toarray().ravel(), c)
+    assert mat.nnz == sum(block.nnz for block, _ in pairs) + 2 * np.count_nonzero(c)
+
+
 @settings(max_examples=30, deadline=None)
 @given(random_domains(), st.sampled_from(MODES), st.integers(1, 3), st.integers(0, 1))
 def test_operator_csr_equals_the_scattered_blocks(curves, mode, k, level):
