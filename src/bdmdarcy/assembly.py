@@ -62,7 +62,8 @@ for entry, that of the element's own block.  The global sparse matrix is
 built on request only, by one builder, ``operator_csr``: it writes the
 canonical CSR straight from the class blocks, one element row at a time,
 with no expanded (nel, nd + npr, nd + npr) blocks.  ``SaddleSystem.matrix``
-(checks and dumps) is that CSR, and ``Assembler.matrix_a`` and
+(checks and dumps) builds that CSR on each read and keeps no copy, so it
+lives only as long as its reader holds it; ``Assembler.matrix_a`` and
 ``matrix_b`` (the blocks' own tests) are slices of it.  Accumulation order
 is fixed (elements ascending, then boundary edges ascending), so repeated
 assemblies are bit-identical.
@@ -265,8 +266,8 @@ class SaddleSystem:
     pressure-mean column and row c (times ``Assembler.theta_scale``), and no
     other term (the boundary-mean term is folded into theta).  ``matvec``
     applies it element by element, and its global CSR ``matrix`` is written
-    from the same class blocks only when it is read (checks and dumps; the
-    solve never reads it)."""
+    from the same class blocks on each read and never kept (checks and
+    dumps; the solve never reads it)."""
 
     # read by bench/gate.py, for which None means that every velocity dof
     # is an unknown and that there is no rank-one term
@@ -294,10 +295,11 @@ class SaddleSystem:
         y[-1] = c @ x[self.n_u : -1]
         return y
 
-    @cached_property
+    @property
     def matrix(self):
         """Global CSR of the operator, written from the class blocks and the
-        column and row c by ``operator_csr``."""
+        column and row c by ``operator_csr``, anew on each read: a reader
+        that needs it twice keeps it, and the system never holds it."""
         return operator_csr(self.elements, self.n_u)
 
     def split(self, x):
@@ -422,10 +424,6 @@ class Assembler:
             start + n_int * np.arange(nel)[:, None] + np.arange(n_int)
         )
         self.gidx = gidx
-        self.pidx = (
-            self.dofmap.n_pressure_local * np.arange(nel)[:, None]
-            + np.arange(self.dofmap.n_pressure_local)
-        )
 
         # direction of the global (sorted-vertex) parametrization per local edge
         direction = np.empty((nel, 3), dtype=np.int64)

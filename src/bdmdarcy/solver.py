@@ -6,8 +6,12 @@ element blocks L_K = S_K L^ S_K of ``SaddleSystem.elements`` (every
 boundary term belongs to one element) are inverted once per class of
 bit-identical blocks L^, in one batched call, and L_K^-1 is S_K L^^-1 S_K
 bit for bit (partial pivoting chooses by magnitude, and sign flips are
-exact).  What is left is a sparse interface system on the multipliers,
-factored once by SuperLU in the order of its unknowns: the interior-edge
+exact).  What is left is a sparse interface system on the multipliers.
+Its CSC is written in place from the class-level blocks G~^T L^^-1 G~,
+a chunk of interior edges at a time, into arrays of exactly its size
+(``_interface_matrix``): no per-element block or COO triplet is formed,
+so the build holds little more than its result while SuperLU allocates.
+It is factored once by SuperLU in the order of its unknowns: the interior-edge
 multipliers come numbered in nested-dissection order of the triangle tree
 (``assembly._nested_dissection``; George 1973, Lipton, Rose & Tarjan 1979),
 so SuperLU computes no ordering of its own.  The system's last unknown,
@@ -53,14 +57,28 @@ def _residual(system, x, rhs):
     return r / norm_b if norm_b > 0 else r
 
 
+EDGE_CHUNK = 1024  # interior edges per batch of ``_interface_matrix``
+
+
 def _interface_matrix(el, inv, n):
-    """The (n, n) CSC interface matrix sum_K G_K^T L_K^-1 G_K over the
-    interior-edge multipliers and theta (the last unknown), from the class
-    inverses ``inv``: G~^T L^^-1 G~ is formed once per class, with G~ the
-    unsigned edge-dof columns and the c column of theta, and each element's
-    block is that one with the rows and columns of its edge dofs times
-    sign * S_K.  Its build temporaries are freed on return, before the
-    factorization.
+    """The (n, n) canonical CSC interface matrix sum_K G_K^T L_K^-1 G_K over
+    the interior-edge multipliers and theta (the last unknown), from the
+    class inverses ``inv``: G~^T L^^-1 G~ is formed once per class, with G~
+    the unsigned edge-dof columns and the c column of theta, and element K's
+    block is its class's with the rows and columns of its edge dofs times
+    sign * S_K.  No per-element block is formed.
+
+    The CSC is written in place, into arrays of exactly its size, EDGE_CHUNK
+    interior edges at a time.  A column is one of the k+1 multipliers of an
+    interior edge E (they are numbered edge by edge), and its rows are the
+    edge blocks of E's two triangles, at most five, in ascending multiplier
+    order, then theta: E's own block and theta's row take the sum of the two
+    triangles' terms, each other block the term of its one triangle.
+    Theta's column comes last; its diagonal has one term per element,
+    summed in element order.  So every entry is the sum of the terms that a
+    COO build of the element blocks adds (two terms commute bit for bit),
+    and the matrix is that build's, byte for byte: nnz is
+    sum_E (k+1)((k+1) blocks_E + 1) + n.
 
     Sums that come out exactly 0.0 stay stored, so the pattern is the union
     of the element blocks' patterns and structurally symmetric.  In the
@@ -69,28 +87,76 @@ def _interface_matrix(el, inv, n):
     the minimum-degree order used before, it gave more fill and a four times
     slower factorization."""
     nd, ne = el.udofs.shape[1], el.sign.shape[1]
+    k1 = ne // 3  # multipliers per edge
+    # the two copies of each interior edge, (triangle, local edge), the copy
+    # on edge_tris[e, 0] (sign +1) first
+    first = el.multiplier[:, ::k1]  # each local edge's first multiplier, -1 on the boundary
+    tri, slot = np.nonzero(first >= 0)
+    edge, side = first[tri, slot] // k1, (el.sign[tri, slot * k1] < 0).astype(np.intp)
+    m = (n - 1) // k1
+    tris, slots = np.empty((m, 2), np.intp), np.empty((m, 2), np.intp)
+    tris[edge, side], slots[edge, side] = tri, slot
+    del tri, slot, edge, side
+    length = k1 * (np.count_nonzero(first[tris] >= 0, axis=(1, 2)) - 1) + 1  # per column
+    indptr = np.empty(n + 1, np.int32)
+    indptr[0] = 0
+    np.cumsum(np.repeat(length, k1), out=indptr[1:-1])
+    indptr[-1] = indptr[-2] + n
+    data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], np.int32)
+
+    # the class blocks come after the result, so that they and the chunks'
+    # buffers, all freed on return, lie above it: this order peaked lower in
+    # the benchmark (ring k=3 level 4: 215 against 219 MB)
     c = np.empty((len(inv), el.c.shape[1]))
     c[el.cls] = el.c  # c_K depends on det only, so it is one per class
-    # L^^-1 G~: the edge-dof columns, and the c column of theta
-    z = np.concatenate([inv[:, :, :ne], inv[:, :, nd:] @ c[:, :, None]], axis=2)
-    local = np.concatenate([z[:, :ne, :], c[:, None, :] @ z[:, nd:, :]], axis=1)[el.cls]
-    d = np.concatenate([el.sign * el.flip[:, :ne], np.ones((len(el.cls), 1))], axis=1)
-    local *= d[:, :, None]
-    local *= d[:, None, :]
-    idx = np.concatenate([el.multiplier, np.full((len(el.sign), 1), n - 1)], axis=1)
-    keep = (idx[:, :, None] >= 0) & (idx[:, None, :] >= 0)
-    # theta's diagonal has one term per element: summed here in element
-    # order, as the COO build sums duplicates in an order set by the numbering
-    keep[:, -1, -1] = False
-    idx = idx.astype(np.int32)
-    m = np.count_nonzero(keep)
-    rows, cols, values = np.empty(m + 1, np.int32), np.empty(m + 1, np.int32), np.empty(m + 1)
-    rows[:m] = np.broadcast_to(idx[:, :, None], local.shape)[keep]
-    cols[:m] = np.broadcast_to(idx[:, None, :], local.shape)[keep]
-    values[:m] = local[keep]
-    rows[m] = cols[m] = n - 1
-    values[m] = local[:, -1, -1].sum()
-    return sp.csc_matrix((values, (rows, cols)), shape=(n, n))
+    # G~^T L^^-1 G~ per class: the edge-dof rows of L^^-1 G~ (its c column
+    # is L^^-1 c), then theta's row c^T times its pressure rows
+    lc = inv[:, :, nd:] @ c[:, :, None]
+    q = np.empty((len(inv), ne + 1, ne + 1))
+    q[:, :ne, :ne] = inv[:, :ne, :ne]
+    q[:, :ne, ne:] = lc[:, :ne]
+    q[:, ne:, :ne] = c[:, None, :] @ inv[:, nd:, :ne]
+    q[:, ne:, ne:] = c[:, None, :] @ lc[:, nd:]
+    del lc
+
+    i, width = np.arange(k1), 5 * k1 + 1  # a column's rows, at most
+    theta = indptr[-2]
+    for lo in range(0, m, EDGE_CHUNK):
+        t, s = tris[lo : lo + EDGE_CHUNK], slots[lo : lo + EDGE_CHUNK]
+        size, a = len(t), np.arange(len(t))
+        own = s[:, None, :] * k1 + i[:, None]  # E's local dofs, (C, k+1, copy)
+        block = el.cls[t][:, None, :]
+        d = el.sign[t] * el.flip[t, :ne]
+        d_own = d[a[:, None, None], np.arange(2), own]
+        # v[e, j, s, r]: edge row r of E's column j in copy s, signed
+        v = q[block, :ne, own]
+        v *= d[:, None]
+        v *= d_own[..., None]
+        v = v.reshape(size, k1, 6, k1)  # by (copy, local edge) block
+        v[a, :, s[:, 0]] += v[a, :, 3 + s[:, 1]]  # E's block, once
+        # the column: the blocks by ascending multiplier, theta's row, unused
+        key = first[t].reshape(size, 6)
+        key[key < 0] = n
+        key[a, 3 + s[:, 1]] = n
+        order = np.argsort(key, axis=1)[:, :5]
+        end = length[lo : lo + size] - 1  # theta's place
+        col = np.empty((size, k1, width))
+        pick = (k1 * a[:, None, None] + i[:, None]) * 6 + order[:, None, :]  # (C, k+1, 5) blocks
+        col[:, :, :-1] = v.reshape(-1, k1)[pick].reshape(size, k1, -1)
+        term = q[block, ne, own] * d_own
+        col[a, :, end] = term[:, :, 0] + term[:, :, 1]
+        rows = np.empty((size, width), np.int32)
+        rows[:, :-1] = (np.take_along_axis(key, order, axis=1)[:, :, None] + i).reshape(size, -1)
+        rows[a, end] = n - 1
+        used = np.broadcast_to((np.arange(width) <= end[:, None])[:, None], col.shape)
+        span = slice(indptr[k1 * lo], indptr[k1 * (lo + size)])
+        data[span], indices[span] = col[used], np.broadcast_to(rows[:, None], col.shape)[used]
+        # theta's column: E's rows of the c column, the two copies summed
+        term = q[block, own, ne] * d_own
+        data[theta + k1 * lo : theta + k1 * (lo + size)] = (term[:, :, 0] + term[:, :, 1]).ravel()
+    indices[theta:] = np.arange(n)
+    data[-1] = q[el.cls, ne, ne].sum()
+    return sp.csc_matrix((data, indices, indptr), shape=(n, n))
 
 
 class _Hybrid:

@@ -13,9 +13,11 @@ The per-triangle field ``LocalField`` and its ``affine_map`` live here as
 the reference of the program's batched evaluator, ``assembly.ShapeFunctions``.
 The random disks and rings of the property tests are drawn here too, and
 the canonical BDM interpolant, the pressure projection and the constant
-pressure live here: only the tests read them.  So do the expanded element
-blocks and the COO scatter of the global matrices from them, the
-reference of the program's one-pass CSR builder.
+pressure live here: only the tests read them.  So do the pressure index
+of each element, the expanded element blocks and the COO scatter of the
+global matrices from them, the reference of the program's one-pass CSR
+builder, and the COO build of the interface matrix, the reference of the
+solver's in-place one.
 """
 
 from math import comb, factorial
@@ -143,10 +145,17 @@ def interpolate_velocity(asm, func):
     return coeffs
 
 
+def pressure_index(asm):
+    """(nel, npr) places of each element's dofs in the pressure vector,
+    which is blocked per triangle."""
+    npr = asm.dofmap.n_pressure_local
+    return npr * np.arange(asm.dofmap.n_triangles)[:, None] + np.arange(npr)
+
+
 def constant_pressure(asm):
     """Coefficients of the pressure function identically one."""
     vec = np.zeros(asm.dofmap.n_p)
-    vec[asm.pidx[:, 0]] = 1.0 / asm.tables.p_const_value
+    vec[pressure_index(asm)[:, 0]] = 1.0 / asm.tables.p_const_value
     return vec
 
 
@@ -392,6 +401,33 @@ def scatter(local, rows, cols, shape):
     return mat
 
 
+def interface_coo(el, inv, n):
+    """The interface matrix of ``solver._interface_matrix`` by COO triplets:
+    the (nel, 3(k+1) + 1, 3(k+1) + 1) signed element blocks of G~^T L^^-1 G~,
+    every entry whose row and column are unknowns, and theta's diagonal
+    summed in element order, converted to CSC (which sums the duplicates)."""
+    nd, ne = el.udofs.shape[1], el.sign.shape[1]
+    c = np.empty((len(inv), el.c.shape[1]))
+    c[el.cls] = el.c
+    z = np.concatenate([inv[:, :, :ne], inv[:, :, nd:] @ c[:, :, None]], axis=2)
+    local = np.concatenate([z[:, :ne, :], c[:, None, :] @ z[:, nd:, :]], axis=1)[el.cls]
+    d = np.concatenate([el.sign * el.flip[:, :ne], np.ones((len(el.cls), 1))], axis=1)
+    local *= d[:, :, None]
+    local *= d[:, None, :]
+    idx = np.concatenate([el.multiplier, np.full((len(el.sign), 1), n - 1)], axis=1)
+    keep = (idx[:, :, None] >= 0) & (idx[:, None, :] >= 0)
+    keep[:, -1, -1] = False
+    idx = idx.astype(np.int32)
+    m = np.count_nonzero(keep)
+    rows, cols, values = np.empty(m + 1, np.int32), np.empty(m + 1, np.int32), np.empty(m + 1)
+    rows[:m] = np.broadcast_to(idx[:, :, None], local.shape)[keep]
+    cols[:m] = np.broadcast_to(idx[:, None, :], local.shape)[keep]
+    values[:m] = local[keep]
+    rows[m] = cols[m] = n - 1
+    values[m] = local[:, -1, -1].sum()
+    return sp.csc_matrix((values, (rows, cols)), shape=(n, n))
+
+
 def scattered_operator(system):
     """The saddle operator's CSR as the sum of three COO scatters: the
     expanded element blocks, the column c and the row c."""
@@ -444,6 +480,7 @@ def dense_matrix_b1_flat(asm, vol_degree=12, edge_points=8):
     b1 = np.zeros((asm.dofmap.n_p, asm.dofmap.n_u))
     rule = triangle_quadrature(vol_degree)
     pbasis = asm.tables.pressure
+    pidx = pressure_index(asm)
     for t in range(mesh.n_triangles):
         verts = element_vertices(asm, t)
         v0, jac, det, _ = affine_map(verts)
@@ -452,7 +489,7 @@ def dense_matrix_b1_flat(asm, vol_degree=12, edge_points=8):
         divs = divergence(basis, pts)
         pvals = pbasis.eval(rule.points)
         local = -det * np.einsum("q,ql,qi->li", rule.weights, pvals, divs)
-        b1[np.ix_(asm.pidx[t], asm.gidx[t])] += local
+        b1[np.ix_(pidx[t], asm.gidx[t])] += local
     erule = edge_quadrature(edge_points)
     for e in mesh.boundary_edges:
         t = int(mesh.edge_tris[e, 0])
@@ -466,7 +503,7 @@ def dense_matrix_b1_flat(asm, vol_degree=12, edge_points=8):
         pref = (pts - v0) @ jinv.T
         pvals = pbasis.eval(pref)
         local = np.einsum("q,ql,qi->li", w, pvals, vn)
-        b1[np.ix_(asm.pidx[t], asm.gidx[t])] += local
+        b1[np.ix_(pidx[t], asm.gidx[t])] += local
     return b1
 
 
@@ -496,6 +533,7 @@ def apply_operator(asm, x):
     y_p = np.zeros(n_p)
     rule = asm.tables.vol
     pbasis = asm.tables.pressure
+    pidx = pressure_index(asm)
     for t in range(mesh.n_triangles):
         verts = element_vertices(asm, t)
         v0, jac, det, _ = affine_map(verts)
@@ -506,7 +544,7 @@ def apply_operator(asm, x):
         ufield = LocalField(verts, asm.tables.element, w[t])
         uvals = ufield.eval(pts)
         udiv = divergence(ufield, pts)
-        pvals = pbasis.eval(rule.points) @ p[asm.pidx[t]]
+        pvals = pbasis.eval(rule.points) @ p[pidx[t]]
         # a_h volume parts against each shape function
         y_u[asm.gidx[t]] += det * (
             np.einsum("q,qa,qia->i", rule.weights, uvals, bvals)
@@ -515,7 +553,7 @@ def apply_operator(asm, x):
         # b_h1(v, p) volume part and b_h0(u, q) rows
         y_u[asm.gidx[t]] += -det * np.einsum("q,q,qi->i", rule.weights, pvals, bdivs)
         qvals = pbasis.eval(rule.points)
-        y_p[asm.pidx[t]] += -det * np.einsum("q,q,ql->l", rule.weights, udiv, qvals)
+        y_p[pidx[t]] += -det * np.einsum("q,q,ql->l", rule.weights, udiv, qvals)
     flux_u = 0.0
     for geom in edge_geometries(asm):
         t = geom.owner
@@ -532,7 +570,7 @@ def apply_operator(asm, x):
         vn_basis = basis.eval(geom.points) @ geom.n_h
         un = ufield.eval(geom.points) @ geom.n_h
         pref = (geom.points - v0) @ jinv.T
-        pvals = pbasis.eval(pref) @ p[asm.pidx[t]]
+        pvals = pbasis.eval(pref) @ p[pidx[t]]
         y_u[asm.gidx[t]] += np.einsum("q,q,qi->i", geom.weights, pvals, vn_basis)
         flux_u += geom.weights @ un
     c = asm.pressure_integrals()

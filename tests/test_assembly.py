@@ -1,6 +1,7 @@
 """Assembled forms against dense/matrix-free oracles and structural
 identities of the constrained system."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -36,8 +37,10 @@ from oracles import (
     dense_rhs_u_volume,
     element_blocks,
     expand,
+    interface_coo,
     local_field,
     norm_0h,
+    pressure_index,
     random_domains,
     scatter,
     scattered_operator,
@@ -124,7 +127,7 @@ def test_interior_pressure_rows_identical_in_b0_b1():
     assert interior_tris
     diff = (b1 - b0).tocsr()
     for t in interior_tris:
-        rows = asm.pidx[t]
+        rows = pressure_index(asm)[t]
         sub = diff[rows]
         assert sub.nnz == 0 or np.abs(sub.data).max() == 0.0
 
@@ -201,9 +204,10 @@ def test_solve_path_builds_no_global_matrix(monkeypatch, mode):
     assert solve(system)[3].success
     assert "matrix" not in vars(system) and calls == []
     system.matrix
-    assert calls == ["operator_csr"]  # built once, on first read
+    assert calls == ["operator_csr"]
     system.matrix
-    assert len(calls) == 1
+    assert calls == ["operator_csr"] * 2  # built on each read, never kept
+    assert "matrix" not in vars(system)
 
 
 @settings(max_examples=30, deadline=None)
@@ -237,13 +241,12 @@ def test_lazy_matrix_blocks_equal_scattered_blocks(mode):
     are c; nothing else is stored."""
     asm = disk_assembler(2, 2, mode=mode)
     system = asm.system(case_circle())
-    blocks, nd = expand(asm.elements), asm.gidx.shape[1]
+    blocks, nd, pidx = expand(asm.elements), asm.gidx.shape[1], pressure_index(asm)
     n_u, n_p, mat = system.n_u, system.n_p, system.matrix
     pairs = [
         (mat[:n_u, :n_u], scatter(blocks[:, :nd, :nd], asm.gidx, asm.gidx, (n_u, n_u))),
-        (mat[:n_u, n_u : n_u + n_p],
-         scatter(blocks[:, :nd, nd:], asm.gidx, asm.pidx, (n_u, n_p))),
-        (mat[n_u : n_u + n_p, :n_u], scatter(blocks[:, nd:, :nd], asm.pidx, asm.gidx, (n_p, n_u))),
+        (mat[:n_u, n_u : n_u + n_p], scatter(blocks[:, :nd, nd:], asm.gidx, pidx, (n_u, n_p))),
+        (mat[n_u : n_u + n_p, :n_u], scatter(blocks[:, nd:, :nd], pidx, asm.gidx, (n_p, n_u))),
     ]
     for block, expected in pairs:
         assert block.nnz == expected.nnz and (block != expected).nnz == 0
@@ -265,12 +268,12 @@ def test_operator_csr_equals_the_scattered_blocks(curves, mode, k, level):
     asm = Assembler(mesh, curves, k, mode=mode)
     system = asm.system(case_circle())
     _same_csr(system.matrix, scattered_operator(system))
-    blocks, nd = expand(asm.elements), asm.gidx.shape[1]
+    blocks, nd, pidx = expand(asm.elements), asm.gidx.shape[1], pressure_index(asm)
     n_u, n_p = asm.dofmap.n_u, asm.dofmap.n_p
     _same_csr(asm.matrix_a(), scatter(blocks[:, :nd, :nd], asm.gidx, asm.gidx, (n_u, n_u)))
     b1, b0 = asm.matrix_b()
-    _same_csr(b1, scatter(blocks[:, :nd, nd:].transpose(0, 2, 1), asm.pidx, asm.gidx, (n_p, n_u)))
-    _same_csr(b0, scatter(blocks[:, nd:, :nd], asm.pidx, asm.gidx, (n_p, n_u)))
+    _same_csr(b1, scatter(blocks[:, :nd, nd:].transpose(0, 2, 1), pidx, asm.gidx, (n_p, n_u)))
+    _same_csr(b0, scatter(blocks[:, nd:, :nd], pidx, asm.gidx, (n_p, n_u)))
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -418,6 +421,107 @@ def test_interface_matrix_is_the_edge_order_one_relabelled(name):
                          np.arange(n))
     for a, b in zip(nested, edge_order):
         assert np.array_equal(a, b)
+def _shuffled(domain, level):
+    """A refined mesh with its triangles in a shuffled order: no tree order."""
+    mesh, curves = _refined(domain, level)
+    perm = np.random.default_rng(level).permutation(mesh.n_triangles)
+    return _build_mesh(mesh.vertices, mesh.triangles[perm], curves, level=level), curves
+
+
+INTERFACE_SETUPS = [
+    *[pytest.param(domain, level, k, m, "corrected", id=f"{domain.__name__}-L{level}-k{k}-m{m}")
+      for domain in (disk_domain, ring_domain) for level in range(3) for k in (1, 2, 3)
+      for m in sorted({k, 0})],
+    *[pytest.param(disk_domain, level, k, None, "uncorrected-strong",
+                   id=f"disk_domain-L{level}-k{k}-strong")
+      for level in range(3) for k in (1, 2, 3)],
+]
+
+
+def _interface_input(mesh, curves, k, m=None, mode="corrected"):
+    el = Assembler(mesh, curves, k, m=m, mode=mode).elements
+    return el, np.linalg.inv(el.matrix), int(el.multiplier.max()) + 2
+
+
+def _interface_nnz(mesh, k):
+    """sum_E (k+1)((k+1) blocks_E + 1) + n, with blocks_E the interior
+    edges of E's two triangles, E once."""
+    interior = mesh.edge_tris[:, 1] >= 0
+    e = np.flatnonzero(interior)
+    blocks = interior[mesh.tri_edges[mesh.edge_tris[e]]].sum(axis=(1, 2)) - 1
+    return int(((k + 1) * ((k + 1) * blocks + 1)).sum()) + (k + 1) * len(e) + 1
+
+
+def check_interface_is_the_coo_build(mesh, curves, k, m=None, mode="corrected"):
+    """The in-place interface CSC is the COO build byte for byte, int32
+    indices included, with nnz as in the closed form and its data in a
+    buffer of exactly that size."""
+    el, inv, n = _interface_input(mesh, curves, k, m, mode)
+    mat, expected = solver._interface_matrix(el, inv, n), interface_coo(el, inv, n)
+    _same_csr(mat, expected)
+    assert mat.indptr.dtype == mat.indices.dtype == expected.indices.dtype == np.int32
+    assert mat.nnz == mat.data.size == _interface_nnz(mesh, k)
+    assert (mat.data if mat.data.base is None else mat.data.base).size == mat.nnz
+
+
+@pytest.mark.parametrize("domain,level,k,m,mode", INTERFACE_SETUPS)
+def test_interface_matrix_is_the_coo_build(domain, level, k, m, mode):
+    check_interface_is_the_coo_build(*_refined(domain, level), k, m, mode)
+
+
+@pytest.mark.parametrize("setup", [
+    pytest.param(lambda: _shuffled(disk_domain, 2), id="shuffled-disk-L2"),
+    pytest.param(lambda: _shuffled(ring_domain, 1), id="shuffled-ring-L1"),
+    pytest.param(lambda: _refined(lambda: disk_domain(radius=100.0), 2), id="disk-radius-100-L2"),
+    pytest.param(ORDER_MESHES["unit-square"], id="unit-square"),
+    pytest.param(ORDER_MESHES["single-triangle"], id="single-triangle"),
+])
+def test_interface_matrix_is_the_coo_build_on_any_mesh(setup):
+    """Triangles in no tree order, theta's scaling on a large disk (its row
+    and column times a power of two), corner triangles with two boundary
+    edges, and a mesh with no interior edge."""
+    mesh, curves = setup()
+    for k in (1, 3):
+        check_interface_is_the_coo_build(mesh, curves, k)
+
+
+# the allowance of the interface build beyond its result and the class
+# blocks: the edge table (two triangles, two local edges and a column length
+# per interior edge, 40 B) and one chunk's gathered blocks and column buffers
+# (3-4 kB per edge at k = 3)
+EDGE_TABLE_BYTES, CHUNK_EDGE_BYTES = 64, 5000
+
+
+@pytest.mark.parametrize("domain,level", [(disk_domain, 3), (ring_domain, 2)])
+def test_interface_build_holds_its_result_the_class_blocks_and_one_chunk(
+        monkeypatch, domain, level):
+    """The traced peak of the interface build stays within the returned
+    CSC, the class blocks G~^T L^^-1 G~ and a stated allowance for the edge
+    table and one chunk of edges.  The chunk is made small, so that the
+    allowance is less than an expanded (nel, 3(k+1) + 1, 3(k+1) + 1) block
+    array or a set of COO triplets would add; the COO build exceeds it."""
+    monkeypatch.setattr(solver, "EDGE_CHUNK", 64)
+    k, ne = 3, 12
+    el, inv, n = _interface_input(*_refined(domain, level), k)
+    m = (n - 1) // (k + 1)
+
+    def traced(build):
+        tracemalloc.start()
+        try:
+            return build(el, inv, n), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    mat, peak = traced(solver._interface_matrix)
+    result = mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
+    class_blocks = len(inv) * (ne + 1) ** 2 * 8
+    bound = result + class_blocks + m * EDGE_TABLE_BYTES + solver.EDGE_CHUNK * CHUNK_EDGE_BYTES
+    assert peak <= bound
+    expanded, triplets = len(el.cls) * (ne + 1) ** 2 * 8, 16 * mat.nnz
+    assert bound - peak < min(expanded, triplets)
+    assert traced(interface_coo)[1] > bound
+
+
 def test_strong_mode_blocks_hold_the_identity():
     asm = disk_assembler(1, 2, mode="uncorrected-strong")
     c = asm.constrained
