@@ -58,15 +58,17 @@ at levels <= 2.  ``SaddleSystem.matvec`` applies S_K L^ S_K element by
 element and the hybridized solve (``solver``) inverts each class block
 once.  Sign flips are exact and LU with partial pivoting is
 sign-symmetric, so every signed block, product and inverse equals, entry
-for entry, that of the element's own block.  The global sparse matrix is
-built on request only, by one builder, ``operator_csr``: it writes the
-canonical CSR straight from the class blocks, one element row at a time,
-with no expanded (nel, nd + npr, nd + npr) blocks.  ``SaddleSystem.matrix``
-(checks and dumps) builds that CSR on each read and keeps no copy, so it
-lives only as long as its reader holds it; ``Assembler.matrix_a`` and
-``matrix_b`` (the blocks' own tests) are slices of it.  Accumulation order
-is fixed (elements ascending, then boundary edges ascending), so repeated
-assemblies are bit-identical.
+for entry, that of the element's own block.  The solve's interface goes to
+it as the mesh holds it, each interior edge's two (triangle, local edge)
+copies (``ElementBlocks.copies``), and the solver numbers it.  The global
+sparse matrix is built on request only, by one builder, ``operator_csr``:
+it writes the canonical CSR straight from the class blocks, one element
+row at a time, with no expanded (nel, nd + npr, nd + npr) blocks.
+``SaddleSystem.matrix`` (checks and dumps) builds that CSR on each read
+and keeps no copy, so it lives only as long as its reader holds it;
+``Assembler.matrix_a`` and ``matrix_b`` (the blocks' own tests) are slices
+of it.  Accumulation order is fixed (elements ascending, then boundary
+edges ascending), so repeated assemblies are bit-identical.
 
 Every contraction over a length-2 axis of per-element or per-node arrays
 (the affine maps of reference points, the inverse maps, J^T J, the normal
@@ -204,19 +206,6 @@ class DofMap:
 CHUNK = 256  # elements per gathered batch of blocks in ``ElementBlocks.apply``
 
 
-def _nested_dissection(edge_tris):
-    """The interior edges in nested-dissection order of the triangle index
-    tree.  Red refinement numbers the children of triangle t 4t..4t+3, so an
-    edge whose triangles first differ in bit b - 1 separates two subtrees
-    of the subtree t >> b: edges come by that bit (finest separators first),
-    then by the subtree, then by index.  On any other numbering this is a
-    recursive bisection of the triangle index range, still a valid order."""
-    e = np.flatnonzero(edge_tris[:, 1] >= 0)
-    t1, t2 = edge_tris[e, 0], edge_tris[e, 1]
-    bit = np.frexp(t1 ^ t2)[1]  # bit_length, exact below 2^53
-    return e[np.lexsort((e, t1 >> bit, bit))]
-
-
 @dataclass
 class ElementBlocks:
     """Element saddle blocks and the interface of the hybridized system.
@@ -230,20 +219,18 @@ class ElementBlocks:
     identity.  It is the only copy of the blocks: ``operator_csr`` writes
     the global CSR from ``matrix``, ``cls`` and ``flip``.
     Normal continuity is broken on interior edges: both adjacent elements
-    keep a copy of the edge's k+1 moments, tied by one multiplier each.  For
-    the 3(k+1) local edge dofs, ``multiplier`` numbers that multiplier (-1 on
-    boundary edges) and ``sign`` is +1 on ``edge_tris[e, 0]``, -1 on the
-    other copy and 0 on boundary edges.  The multipliers are numbered edge
-    by edge in ``_nested_dissection`` order, so the solver factors the
-    interface matrix in its own numbering.
+    keep a copy of the edge's k+1 moments, tied by one multiplier each.
+    ``copies`` is that interface as the mesh holds it: per interior edge, in
+    ascending order, its two (triangle, local edge) copies, the one on
+    ``edge_tris[e, 0]`` (the lower triangle) first.  The solver numbers the
+    multipliers (``solver._nested_dissection``) and applies the ties.
     """
 
     matrix: np.ndarray  # (n_cls, nd + npr, nd + npr) unsigned class blocks
     cls: np.ndarray  # (nel,) class of each element
     flip: np.ndarray  # (nel, nd + npr) S_K, +1 on pressure
     udofs: np.ndarray  # (nel, nd) global velocity dofs of the local ones
-    multiplier: np.ndarray  # (nel, 3(k+1))
-    sign: np.ndarray  # (nel, 3(k+1))
+    copies: np.ndarray  # (m, 2, 2) (triangle, local edge) per interior edge and copy
     c: np.ndarray  # (nel, npr) theta_scale times the pressure basis integrals
 
     def apply(self, x, blocks=None):
@@ -458,7 +445,7 @@ class Assembler:
     def elements(self):
         """The element saddle blocks L_K = [A_K B1_K^T; B0_K 0], written once
         per class of elements into one (n_cls, nd + npr, nd + npr) array, and
-        the interior-edge multipliers that tie them (see ``ElementBlocks``).
+        the two copies of each interior edge (see ``ElementBlocks``).
 
         A class is the elements with the same bit patterns of (g, det); each
         element that takes a boundary term is a class of its own.  A_K is
@@ -467,7 +454,7 @@ class Assembler:
         mode) the straight-normal term of the element's boundary edges.  In
         strong mode the constrained dofs' rows and columns are identity
         (strong imposition of homogeneous data)."""
-        t, mesh, k = self.tables, self.mesh, self.k
+        t, mesh = self.tables, self.mesh
         nel, nd = mesh.n_triangles, t.element.dim
         npr = t.pressure.dim
         s = self.dof_sign
@@ -513,22 +500,15 @@ class Assembler:
             matrix[e, :, constrained] = 0.0
             matrix[e, constrained, constrained] = 1.0
 
-        interior = mesh.edge_tris[:, 1] >= 0
-        order = _nested_dissection(mesh.edge_tris)
-        first = np.zeros(mesh.n_edges, dtype=np.int64)
-        first[order] = (k + 1) * np.arange(len(order))
-        edges = mesh.tri_edges  # (nel, 3)
-        inner = interior[edges][:, :, None]
-        multiplier = np.where(inner, first[edges][:, :, None] + np.arange(k + 1), -1)
-        outward = s[:, : 3 * (k + 1) : k + 1, None]  # the degree-0 moments' signs
-        sign = np.where(inner, outward, 0).repeat(k + 1, axis=2)
+        edge = np.flatnonzero(mesh.edge_tris[:, 1] >= 0)
+        tris = mesh.edge_tris[edge]  # (m, 2), the copy on edge_tris[e, 0] first
+        slots = np.argmax(mesh.tri_edges[tris] == edge[:, None, None], axis=2)
         return ElementBlocks(
             matrix=matrix,
             cls=cls,
             flip=np.concatenate([s, np.ones((nel, npr))], axis=1),
             udofs=self.gidx,
-            multiplier=multiplier.reshape(nel, -1),
-            sign=sign.reshape(nel, -1),
+            copies=np.stack([tris, slots], axis=2),
             c=self.theta_scale * self.pressure_integrals().reshape(nel, -1),
         )
 

@@ -55,7 +55,9 @@ _RING_RATIO = 0.9
 # largest degree: through level 2 the default disk and ring studies (and the
 # strong disk) stay 10x inside the residual contract up to k = 9 (the disk's
 # level 0, 2.4e-12, is the tightest); at k = 10 that level reaches 1e-11,
-# and from k = 12 on it misses the contract
+# and from k = 12 on it misses the contract.  Corners of the accepted
+# geometry miss it below the cap: the r_inner/r_outer = 0.01/0.01112 ring at
+# k = 8 and 9 and the 0.01/100 ring at k = 9, at level 0
 K_MAX = 9
 
 

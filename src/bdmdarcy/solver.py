@@ -6,15 +6,16 @@ element blocks L_K = S_K L^ S_K of ``SaddleSystem.elements`` (every
 boundary term belongs to one element) are inverted once per class of
 bit-identical blocks L^, in one batched call, and L_K^-1 is S_K L^^-1 S_K
 bit for bit (partial pivoting chooses by magnitude, and sign flips are
-exact).  What is left is a sparse interface system on the multipliers.
-Its CSC is written in place from the class-level blocks G~^T L^^-1 G~,
-a chunk of interior edges at a time, into arrays of exactly its size
-(``_interface_matrix``): no per-element block or COO triplet is formed,
-so the build holds little more than its result while SuperLU allocates.
-It is factored once by SuperLU in the order of its unknowns: the interior-edge
-multipliers come numbered in nested-dissection order of the triangle tree
-(``assembly._nested_dissection``; George 1973, Lipton, Rose & Tarjan 1979),
-so SuperLU computes no ordering of its own.  The system's last unknown,
+exact).  What is left is a sparse interface system on the multipliers,
+which the solver numbers edge by edge: it orders the table of each interior
+edge's two copies (``ElementBlocks.copies``) by nested dissection of the
+triangle tree (``_nested_dissection``; George 1973, Lipton, Rose & Tarjan
+1979), so SuperLU factors in the order of its unknowns.  The CSC is
+written in place from the class-level blocks G~^T L^^-1 G~, a chunk of
+edges at a time, into arrays of exactly its size (``_interface_matrix``):
+no per-element block or COO triplet is formed, so the build holds little
+more than its result while SuperLU allocates.  ``_Hybrid.apply`` ties the
+copies edge by edge.  The system's last unknown,
 theta (the pressure-mean multiplier with the boundary-mean term folded in;
 see ``build_saddle_system``), is the last interface unknown, whose row is
 c.p = gauge, and is returned as it is.  Velocity and pressure are recovered
@@ -31,6 +32,7 @@ element block or interface matrix raises a ``RuntimeError`` that names it.
 """
 
 from dataclasses import dataclass
+from math import isqrt
 
 import numpy as np
 import scipy.sparse as sp
@@ -44,11 +46,11 @@ RESIDUAL_CONTRACT = 1e-10
 @dataclass
 class SolveReport:
     residual: float
-    method: str  # always "lu"; bench/tracer.py counts solves by method
     success: bool
-    iterations: int = 0  # always 0; bench/tracer.py sums it as Krylov iterations
     fill: int = 0  # SuperLU's count of stored interface factor entries (lu.nnz)
     n_interface: int = 0  # interface unknowns: interior-edge multipliers and theta
+    # read by bench/tracer.py: every solve is one LU, with no Krylov iterations
+    method, iterations = "lu", 0
 
 
 def _residual(system, x, rhs):
@@ -57,27 +59,40 @@ def _residual(system, x, rhs):
     return r / norm_b if norm_b > 0 else r
 
 
+def _nested_dissection(copies):
+    """The edge table's rows in nested-dissection order of the triangle
+    tree.  Red refinement numbers the children of triangle t 4t..4t+3, so an
+    edge whose triangles first differ in bit b - 1 separates two subtrees
+    of the subtree t >> b: edges come by that bit (finest separators first),
+    then by the subtree, then by index.  On any other numbering this is a
+    recursive bisection of the triangle index range, still a valid order."""
+    t1, t2 = copies[:, 0, 0], copies[:, 1, 0]
+    bit = np.frexp(t1 ^ t2)[1]  # bit_length, exact below 2^53
+    return np.lexsort((np.arange(len(copies)), t1 >> bit, bit))
+
+
 EDGE_CHUNK = 1024  # interior edges per batch of ``_interface_matrix``
 
 
-def _interface_matrix(el, inv, n):
+def _interface_matrix(el, inv, tris, slots):
     """The (n, n) canonical CSC interface matrix sum_K G_K^T L_K^-1 G_K over
-    the interior-edge multipliers and theta (the last unknown), from the
+    the multipliers of the edge table ``ElementBlocks.copies`` in the solve's
+    order (its ``tris`` and ``slots``) and theta (the last unknown), from the
     class inverses ``inv``: G~^T L^^-1 G~ is formed once per class, with G~
     the unsigned edge-dof columns and the c column of theta, and element K's
     block is its class's with the rows and columns of its edge dofs times
-    sign * S_K.  No per-element block is formed.
+    sign * S_K (+1 on copy 0, -1 on copy 1).  No per-element block is formed.
 
     The CSC is written in place, into arrays of exactly its size, EDGE_CHUNK
     interior edges at a time.  A column is one of the k+1 multipliers of an
-    interior edge E (they are numbered edge by edge), and its rows are the
-    edge blocks of E's two triangles, at most five, in ascending multiplier
-    order, then theta: E's own block and theta's row take the sum of the two
-    triangles' terms, each other block the term of its one triangle.
-    Theta's column comes last; its diagonal has one term per element,
-    summed in element order.  So every entry is the sum of the terms that a
-    COO build of the element blocks adds (two terms commute bit for bit),
-    and the matrix is that build's, byte for byte: nnz is
+    interior edge E (row i of the table has (k+1) i .. (k+1) i + k), and its
+    rows are the edge blocks of E's two triangles, at most five, in
+    ascending multiplier order, then theta: E's own block and theta's row
+    take the sum of the two triangles' terms, each other block the term of
+    its one triangle.  Theta's column comes last; its diagonal has one term
+    per element, summed in element order.  So every entry is the sum of the
+    terms that a COO build of the element blocks adds (two terms commute
+    bit for bit), and the matrix is that build's, byte for byte: nnz is
     sum_E (k+1)((k+1) blocks_E + 1) + n.
 
     Sums that come out exactly 0.0 stay stored, so the pattern is the union
@@ -86,17 +101,12 @@ def _interface_matrix(el, inv, n):
     disk k=m=3 level 5) changes neither the fill nor the factor time; under
     the minimum-degree order used before, it gave more fill and a four times
     slower factorization."""
-    nd, ne = el.udofs.shape[1], el.sign.shape[1]
-    k1 = ne // 3  # multipliers per edge
-    # the two copies of each interior edge, (triangle, local edge), the copy
-    # on edge_tris[e, 0] (sign +1) first
-    first = el.multiplier[:, ::k1]  # each local edge's first multiplier, -1 on the boundary
-    tri, slot = np.nonzero(first >= 0)
-    edge, side = first[tri, slot] // k1, (el.sign[tri, slot * k1] < 0).astype(np.intp)
-    m = (n - 1) // k1
-    tris, slots = np.empty((m, 2), np.intp), np.empty((m, 2), np.intp)
-    tris[edge, side], slots[edge, side] = tri, slot
-    del tri, slot, edge, side
+    nd, m = el.udofs.shape[1], len(tris)
+    k1 = isqrt(nd)  # multipliers per edge: nd = (k+1)(k+2)
+    ne, n = 3 * k1, k1 * m + 1
+    # per local edge: first multiplier (-1 on the boundary), tie sign (copy 0: +1, copy 1: -1)
+    first, sign = np.full((len(el.cls), 3), -1), np.zeros((len(el.cls), 3))
+    first[tris, slots], sign[tris, slots] = k1 * np.arange(m)[:, None], (1.0, -1.0)
     length = k1 * (np.count_nonzero(first[tris] >= 0, axis=(1, 2)) - 1) + 1  # per column
     indptr = np.empty(n + 1, np.int32)
     indptr[0] = 0
@@ -126,7 +136,7 @@ def _interface_matrix(el, inv, n):
         size, a = len(t), np.arange(len(t))
         own = s[:, None, :] * k1 + i[:, None]  # E's local dofs, (C, k+1, copy)
         block = el.cls[t][:, None, :]
-        d = el.sign[t] * el.flip[t, :ne]
+        d = sign[t].repeat(k1, axis=2) * el.flip[t, :ne]
         d_own = d[a[:, None, None], np.arange(2), own]
         # v[e, j, s, r]: edge row r of E's column j in copy s, signed
         v = q[block, :ne, own]
@@ -161,58 +171,56 @@ def _interface_matrix(el, inv, n):
 
 class _Hybrid:
     """The hybridized inverse of a ``SaddleSystem``: one inverse per class
-    of element blocks, the factored interface matrix, and
-    ``apply(b)`` ~ M^-1 b."""
+    of element blocks, the factored interface matrix, and ``apply(b)`` ~
+    M^-1 b through ``SaddleSystem._index``: G^T y is each edge's copy 0 minus
+    its copy 1, G xi is subtracted from copy 0 and added to copy 1, and a
+    shared dof's load and value are copy 0's."""
 
     def __init__(self, system):
         el = system.elements
-        self.n_u = system.n_u
-        self.el = el
-        self.nd = el.udofs.shape[1]
-        self.ne = el.sign.shape[1]
-        self.theta = int(el.multiplier.max()) + 1
+        self.el, self.index, self.nd = el, system._index, el.udofs.shape[1]
         try:
             self.inv = np.linalg.inv(el.matrix)  # one per class
         except np.linalg.LinAlgError as exc:
             raise RuntimeError("hybridized solve failed: singular element block") from exc
 
-        n = self.theta + 1
-        matrix = _interface_matrix(el, self.inv, n)
-        # the multipliers are numbered in nested-dissection order of the
-        # triangle tree (``assembly._nested_dissection``): SuperLU keeps it
+        tris, slots = el.copies[_nested_dissection(el.copies)].transpose(2, 0, 1)
+        matrix = _interface_matrix(el, self.inv, tris, slots)
+        # SuperLU keeps the nested-dissection order of the multipliers
         try:
             self.lu = spla.splu(matrix, permc_spec="NATURAL")
         except RuntimeError as exc:
             raise RuntimeError("hybridized solve failed: singular interface matrix") from exc
-        self.n_interface = n
+        self.n_interface = matrix.shape[0]
         self.fill = int(self.lu.nnz)
-
-        # each shared dof's load goes to the copy on edge_tris[e, 0]
-        self.holder = np.ones(el.udofs.shape, dtype=bool)
-        self.holder[:, : self.ne] = el.sign >= 0
+        # the k+1 dofs of each ordered edge's copy 0 and copy 1 as flat positions
+        # in the element arrays: take/put is several times faster than pairs
+        k1 = isqrt(self.nd)
+        flat = (tris * self.index.shape[1] + slots * k1)[:, :, None] + np.arange(k1)
+        self.copy0, self.copy1 = flat[:, 0], flat[:, 1]
 
     def apply(self, b):
-        el, nd, ne, n_u = self.el, self.nd, self.ne, self.n_u
-        f = np.concatenate(
-            [np.where(self.holder, b[el.udofs], 0.0), b[n_u:-1].reshape(el.c.shape)], axis=1
-        )
+        el, idx, nd, copy0, copy1 = self.el, self.index, self.nd, self.copy0, self.copy1
+        f = b[idx]
+        f.put(copy1, 0.0)  # a shared dof's load goes to copy 0
         y = el.apply(f, self.inv)
 
-        g = np.empty(self.theta + 1)
-        inner = el.multiplier >= 0
-        g[: self.theta] = np.bincount(
-            el.multiplier[inner], weights=(el.sign * y[:, :ne])[inner], minlength=self.theta
-        )
-        g[self.theta] = np.sum(el.c * y[:, nd:]) - b[-1]
+        g = np.empty(self.n_interface)
+        g[:-1] = (y.take(copy0) - y.take(copy1)).ravel()  # G^T y, per multiplier
+        g[-1] = np.sum(el.c * y[:, nd:]) - b[-1]
         xi = self.lu.solve(g)
 
-        f[:, :ne] -= el.sign * xi[el.multiplier]  # sign 0 where there is no multiplier
-        f[:, nd:] -= el.c * xi[self.theta]
+        ties = xi[:-1].reshape(copy0.shape)  # G xi
+        f.put(copy0, f.take(copy0) - ties)
+        f.put(copy1, f.take(copy1) + ties)
+        f[:, nd:] -= el.c * xi[-1]
         x_loc = el.apply(f, self.inv)
 
-        u = np.empty(n_u)
-        u[el.udofs[self.holder]] = x_loc[:, :nd][self.holder]
-        return np.concatenate([u, x_loc[:, nd:].ravel(), [xi[self.theta]]])
+        x = np.empty(len(b))
+        x[idx] = x_loc
+        x[idx.take(copy0)] = x_loc.take(copy0)  # a shared dof takes copy 0's value
+        x[-1] = xi[-1]
+        return x
 
 
 def solve(system, rhs=None):
@@ -228,8 +236,7 @@ def solve(system, rhs=None):
     x = hybrid.apply(rhs)
     x += hybrid.apply(rhs - system.matvec(x))
     res = _residual(system, x, rhs)
-    report = SolveReport(res, "lu", res <= RESIDUAL_CONTRACT,
-                         fill=hybrid.fill, n_interface=hybrid.n_interface)
+    report = SolveReport(res, res <= RESIDUAL_CONTRACT, hybrid.fill, hybrid.n_interface)
     u, p, theta = system.split(x)
     return u, p, theta, report
 

@@ -16,11 +16,12 @@ the canonical BDM interpolant, the pressure projection and the constant
 pressure live here: only the tests read them.  So do the pressure index
 of each element, the expanded element blocks and the COO scatter of the
 global matrices from them, the reference of the program's one-pass CSR
-builder, and the COO build of the interface matrix, the reference of the
-solver's in-place one.
+builder, the COO build of the interface matrix, the reference of the
+solver's in-place one, and the hybridized apply on per-dof multiplier and
+sign arrays, the reference of the solver's per-edge one.
 """
 
-from math import comb, factorial
+from math import comb, factorial, isqrt
 from types import SimpleNamespace
 
 import numpy as np
@@ -28,6 +29,7 @@ import scipy.sparse as sp
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import legvander
 
+from bdmdarcy import solver
 from bdmdarcy.assembly import ShapeFunctions, _contract
 from bdmdarcy.femcore import edge_quadrature, triangle_quadrature
 from bdmdarcy.femcore.basis import triangle_basis
@@ -401,20 +403,41 @@ def scatter(local, rows, cols, shape):
     return mat
 
 
-def interface_coo(el, inv, n):
+def ordered_table(el):
+    """The (tris, slots) of the edge table ``ElementBlocks.copies`` in
+    nested-dissection order, the order in which the solve numbers the
+    multipliers."""
+    return el.copies[solver._nested_dissection(el.copies)].transpose(2, 0, 1)
+
+
+def per_dof_multipliers(el, tris, slots):
+    """The (nel, 3(k+1)) multiplier number and sign of every local edge dof
+    under the edge table (tris, slots) of ``ElementBlocks.copies`` in some
+    row order: the k+1 multipliers of row i are (k+1) i .. (k+1) i + k, and
+    the sign is +1 on copy 0, -1 on copy 1; -1 and 0 on boundary edges."""
+    nel, k1 = len(el.cls), isqrt(el.udofs.shape[1])
+    multiplier, sign = np.full((nel, 3, k1), -1), np.zeros((nel, 3, k1))
+    multiplier[tris, slots] = k1 * np.arange(len(tris))[:, None, None] + np.arange(k1)
+    sign[tris, slots] = np.array([1.0, -1.0])[:, None]
+    return multiplier.reshape(nel, -1), sign.reshape(nel, -1)
+
+
+def interface_coo(el, inv, tris, slots):
     """The interface matrix of ``solver._interface_matrix`` by COO triplets:
     the (nel, 3(k+1) + 1, 3(k+1) + 1) signed element blocks of G~^T L^^-1 G~,
     every entry whose row and column are unknowns, and theta's diagonal
     summed in element order, converted to CSC (which sums the duplicates)."""
-    nd, ne = el.udofs.shape[1], el.sign.shape[1]
+    multiplier, sign = per_dof_multipliers(el, tris, slots)
+    nd, ne = el.udofs.shape[1], sign.shape[1]
+    n = ne // 3 * len(tris) + 1
     c = np.empty((len(inv), el.c.shape[1]))
     c[el.cls] = el.c
     z = np.concatenate([inv[:, :, :ne], inv[:, :, nd:] @ c[:, :, None]], axis=2)
     local = np.concatenate([z[:, :ne, :], c[:, None, :] @ z[:, nd:, :]], axis=1)[el.cls]
-    d = np.concatenate([el.sign * el.flip[:, :ne], np.ones((len(el.cls), 1))], axis=1)
+    d = np.concatenate([sign * el.flip[:, :ne], np.ones((len(el.cls), 1))], axis=1)
     local *= d[:, :, None]
     local *= d[:, None, :]
-    idx = np.concatenate([el.multiplier, np.full((len(el.sign), 1), n - 1)], axis=1)
+    idx = np.concatenate([multiplier, np.full((len(sign), 1), n - 1)], axis=1)
     keep = (idx[:, :, None] >= 0) & (idx[:, None, :] >= 0)
     keep[:, -1, -1] = False
     idx = idx.astype(np.int32)
@@ -426,6 +449,34 @@ def interface_coo(el, inv, n):
     rows[m] = cols[m] = n - 1
     values[m] = local[:, -1, -1].sum()
     return sp.csc_matrix((values, (rows, cols)), shape=(n, n))
+
+
+def hybrid_apply_per_dof(system, hybrid, b):
+    """``solver._Hybrid.apply`` on per-dof multiplier and sign arrays of the
+    nested-dissection ordered edge table: each shared dof's load held by
+    copy 0, G^T y by one masked ``bincount`` in element order, G xi by
+    sign * xi[multiplier], and each shared dof's value taken from copy 0."""
+    el, n_u = system.elements, system.n_u
+    multiplier, sign = per_dof_multipliers(el, *ordered_table(el))
+    nd, ne, theta = el.udofs.shape[1], sign.shape[1], hybrid.n_interface - 1
+    holder = np.ones(el.udofs.shape, dtype=bool)
+    holder[:, :ne] = sign >= 0
+    f = np.concatenate([np.where(holder, b[el.udofs], 0.0), b[n_u:-1].reshape(el.c.shape)], axis=1)
+    y = el.apply(f, hybrid.inv)
+
+    g = np.empty(theta + 1)
+    inner = multiplier >= 0
+    g[:theta] = np.bincount(multiplier[inner], weights=(sign * y[:, :ne])[inner], minlength=theta)
+    g[theta] = np.sum(el.c * y[:, nd:]) - b[-1]
+    xi = hybrid.lu.solve(g)
+
+    f[:, :ne] -= sign * xi[multiplier]  # sign 0 where there is no multiplier
+    f[:, nd:] -= el.c * xi[theta]
+    x_loc = el.apply(f, hybrid.inv)
+
+    u = np.empty(n_u)
+    u[el.udofs[holder]] = x_loc[:, :nd][holder]
+    return np.concatenate([u, x_loc[:, nd:].ravel(), [xi[theta]]])
 
 
 def scattered_operator(system):

@@ -2,7 +2,6 @@
 identities of the constrained system."""
 
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -40,6 +39,8 @@ from oracles import (
     interface_coo,
     local_field,
     norm_0h,
+    ordered_table,
+    per_dof_multipliers,
     pressure_index,
     random_domains,
     scatter,
@@ -347,18 +348,21 @@ ORDER_MESHES = {
 
 
 def check_multiplier_order(mesh, curves, k):
-    """The interior edges' order is a permutation of them, and the element
-    blocks number the k+1 multipliers of the edge at position i of that
-    order (k+1)i .. (k+1)i + k, the same on both sides of the edge."""
+    """The nested-dissection order is a permutation of the interior edges,
+    and the ordered edge table numbers the k+1 multipliers of the edge at
+    position i of that order (k+1)i .. (k+1)i + k, the same on both sides of
+    the edge.  Returns the interior edges in that order."""
     interior = mesh.edge_tris[:, 1] >= 0
-    order = assembly._nested_dissection(mesh.edge_tris)
-    assert np.array_equal(np.sort(order), np.flatnonzero(interior))
+    el = Assembler(mesh, curves, k).elements
+    rows = solver._nested_dissection(el.copies)
+    assert np.array_equal(np.sort(rows), np.arange(np.count_nonzero(interior)))
+    order = np.flatnonzero(interior)[rows]
     position = np.full(mesh.n_edges, -1)
     position[order] = np.arange(len(order))
     numbers = (k + 1) * position[:, None] + np.arange(k + 1)
     numbers[~interior] = -1
-    el = Assembler(mesh, curves, k).elements
-    assert np.array_equal(el.multiplier, numbers[mesh.tri_edges].reshape(mesh.n_triangles, -1))
+    multiplier, _ = per_dof_multipliers(el, *ordered_table(el))
+    assert np.array_equal(multiplier, numbers[mesh.tri_edges].reshape(mesh.n_triangles, -1))
     return order
 
 
@@ -401,14 +405,14 @@ def test_interface_matrix_is_the_edge_order_one_relabelled(name):
     k = 3
     el = Assembler(mesh, curves, k).elements
     inv = np.linalg.inv(el.matrix)
-    n = int(el.multiplier.max()) + 2
+    n = (k + 1) * len(el.copies) + 1
+    nested, _ = per_dof_multipliers(el, *ordered_table(el))
     interior = mesh.edge_tris[:, 1] >= 0
     first = (k + 1) * (np.cumsum(interior) - 1)
     by_edge = (first[mesh.tri_edges][:, :, None] + np.arange(k + 1)).reshape(mesh.n_triangles, -1)
-    inner = el.multiplier >= 0
-    by_edge = np.where(inner, by_edge, -1)
+    inner = nested >= 0
     relabel = np.full(n, n - 1)
-    relabel[el.multiplier[inner]] = by_edge[inner]
+    relabel[nested[inner]] = by_edge[inner]
 
     def entries(matrix, label):
         coo = matrix.tocoo()
@@ -416,8 +420,8 @@ def test_interface_matrix_is_the_edge_order_one_relabelled(name):
         at = np.lexsort((cols, rows))
         return rows[at], cols[at], coo.data[at]
 
-    nested = entries(solver._interface_matrix(el, inv, n), relabel)
-    edge_order = entries(solver._interface_matrix(replace(el, multiplier=by_edge), inv, n),
+    nested = entries(solver._interface_matrix(el, inv, *ordered_table(el)), relabel)
+    edge_order = entries(solver._interface_matrix(el, inv, *el.copies.transpose(2, 0, 1)),
                          np.arange(n))
     for a, b in zip(nested, edge_order):
         assert np.array_equal(a, b)
@@ -440,7 +444,7 @@ INTERFACE_SETUPS = [
 
 def _interface_input(mesh, curves, k, m=None, mode="corrected"):
     el = Assembler(mesh, curves, k, m=m, mode=mode).elements
-    return el, np.linalg.inv(el.matrix), int(el.multiplier.max()) + 2
+    return (el, np.linalg.inv(el.matrix), *ordered_table(el))
 
 
 def _interface_nnz(mesh, k):
@@ -456,8 +460,8 @@ def check_interface_is_the_coo_build(mesh, curves, k, m=None, mode="corrected"):
     """The in-place interface CSC is the COO build byte for byte, int32
     indices included, with nnz as in the closed form and its data in a
     buffer of exactly that size."""
-    el, inv, n = _interface_input(mesh, curves, k, m, mode)
-    mat, expected = solver._interface_matrix(el, inv, n), interface_coo(el, inv, n)
+    args = _interface_input(mesh, curves, k, m, mode)
+    mat, expected = solver._interface_matrix(*args), interface_coo(*args)
     _same_csr(mat, expected)
     assert mat.indptr.dtype == mat.indices.dtype == expected.indices.dtype == np.int32
     assert mat.nnz == mat.data.size == _interface_nnz(mesh, k)
@@ -485,10 +489,11 @@ def test_interface_matrix_is_the_coo_build_on_any_mesh(setup):
         check_interface_is_the_coo_build(mesh, curves, k)
 
 
-# the allowance of the interface build beyond its result and the class
-# blocks: the edge table (two triangles, two local edges and a column length
-# per interior edge, 40 B) and one chunk's gathered blocks and column buffers
-# (3-4 kB per edge at k = 3)
+# the allowance of the interface build beyond its result, the class blocks
+# and its input, the ordered edge table: the per-edge arrays (each local
+# edge's first multiplier and tie sign, 48 B per triangle or about 32 B per
+# interior edge, and a column length, 8 B) and one chunk's gathered blocks
+# and column buffers (3-4 kB per edge at k = 3)
 EDGE_TABLE_BYTES, CHUNK_EDGE_BYTES = 64, 5000
 
 
@@ -496,19 +501,20 @@ EDGE_TABLE_BYTES, CHUNK_EDGE_BYTES = 64, 5000
 def test_interface_build_holds_its_result_the_class_blocks_and_one_chunk(
         monkeypatch, domain, level):
     """The traced peak of the interface build stays within the returned
-    CSC, the class blocks G~^T L^^-1 G~ and a stated allowance for the edge
-    table and one chunk of edges.  The chunk is made small, so that the
-    allowance is less than an expanded (nel, 3(k+1) + 1, 3(k+1) + 1) block
-    array or a set of COO triplets would add; the COO build exceeds it."""
+    CSC, the class blocks G~^T L^^-1 G~ and a stated allowance for the
+    per-edge arrays and one chunk of edges.  The chunk is made small, so
+    that the allowance is less than an expanded (nel, 3(k+1) + 1,
+    3(k+1) + 1) block array or a set of COO triplets would add; the COO
+    build exceeds it."""
     monkeypatch.setattr(solver, "EDGE_CHUNK", 64)
     k, ne = 3, 12
-    el, inv, n = _interface_input(*_refined(domain, level), k)
-    m = (n - 1) // (k + 1)
+    el, inv, tris, slots = _interface_input(*_refined(domain, level), k)
+    m = len(tris)
 
     def traced(build):
         tracemalloc.start()
         try:
-            return build(el, inv, n), tracemalloc.get_traced_memory()[1]
+            return build(el, inv, tris, slots), tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bdmdarcy.analysis import case_circle, case_ring
-from bdmdarcy.assembly import Assembler
+from bdmdarcy.assembly import Assembler, SaddleSystem
 from bdmdarcy import cli, solver
 from bdmdarcy.cli import StudyConfig
 from bdmdarcy.mesh import coarse_mesh, disk_domain, refine_project, ring_domain
@@ -16,7 +18,13 @@ from domains import (
     triangle_domain,
     unit_square_mesh,
 )
-from oracles import constant_pressure
+from oracles import (
+    constant_pressure,
+    hybrid_apply_per_dof,
+    ordered_table,
+    per_dof_multipliers,
+    random_domains,
+)
 
 
 def small_system(setup, k):
@@ -117,12 +125,13 @@ def test_interface_pattern_keeps_every_block_pair_and_its_zeros():
     each element block and theta's row and column, the pairs whose sum is
     exactly 0.0 included (see ``solver._interface_matrix``)."""
     el = disk_setup(levels=2, k=3).elements
-    n = int(el.multiplier.max()) + 2
-    matrix = solver._interface_matrix(el, np.linalg.inv(el.matrix), n)
+    tris, slots = ordered_table(el)
+    n = 4 * len(tris) + 1
+    matrix = solver._interface_matrix(el, np.linalg.inv(el.matrix), tris, slots)
     assert np.count_nonzero(matrix.data == 0.0) > 0  # this mesh has such sums
     stored = np.zeros((n, n), dtype=bool)
     stored[matrix.indices, np.repeat(np.arange(n), np.diff(matrix.indptr))] = True
-    for multiplier in el.multiplier:
+    for multiplier in per_dof_multipliers(el, tris, slots)[0]:
         idx = np.append(multiplier[multiplier >= 0], n - 1)
         assert stored[np.ix_(idx, idx)].all()
     assert stored[-1].all() and stored[:, -1].all()
@@ -134,6 +143,31 @@ def test_interface_is_factored_in_its_own_numbering():
     system = disk_setup(levels=2, k=3).system(case_circle())
     perm_c = solver._Hybrid(system).lu.perm_c
     assert np.array_equal(perm_c, np.arange(len(perm_c)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(random_domains(), st.sampled_from(("corrected", "uncorrected-strong")), st.integers(1, 3),
+       st.integers(0, 1), st.integers(0, 2**32 - 1))
+def test_per_edge_apply_is_the_per_dof_one_bit_for_bit(curves, mode, k, level, seed):
+    """The edge table lists every interior edge once, in ascending order, as
+    its two (triangle, local edge) copies with copy 0 on edge_tris[e, 0];
+    and the hybridized apply, which gathers and ties the copies edge by
+    edge, is the per-dof one bit for bit on a random vector."""
+    mesh = coarse_mesh(curves)
+    for _ in range(level):
+        mesh = refine_project(mesh, curves)
+    asm = Assembler(mesh, curves, k=k, mode=mode)
+    el = asm.elements
+    edges = np.flatnonzero(mesh.edge_tris[:, 1] >= 0)
+    assert el.copies.shape == (len(edges), 2, 2)
+    for side in (0, 1):
+        tris, slots = el.copies[:, side].T
+        assert np.array_equal(mesh.tri_edges[tris, slots], edges)
+        assert np.array_equal(tris, mesh.edge_tris[edges, side])
+    system = SaddleSystem(np.zeros(asm.dofmap.n_u + el.c.size + 1), el)
+    hybrid = solver._Hybrid(system)
+    b = np.random.default_rng(seed).standard_normal(system.dimension)
+    assert hybrid.apply(b).tobytes() == hybrid_apply_per_dof(system, hybrid, b).tobytes()
 
 
 # L.nnz + U.nnz at k=3 under SuperLU's minimum-degree order on A^T + A,
@@ -155,9 +189,8 @@ def test_interface_fill_stays_near_minimum_degree(domain, level):
     """The interface factored in its own numbering, as the solve does, with
     its fill counted as L.nnz + U.nnz like MMD_FILL."""
     el = k3_assembler(domain, level).elements
-    n = int(el.multiplier.max()) + 2
-    lu = solver.spla.splu(solver._interface_matrix(el, np.linalg.inv(el.matrix), n),
-                          permc_spec="NATURAL")
+    matrix = solver._interface_matrix(el, np.linalg.inv(el.matrix), *ordered_table(el))
+    lu = solver.spla.splu(matrix, permc_spec="NATURAL")
     assert lu.L.nnz + lu.U.nnz <= 1.10 * MMD_FILL[domain, level]
 
 
