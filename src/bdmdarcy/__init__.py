@@ -8,16 +8,14 @@ the optimal O(h^k) convergence that a plain polygonal approximation loses.
 """
 
 from bdmdarcy.geometry import BoundaryCurve, GeometryError
-from bdmdarcy.mesh import Mesh, MeshStats, coarse_mesh, refine_project, mesh_stats
+from bdmdarcy.mesh import Mesh, coarse_mesh, refine_project
 
 __all__ = [
     "BoundaryCurve",
     "GeometryError",
     "Mesh",
-    "MeshStats",
     "coarse_mesh",
     "refine_project",
-    "mesh_stats",
 ]
 
 __version__ = "0.1.0"

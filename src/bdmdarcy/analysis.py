@@ -52,7 +52,6 @@ class ManufacturedCase:
 
     degree = None
 
-    name: str
     domain: str
     velocity: callable  # (n, 2) -> (n, 2)
     velocity_derivative: callable  # (pts, rx, ry) -> (n, 2)
@@ -96,7 +95,6 @@ def case_circle():
         return np.column_stack([u1.derivative(pts, rx, ry), u2.derivative(pts, rx, ry)])
 
     return ManufacturedCase(
-        name="circle",
         domain="circle",
         velocity=velocity,
         velocity_derivative=velocity_derivative,
@@ -135,7 +133,6 @@ def case_ring():
         return -8.0 * pi**2 * np.sin(w * pts[:, 0]) * np.sin(w * pts[:, 1])
 
     return ManufacturedCase(
-        name="ring",
         domain="ring",
         velocity=velocity,
         velocity_derivative=velocity_derivative,
@@ -204,7 +201,7 @@ def error_norms(u, p, case, assembler):
     e_0h = np.sqrt(l2_sq + div_sq + pen_sq)
     e_p = np.sqrt(p_sq)
     return ErrorReport(
-        h=assembler.stats.h,
+        h=assembler.mesh.h,
         e_u_hdiv=e_hdiv,
         e_penalty=e_pen,
         e_u_0h=e_0h,

@@ -92,9 +92,8 @@ from bdmdarcy.correction import (
     taylor_trace_normal,
 )
 from bdmdarcy.femcore.basis import triangle_basis
-from bdmdarcy.femcore.element import REF_EDGES, bdm_reference_basis
+from bdmdarcy.femcore.element import bdm_reference_basis
 from bdmdarcy.femcore.quadrature import edge_quadrature, triangle_quadrature
-from bdmdarcy.mesh import mesh_stats
 
 __all__ = [
     "DofMap",
@@ -222,8 +221,10 @@ class ElementBlocks:
     keep a copy of the edge's k+1 moments, tied by one multiplier each.
     ``copies`` is that interface as the mesh holds it: per interior edge, in
     ascending order, its two (triangle, local edge) copies, the one on
-    ``edge_tris[e, 0]`` (the lower triangle) first.  The solver numbers the
-    multipliers (``solver._nested_dissection``) and applies the ties.
+    ``edge_tris[e, 0]`` (the lower triangle) first, i.e. the interior rows of
+    ``mesh.edge_tris`` and ``mesh.edge_slots`` side by side.  The solver
+    numbers the multipliers (``solver._nested_dissection``) and applies the
+    ties.
     """
 
     matrix: np.ndarray  # (n_cls, nd + npr, nd + npr) unsigned class blocks
@@ -363,7 +364,6 @@ class Assembler:
         self.m = m
         self.mode = mode
         self.tables = reference_tables(k, vol_degree=quad_volume, bnd_points=quad_boundary)
-        self.stats = mesh_stats(mesh)
 
         t = self.tables
         verts = mesh.vertices[mesh.triangles]  # (nel, 3, 2)
@@ -391,7 +391,7 @@ class Assembler:
             n_pressure_local=t.pressure.dim,
         )
         self._build_indices()
-        self.trace = edge_trace_geometry(mesh, self.curves, t.bnd_rule, self.stats.h_K)
+        self.trace = edge_trace_geometry(mesh, self.curves, t.bnd_rule)
         self.boundary_shapes = ShapeFunctions(self, self.trace.owner)
         self.basis_trace = taylor_trace_normal(self.boundary_shapes, self.trace, self.m)
 
@@ -401,22 +401,15 @@ class Assembler:
         k, mesh = self.k, self.mesh
         nel = mesh.n_triangles
         nd = self.tables.element.dim
-        gidx = np.empty((nel, nd), dtype=np.int64)
-        for l in range(3):
-            base = (k + 1) * mesh.tri_edges[:, l]
-            gidx[:, l * (k + 1) : (l + 1) * (k + 1)] = base[:, None] + np.arange(k + 1)
         n_int = self.tables.element.n_interior
-        start = self.dofmap.n_edge_dofs
-        gidx[:, 3 * (k + 1) :] = (
-            start + n_int * np.arange(nel)[:, None] + np.arange(n_int)
-        )
-        self.gidx = gidx
+        edge_dofs = (k + 1) * mesh.tri_edges[:, :, None] + np.arange(k + 1)
+        interior = self.dofmap.n_edge_dofs + n_int * np.arange(nel)[:, None] + np.arange(n_int)
+        self.gidx = np.concatenate([edge_dofs.reshape(nel, -1), interior], axis=1)
 
-        # direction of the global (sorted-vertex) parametrization per local edge
-        direction = np.empty((nel, 3), dtype=np.int64)
-        for l, (p, q) in enumerate(REF_EDGES):
-            start_vertex = self.mesh.edges[self.mesh.tri_edges[:, l], 0]
-            direction[:, l] = np.where(self.mesh.triangles[:, p] == start_vertex, 1, -1)
+        # local edge l runs from local vertex l + 1 to l + 2; the global
+        # (sorted-vertex) parametrization runs the same way where that start
+        # is the lower vertex
+        direction = np.where(mesh.triangles[:, [1, 2, 0]] < mesh.triangles[:, [2, 0, 1]], 1, -1)
 
         # S_K: +1 on interior moments; an edge moment of degree j takes the
         # orientation of the global normal (outward of edge_tris[e, 0]) times
@@ -461,7 +454,9 @@ class Assembler:
         if self.mode == "corrected":
             alone = self.trace.owner
         else:
-            alone, constrained = np.nonzero(np.isin(self.gidx, self.constrained))
+            # the local edge dofs of the boundary edges
+            on_boundary = mesh.edge_tris[mesh.tri_edges, 1] < 0
+            alone, constrained = np.nonzero(np.repeat(on_boundary, self.k + 1, axis=1))
 
         jt = self.jac.transpose(0, 2, 1)
         g = _matvec2(jt[:, None], jt) / self.det[:, None, None]  # J^T J / det
@@ -500,15 +495,13 @@ class Assembler:
             matrix[e, :, constrained] = 0.0
             matrix[e, constrained, constrained] = 1.0
 
-        edge = np.flatnonzero(mesh.edge_tris[:, 1] >= 0)
-        tris = mesh.edge_tris[edge]  # (m, 2), the copy on edge_tris[e, 0] first
-        slots = np.argmax(mesh.tri_edges[tris] == edge[:, None, None], axis=2)
+        interior = mesh.edge_tris[:, 1] >= 0  # the copy on edge_tris[e, 0] first
         return ElementBlocks(
             matrix=matrix,
             cls=cls,
             flip=np.concatenate([s, np.ones((nel, npr))], axis=1),
             udofs=self.gidx,
-            copies=np.stack([tris, slots], axis=2),
+            copies=np.stack([mesh.edge_tris[interior], mesh.edge_slots[interior]], axis=2),
             c=self.theta_scale * self.pressure_integrals().reshape(nel, -1),
         )
 

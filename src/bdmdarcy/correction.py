@@ -50,13 +50,13 @@ class TraceGeometry:
     projected: np.ndarray  # (n_b, q, 2) = points + delta * nu
 
 
-def edge_trace_geometry(mesh, curves, rule, h_K):
+def edge_trace_geometry(mesh, curves, rule):
     """Trace geometry of all boundary edges of ``mesh``.
 
     ``rule`` is an edge quadrature rule on [-1, 1]; nodes are mapped to each
-    edge following the global (sorted-vertex) parametrization.  ``h_K``
-    holds the triangle diameters.  Each boundary component projects all of
-    its nodes in one call (``geometry.project``).
+    edge following the global (sorted-vertex) parametrization.  The owners'
+    diameters are the mesh's ``h_K``.  Each boundary component projects all
+    of its nodes in one call (``geometry.project``).
     """
     edges = mesh.boundary_edges
     a = mesh.vertices[mesh.edges[edges, 0]]
@@ -73,7 +73,7 @@ def edge_trace_geometry(mesh, curves, rule, h_K):
         nu=nu,
         n_gamma=n_gamma,
         n_h=mesh.edge_normal[edges],
-        h_owner=h_K[owner],
+        h_owner=mesh.h_K[owner],
         projected=projected,
     )
 

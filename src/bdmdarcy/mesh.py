@@ -3,12 +3,15 @@
 Meshes are generated deterministically: a small structured coarse mesh is
 refined uniformly (red refinement), and midpoints of boundary edges are
 projected onto their boundary component so every boundary vertex stays on
-the physical boundary.  Edge topology carries a global orientation: each
-edge gets the outward normal of its lower-indexed adjacent triangle
-(boundary edges: outward of the meshed region).
+the physical boundary.  The 3T (triangle, local edge) incidences are sorted
+once by (edge, triangle); each edge's one or two give its adjacent
+triangles and its local index in each.  Each edge takes the outward normal
+of its lower-indexed adjacent triangle (boundary edges: outward of the
+meshed region), read off that triangle's counterclockwise vertex order, so
+the triangles must be counterclockwise (``Assembler`` rejects any other).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,33 +19,35 @@ from bdmdarcy.geometry import BoundaryCurve, GeometryError, project
 
 __all__ = [
     "Mesh",
-    "MeshStats",
     "disk_domain",
     "ring_domain",
     "coarse_mesh",
     "refine_project",
-    "mesh_stats",
 ]
 
 
 @dataclass
 class Mesh:
-    """Triangulation with edge topology and boundary tags.
+    """Triangulation with edge topology, boundary tags and diameters.
 
     triangles are counterclockwise.  ``edge_tris[e]`` lists the adjacent
     triangles in increasing order (-1 in the second slot on the boundary),
+    ``edge_slots[e]`` the edge's local index in each (-1 likewise),
     ``edge_normal[e]`` is the outward unit normal of ``edge_tris[e, 0]``, and
     ``tri_edges[t, l]`` is the global edge opposite local vertex ``l``.
+    ``h_K`` holds the triangle diameters (longest sides), ``h`` their maximum.
     """
 
     vertices: np.ndarray  # (V, 2)
     triangles: np.ndarray  # (T, 3) int
     edges: np.ndarray  # (E, 2) int, sorted pairs
     edge_tris: np.ndarray  # (E, 2) int
+    edge_slots: np.ndarray  # (E, 2) int
     edge_normal: np.ndarray  # (E, 2)
     tri_edges: np.ndarray  # (T, 3) int
     boundary_edges: np.ndarray  # (Eb,) int
     edge_component: np.ndarray  # (E,) int, index into the curves; -1 on interior edges
+    h_K: np.ndarray  # (T,)
     level: int = 0
 
     @property
@@ -57,11 +62,9 @@ class Mesh:
     def n_edges(self):
         return len(self.edges)
 
-
-@dataclass
-class MeshStats:
-    h: float
-    h_K: np.ndarray = field(repr=False)
+    @property
+    def h(self):
+        return float(self.h_K.max())
 
 
 def disk_domain(center=(0.0, 0.0), radius=1.0):
@@ -80,20 +83,21 @@ def ring_domain(center=(0.0, 0.0), r_inner=0.5, r_outer=1.0):
 
 
 def _build_mesh(vertices, triangles, curves, level):
-    """Assemble topology, orientation, and boundary tags.  Each boundary
-    edge takes the component of the curve nearest its midpoint."""
+    """Assemble topology, orientation, diameters and boundary tags.  Each
+    boundary edge takes the component of the curve nearest its midpoint."""
     vertices = np.asarray(vertices, dtype=float)
     triangles = np.asarray(triangles, dtype=np.int64)
     n_tri = len(triangles)
 
-    # local edge l is opposite local vertex l
-    raw = np.concatenate(
+    # incidence l * n_tri + t is local edge l of triangle t, opposite local
+    # vertex l: the counterclockwise run from vertex l + 1 to vertex l + 2
+    run = np.concatenate(
         [triangles[:, [1, 2]], triangles[:, [2, 0]], triangles[:, [0, 1]]], axis=0
     )
     # number the sorted vertex pairs (a, b) by the 1-D key a * n_vertices + b,
     # whose order is the lexicographic order of the pairs
     n_v = len(vertices)
-    keys, inverse = np.unique(raw.min(axis=1) * n_v + raw.max(axis=1), return_inverse=True)
+    keys, inverse = np.unique(run.min(axis=1) * n_v + run.max(axis=1), return_inverse=True)
     edges = np.column_stack([keys // n_v, keys % n_v])
     tri_edges = inverse.reshape(3, n_tri).T
 
@@ -101,27 +105,25 @@ def _build_mesh(vertices, triangles, curves, level):
     if np.any(counts > 2):
         raise ValueError("non-manifold edge: more than two adjacent triangles")
 
+    # the incidences sorted by (edge, triangle): one or two per edge
+    order = np.lexsort((np.tile(np.arange(n_tri), 3), inverse))
+    start = np.cumsum(counts) - counts
+    first, second = order[start], counts == 2
     edge_tris = np.full((len(edges), 2), -1, dtype=np.int64)
-    order = np.argsort(inverse, kind="stable")
-    tri_of_incidence = np.tile(np.arange(n_tri), 3)[order]
-    edge_of_incidence = inverse[order]
-    starts = np.searchsorted(edge_of_incidence, np.arange(len(edges)))
-    edge_tris[:, 0] = tri_of_incidence[starts]
-    second = counts == 2
-    edge_tris[second, 1] = tri_of_incidence[starts[second] + 1]
-    edge_tris[second] = np.sort(edge_tris[second], axis=1)
+    edge_slots = np.full((len(edges), 2), -1, dtype=np.int64)
+    edge_slots[:, 0], edge_tris[:, 0] = np.divmod(first, n_tri)
+    edge_slots[second, 1], edge_tris[second, 1] = np.divmod(order[start[second] + 1], n_tri)
 
-    # outward normal of the lower-indexed adjacent triangle
-    owner = edge_tris[:, 0]
-    tri_verts = triangles[owner]
+    # outward normal of the owner edge_tris[e, 0]: the right-hand normal of
+    # its counterclockwise run, which is b - a unless the run starts at b
     a, b = vertices[edges[:, 0]], vertices[edges[:, 1]]
     tangent = b - a
     normal = np.column_stack([tangent[:, 1], -tangent[:, 0]])
     normal /= np.hypot(normal[:, 0], normal[:, 1])[:, None]
-    centroid = vertices[tri_verts].mean(axis=1)
-    d = centroid - 0.5 * (a + b)
-    inward = d[:, 0] * normal[:, 0] + d[:, 1] * normal[:, 1] > 0
-    normal[inward] *= -1.0
+    normal[run[first, 0] > run[first, 1]] *= -1.0
+
+    p = vertices[triangles]
+    sides = np.linalg.norm(p[:, [2, 0, 1]] - p[:, [1, 2, 0]], axis=2)  # opposite vertex 0, 1, 2
 
     boundary_edges = np.flatnonzero(counts == 1)
     edge_component = np.full(len(edges), -1, dtype=np.int64)
@@ -134,10 +136,12 @@ def _build_mesh(vertices, triangles, curves, level):
         triangles=triangles,
         edges=edges,
         edge_tris=edge_tris,
+        edge_slots=edge_slots,
         edge_normal=normal,
         tri_edges=tri_edges,
         boundary_edges=boundary_edges,
         edge_component=edge_component,
+        h_K=sides.max(axis=1),
         level=level,
     )
 
@@ -197,19 +201,3 @@ def refine_project(mesh, curves):
     # interleave children so siblings stay adjacent in index order
     children = children.reshape(4, mesh.n_triangles, 3).transpose(1, 0, 2).reshape(-1, 3)
     return _build_mesh(vertices, children, curves, level=mesh.level + 1)
-
-
-def mesh_stats(mesh):
-    """Exact element diameters (longest sides) and their maximum h."""
-    p = mesh.vertices[mesh.triangles]
-    sides = np.stack(
-        [
-            np.linalg.norm(p[:, 2] - p[:, 1], axis=1),
-            np.linalg.norm(p[:, 0] - p[:, 2], axis=1),
-            np.linalg.norm(p[:, 1] - p[:, 0], axis=1),
-        ],
-        axis=1,
-    )
-    h_K = sides.max(axis=1)
-    return MeshStats(h=float(h_K.max()), h_K=h_K)
-

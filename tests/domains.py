@@ -16,7 +16,7 @@ import numpy as np
 from bdmdarcy.analysis import ManufacturedCase, _Poly2D
 from bdmdarcy.correction import edge_trace_geometry
 from bdmdarcy.femcore.quadrature import edge_quadrature
-from bdmdarcy.mesh import _build_mesh, mesh_stats
+from bdmdarcy.mesh import _build_mesh
 
 
 @dataclass(frozen=True)
@@ -155,12 +155,11 @@ def check_geometry_assumption(mesh, curves, n_nodes=8):
     and of |n_gamma - n_h| together with their ratios against h^2 and h.  On
     a refinement family both ratios should stay bounded.
     """
-    stats = mesh_stats(mesh)
-    geom = edge_trace_geometry(mesh, curves, edge_quadrature(n_nodes), stats.h_K)
+    geom = edge_trace_geometry(mesh, curves, edge_quadrature(n_nodes))
     delta_max = float(geom.delta.max(initial=0.0))
     gaps = np.linalg.norm(geom.n_gamma - geom.n_h[:, None, :], axis=-1)
     gap_max = float(gaps.max(initial=0.0))
-    h = stats.h
+    h = mesh.h
     return {
         "delta_max": delta_max,
         "sup_normal_gap": gap_max,
@@ -191,7 +190,6 @@ def case_polynomial_square(k):
         return -(p.derivative(pts, 2, 0) + p.derivative(pts, 0, 2))
 
     return ManufacturedCase(
-        name=f"square-patch-k{k}",
         domain="square",
         velocity=velocity,
         velocity_derivative=velocity_derivative,

@@ -18,7 +18,11 @@ of each element, the expanded element blocks and the COO scatter of the
 global matrices from them, the reference of the program's one-pass CSR
 builder, the COO build of the interface matrix, the reference of the
 solver's in-place one, and the hybridized apply on per-dof multiplier and
-sign arrays, the reference of the solver's per-edge one.
+sign arrays, the reference of the solver's per-edge one.  The mesh's
+incidence data has its references here too, derived by geometry and
+searches: the edge normals by a centroid test, the DOF signs by a vertex
+lookup, the interface slots by an ``argmax`` and the strong mode's
+constrained local dofs by ``np.isin``.
 """
 
 from math import comb, factorial, isqrt
@@ -33,7 +37,7 @@ from bdmdarcy import solver
 from bdmdarcy.assembly import ShapeFunctions, _contract
 from bdmdarcy.femcore import edge_quadrature, triangle_quadrature
 from bdmdarcy.femcore.basis import triangle_basis
-from bdmdarcy.femcore.element import REF_VERTICES, _bubble_times
+from bdmdarcy.femcore.element import REF_EDGES, REF_VERTICES, _bubble_times
 from bdmdarcy.mesh import disk_domain, ring_domain
 from domains import edge_lengths
 
@@ -269,7 +273,7 @@ def edge_geometries(asm):
     mesh = asm.mesh
     return [
         edge_geometry(mesh, asm.curves[mesh.edge_component[e]], e, asm.tables.bnd_rule,
-                      asm.stats.h_K[mesh.edge_tris[e, 0]])
+                      mesh.h_K[mesh.edge_tris[e, 0]])
         for e in mesh.boundary_edges
     ]
 
@@ -401,6 +405,50 @@ def scatter(local, rows, cols, shape):
     mat = sp.csr_matrix((local.ravel(), (r.ravel(), c.ravel())), shape=shape)
     mat.eliminate_zeros()
     return mat
+
+
+def centroid_normal(mesh):
+    """The unit normal of each edge that points out of ``edge_tris[e, 0]``:
+    the right-hand normal of (a, b), negated where the owner's centroid lies
+    on its side."""
+    a, b = mesh.vertices[mesh.edges[:, 0]], mesh.vertices[mesh.edges[:, 1]]
+    tangent = b - a
+    normal = np.column_stack([tangent[:, 1], -tangent[:, 0]])
+    normal /= np.hypot(normal[:, 0], normal[:, 1])[:, None]
+    d = mesh.vertices[mesh.triangles[mesh.edge_tris[:, 0]]].mean(axis=1) - 0.5 * (a + b)
+    normal[d[:, 0] * normal[:, 0] + d[:, 1] * normal[:, 1] > 0] *= -1.0
+    return normal
+
+
+def dof_sign_by_vertex_lookup(asm):
+    """S_K, with the direction of each local edge's global parametrization
+    found by looking up the edge's start vertex in the triangle."""
+    mesh, k = asm.mesh, asm.k
+    nel = mesh.n_triangles
+    direction = np.empty((nel, 3), dtype=np.int64)
+    for l, (p, _) in enumerate(REF_EDGES):
+        start = mesh.edges[mesh.tri_edges[:, l], 0]
+        direction[:, l] = np.where(mesh.triangles[:, p] == start, 1, -1)
+    outward = np.where(mesh.edge_tris[mesh.tri_edges, 0] == np.arange(nel)[:, None], 1.0, -1.0)
+    sign = np.ones_like(asm.dof_sign)
+    edge_sign = outward[:, :, None] * direction[:, :, None] ** np.arange(k + 1)
+    sign[:, : 3 * (k + 1)] = edge_sign.reshape(nel, -1)
+    return sign
+
+
+def copies_by_slot_search(mesh):
+    """``ElementBlocks.copies`` with each slot found by an ``argmax`` over
+    the adjacent triangle's edges."""
+    edge = np.flatnonzero(mesh.edge_tris[:, 1] >= 0)
+    tris = mesh.edge_tris[edge]
+    slots = np.argmax(mesh.tri_edges[tris] == edge[:, None, None], axis=2)
+    return np.stack([tris, slots], axis=2)
+
+
+def constrained_local_dofs(asm):
+    """(element, local dof) of every constrained velocity dof in strong
+    mode, found by searching the dof table for the constrained dofs."""
+    return np.nonzero(np.isin(asm.gidx, asm.constrained))
 
 
 def ordered_table(el):

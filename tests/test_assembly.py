@@ -30,10 +30,14 @@ from domains import (
 )
 from oracles import (
     apply_operator,
+    centroid_normal,
     constant_pressure,
+    constrained_local_dofs,
+    copies_by_slot_search,
     dense_matrix_a_flat,
     dense_matrix_b1_flat,
     dense_rhs_u_volume,
+    dof_sign_by_vertex_lookup,
     element_blocks,
     expand,
     interface_coo,
@@ -425,6 +429,62 @@ def test_interface_matrix_is_the_edge_order_one_relabelled(name):
                          np.arange(n))
     for a, b in zip(nested, edge_order):
         assert np.array_equal(a, b)
+def _relabelled(mesh, curves, seed):
+    """The same mesh under a vertex permutation, a triangle permutation and
+    a cyclic rotation of each triangle's vertices (still counterclockwise)."""
+    rng = np.random.default_rng(seed)
+    new_id = rng.permutation(mesh.n_vertices)
+    vertices = np.empty_like(mesh.vertices)
+    vertices[new_id] = mesh.vertices
+    cyclic = (np.arange(3) + rng.integers(0, 3, (mesh.n_triangles, 1))) % 3
+    triangles = np.take_along_axis(new_id[mesh.triangles], cyclic, axis=1)
+    return _build_mesh(vertices, triangles[rng.permutation(mesh.n_triangles)], curves, mesh.level)
+
+
+@st.composite
+def relabelled_meshes(draw):
+    """A random disk or ring at levels 0-2, or one of ``ORDER_MESHES``,
+    relabelled."""
+    if draw(st.booleans()):
+        curves = draw(random_domains())
+        mesh = coarse_mesh(curves)
+        for _ in range(draw(st.integers(0, 2))):
+            mesh = refine_project(mesh, curves)
+    else:
+        mesh, curves = ORDER_MESHES[draw(st.sampled_from(sorted(ORDER_MESHES)))]()
+    return _relabelled(mesh, curves, draw(st.integers(0, 2**32 - 1))), curves
+
+
+@settings(max_examples=40, deadline=None)
+@given(relabelled_meshes(), st.sampled_from(MODES), st.integers(1, 3))
+def test_mesh_incidences_equal_the_searches_on_relabelled_meshes(setup, mode, k):
+    """``edge_tris`` and ``edge_slots`` name each edge's incidences, the
+    orientation rule gives the centroid test's normals bit for bit, and the
+    DOF signs, the interface copies and the strong mode's identity rows are
+    the ones the vertex lookup, the slot search and the dof search give."""
+    mesh, curves = setup
+    tris, slots = mesh.edge_tris, mesh.edge_slots
+    present = tris >= 0
+    assert np.array_equal(present, slots >= 0) and present[:, 0].all()
+    edge = np.broadcast_to(np.arange(mesh.n_edges)[:, None], tris.shape)
+    assert np.array_equal(mesh.tri_edges[tris[present], slots[present]], edge[present])
+    interior = present[:, 1]
+    assert (tris[interior, 0] < tris[interior, 1]).all()
+    assert np.array_equal(np.flatnonzero(~interior), mesh.boundary_edges)
+    assert mesh.edge_normal.tobytes() == centroid_normal(mesh).tobytes()
+
+    asm = Assembler(mesh, curves, k, mode=mode)
+    assert np.array_equal(asm.dof_sign, dof_sign_by_vertex_lookup(asm))
+    el = asm.elements
+    assert np.array_equal(el.copies, copies_by_slot_search(mesh))
+    eye = np.eye(el.matrix.shape[1], dtype=bool)
+    unit = (el.matrix == eye).all(axis=2) & (el.matrix == eye).all(axis=1)  # (n_cls, N)
+    identity_rows = np.nonzero(unit[el.cls])
+    expected = constrained_local_dofs(asm)
+    assert all(np.array_equal(a, b) for a, b in zip(identity_rows, expected))
+    assert (len(expected[0]) > 0) == (mode == "uncorrected-strong")
+
+
 def _shuffled(domain, level):
     """A refined mesh with its triangles in a shuffled order: no tree order."""
     mesh, curves = _refined(domain, level)

@@ -360,6 +360,15 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, file_text, argv
     assert len(lines) == 1 and lines[0].startswith("error: ") and where in lines[0]
 
 
+def test_config_file_not_utf8_exits_2_with_one_error_line(tmp_path, capsys):
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_bytes(b"k = 2\n\xff\xfe bad\n")
+    assert main([str(cfg_file)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"error: {cfg_file}: not UTF-8 text: invalid start byte at byte 6"]
+
+
 def test_failed_level_keeps_finished_rows(tmp_path, capsys, monkeypatch):
     """A study that fails at its second level still writes the first one,
     in the same columns and formatting as a study that stops there."""

@@ -7,7 +7,7 @@ from bdmdarcy.analysis import case_circle, case_ring
 from bdmdarcy.assembly import Assembler, ShapeFunctions
 from bdmdarcy.correction import edge_trace_geometry, pullback_neumann, taylor_trace
 from bdmdarcy.femcore import edge_quadrature
-from bdmdarcy.mesh import coarse_mesh, disk_domain, mesh_stats, refine_project
+from bdmdarcy.mesh import coarse_mesh, disk_domain, refine_project
 from domains import square_domain, unit_square_mesh
 from oracles import interpolate_velocity
 
@@ -28,7 +28,7 @@ class _NoDegree:
 
 
 def boundary_geom(mesh, curves, n_pts=4):
-    return edge_trace_geometry(mesh, curves, edge_quadrature(n_pts), mesh_stats(mesh).h_K)
+    return edge_trace_geometry(mesh, curves, edge_quadrature(n_pts))
 
 
 def owner_values(asm, values, u):
@@ -193,7 +193,7 @@ def test_correction_term_shrinks_linearly_with_h():
         vol = np.einsum("qna,bn->bqa", t.v_vals, w)
         vol = np.einsum("bac,bqc->bqa", asm.jac[geom.owner], vol) / asm.det[geom.owner, None, None]
         k_norm = np.sqrt(asm.det[geom.owner] * np.einsum("q,bqa->b", t.vol.weights, vol**2))
-        hs.append(mesh_stats(mesh).h)
+        hs.append(mesh.h)
         ratios.append(float((tail_norm / k_norm).max()))
     slope = np.polyfit(np.log(hs), np.log(ratios), 1)[0]
     assert slope == pytest.approx(1.0, abs=0.3)

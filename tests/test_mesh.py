@@ -11,7 +11,6 @@ from bdmdarcy.geometry import BoundaryCurve
 from bdmdarcy.mesh import (
     coarse_mesh,
     disk_domain,
-    mesh_stats,
     refine_project,
     ring_domain,
 )
@@ -78,7 +77,7 @@ def test_chord_midpoint_projection_example():
 
 def test_h_reduction_ratio():
     curves, meshes = disk_hierarchy(4)
-    hs = [mesh_stats(m).h for m in meshes]
+    hs = [m.h for m in meshes]
     for h0, h1 in zip(hs, hs[1:]):
         assert 0.45 <= h1 / h0 <= 0.62
 
@@ -114,8 +113,8 @@ def test_all_boundary_vertices_on_curve():
 
 def test_stats_equilateral():
     mesh = single_triangle_mesh([(0.0, 0.0), (1.0, 0.0), (0.5, np.sqrt(3) / 2)])
-    stats, quality = mesh_stats(mesh), mesh_quality(mesh)
-    assert stats.h == pytest.approx(1.0, abs=1e-15)
+    quality = mesh_quality(mesh)
+    assert mesh.h == pytest.approx(1.0, abs=1e-15)
     assert quality.min_angle == pytest.approx(60.0, abs=1e-10)
     assert quality.uniformity == 1.0
 
@@ -126,7 +125,7 @@ def test_shape_regularity_across_levels():
         quality = mesh_quality(mesh)
         assert quality.min_angle >= 20.0
         assert quality.uniformity < 4.0
-    hs = [mesh_stats(m).h for m in meshes]
+    hs = [m.h for m in meshes]
     assert all(h1 / h0 == pytest.approx(0.5, abs=0.12) for h0, h1 in zip(hs, hs[1:]))
 
 

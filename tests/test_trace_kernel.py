@@ -32,7 +32,6 @@ def random_trig_case(rng):
         return amp * a**rx * b**ry * np.cos(arg + (rx + ry) * np.pi / 2.0)
 
     return ManufacturedCase(
-        name="random-trig",
         domain="random",
         velocity=lambda pts: velocity_derivative(pts, 0, 0),
         velocity_derivative=velocity_derivative,
