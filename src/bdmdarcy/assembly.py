@@ -82,7 +82,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 
 from bdmdarcy.correction import (
     directional_derivative,
@@ -586,7 +585,10 @@ def operator_csr(elements, n_u):
     ``sum_duplicates`` adds the two terms of a shared entry (a + b = b + a,
     so their order does not set the bits) and ``eliminate_zeros`` drops the
     zeros, among them the ones that cancel (in B1, the boundary term can
-    cancel the volume term), both in place."""
+    cancel the volume term), both in place.  It is the program's one use of
+    scipy, which is imported here, on the first call."""
+    import scipy.sparse as sp
+
     idx = _element_index(elements, n_u)
     N, c = idx.shape[1], elements.c.ravel()
     n = n_u + len(c) + 1

@@ -10,21 +10,24 @@ exact).  What is left is a sparse interface system on the multipliers,
 which the solver numbers edge by edge: it orders the table of each interior
 edge's two copies (``ElementBlocks.copies``) by nested dissection of the
 triangle tree (``_nested_dissection``; George 1973, Lipton, Rose & Tarjan
-1979), so SuperLU factors in the order of its unknowns.  The CSC is
-written in place from the class-level blocks G~^T L^^-1 G~, a chunk of
-edges at a time, into arrays of exactly its size (``_interface_matrix``):
-no per-element block or COO triplet is formed, so the build holds little
-more than its result while SuperLU allocates.  ``_Hybrid.apply`` ties the
-copies edge by edge.  The system's last unknown,
+1979), and factors it on that tree in dense fronts (``_Fronts``;
+multifrontal: Duff & Reid 1983, Liu 1992), one batched step per bit of the
+triangle index, with numpy alone.  No interface matrix is assembled: each
+element's block G~^T L_K^-1 G~ (``_leaves``, from the class-level blocks)
+goes straight into the front where its first multiplier is eliminated.
+``_Hybrid.apply`` ties the copies edge by edge.  The system's last unknown,
 theta (the pressure-mean multiplier with the boundary-mean term folded in;
 see ``build_saddle_system``), is the last interface unknown, whose row is
 c.p = gauge, and is returned as it is.  Velocity and pressure are recovered
-element by element, and one step of iterative refinement against the full
-operator (``SaddleSystem.matvec``, applied on the same element blocks)
-brings the residual to round-off (element blocks reach condition numbers of
-6e8 at ring level 4, and the unrefined residual misses the contract at the
-finest studied levels).  No global sparse matrix of the saddle system is
-built.
+element by element, and iterative refinement against the full operator
+(``SaddleSystem.matvec``, applied on the same element blocks) brings the
+residual to round-off (element blocks reach condition numbers of 6e8 at
+ring level 4, and the unrefined residual misses the contract at the
+finest studied levels).  The fronts pivot inside their separators only, a
+static order like SuperLU_DIST's, which leans on iterative refinement in
+the same way (Li & Demmel 1998): the solve takes REFINEMENT_STEPS steps.
+No global sparse matrix of the saddle system is built, and the solve
+imports no scipy.
 
 The relative residual of the full operator is verified afterwards; a miss
 is reported as ``success=False``, never silently accepted.  A singular
@@ -33,30 +36,27 @@ element block or interface matrix raises a ``RuntimeError`` that names it.
 
 from dataclasses import dataclass
 from math import isqrt
+from types import SimpleNamespace
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 __all__ = ["SolveReport", "solve"]
 
 RESIDUAL_CONTRACT = 1e-10
+# the fronts pivot inside their separators only, so one step can leave the
+# residual ~250 times the unpivoted floor (1.6e-12 against 6.3e-15 on a
+# ring of radii 0.01 and 0.0133, k=2, level 1); a second step reaches it
+REFINEMENT_STEPS = 2
 
 
 @dataclass
 class SolveReport:
     residual: float
     success: bool
-    fill: int = 0  # SuperLU's count of stored interface factor entries (lu.nnz)
+    fill: int = 0  # stored entries of the interface's fronts: sum of s^2 + 2 s b
     n_interface: int = 0  # interface unknowns: interior-edge multipliers and theta
     # read by bench/tracer.py: every solve is one LU, with no Krylov iterations
     method, iterations = "lu", 0
-
-
-def _residual(system, x, rhs):
-    norm_b = np.linalg.norm(rhs)
-    r = np.linalg.norm(system.matvec(x) - rhs)
-    return r / norm_b if norm_b > 0 else r
 
 
 def _nested_dissection(copies):
@@ -71,102 +71,233 @@ def _nested_dissection(copies):
     return np.lexsort((np.arange(len(copies)), t1 >> bit, bit))
 
 
-EDGE_CHUNK = 1024  # interior edges per batch of ``_interface_matrix``
-
-
-def _interface_matrix(el, inv, tris, slots):
-    """The (n, n) canonical CSC interface matrix sum_K G_K^T L_K^-1 G_K over
-    the multipliers of the edge table ``ElementBlocks.copies`` in the solve's
-    order (its ``tris`` and ``slots``) and theta (the last unknown), from the
+def _leaves(el, inv, tris, slots):
+    """Each element's block of the interface matrix sum_K G_K^T L_K^-1 G_K,
+    (nel, 3(k+1) + 1, 3(k+1) + 1) on its local edge dofs and theta, from the
     class inverses ``inv``: G~^T L^^-1 G~ is formed once per class, with G~
     the unsigned edge-dof columns and the c column of theta, and element K's
     block is its class's with the rows and columns of its edge dofs times
-    sign * S_K (+1 on copy 0, -1 on copy 1).  No per-element block is formed.
-
-    The CSC is written in place, into arrays of exactly its size, EDGE_CHUNK
-    interior edges at a time.  A column is one of the k+1 multipliers of an
-    interior edge E (row i of the table has (k+1) i .. (k+1) i + k), and its
-    rows are the edge blocks of E's two triangles, at most five, in
-    ascending multiplier order, then theta: E's own block and theta's row
-    take the sum of the two triangles' terms, each other block the term of
-    its one triangle.  Theta's column comes last; its diagonal has one term
-    per element, summed in element order.  So every entry is the sum of the
-    terms that a COO build of the element blocks adds (two terms commute
-    bit for bit), and the matrix is that build's, byte for byte: nnz is
-    sum_E (k+1)((k+1) blocks_E + 1) + n.
-
-    Sums that come out exactly 0.0 stay stored, so the pattern is the union
-    of the element blocks' patterns and structurally symmetric.  In the
-    natural order that the solve factors in, dropping them (7,807 entries at
-    disk k=m=3 level 5) changes neither the fill nor the factor time; under
-    the minimum-degree order used before, it gave more fill and a four times
-    slower factorization."""
-    nd, m = el.udofs.shape[1], len(tris)
-    k1 = isqrt(nd)  # multipliers per edge: nd = (k+1)(k+2)
-    ne, n = 3 * k1, k1 * m + 1
-    # per local edge: first multiplier (-1 on the boundary), tie sign (copy 0: +1, copy 1: -1)
-    first, sign = np.full((len(el.cls), 3), -1), np.zeros((len(el.cls), 3))
-    first[tris, slots], sign[tris, slots] = k1 * np.arange(m)[:, None], (1.0, -1.0)
-    length = k1 * (np.count_nonzero(first[tris] >= 0, axis=(1, 2)) - 1) + 1  # per column
-    indptr = np.empty(n + 1, np.int32)
-    indptr[0] = 0
-    np.cumsum(np.repeat(length, k1), out=indptr[1:-1])
-    indptr[-1] = indptr[-2] + n
-    data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], np.int32)
-
-    # the class blocks come after the result, so that they and the chunks'
-    # buffers, all freed on return, lie above it: this order peaked lower in
-    # the benchmark (ring k=3 level 4: 215 against 219 MB)
+    sign * S_K, with sign +1 on copy 0 of an edge of the table (tris,
+    slots), -1 on copy 1 and 0 on a boundary edge."""
+    nd = el.udofs.shape[1]
+    ne = 3 * isqrt(nd)  # edge dofs: nd = (k+1)(k+2)
     c = np.empty((len(inv), el.c.shape[1]))
     c[el.cls] = el.c  # c_K depends on det only, so it is one per class
-    # G~^T L^^-1 G~ per class: the edge-dof rows of L^^-1 G~ (its c column
-    # is L^^-1 c), then theta's row c^T times its pressure rows
+    # the edge-dof rows of L^^-1 G~ (its c column is L^^-1 c), then theta's
+    # row c^T times its pressure rows
     lc = inv[:, :, nd:] @ c[:, :, None]
     q = np.empty((len(inv), ne + 1, ne + 1))
     q[:, :ne, :ne] = inv[:, :ne, :ne]
     q[:, :ne, ne:] = lc[:, :ne]
     q[:, ne:, :ne] = c[:, None, :] @ inv[:, nd:, :ne]
     q[:, ne:, ne:] = c[:, None, :] @ lc[:, nd:]
-    del lc
+    sign = np.zeros((len(el.cls), 3))
+    sign[tris, slots] = (1.0, -1.0)
+    d = np.ones((len(el.cls), ne + 1))
+    d[:, :ne] = sign.repeat(ne // 3, axis=1) * el.flip[:, :ne]
+    leaves = q[el.cls]
+    leaves *= d[:, :, None]
+    leaves *= d[:, None, :]
+    return leaves
 
-    i, width = np.arange(k1), 5 * k1 + 1  # a column's rows, at most
-    theta = indptr[-2]
-    for lo in range(0, m, EDGE_CHUNK):
-        t, s = tris[lo : lo + EDGE_CHUNK], slots[lo : lo + EDGE_CHUNK]
-        size, a = len(t), np.arange(len(t))
-        own = s[:, None, :] * k1 + i[:, None]  # E's local dofs, (C, k+1, copy)
-        block = el.cls[t][:, None, :]
-        d = sign[t].repeat(k1, axis=2) * el.flip[t, :ne]
-        d_own = d[a[:, None, None], np.arange(2), own]
-        # v[e, j, s, r]: edge row r of E's column j in copy s, signed
-        v = q[block, :ne, own]
-        v *= d[:, None]
-        v *= d_own[..., None]
-        v = v.reshape(size, k1, 6, k1)  # by (copy, local edge) block
-        v[a, :, s[:, 0]] += v[a, :, 3 + s[:, 1]]  # E's block, once
-        # the column: the blocks by ascending multiplier, theta's row, unused
-        key = first[t].reshape(size, 6)
-        key[key < 0] = n
-        key[a, 3 + s[:, 1]] = n
-        order = np.argsort(key, axis=1)[:, :5]
-        end = length[lo : lo + size] - 1  # theta's place
-        col = np.empty((size, k1, width))
-        pick = (k1 * a[:, None, None] + i[:, None]) * 6 + order[:, None, :]  # (C, k+1, 5) blocks
-        col[:, :, :-1] = v.reshape(-1, k1)[pick].reshape(size, k1, -1)
-        term = q[block, ne, own] * d_own
-        col[a, :, end] = term[:, :, 0] + term[:, :, 1]
-        rows = np.empty((size, width), np.int32)
-        rows[:, :-1] = (np.take_along_axis(key, order, axis=1)[:, :, None] + i).reshape(size, -1)
-        rows[a, end] = n - 1
-        used = np.broadcast_to((np.arange(width) <= end[:, None])[:, None], col.shape)
-        span = slice(indptr[k1 * lo], indptr[k1 * (lo + size)])
-        data[span], indices[span] = col[used], np.broadcast_to(rows[:, None], col.shape)[used]
-        # theta's column: E's rows of the c column, the two copies summed
-        term = q[block, own, ne] * d_own
-        data[theta + k1 * lo : theta + k1 * (lo + size)] = (term[:, :, 0] + term[:, :, 1]).ravel()
-    indices[theta:] = np.arange(n)
-    data[-1] = q[el.cls, ne, ne].sum()
-    return sp.csc_matrix((data, indices, indptr), shape=(n, n))
+
+def _extend_add(parent, at, block, n_fronts, f):
+    """Child blocks ``block`` summed into ``n_fronts`` fronts of size f,
+    flat, with a spare last row and column: child c goes to front
+    ``parent[c]``, and its dofs, (edge slot, k+1 dofs) then theta, to the
+    front dofs ``at[c]`` (f for a slot without a multiplier) then f - 1.
+    One ``bincount`` sums the terms of an entry in a fixed order."""
+    pos = np.full((len(at), at[0].size + 1), f - 1)
+    pos[:, :-1] = at.reshape(len(at), -1)
+    stride = (f + 1) ** 2
+    idx = (parent * stride)[:, None] + pos * (f + 1)
+    idx = idx[:, :, None] + pos[:, None, :]
+    return np.bincount(idx.ravel(), block.ravel(), n_fronts * stride)
+
+
+def _tree(tris, n_tri, k1):
+    """The fronts of the refinement tree, bit by bit from the lowest, for
+    the triangles ``tris`` of the edge table in ``_nested_dissection``
+    order (see ``_Fronts``).  Per bit with fronts, a namespace of: the
+    fronts' nodes ``fronts`` and the front of each node ``index`` (-1:
+    none); their separator edge counts ``n_sep``; the padded front size f,
+    its eliminated dofs s (the separator, and theta in the root) and the
+    padded separator's ``pad`` dofs; ``slot``, each edge code's slot in its
+    front (2 i + side: a copy of row i; 2m: none); the multipliers of the
+    fronts' separator and boundary dofs ``sep`` and ``bnd`` (n: padding);
+    the codes of the boundary slots ``bcodes``; and ``fill``, the fronts'
+    s^2 + 2 s b without the padding."""
+    m = len(tris)
+    n, dof = k1 * m + 1, np.arange(k1)
+    t1, t2 = tris[:, 0], tris[:, 1]
+    bit = np.frexp(t1 ^ t2)[1]  # bit_length, exact below 2^53
+    top = max(int(n_tri - 1).bit_length(), 1)
+    for b in range(1, top + 1):
+        rows = np.flatnonzero(bit == b)  # by node, then index
+        node = t1[rows] >> b
+        fronts = np.unique(node) if b < top else np.zeros(1, np.int64)
+        if not len(fronts):
+            continue
+        index = np.full(((n_tri - 1) >> b) + 1, -1)
+        index[fronts] = np.arange(len(fronts))
+        n_sep = np.bincount(index[node], minlength=len(fronts))
+        rank = np.arange(len(rows)) - (np.cumsum(n_sep) - n_sep)[index[node]]
+        alive = np.flatnonzero(bit > b)
+        code = np.concatenate([2 * alive, 2 * alive + 1])
+        owner = index[np.concatenate([t1[alive], t2[alive]]) >> b]
+        code, owner = code[owner >= 0], owner[owner >= 0]
+        order = np.lexsort((code, owner))
+        code, owner = code[order], owner[order]
+        n_bnd = np.bincount(owner, minlength=len(fronts))
+        b_rank = np.arange(len(code)) - (np.cumsum(n_bnd) - n_bnd)[owner]
+        s_edges, b_edges = n_sep.max(initial=0), n_bnd.max(initial=0)
+        f = k1 * (s_edges + b_edges) + 1  # separator, boundary, theta
+        slot = np.zeros(2 * m + 1, np.int64)
+        slot[2 * rows], slot[2 * rows + 1] = rank, rank
+        slot[code] = s_edges + b_rank
+
+        sep = np.full((len(fronts), s_edges, k1), n)
+        sep[index[node], rank] = k1 * rows[:, None] + dof
+        sep = sep.reshape(len(fronts), -1)
+        bnd = np.full((len(fronts), b_edges, k1), n)
+        bnd[owner, b_rank] = k1 * (code[:, None] >> 1) + dof
+        bnd = np.concatenate([bnd.reshape(len(fronts), -1), np.full((len(fronts), 1), n - 1)], 1)
+        bcodes = np.full((len(fronts), b_edges), 2 * m)
+        bcodes[owner, b_rank] = code
+        s, s_true, b_true = k1 * s_edges, k1 * n_sep, k1 * n_bnd + 1
+        if b == top:  # the root eliminates theta too
+            sep, bnd, s, s_true, b_true = np.concatenate([sep, bnd], axis=1), bnd[:, :0], f, s_true + 1, 0
+        yield SimpleNamespace(b=b, fronts=fronts, index=index, n_sep=n_sep, f=f, s=s,
+                              pad=k1 * s_edges, slot=slot, sep=sep, bnd=bnd, bcodes=bcodes,
+                              fill=int(np.sum(s_true**2 + 2 * s_true * b_true)))
+
+
+# front entries per batch of ``_Fronts`` (1 MB): with each bit's fronts in
+# one batch, the front, its bincount, the flat indices and the Schur
+# complement peaked 40 MB above what the factor keeps at ring k=3 level 4,
+# and what glibc keeps of such freed batches raised the benchmark's peak by
+# 29% there; batches of 2**17 entries (1 MB) cost 3% of the factor's time
+FRONT_CHUNK = 2**17
+
+
+class _Fronts:
+    """The interface matrix factored on the refinement tree (multifrontal;
+    Duff & Reid 1983, Liu 1992), and ``solve(g)`` ~ its inverse times g.
+
+    The multipliers come numbered by ``_nested_dissection``; row i of the
+    edge table (triangles t1 < t2) has k+1 multipliers and is eliminated at
+    the tree node (bit, t1 >> bit), bit the bit length of t1 ^ t2: the node
+    is the triangle range t >> bit, and the edge separates its two halves.
+    A node with such edges is a front.  Its separator is its edges, its
+    boundary the interior edges with one triangle in it (their bit is
+    higher), and theta, which is in every front's boundary and is
+    eliminated last, in the root (the node of the top bit, which holds
+    every triangle).  The children of a front are the elements (the
+    leaves: element t's signed block G~^T L_t^-1 G~ of ``_leaves``, on its
+    local edge dofs and theta, zero on its boundary edges) and the fronts
+    below it whose lowest front ancestor it is.  Each of their variables is
+    in its front, as separator or boundary.
+
+    The fronts of one bit are padded to the largest separator and boundary
+    of that bit (identity on padded separator dofs, zero on padded boundary
+    dofs) and go in batches of about FRONT_CHUNK entries.  A batch's
+    children enter it through one flat index map and one ``bincount`` per
+    source of children (``_extend_add``); one batched LAPACK inverse (LU
+    with partial pivoting) of the separator blocks F11 follows, then the
+    Schur update F22 - F21 F11^-1 F12, which waits as a child of the front
+    above.  Kept, in one buffer, are F11^-1, F11^-1 F12 and F21: ``fill``
+    counts their entries without the padding, sum over the fronts of
+    s^2 + 2 s b (s separator and b boundary dofs; the root's s includes
+    theta, and its b is 0).  ``solve`` runs the forward sweep by ascending bit, then the backward
+    sweep by descending bit, on one vector with a spare last slot that the
+    padding reads and writes as 0."""
+
+    def __init__(self, el, inv, tris, slots):
+        """The elements ``el``, their class inverses ``inv``, and ``tris``
+        and ``slots``, the edge table in ``_nested_dissection`` order."""
+        n_tri, k1 = len(el.cls), isqrt(el.udofs.shape[1])
+        m = len(tris)
+        self.n, none = k1 * m + 1, 2 * m
+        codes = np.full((n_tri, 3), none)  # row i's copies are 2 i + side
+        codes[tris, slots] = 2 * np.arange(m)[:, None] + np.arange(2)
+        # what waits for its front: (a triangle of each node, the edge codes
+        # of its blocks' dof slots, theta last, the blocks)
+        pending = [(np.arange(n_tri), codes, _leaves(el, inv, tris, slots))]
+        bits = list(_tree(tris, n_tri, k1))
+        self.fill = sum(bit.fill for bit in bits)
+        # one buffer for everything kept: at the finest levels it is above
+        # glibc's largest mmap threshold (32 MB), so it goes back to the
+        # system when freed, and the freed batches do not stay resident
+        store = np.empty(sum(len(bit.fronts) * bit.s * (2 * bit.f - bit.s) for bit in bits))
+        used, self.levels = 0, []
+
+        def keep(*shape):
+            nonlocal used
+            size = np.prod(shape)
+            used += size
+            return store[used - size : used].reshape(shape)
+
+        dof = np.arange(k1)
+        for bit in bits:
+            b, fronts, f, s = bit.b, bit.fronts, bit.f, bit.s
+            # the children of this bit's fronts, in the order of their fronts
+            here, left = [], []
+            for rep, child, block in pending:
+                parent = bit.index[rep >> b]
+                go = parent >= 0
+                if go.all():
+                    here.append((parent, child, block))
+                elif go.any():
+                    here.append((parent[go], child[go], block[go]))
+                    left.append((rep[~go], child[~go], block[~go]))
+                else:
+                    left.append((rep, child, block))
+            del pending
+            at = k1 * bit.slot[:, None] + dof  # each code's dofs in its front
+            at[none] = f  # a slot without a multiplier: the spare row and column
+            per = max(1, FRONT_CHUNK // (f + 1) ** 2)
+            for lo in range(0, len(fronts), per):
+                hi = min(lo + per, len(fronts))
+                front = None
+                for parent, child, block in here:
+                    a, z = np.searchsorted(parent, (lo, hi))
+                    if a < z:
+                        part = _extend_add(parent[a:z] - lo, at[child[a:z]], block[a:z], hi - lo, f)
+                        front = part if front is None else np.add(front, part, out=front)
+                here = [src for src in here if src[0][-1] >= hi]  # free what is used up
+                front = front.reshape(hi - lo, f + 1, f + 1)[:, :f, :f]
+                v, r = np.nonzero(np.arange(bit.pad) >= k1 * bit.n_sep[lo:hi, None])
+                front[v, r, r] = 1.0  # the padded separator dofs
+
+                f11inv, upper, lower = keep(hi - lo, s, s), keep(hi - lo, s, f - s), keep(hi - lo, f - s, s)
+                try:
+                    f11inv[...] = np.linalg.inv(front[:, :s, :s])
+                except np.linalg.LinAlgError as exc:
+                    raise RuntimeError("hybridized solve failed: singular interface matrix") from exc
+                np.matmul(f11inv, front[:, :s, s:], out=upper)
+                lower[...] = front[:, s:, :s]
+                if s < f:
+                    schur = lower @ upper
+                    np.subtract(front[:, s:, s:], schur, out=schur)
+                    left.append((fronts[lo:hi] << b, bit.bcodes[lo:hi], schur))
+                self.levels.append((bit.sep[lo:hi], bit.bnd[lo:hi], f11inv, upper, lower))
+            pending = left
+
+    def solve(self, g):
+        """The interface unknowns for the interface load g."""
+        z = np.append(g, 0.0)
+        ys = []
+        for sep, bnd, f11inv, upper, lower in self.levels:
+            y = (f11inv @ z[sep][:, :, None])[:, :, 0]
+            if bnd.size:
+                z -= np.bincount(bnd.ravel(), (lower @ y[:, :, None]).ravel(), len(z))
+            ys.append(y)
+        x = np.zeros(self.n + 1)
+        for (sep, bnd, _, upper, _), y in zip(reversed(self.levels), reversed(ys)):
+            if bnd.size:
+                y = y - (upper @ x[bnd][:, :, None])[:, :, 0]
+            x[sep] = y
+        return x[:-1]
 
 
 class _Hybrid:
@@ -185,17 +316,11 @@ class _Hybrid:
             raise RuntimeError("hybridized solve failed: singular element block") from exc
 
         tris, slots = el.copies[_nested_dissection(el.copies)].transpose(2, 0, 1)
-        matrix = _interface_matrix(el, self.inv, tris, slots)
-        # SuperLU keeps the nested-dissection order of the multipliers
-        try:
-            self.lu = spla.splu(matrix, permc_spec="NATURAL")
-        except RuntimeError as exc:
-            raise RuntimeError("hybridized solve failed: singular interface matrix") from exc
-        self.n_interface = matrix.shape[0]
-        self.fill = int(self.lu.nnz)
+        k1 = isqrt(self.nd)  # multipliers per edge: nd = (k+1)(k+2)
+        self.fronts = _Fronts(el, self.inv, tris, slots)
+        self.n_interface, self.fill = self.fronts.n, self.fronts.fill
         # the k+1 dofs of each ordered edge's copy 0 and copy 1 as flat positions
         # in the element arrays: take/put is several times faster than pairs
-        k1 = isqrt(self.nd)
         flat = (tris * self.index.shape[1] + slots * k1)[:, :, None] + np.arange(k1)
         self.copy0, self.copy1 = flat[:, 0], flat[:, 1]
 
@@ -208,7 +333,7 @@ class _Hybrid:
         g = np.empty(self.n_interface)
         g[:-1] = (y.take(copy0) - y.take(copy1)).ravel()  # G^T y, per multiplier
         g[-1] = np.sum(el.c * y[:, nd:]) - b[-1]
-        xi = self.lu.solve(g)
+        xi = self.fronts.solve(g)
 
         ties = xi[:-1].reshape(copy0.shape)  # G xi
         f.put(copy0, f.take(copy0) - ties)
@@ -227,16 +352,19 @@ def solve(system, rhs=None):
     """Solve the assembled system; returns (u, p, theta, report), with theta
     the border unknown of ``SaddleSystem``.
 
-    One hybridized solve and one refinement step against the element-block
-    operator; the report's ``success`` says whether the residual meets the
-    contract.
+    One hybridized solve and REFINEMENT_STEPS refinement steps against the
+    element-block operator; the report's ``success`` says whether the
+    residual meets the contract.
     """
     rhs = system.rhs if rhs is None else rhs
     hybrid = _Hybrid(system)
     x = hybrid.apply(rhs)
-    x += hybrid.apply(rhs - system.matvec(x))
-    res = _residual(system, x, rhs)
+    r = rhs - system.matvec(x)
+    for _ in range(REFINEMENT_STEPS):
+        x += hybrid.apply(r)
+        r = rhs - system.matvec(x)
+    norm_b = np.linalg.norm(rhs)
+    res = np.linalg.norm(r) / norm_b if norm_b > 0 else np.linalg.norm(r)
     report = SolveReport(res, res <= RESIDUAL_CONTRACT, hybrid.fill, hybrid.n_interface)
     u, p, theta = system.split(x)
     return u, p, theta, report
-

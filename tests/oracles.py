@@ -16,9 +16,10 @@ the canonical BDM interpolant, the pressure projection and the constant
 pressure live here: only the tests read them.  So do the pressure index
 of each element, the expanded element blocks and the COO scatter of the
 global matrices from them, the reference of the program's one-pass CSR
-builder, the COO build of the interface matrix, the reference of the
-solver's in-place one, and the hybridized apply on per-dof multiplier and
-sign arrays, the reference of the solver's per-edge one.  The mesh's
+builder, the COO build of the interface matrix, the matrix that the
+solver's tree factor factors, with the closed form of the fronts' sizes,
+and the hybridized apply on per-dof multiplier and sign arrays, the
+reference of the solver's per-edge one.  The mesh's
 incidence data has its references here too, derived by geometry and
 searches: the edge normals by a centroid test, the DOF signs by a vertex
 lookup, the interface slots by an ``argmax`` and the strong mode's
@@ -38,7 +39,7 @@ from bdmdarcy.assembly import ShapeFunctions, _contract
 from bdmdarcy.femcore import edge_quadrature, triangle_quadrature
 from bdmdarcy.femcore.basis import triangle_basis
 from bdmdarcy.femcore.element import REF_EDGES, REF_VERTICES, _bubble_times
-from bdmdarcy.mesh import disk_domain, ring_domain
+from bdmdarcy.mesh import _build_mesh, disk_domain, ring_domain
 from domains import edge_lengths
 
 ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])  # curl w = ROT @ grad w
@@ -86,6 +87,18 @@ def local_field(asm, t, coeffs):
     """The LocalField of triangle t of an assembler's mesh, with
     coefficients in its mapped reference nodal basis."""
     return LocalField(element_vertices(asm, t), asm.tables.element, coeffs)
+
+
+def relabelled(mesh, curves, seed):
+    """The same mesh under a vertex permutation, a triangle permutation and
+    a cyclic rotation of each triangle's vertices (still counterclockwise)."""
+    rng = np.random.default_rng(seed)
+    new_id = rng.permutation(mesh.n_vertices)
+    vertices = np.empty_like(mesh.vertices)
+    vertices[new_id] = mesh.vertices
+    cyclic = (np.arange(3) + rng.integers(0, 3, (mesh.n_triangles, 1))) % 3
+    triangles = np.take_along_axis(new_id[mesh.triangles], cyclic, axis=1)
+    return _build_mesh(vertices, triangles[rng.permutation(mesh.n_triangles)], curves, mesh.level)
 
 
 @st.composite
@@ -470,8 +483,38 @@ def per_dof_multipliers(el, tris, slots):
     return multiplier.reshape(nel, -1), sign.reshape(nel, -1)
 
 
+def interface_fronts(el, inv, tris, slots):
+    """The solver's tree factor of the interface of the edge table (tris,
+    slots), in nested-dissection order, from the class inverses ``inv``."""
+    return solver._Fronts(el, inv, tris, slots)
+
+
+def front_fill(mesh, k):
+    """The closed form of ``SolveReport.fill``: sum over the fronts of
+    s^2 + 2 s b, counted from ``mesh.edge_tris`` one tree node at a time.
+    Interior edge (t1, t2) is eliminated at node (bit, t1 >> bit), bit the
+    bit length of t1 ^ t2; a node with such edges is a front, with s = (k+1)
+    times their number and b = (k+1) times the number of interior edges
+    with one triangle in its range t >> bit, plus 1 for theta.  The root,
+    the node of bit max(1, bit length of n_tri - 1), is a front with or
+    without edges, and eliminates theta too: its s has the 1, its b is 0."""
+    t1, t2 = mesh.edge_tris[mesh.edge_tris[:, 1] >= 0].T
+    bit = np.array([int(a ^ b).bit_length() for a, b in zip(t1, t2)], dtype=np.int64)
+    top = max((mesh.n_triangles - 1).bit_length(), 1)
+    total = 0
+    for b in range(1, top + 1):
+        for node in set((t1[bit == b] >> b).tolist()) | ({0} if b == top else set()):
+            s = (k + 1) * int(np.sum((bit == b) & ((t1 >> b) == node)))
+            one_inside = ((t1 >> b) == node) != ((t2 >> b) == node)
+            size = (k + 1) * int(np.sum(one_inside)) + 1
+            if b == top:
+                s, size = s + 1, 0
+            total += s * s + 2 * s * size
+    return total
+
+
 def interface_coo(el, inv, tris, slots):
-    """The interface matrix of ``solver._interface_matrix`` by COO triplets:
+    """The interface matrix sum_K G_K^T L_K^-1 G_K by COO triplets:
     the (nel, 3(k+1) + 1, 3(k+1) + 1) signed element blocks of G~^T L^^-1 G~,
     every entry whose row and column are unknowns, and theta's diagonal
     summed in element order, converted to CSC (which sums the duplicates)."""
@@ -516,7 +559,7 @@ def hybrid_apply_per_dof(system, hybrid, b):
     inner = multiplier >= 0
     g[:theta] = np.bincount(multiplier[inner], weights=(sign * y[:, :ne])[inner], minlength=theta)
     g[theta] = np.sum(el.c * y[:, nd:]) - b[-1]
-    xi = hybrid.lu.solve(g)
+    xi = hybrid.fronts.solve(g)
 
     f[:, :ne] -= sign * xi[multiplier]  # sign 0 where there is no multiplier
     f[:, nd:] -= el.c * xi[theta]

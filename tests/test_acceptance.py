@@ -303,3 +303,21 @@ def test_criterion_11_gauge_invariance():
         f"velocity gap {u_gap:.2e} <= 1e-10; |c.p| of the gauge-0 pressure at "
         f"{mean_gap:.2e} <= 1e-14 of |c|.|p|",
     )
+
+
+@pytest.mark.parametrize("k", range(4, 10))
+def test_criterion_12_ring_optimal_order_at_high_degree(k):
+    """The paper's arbitrary-order claim up to ``K_MAX``: criterion 4's band
+    for k = m = 4..9 on the ring over levels 0-2, where the fronts of the
+    interface are largest at k = 9 (ten multipliers per edge)."""
+    rows = study("ring", k, k, "corrected", (0, 2))
+    errors = [r["E_total"] for r in rows]
+    hs = [r["h"] for r in rows]
+    eoc = compute_eoc(errors, hs)[-1]
+    residual = max(r["residual"] for r in rows)
+    ok = k - 0.2 <= eoc <= k + 0.3 and residual <= 1e-10
+    report(
+        f"criterion 12 (ring, k={k}, m={k})",
+        ok,
+        f"last EOC {eoc:.3f} within [{k - 0.2}, {k + 0.3}]; largest residual {residual:.1e}",
+    )

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -40,13 +41,16 @@ from oracles import (
     dof_sign_by_vertex_lookup,
     element_blocks,
     expand,
+    front_fill,
     interface_coo,
+    interface_fronts,
     local_field,
     norm_0h,
     ordered_table,
     per_dof_multipliers,
     pressure_index,
     random_domains,
+    relabelled,
     scatter,
     scattered_operator,
     signed_blocks,
@@ -400,11 +404,20 @@ def test_any_triangle_numbering_gives_a_valid_order(domain, level, random):
     assert solve(Assembler(mesh, curves, 1).system(case_circle()))[3].success
 
 
+def check_solves(fronts, matrix, g):
+    """The tree factor's solve of g is the sparse direct solve of the
+    interface ``matrix`` to round-off (these interfaces have condition
+    numbers up to ~1e6, and the two solves differ by 1e-14 to 1e-12)."""
+    x, expected = fronts.solve(g), spla.spsolve(matrix.tocsc(), g)
+    assert np.abs(x - expected).max() <= 1e-10 * np.abs(expected).max()
+
+
 @pytest.mark.parametrize("name", ORDER_MESHES)
 def test_interface_matrix_is_the_edge_order_one_relabelled(name):
-    """The interface matrix of the nested-dissection numbering is that of
-    the numbering by ascending interior edge, relabelled: the same stored
-    entries, explicit zeros included, with the same values bit for bit."""
+    """The tree factor of the nested-dissection numbering solves the
+    interface matrix of the numbering by ascending interior edge,
+    relabelled: its solve of a load in its numbering is, relabelled, the
+    direct solve of that matrix's COO build."""
     mesh, curves = ORDER_MESHES[name]()
     k = 3
     el = Assembler(mesh, curves, k).elements
@@ -415,30 +428,15 @@ def test_interface_matrix_is_the_edge_order_one_relabelled(name):
     first = (k + 1) * (np.cumsum(interior) - 1)
     by_edge = (first[mesh.tri_edges][:, :, None] + np.arange(k + 1)).reshape(mesh.n_triangles, -1)
     inner = nested >= 0
-    relabel = np.full(n, n - 1)
+    relabel = np.full(n, n - 1)  # the edge-order number of each nested one
     relabel[nested[inner]] = by_edge[inner]
+    assert np.array_equal(np.sort(relabel), np.arange(n))
 
-    def entries(matrix, label):
-        coo = matrix.tocoo()
-        rows, cols = label[coo.row], label[coo.col]
-        at = np.lexsort((cols, rows))
-        return rows[at], cols[at], coo.data[at]
-
-    nested = entries(solver._interface_matrix(el, inv, *ordered_table(el)), relabel)
-    edge_order = entries(solver._interface_matrix(el, inv, *el.copies.transpose(2, 0, 1)),
-                         np.arange(n))
-    for a, b in zip(nested, edge_order):
-        assert np.array_equal(a, b)
-def _relabelled(mesh, curves, seed):
-    """The same mesh under a vertex permutation, a triangle permutation and
-    a cyclic rotation of each triangle's vertices (still counterclockwise)."""
-    rng = np.random.default_rng(seed)
-    new_id = rng.permutation(mesh.n_vertices)
-    vertices = np.empty_like(mesh.vertices)
-    vertices[new_id] = mesh.vertices
-    cyclic = (np.arange(3) + rng.integers(0, 3, (mesh.n_triangles, 1))) % 3
-    triangles = np.take_along_axis(new_id[mesh.triangles], cyclic, axis=1)
-    return _build_mesh(vertices, triangles[rng.permutation(mesh.n_triangles)], curves, mesh.level)
+    g = np.random.default_rng(n).standard_normal(n)
+    fronts = interface_fronts(el, inv, *ordered_table(el))
+    edge_order = interface_coo(el, inv, *el.copies.transpose(2, 0, 1))
+    x, expected = fronts.solve(g[relabel]), spla.spsolve(edge_order, g)
+    assert np.abs(x - expected[relabel]).max() <= 1e-10 * np.abs(expected).max()
 
 
 @st.composite
@@ -452,7 +450,7 @@ def relabelled_meshes(draw):
             mesh = refine_project(mesh, curves)
     else:
         mesh, curves = ORDER_MESHES[draw(st.sampled_from(sorted(ORDER_MESHES)))]()
-    return _relabelled(mesh, curves, draw(st.integers(0, 2**32 - 1))), curves
+    return relabelled(mesh, curves, draw(st.integers(0, 2**32 - 1))), curves
 
 
 @settings(max_examples=40, deadline=None)
@@ -507,25 +505,16 @@ def _interface_input(mesh, curves, k, m=None, mode="corrected"):
     return (el, np.linalg.inv(el.matrix), *ordered_table(el))
 
 
-def _interface_nnz(mesh, k):
-    """sum_E (k+1)((k+1) blocks_E + 1) + n, with blocks_E the interior
-    edges of E's two triangles, E once."""
-    interior = mesh.edge_tris[:, 1] >= 0
-    e = np.flatnonzero(interior)
-    blocks = interior[mesh.tri_edges[mesh.edge_tris[e]]].sum(axis=(1, 2)) - 1
-    return int(((k + 1) * ((k + 1) * blocks + 1)).sum()) + (k + 1) * len(e) + 1
-
-
 def check_interface_is_the_coo_build(mesh, curves, k, m=None, mode="corrected"):
-    """The in-place interface CSC is the COO build byte for byte, int32
-    indices included, with nnz as in the closed form and its data in a
-    buffer of exactly that size."""
+    """The tree factor factors the COO build of the interface matrix: its
+    solve of a random load is that matrix's direct solve to round-off, over
+    every interior-edge multiplier and theta, and its fill is the closed
+    form of the fronts' sizes."""
     args = _interface_input(mesh, curves, k, m, mode)
-    mat, expected = solver._interface_matrix(*args), interface_coo(*args)
-    _same_csr(mat, expected)
-    assert mat.indptr.dtype == mat.indices.dtype == expected.indices.dtype == np.int32
-    assert mat.nnz == mat.data.size == _interface_nnz(mesh, k)
-    assert (mat.data if mat.data.base is None else mat.data.base).size == mat.nnz
+    fronts = interface_fronts(*args)
+    assert fronts.n == (k + 1) * len(args[2]) + 1
+    assert fronts.fill == front_fill(mesh, k)
+    check_solves(fronts, interface_coo(*args), np.random.default_rng(fronts.n).standard_normal(fronts.n))
 
 
 @pytest.mark.parametrize("domain,level,k,m,mode", INTERFACE_SETUPS)
@@ -543,49 +532,44 @@ def test_interface_matrix_is_the_coo_build(domain, level, k, m, mode):
 def test_interface_matrix_is_the_coo_build_on_any_mesh(setup):
     """Triangles in no tree order, theta's scaling on a large disk (its row
     and column times a power of two), corner triangles with two boundary
-    edges, and a mesh with no interior edge."""
+    edges, and a mesh with no interior edge (theta alone, in the root)."""
     mesh, curves = setup()
     for k in (1, 3):
         check_interface_is_the_coo_build(mesh, curves, k)
 
 
-# the allowance of the interface build beyond its result, the class blocks
-# and its input, the ordered edge table: the per-edge arrays (each local
-# edge's first multiplier and tie sign, 48 B per triangle or about 32 B per
-# interior edge, and a column length, 8 B) and one chunk's gathered blocks
-# and column buffers (3-4 kB per edge at k = 3)
-EDGE_TABLE_BYTES, CHUNK_EDGE_BYTES = 64, 5000
-
-
 @pytest.mark.parametrize("domain,level", [(disk_domain, 3), (ring_domain, 2)])
 def test_interface_build_holds_its_result_the_class_blocks_and_one_chunk(
         monkeypatch, domain, level):
-    """The traced peak of the interface build stays within the returned
-    CSC, the class blocks G~^T L^^-1 G~ and a stated allowance for the
-    per-edge arrays and one chunk of edges.  The chunk is made small, so
-    that the allowance is less than an expanded (nel, 3(k+1) + 1,
-    3(k+1) + 1) block array or a set of COO triplets would add; the COO
-    build exceeds it."""
-    monkeypatch.setattr(solver, "EDGE_CHUNK", 64)
-    k, ne = 3, 12
-    el, inv, tris, slots = _interface_input(*_refined(domain, level), k)
-    m = len(tris)
+    """The traced peak of the tree factorization stays within what it
+    keeps (F11^-1, F11^-1 F12, F21 and the dofs of every front), its input
+    (the class blocks G~^T L^^-1 G~ and each element's signed copy, the
+    leaves), the Schur complements of two bits' fronts, and an allowance of
+    eight batches of fronts (the front, the extend-add's flat indices and
+    bincount, and the elimination's products).  The batch is made small,
+    so that the bound is far below the dense interface matrix; a dense
+    build exceeds it, and so did factoring each bit in one batch."""
+    monkeypatch.setattr(solver, "FRONT_CHUNK", 2**12)
+    el, inv, tris, slots = _interface_input(*_refined(domain, level), 3)
+    ne = 12
 
     def traced(build):
         tracemalloc.start()
         try:
-            return build(el, inv, tris, slots), tracemalloc.get_traced_memory()[1]
+            return build(), tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    mat, peak = traced(solver._interface_matrix)
-    result = mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
-    class_blocks = len(inv) * (ne + 1) ** 2 * 8
-    bound = result + class_blocks + m * EDGE_TABLE_BYTES + solver.EDGE_CHUNK * CHUNK_EDGE_BYTES
+    fronts, peak = traced(lambda: solver._Fronts(el, inv, tris, slots))
+    kept = sum(a.nbytes for level in fronts.levels for a in level)
+    bits = list(solver._tree(tris, len(el.cls), ne // 3))
+    schur = max(len(bit.fronts) * (bit.f - bit.s) ** 2 * 8 for bit in bits)
+    front = max((bit.f + 1) ** 2 for bit in bits) * 8
+    blocks = (len(inv) + len(el.cls)) * (ne + 1) ** 2 * 8
+    bound = kept + blocks + 2 * schur + 8 * max(solver.FRONT_CHUNK * 8, front)
     assert peak <= bound
-    expanded, triplets = len(el.cls) * (ne + 1) ** 2 * 8, 16 * mat.nnz
-    assert bound - peak < min(expanded, triplets)
-    assert traced(interface_coo)[1] > bound
+    assert bound < fronts.n**2 * 8 / 8
+    assert traced(lambda: interface_coo(el, inv, tris, slots).toarray())[1] > bound
 
 
 def test_strong_mode_blocks_hold_the_identity():

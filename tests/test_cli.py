@@ -1,7 +1,11 @@
 """Configuration parsing, study orchestration, and output files."""
 
+import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -131,16 +135,16 @@ def test_csv_deterministic_apart_from_wall_time(tmp_path):
 # CSV rows less wall_time, as written by --report
 PINNED_ROWS = {
     ("circle", 3, "1..2"): [
-        "1,0.61965683746373812,360,144,0.0058662028641668605,0.0060742796954740361,"
-        "0.0038690941663295309,0.012313572235601047,,4.5261687015678683e-15",
-        "2,0.33706269530518751,1392,576,0.00055300087932220489,0.00070948638278500666,"
-        "0.0004987584248482387,0.0013983032541305179,3.5727601891221652,1.1323374562826104e-14",
+        "1,0.61965683746373812,360,144,0.0058662028641590334,0.0060742796954734151,"
+        "0.0038690941663364724,0.012313572235602107,,4.3148140788016347e-15",
+        "2,0.33706269530518751,1392,576,0.00055300087931444526,0.00070948638278470774,"
+        "0.00049875842484528078,0.001398303254122554,3.5727601891316603,1.1561681267781133e-14",
     ],
     ("ring", 2, "0..1"): [
-        "0,0.5710695820026781,288,96,22.801976550699731,0.46763257752690168,"
-        "0.33526827726569103,23.142039527186732,,6.292805098734069e-16",
-        "1,0.30219543245250152,1056,384,5.8156024027510389,0.13037174035593946,"
-        "0.073995817549992862,5.8910593463046075,2.1498039043788517,1.8930813369639096e-15",
+        "0,0.5710695820026781,288,96,22.801976550699735,0.46763257752690024,"
+        "0.33526827726567965,23.142039527186721,,3.5693564579747076e-16",
+        "1,0.30219543245250152,1056,384,5.8156024027510371,0.13037174035594046,"
+        "0.073995817549993778,5.8910593463046075,2.1498039043788513,2.0327047549148358e-15",
     ],
 }
 
@@ -148,9 +152,9 @@ PINNED_ROWS = {
 @pytest.mark.parametrize("study", PINNED_ROWS, ids=lambda s: "{}-k{}-L{}".format(*s))
 def test_rows_are_byte_identical_to_the_recorded_ones(tmp_path, study):
     """Every digit of the rows is pinned, not just E_total to rtol 1e-6: a
-    speed-up that reorders a sum shows here.  Recorded with numpy 2.4.6,
-    scipy 1.17.1 and scipy-openblas 0.3.31 on x86-64; another numpy or BLAS
-    may move the last digits."""
+    speed-up that reorders a sum shows here.  Recorded with numpy 2.4.6 and
+    its scipy-openblas 0.3.31 on x86-64 (the solve uses no scipy); another
+    numpy or BLAS may move the last digits."""
     domain, k, levels = study
     path = tmp_path / "rows.csv"
     assert main(["--domain", domain, "--k", str(k), "--levels", levels,
@@ -158,6 +162,39 @@ def test_rows_are_byte_identical_to_the_recorded_ones(tmp_path, study):
     lines = path.read_text().splitlines()
     assert lines[0].endswith(",wall_time")
     assert [line.rsplit(",", 1)[0] for line in lines[1:]] == PINNED_ROWS[study]
+
+
+# sha256 of ``--dump-system`` for the ring, k=2, level 0, as written while
+# the solve still imported scipy (385 unknowns, 6,682 entries)
+RING_DUMP_SHA256 = "65eb15eae0915b55bf575e8e4799ba222d5d81f5af017ecccc2723f0b88435c7"
+
+
+def test_the_program_runs_without_scipy(tmp_path):
+    """In a fresh interpreter, importing the CLI and building reference
+    tables, as the benchmark's set-up does, and then a whole study leave
+    scipy unimported.  The one reader of the global CSR, ``--dump-system``
+    (and ``SaddleSystem.matrix`` behind it), imports it on first use and
+    writes the same bytes as before."""
+    code = "\n".join([
+        "import sys",
+        "import bdmdarcy.cli as cli",
+        "from bdmdarcy.assembly import reference_tables",
+        "reference_tables(3, vol_degree=None, bnd_points=None)",
+        "assert 'scipy' not in sys.modules, 'imported by the set-up'",
+        "rows = cli.run_study(cli.StudyConfig(domain='ring', k=2, level_first=0, level_last=1))",
+        "assert rows[-1]['residual'] <= 1e-10",
+        "assert 'scipy' not in sys.modules, 'imported by the study'",
+        "assert cli.main(['--domain', 'ring', '--k', '2', '--levels', '0..0',",
+        f"                 '--report', {str(tmp_path / 'r.csv')!r}, '--dump-system', {str(tmp_path)!r}]) == 0",
+        "assert 'scipy.sparse' in sys.modules",
+    ])
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    dump = (tmp_path / "system_level0.txt").read_bytes()
+    assert hashlib.sha256(dump).hexdigest() == RING_DUMP_SHA256
 
 
 def test_json_mirrors_csv(tmp_path):

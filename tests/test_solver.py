@@ -1,5 +1,7 @@
 """Linear solver contracts: residuals, named failures, gauge handling."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,10 +22,14 @@ from domains import (
 )
 from oracles import (
     constant_pressure,
+    front_fill,
     hybrid_apply_per_dof,
+    interface_coo,
+    interface_fronts,
     ordered_table,
     per_dof_multipliers,
     random_domains,
+    relabelled,
 )
 
 
@@ -92,18 +98,14 @@ def test_refinement_step_meets_contract_at_disk_level5():
 
 
 def test_auto_solve_factors_once_without_krylov(monkeypatch):
-    # the benchmark's speed probe and span tracer hook these two attributes
+    """A solve factors the interface once, on the refinement tree, and its
+    refinement steps reuse that factor: no Krylov iteration."""
     system = disk_setup(levels=2, k=3).system(case_circle())
-    calls = {"splu": 0, "gmres": 0}
-    for name in calls:
-        def counted(*args, _real=getattr(solver.spla, name), _name=name, **kwargs):
-            calls[_name] += 1
-            return _real(*args, **kwargs)
-
-        monkeypatch.setattr(solver.spla, name, counted)
+    built, real = [], solver._Fronts
+    monkeypatch.setattr(solver, "_Fronts", lambda *args: built.append(real(*args)) or built[-1])
     _, _, _, rep = solve(system)
-    assert calls == {"splu": 1, "gmres": 0}
-    assert rep.method == "lu"
+    assert len(built) == 1 and rep.method == "lu" and rep.iterations == 0
+    assert rep.fill == built[0].fill
 
 
 def test_report_gives_interface_size_and_repeatable_fill():
@@ -115,34 +117,75 @@ def test_report_gives_interface_size_and_repeatable_fill():
     assert rep1.fill > 0 and rep1.fill == rep2.fill
 
 
-def test_fill_is_superlus_count_of_stored_factor_entries():
+def test_fill_counts_the_stored_entries_of_the_fronts():
+    """fill is sum over the fronts of s^2 + 2 s b, the entries of F11^-1,
+    F11^-1 F12 and F21 that the factor keeps, without the padding: a front's
+    s and b are its separator and boundary dofs that are not padding."""
     system = disk_setup(levels=2, k=3).system(case_circle())
-    assert solve(system)[3].fill == solver._Hybrid(system).lu.nnz
+    fronts = solver._Hybrid(system).fronts
+    fill = 0
+    for sep, bnd, inv, upper, lower in fronts.levels:
+        assert inv.shape[1:] == (sep.shape[1],) * 2 and upper.shape == lower.transpose(0, 2, 1).shape
+        s, b = np.sum(sep < fronts.n, axis=1), np.sum(bnd < fronts.n, axis=1)
+        fill += int(np.sum(s * s + 2 * s * b))
+    assert solve(system)[3].fill == fronts.fill == fill
 
 
 def test_interface_pattern_keeps_every_block_pair_and_its_zeros():
-    """The interface matrix stores every (multiplier, multiplier) pair of
-    each element block and theta's row and column, the pairs whose sum is
-    exactly 0.0 included (see ``solver._interface_matrix``)."""
+    """Every (multiplier, multiplier) pair of each element block, and theta
+    with each of them, meets in the front that eliminates the first of the
+    two, so the dense fronts hold every entry of the interface matrix, the
+    pairs whose sum is exactly 0.0 included."""
     el = disk_setup(levels=2, k=3).elements
     tris, slots = ordered_table(el)
-    n = 4 * len(tris) + 1
-    matrix = solver._interface_matrix(el, np.linalg.inv(el.matrix), tris, slots)
-    assert np.count_nonzero(matrix.data == 0.0) > 0  # this mesh has such sums
-    stored = np.zeros((n, n), dtype=bool)
-    stored[matrix.indices, np.repeat(np.arange(n), np.diff(matrix.indptr))] = True
+    fronts = interface_fronts(el, np.linalg.inv(el.matrix), tris, slots)
+    n = fronts.n
+    held = {}  # multiplier -> the dofs of the front that eliminates it
+    for sep, bnd, *_ in fronts.levels:
+        for row_s, row_b in zip(sep, bnd):
+            dofs = set(np.concatenate([row_s, row_b]).tolist()) - {n}
+            held.update((int(i), dofs) for i in row_s[row_s < n])
+    assert sorted(held) == list(range(n))
     for multiplier in per_dof_multipliers(el, tris, slots)[0]:
         idx = np.append(multiplier[multiplier >= 0], n - 1)
-        assert stored[np.ix_(idx, idx)].all()
-    assert stored[-1].all() and stored[:, -1].all()
+        assert all(j in held[i] for i in idx for j in idx if i < j)
 
 
 def test_interface_is_factored_in_its_own_numbering():
-    """The multipliers come numbered in nested-dissection order, so SuperLU
-    must not reorder the columns."""
+    """The multipliers come numbered in nested-dissection order, and the
+    fronts eliminate them in that order, theta last: bit by bit, front by
+    front, separator dof by separator dof."""
     system = disk_setup(levels=2, k=3).system(case_circle())
-    perm_c = solver._Hybrid(system).lu.perm_c
-    assert np.array_equal(perm_c, np.arange(len(perm_c)))
+    fronts = solver._Hybrid(system).fronts
+    order = np.concatenate([sep[sep < fronts.n] for sep, *_ in fronts.levels])
+    assert np.array_equal(order, np.arange(fronts.n))
+
+
+@settings(max_examples=30, deadline=None)
+@given(random_domains(), st.sampled_from(("corrected", "uncorrected-strong")), st.integers(1, 3),
+       st.integers(0, 2), st.booleans(), st.integers(0, 2**32 - 1))
+def test_tree_factor_solves_the_dense_interface(curves, mode, k, level, relabel, seed):
+    """On random disks and rings, in the tree numbering of refinement or
+    with every triangle, vertex and local vertex relabelled, the tree
+    factor's solve of a random load is the dense solve of the COO build of
+    the interface matrix to round-off: the same solution to 1e-10 relative
+    (these interfaces have condition numbers up to ~1e6), with a backward
+    error below 1e-14."""
+    mesh = coarse_mesh(curves)
+    for _ in range(level):
+        mesh = refine_project(mesh, curves)
+    if relabel:
+        mesh = relabelled(mesh, curves, seed)
+    el = Assembler(mesh, curves, k=k, mode=mode).elements
+    inv = np.linalg.inv(el.matrix)
+    tris, slots = ordered_table(el)
+    fronts = interface_fronts(el, inv, tris, slots)
+    dense = interface_coo(el, inv, tris, slots).toarray()
+    g = np.random.default_rng(seed).standard_normal(fronts.n)
+    x, expected = fronts.solve(g), np.linalg.solve(dense, g)
+    assert np.abs(x - expected).max() <= 1e-10 * np.abs(expected).max()
+    scale = np.abs(dense).sum(axis=1).max() * np.abs(x).max() + np.abs(g).max()
+    assert np.abs(dense @ x - g).max() <= 1e-14 * scale
 
 
 @settings(max_examples=25, deadline=None)
@@ -170,11 +213,6 @@ def test_per_edge_apply_is_the_per_dof_one_bit_for_bit(curves, mode, k, level, s
     assert hybrid.apply(b).tobytes() == hybrid_apply_per_dof(system, hybrid, b).tobytes()
 
 
-# L.nnz + U.nnz at k=3 under SuperLU's minimum-degree order on A^T + A,
-# which factored the interface before the nested-dissection numbering
-MMD_FILL = {("disk", 4): 798_798, ("ring", 3): 894_893}
-
-
 def k3_assembler(domain, level):
     """The assembler of the k=3 study's problem at one level."""
     curves = disk_domain() if domain == "disk" else ring_domain()
@@ -184,32 +222,26 @@ def k3_assembler(domain, level):
     return Assembler(mesh, curves, k=3)
 
 
-@pytest.mark.parametrize("domain,level", MMD_FILL)
-def test_interface_fill_stays_near_minimum_degree(domain, level):
-    """The interface factored in its own numbering, as the solve does, with
-    its fill counted as L.nnz + U.nnz like MMD_FILL."""
-    el = k3_assembler(domain, level).elements
-    matrix = solver._interface_matrix(el, np.linalg.inv(el.matrix), *ordered_table(el))
-    lu = solver.spla.splu(matrix, permc_spec="NATURAL")
-    assert lu.L.nnz + lu.U.nnz <= 1.10 * MMD_FILL[domain, level]
-
-
-# (interface unknowns, SuperLU's lu.nnz) at k=3 in the nested-dissection
-# order: an exact count tells a changed interface from a fill near the guard
-# above
+# (interface unknowns, stored front entries) at k=3: an exact count tells a
+# changed interface or tree from a changed padding.  SuperLU, which factored
+# the interface before the tree, stored 169,410, 879,266, 160,418 and
+# 906,210 entries (lu.nnz) here; minimum degree gave L.nnz + U.nnz of
+# 798,798 at disk level 4 and 894,893 at ring level 3
 INTERFACE = {
-    ("disk", 3): (2209, 169_410),
-    ("disk", 4): (9025, 879_266),
-    ("ring", 2): (2817, 160_418),
-    ("ring", 3): (11_777, 906_210),
+    ("disk", 3): (2209, 173_761),
+    ("disk", 4): (9025, 915_841),
+    ("ring", 2): (2817, 166_913),
+    ("ring", 3): (11_777, 953_345),
 }
 
 
 @pytest.mark.parametrize("domain,level", INTERFACE)
 def test_interface_size_and_fill_pinned(domain, level):
     case = case_circle() if domain == "disk" else case_ring()
-    rep = solve(k3_assembler(domain, level).system(case))[3]
+    asm = k3_assembler(domain, level)
+    rep = solve(asm.system(case))[3]
     assert rep.success and (rep.n_interface, rep.fill) == INTERFACE[domain, level]
+    assert rep.fill == front_fill(asm.mesh, asm.k)
 
 
 @pytest.mark.parametrize("k,m", [(k, m) for k in (1, 2, 3) for m in range(k + 1)])
@@ -243,15 +275,14 @@ def test_single_triangle_strong_mode(k):
     assert rep.success and rep.residual <= 1e-10
 
 
-def test_singular_interface_matrix_is_named(monkeypatch):
+def test_singular_interface_matrix_is_named():
+    """Without the border column c, theta's row and column of the interface
+    are exactly zero, so the root front is singular while every element
+    block is not."""
     system = disk_setup(levels=1, k=1).system(case_circle())
-
-    def splu(*args, **kwargs):
-        raise RuntimeError("Factor is exactly singular")
-
-    monkeypatch.setattr(solver.spla, "splu", splu)
+    el = dataclasses.replace(system.elements, c=np.zeros_like(system.elements.c))
     with pytest.raises(RuntimeError, match="^hybridized solve failed: singular interface matrix$"):
-        solve(system)
+        solve(SaddleSystem(system.rhs, el))
 
 
 def test_postprocess_mean_zero():
