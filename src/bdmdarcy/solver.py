@@ -23,9 +23,11 @@ element by element, and iterative refinement against the full operator
 (``SaddleSystem.matvec``, applied on the same element blocks) brings the
 residual to round-off (element blocks reach condition numbers of 6e8 at
 ring level 4, and the unrefined residual misses the contract at the
-finest studied levels).  The fronts pivot inside their separators only, a
-static order like SuperLU_DIST's, which leans on iterative refinement in
-the same way (Li & Demmel 1998): the solve takes REFINEMENT_STEPS steps.
+finest studied levels).  The fronts apply explicit inverses of their
+separator blocks, which on ill-conditioned interfaces (thin rings at high
+degree) leaves the first solve less accurate than an LU solve would; the
+refinement goes on while each step halves the residual, as LAPACK's
+xGERFS does (Wilkinson 1963; Skeel 1980), so those cases take more steps.
 No global sparse matrix of the saddle system is built, and the solve
 imports no scipy.
 
@@ -43,10 +45,13 @@ import numpy as np
 __all__ = ["SolveReport", "solve"]
 
 RESIDUAL_CONTRACT = 1e-10
-# the fronts pivot inside their separators only, so one step can leave the
-# residual ~250 times the unpivoted floor (1.6e-12 against 6.3e-15 on a
-# ring of radii 0.01 and 0.0133, k=2, level 1); a second step reaches it
-REFINEMENT_STEPS = 2
+# refinement steps at most: a step is kept if it lowers the residual, and
+# the next is taken if it halved it (the rule of LAPACK's xGERFS).  The
+# fronts apply explicit separator inverses, so one step can leave the
+# residual far above round-off on ill-conditioned interfaces: 5.0e-8 at
+# k=6, level 1, on the ring of radii 0.01 and 0.01112, which four steps
+# bring to 1.9e-14
+MAX_REFINEMENT_STEPS = 5
 
 
 @dataclass
@@ -352,19 +357,26 @@ def solve(system, rhs=None):
     """Solve the assembled system; returns (u, p, theta, report), with theta
     the border unknown of ``SaddleSystem``.
 
-    One hybridized solve and REFINEMENT_STEPS refinement steps against the
-    element-block operator; the report's ``success`` says whether the
+    One hybridized solve and iterative refinement against the element-block
+    operator while each step halves the residual (at most
+    MAX_REFINEMENT_STEPS steps); the report's ``success`` says whether the
     residual meets the contract.
     """
     rhs = system.rhs if rhs is None else rhs
     hybrid = _Hybrid(system)
     x = hybrid.apply(rhs)
     r = rhs - system.matvec(x)
-    for _ in range(REFINEMENT_STEPS):
-        x += hybrid.apply(r)
-        r = rhs - system.matvec(x)
+    norm_r = np.linalg.norm(r)
+    for _ in range(MAX_REFINEMENT_STEPS):
+        step = x + hybrid.apply(r)
+        r_step = rhs - system.matvec(step)
+        last, norm_step = norm_r, np.linalg.norm(r_step)
+        if norm_step < norm_r:
+            x, r, norm_r = step, r_step, norm_step
+        if not norm_step < last / 2:
+            break
     norm_b = np.linalg.norm(rhs)
-    res = np.linalg.norm(r) / norm_b if norm_b > 0 else np.linalg.norm(r)
+    res = norm_r / norm_b if norm_b > 0 else norm_r
     report = SolveReport(res, res <= RESIDUAL_CONTRACT, hybrid.fill, hybrid.n_interface)
     u, p, theta = system.split(x)
     return u, p, theta, report

@@ -259,6 +259,19 @@ def test_residual_contract_on_disks_of_radius_100(k, m):
             mesh = refine_project(mesh, curves)
 
 
+@pytest.mark.parametrize("k", [8, 9])
+def test_residual_contract_on_a_thin_ring_at_high_degree(k):
+    """On the ring of radii 0.01 and 0.01112 the first solve leaves a
+    residual of 1e-3 at level 0 (the fronts' explicit separator inverses on
+    an interface with condition number ~1e9); refinement goes on while
+    each step halves the residual, and four steps bring it below 1e-12.
+    A single step left 5.4e-10 (k = 8) and 8.1e-8 (k = 9)."""
+    cfg = StudyConfig(domain="ring", k=k, m=k, r_inner=0.01, r_outer=0.01112)
+    curves, case = cli._domain_curves(cfg), cli._domain_case(cfg)
+    rep = solve(Assembler(coarse_mesh(curves), curves, k).system(case))[3]
+    assert rep.success and rep.residual <= 1e-12
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_single_triangle_strong_mode(k):
     # every edge is constrained, so the element block loses the constant
