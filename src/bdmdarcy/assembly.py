@@ -51,16 +51,18 @@ boundary, L_K depends on K only through (g = J^T J / det, det) and its
 signs: L_K = S_K L^(g, det) S_K, S_K padded with +1 on pressure (the tensor
 representation of Kirby & Logg).  ``Assembler.elements`` groups the
 elements by the exact bit patterns of (g, det) and writes one unsigned
-block L^ per class; each element that takes a boundary term (in strong
-mode, identity rows and columns) is a class of its own.  The classes are
-37% of the elements at disk k=3 level 5, 41% at ring level 4, and 87-100%
-at levels <= 2.  ``SaddleSystem.matvec`` applies S_K L^ S_K element by
-element and the hybridized solve (``solver``) inverts each class block
-once.  Sign flips are exact and LU with partial pivoting is
-sign-symmetric, so every signed block, product and inverse equals, entry
-for entry, that of the element's own block.  The solve's interface goes to
-it as the mesh holds it, each interior edge's two (triangle, local edge)
-copies (``ElementBlocks.copies``), and the solver numbers it.  The global
+block L^ per class, largest class first; each element that takes a
+boundary term (in strong mode, identity rows and columns) is a class of
+its own.  The classes are 37% of the elements at disk k=3 level 5, 41% at
+ring level 4, and 87-100% at levels <= 2.  ``SaddleSystem.matvec``
+applies S_K L^ S_K element by element, in rounds of one element per class
+on a prefix of the class blocks (``ElementBlocks.apply``), and the
+hybridized solve (``solver``) inverts each class block once.  Sign flips
+are exact and LU with partial pivoting is sign-symmetric, so every signed
+block, product and inverse equals, entry for entry, that of the element's
+own block.  The solve's interface goes to it as the mesh holds it, each
+interior edge's two (triangle, local edge) copies
+(``ElementBlocks.copies``), and the solver numbers it.  The global
 sparse matrix is built on request only, by one builder, ``operator_csr``:
 it writes the canonical CSR straight from the class blocks, one element
 row at a time, with no expanded (nel, nd + npr, nd + npr) blocks.
@@ -201,9 +203,6 @@ class DofMap:
         return self.n_pressure_local * self.n_triangles
 
 
-CHUNK = 256  # elements per gathered batch of blocks in ``ElementBlocks.apply``
-
-
 @dataclass
 class ElementBlocks:
     """Element saddle blocks and the interface of the hybridized system.
@@ -211,11 +210,12 @@ class ElementBlocks:
     Element K's block L_K = [A_K B1_K^T; B0_K 0], in local (velocity,
     pressure) order, is ``flip[K] * matrix[cls[K]] * flip[K]`` (rows, then
     columns): ``matrix`` holds one unsigned block per class of elements with
-    bit-identical geometry, and ``flip[K]`` is S_K padded with +1 on
-    pressure.  Every boundary term is folded into the edge's owner; in
-    strong mode the rows and columns of the constrained velocity dofs are
-    identity.  It is the only copy of the blocks: ``operator_csr`` writes
-    the global CSR from ``matrix``, ``cls`` and ``flip``.
+    bit-identical geometry, largest class first, and ``flip[K]`` is S_K
+    padded with +1 on pressure.  Every boundary term is folded into the
+    edge's owner; in strong mode the rows and columns of the constrained
+    velocity dofs are identity.  It is the only copy of the blocks:
+    ``operator_csr`` writes the global CSR from ``matrix``, ``cls`` and
+    ``flip``.
     Normal continuity is broken on interior edges: both adjacent elements
     keep a copy of the edge's k+1 moments, tied by one multiplier each.
     ``copies`` is that interface as the mesh holds it: per interior edge, in
@@ -233,17 +233,38 @@ class ElementBlocks:
     copies: np.ndarray  # (m, 2, 2) (triangle, local edge) per interior edge and copy
     c: np.ndarray  # (nel, npr) theta_scale times the pressure basis integrals
 
+    @cached_property
+    def rounds(self):
+        """(order, flip, sizes): the elements in round order (row i of a
+        round-order array is element ``order[i]``), their signs ``flip`` in
+        that order, and each round's element count n_r.  Round r is the r-th
+        element (by index) of every class with more than r elements, in
+        class order: classes come largest first, so these are the classes
+        0..n_r - 1, and the round meets the contiguous blocks
+        ``matrix[:n_r]``."""
+        size = np.bincount(self.cls)
+        by_class = np.argsort(self.cls, kind="stable")
+        rank = np.empty(len(self.cls), np.int64)
+        rank[by_class] = np.arange(len(by_class)) - np.repeat(np.cumsum(size) - size, size)
+        order = np.lexsort((self.cls, rank))
+        return order, self.flip[order], np.bincount(rank)
+
     def apply(self, x, blocks=None):
-        """S_K blocks[cls[K]] S_K x[K] for every element K, x of shape
-        (nel, nd + npr); ``blocks`` defaults to ``matrix`` (the solver passes
-        the class inverses).  The blocks are gathered CHUNK elements at a
-        time, so no (nel, nd + npr, nd + npr) array is formed."""
+        """S_K blocks[cls[K]] S_K x[K] for every element K, with x and the
+        result of shape (nel, nd + npr) in round order (``rounds``);
+        ``blocks`` defaults to ``matrix`` (the solver passes the class
+        inverses).  Each round is one batched product with a prefix of
+        ``blocks``: the same per-element products as with gathered blocks,
+        so the same bits, and no (nel, nd + npr, nd + npr) array."""
         blocks = self.matrix if blocks is None else blocks
-        y = self.flip * x
-        for start in range(0, len(y), CHUNK):
-            part = slice(start, start + CHUNK)
-            y[part] = (blocks[self.cls[part]] @ y[part, :, None])[:, :, 0]
-        y *= self.flip
+        _, flip, sizes = self.rounds
+        x = flip * x
+        y = np.empty_like(x)
+        lo = 0
+        for n in sizes.tolist():
+            np.matmul(blocks[:n], x[lo : lo + n, :, None], out=y[lo : lo + n, :, None])
+            lo += n
+        y *= flip
         return y
 
 
@@ -272,7 +293,8 @@ class SaddleSystem:
 
     @cached_property
     def _index(self):
-        return _element_index(self.elements, self.n_u)
+        """The position in x of each element unknown, in round order."""
+        return _element_index(self.elements, self.n_u)[self.elements.rounds[0]]
 
     def matvec(self, x):
         n, idx, c = self.dimension, self._index, self.elements.c.ravel()
@@ -461,12 +483,15 @@ class Assembler:
         g = _matvec2(jt[:, None], jt) / self.det[:, None, None]  # J^T J / det
         key = np.column_stack([g.reshape(nel, 4), self.det, np.zeros(nel)]).view(np.int64)
         key[alone, -1] = alone + 1
-        # one class per distinct key, numbered in key order; rep: first element
+        # one class per distinct key, numbered largest first, ties in key
+        # order (``ElementBlocks.apply`` runs on prefixes of the classes);
+        # rep: first element
         order = np.lexsort(key.T[::-1])
         new = np.r_[True, np.any(key[order[1:]] != key[order[:-1]], axis=1)]
-        rep = order[new]
+        by_size = np.argsort(-np.diff(np.flatnonzero(np.r_[new, True])), kind="stable")
+        rep = order[new][by_size]
         cls = np.empty(nel, dtype=np.int64)
-        cls[order] = np.cumsum(new) - 1
+        cls[order] = np.argsort(by_size)[np.cumsum(new) - 1]
 
         # the unsigned blocks L^: mass + div-div of the mapped nodal basis
         matrix = np.zeros((len(rep), nd + npr, nd + npr))

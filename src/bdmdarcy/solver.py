@@ -12,10 +12,14 @@ edge's two copies (``ElementBlocks.copies``) by nested dissection of the
 triangle tree (``_nested_dissection``; George 1973, Lipton, Rose & Tarjan
 1979), and factors it on that tree in dense fronts (``_Fronts``;
 multifrontal: Duff & Reid 1983, Liu 1992), one batched step per bit of the
-triangle index, with numpy alone.  No interface matrix is assembled: each
-element's block G~^T L_K^-1 G~ (``_leaves``, from the class-level blocks)
-goes straight into the front where its first multiplier is eliminated.
-``_Hybrid.apply`` ties the copies edge by edge.  The system's last unknown,
+triangle index, with numpy alone; the factor is kept as three arrays per
+bit, and each sweep of a solve is one gather, one batched product and one
+scatter per bit.  No interface matrix is assembled: each element's block
+G~^T L_K^-1 G~ (``_leaves``, from the class-level blocks) goes straight
+into the front where its first multiplier is eliminated.
+``_Hybrid.apply`` gathers the load straight into the round order of
+``ElementBlocks.apply`` (one batched product per round, on a prefix of the
+class inverses) and ties the copies edge by edge.  The system's last unknown,
 theta (the pressure-mean multiplier with the boundary-mean term folded in;
 see ``build_saddle_system``), is the last interface unknown, whose row is
 c.p = gauge, and is returned as it is.  Velocity and pressure are recovered
@@ -106,18 +110,15 @@ def _leaves(el, inv, tris, slots):
     return leaves
 
 
-def _extend_add(parent, at, block, n_fronts, f):
-    """Child blocks ``block`` summed into ``n_fronts`` fronts of size f,
-    flat, with a spare last row and column: child c goes to front
-    ``parent[c]``, and its dofs, (edge slot, k+1 dofs) then theta, to the
-    front dofs ``at[c]`` (f for a slot without a multiplier) then f - 1.
-    One ``bincount`` sums the terms of an entry in a fixed order."""
+def _extend_add(parent, at, f):
+    """The flat positions of child blocks in fronts of size f, flat, with a
+    spare last row and column: child c goes to front ``parent[c]``, and its
+    dofs, (edge slot, k+1 dofs) then theta, to the front dofs ``at[c]`` (f
+    for a slot without a multiplier) then f - 1."""
     pos = np.full((len(at), at[0].size + 1), f - 1)
     pos[:, :-1] = at.reshape(len(at), -1)
-    stride = (f + 1) ** 2
-    idx = (parent * stride)[:, None] + pos * (f + 1)
-    idx = idx[:, :, None] + pos[:, None, :]
-    return np.bincount(idx.ravel(), block.ravel(), n_fronts * stride)
+    idx = (parent * (f + 1) ** 2)[:, None] + pos * (f + 1)
+    return (idx[:, :, None] + pos[:, None, :]).ravel()
 
 
 def _tree(tris, n_tri, k1):
@@ -206,16 +207,20 @@ class _Fronts:
     The fronts of one bit are padded to the largest separator and boundary
     of that bit (identity on padded separator dofs, zero on padded boundary
     dofs) and go in batches of about FRONT_CHUNK entries.  A batch's
-    children enter it through one flat index map and one ``bincount`` per
-    source of children (``_extend_add``); one batched LAPACK inverse (LU
-    with partial pivoting) of the separator blocks F11 follows, then the
-    Schur update F22 - F21 F11^-1 F12, which waits as a child of the front
-    above.  Kept, in one buffer, are F11^-1, F11^-1 F12 and F21: ``fill``
-    counts their entries without the padding, sum over the fronts of
-    s^2 + 2 s b (s separator and b boundary dofs; the root's s includes
-    theta, and its b is 0).  ``solve`` runs the forward sweep by ascending bit, then the backward
-    sweep by descending bit, on one vector with a spare last slot that the
-    padding reads and writes as 0."""
+    children enter it through one flat index map (``_extend_add``) and one
+    ``bincount`` over all of them, which sums the terms of an entry in a
+    fixed order; one batched LAPACK inverse (LU with partial pivoting) of
+    the separator blocks F11 follows, then the Schur update
+    F22 - F21 F11^-1 F12, which waits, one array per batch, as a child of
+    the fronts above and is freed once they are built.  Kept, in one
+    buffer, are F11^-1, F11^-1 F12 and F21, three arrays per bit of which
+    each batch fills a slice: ``fill`` counts their entries without the
+    padding, sum over the fronts of s^2 + 2 s b (s separator and b
+    boundary dofs; the root's s includes theta, and its b is 0).  ``solve``
+    runs the forward sweep by ascending bit, then the backward sweep by
+    descending bit, one gather, one batched product and one scatter per
+    bit, on one vector with a spare last slot that the padding reads and
+    writes as 0."""
 
     def __init__(self, el, inv, tris, slots):
         """The elements ``el``, their class inverses ``inv``, and ``tris``
@@ -257,35 +262,48 @@ class _Fronts:
                     left.append((rep[~go], child[~go], block[~go]))
                 else:
                     left.append((rep, child, block))
-            del pending
+            del pending, rep, child, block  # the last source too
             at = k1 * bit.slot[:, None] + dof  # each code's dofs in its front
             at[none] = f  # a slot without a multiplier: the spare row and column
+            n_fronts = len(fronts)
+            f11inv, upper = keep(n_fronts, s, s), keep(n_fronts, s, f - s)
+            lower = keep(n_fronts, f - s, s)
             per = max(1, FRONT_CHUNK // (f + 1) ** 2)
-            for lo in range(0, len(fronts), per):
-                hi = min(lo + per, len(fronts))
-                front = None
+            for lo in range(0, n_fronts, per):
+                hi = min(lo + per, n_fronts)
+                parts = []
                 for parent, child, block in here:
                     a, z = np.searchsorted(parent, (lo, hi))
                     if a < z:
-                        part = _extend_add(parent[a:z] - lo, at[child[a:z]], block[a:z], hi - lo, f)
-                        front = part if front is None else np.add(front, part, out=front)
+                        parts.append((parent[a:z] - lo, child[a:z], block[a:z].ravel()))
                 here = [src for src in here if src[0][-1] >= hi]  # free what is used up
+                if len(parts) == 1:
+                    idx, weights = _extend_add(parts[0][0], at[parts[0][1]], f), parts[0][2]
+                else:  # written in place: separate arrays and their concatenation raised the peak
+                    size = sum(len(part[2]) for part in parts)
+                    idx, weights, end = np.empty(size, np.int64), np.empty(size), 0
+                    for parent, child, block in parts:
+                        idx[end : end + len(block)] = _extend_add(parent, at[child], f)
+                        weights[end : end + len(block)] = block
+                        end += len(block)
+                del parts
+                front = np.bincount(idx, weights, (hi - lo) * (f + 1) ** 2)
+                del idx, weights
                 front = front.reshape(hi - lo, f + 1, f + 1)[:, :f, :f]
                 v, r = np.nonzero(np.arange(bit.pad) >= k1 * bit.n_sep[lo:hi, None])
                 front[v, r, r] = 1.0  # the padded separator dofs
 
-                f11inv, upper, lower = keep(hi - lo, s, s), keep(hi - lo, s, f - s), keep(hi - lo, f - s, s)
                 try:
-                    f11inv[...] = np.linalg.inv(front[:, :s, :s])
+                    f11inv[lo:hi] = np.linalg.inv(front[:, :s, :s])
                 except np.linalg.LinAlgError as exc:
                     raise RuntimeError("hybridized solve failed: singular interface matrix") from exc
-                np.matmul(f11inv, front[:, :s, s:], out=upper)
-                lower[...] = front[:, s:, :s]
+                np.matmul(f11inv[lo:hi], front[:, :s, s:], out=upper[lo:hi])
+                lower[lo:hi] = front[:, s:, :s]
                 if s < f:
-                    schur = lower @ upper
+                    schur = lower[lo:hi] @ upper[lo:hi]
                     np.subtract(front[:, s:, s:], schur, out=schur)
                     left.append((fronts[lo:hi] << b, bit.bcodes[lo:hi], schur))
-                self.levels.append((bit.sep[lo:hi], bit.bnd[lo:hi], f11inv, upper, lower))
+            self.levels.append((bit.sep, bit.bnd, f11inv, upper, lower))
             pending = left
 
     def solve(self, g):
@@ -308,13 +326,14 @@ class _Fronts:
 class _Hybrid:
     """The hybridized inverse of a ``SaddleSystem``: one inverse per class
     of element blocks, the factored interface matrix, and ``apply(b)`` ~
-    M^-1 b through ``SaddleSystem._index``: G^T y is each edge's copy 0 minus
-    its copy 1, G xi is subtracted from copy 0 and added to copy 1, and a
-    shared dof's load and value are copy 0's."""
+    M^-1 b through ``SaddleSystem._index``, whose element arrays are in
+    the round order of ``ElementBlocks.apply``: G^T y is each edge's copy 0
+    minus its copy 1, G xi is subtracted from copy 0 and added to copy 1,
+    and a shared dof's load and value are copy 0's."""
 
     def __init__(self, system):
         el = system.elements
-        self.el, self.index, self.nd = el, system._index, el.udofs.shape[1]
+        self.el, self.nd = el, el.udofs.shape[1]
         try:
             self.inv = np.linalg.inv(el.matrix)  # one per class
         except np.linalg.LinAlgError as exc:
@@ -324,10 +343,16 @@ class _Hybrid:
         k1 = isqrt(self.nd)  # multipliers per edge: nd = (k+1)(k+2)
         self.fronts = _Fronts(el, self.inv, tris, slots)
         self.n_interface, self.fill = self.fronts.n, self.fronts.fill
+        # the round-order arrays come after the factor, so its peak holds none
+        self.index, order = system._index, el.rounds[0]
+        self.row = np.empty_like(order)  # each element's row in round order
+        self.row[order] = np.arange(len(order))
+        self.c = el.c[order]
         # the k+1 dofs of each ordered edge's copy 0 and copy 1 as flat positions
         # in the element arrays: take/put is several times faster than pairs
-        flat = (tris * self.index.shape[1] + slots * k1)[:, :, None] + np.arange(k1)
+        flat = (self.row[tris] * self.index.shape[1] + slots * k1)[:, :, None] + np.arange(k1)
         self.copy0, self.copy1 = flat[:, 0], flat[:, 1]
+        self.shared = self.index.take(self.copy0)  # the dofs that take copy 0's value
 
     def apply(self, b):
         el, idx, nd, copy0, copy1 = self.el, self.index, self.nd, self.copy0, self.copy1
@@ -337,18 +362,19 @@ class _Hybrid:
 
         g = np.empty(self.n_interface)
         g[:-1] = (y.take(copy0) - y.take(copy1)).ravel()  # G^T y, per multiplier
-        g[-1] = np.sum(el.c * y[:, nd:]) - b[-1]
+        # summed in element order, so that its bits do not depend on the rounds
+        g[-1] = np.sum((self.c * y[:, nd:])[self.row]) - b[-1]
         xi = self.fronts.solve(g)
 
         ties = xi[:-1].reshape(copy0.shape)  # G xi
         f.put(copy0, f.take(copy0) - ties)
         f.put(copy1, f.take(copy1) + ties)
-        f[:, nd:] -= el.c * xi[-1]
+        f[:, nd:] -= self.c * xi[-1]
         x_loc = el.apply(f, self.inv)
 
         x = np.empty(len(b))
         x[idx] = x_loc
-        x[idx.take(copy0)] = x_loc.take(copy0)  # a shared dof takes copy 0's value
+        x[self.shared] = x_loc.take(copy0)  # a shared dof takes copy 0's value
         x[-1] = xi[-1]
         return x
 

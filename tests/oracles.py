@@ -16,7 +16,9 @@ the canonical BDM interpolant, the pressure projection and the constant
 pressure live here: only the tests read them.  So do the pressure index
 of each element, the expanded element blocks and the COO scatter of the
 global matrices from them, the reference of the program's one-pass CSR
-builder, the COO build of the interface matrix, the matrix that the
+builder, the element apply on blocks gathered a chunk of elements at a
+time, the reference of the program's one in class order, with the classes
+in key order, the COO build of the interface matrix, the matrix that the
 solver's tree factor factors, with the closed form of the fronts' sizes,
 and the hybridized apply on per-dof multiplier and sign arrays, the
 reference of the solver's per-edge one.  The mesh's
@@ -35,7 +37,7 @@ from hypothesis import strategies as st
 from numpy.polynomial.legendre import legvander
 
 from bdmdarcy import solver
-from bdmdarcy.assembly import ShapeFunctions, _contract
+from bdmdarcy.assembly import ShapeFunctions, _contract, _element_index
 from bdmdarcy.femcore import edge_quadrature, triangle_quadrature
 from bdmdarcy.femcore.basis import triangle_basis
 from bdmdarcy.femcore.element import REF_EDGES, REF_VERTICES, _bubble_times
@@ -409,6 +411,34 @@ def expand(elements):
     return out
 
 
+def key_classes(asm):
+    """Each element's class in key order, the numbering before classes came
+    largest first: the rows of (g = J^T J / det, det) as bit patterns, with
+    each element that has a boundary edge (the owners of the boundary terms,
+    and in strong mode the elements with constrained dofs) alone, numbered
+    by ``np.unique`` over the rows."""
+    mesh, nel = asm.mesh, len(asm.det)
+    g = np.einsum("eba,ebc->eac", asm.jac, asm.jac) / asm.det[:, None, None]
+    key = np.column_stack([g.reshape(nel, 4), asm.det, np.zeros(nel)]).view(np.int64)
+    alone = np.unique(mesh.edge_tris[mesh.boundary_edges, 0])
+    key[alone, -1] = alone + 1
+    return np.unique(key, axis=0, return_inverse=True)[1].ravel()
+
+
+def element_apply(elements, x, blocks=None, chunk=256):
+    """S_K blocks[cls[K]] S_K x[K] for every element K, with x and the
+    result in element order, the blocks gathered ``chunk`` elements at a
+    time: the reference of ``ElementBlocks.apply``, which runs in round
+    order on prefixes of the blocks."""
+    blocks = elements.matrix if blocks is None else blocks
+    y = elements.flip * x
+    for start in range(0, len(y), chunk):
+        part = slice(start, start + chunk)
+        y[part] = (blocks[elements.cls[part]] @ y[part, :, None])[:, :, 0]
+    y *= elements.flip
+    return y
+
+
 def scatter(local, rows, cols, shape):
     """Sum element blocks local[e] into a CSR matrix at (rows[e], cols[e])
     through COO triplets, dropping the entries that are zero: the reference
@@ -553,7 +583,7 @@ def hybrid_apply_per_dof(system, hybrid, b):
     holder = np.ones(el.udofs.shape, dtype=bool)
     holder[:, :ne] = sign >= 0
     f = np.concatenate([np.where(holder, b[el.udofs], 0.0), b[n_u:-1].reshape(el.c.shape)], axis=1)
-    y = el.apply(f, hybrid.inv)
+    y = element_apply(el, f, hybrid.inv)
 
     g = np.empty(theta + 1)
     inner = multiplier >= 0
@@ -563,7 +593,7 @@ def hybrid_apply_per_dof(system, hybrid, b):
 
     f[:, :ne] -= sign * xi[multiplier]  # sign 0 where there is no multiplier
     f[:, nd:] -= el.c * xi[theta]
-    x_loc = el.apply(f, hybrid.inv)
+    x_loc = element_apply(el, f, hybrid.inv)
 
     u = np.empty(n_u)
     u[el.udofs[holder]] = x_loc[:, :nd][holder]
@@ -573,7 +603,8 @@ def hybrid_apply_per_dof(system, hybrid, b):
 def scattered_operator(system):
     """The saddle operator's CSR as the sum of three COO scatters: the
     expanded element blocks, the column c and the row c."""
-    n, idx, c = system.dimension, system._index, system.elements.c
+    n, c = system.dimension, system.elements.c
+    idx = _element_index(system.elements, system.n_u)
     col = scatter(c[:, :, None], idx[:, -c.shape[1]:], np.full((len(c), 1), n - 1), (n, n))
     return scatter(expand(system.elements), idx, idx, (n, n)) + col + col.T
 
