@@ -46,21 +46,29 @@ values and the pressure basis at the same nodes.  All of these, and the
 vertex velocities of the field export, evaluate shape functions through one
 batched evaluator, ``ShapeFunctions``.
 
-The system is held once, as one block per distinct element.  Away from the
+The system is held once, as one block per element shape.  Away from the
 boundary, L_K depends on K only through (g = J^T J / det, det) and its
 signs: L_K = S_K L^(g, det) S_K, S_K padded with +1 on pressure (the tensor
-representation of Kirby & Logg).  ``Assembler.elements`` groups the
-elements by the exact bit patterns of (g, det) and writes one unsigned
-block L^ per class, largest class first; each element that takes a
-boundary term (in strong mode, identity rows and columns) is a class of
-its own.  The classes are 37% of the elements at disk k=3 level 5, 41% at
-ring level 4, and 87-100% at levels <= 2.  ``SaddleSystem.matvec``
-applies S_K L^ S_K element by element, in rounds of one element per class
-on a prefix of the class blocks (``ElementBlocks.apply``), and the
-hybridized solve (``solver``) inverts each class block once.  Sign flips
-are exact and LU with partial pivoting is sign-symmetric, so every signed
-block, product and inverse equals, entry for entry, that of the element's
-own block.  The solve's interface goes to it as the mesh holds it, each
+representation of Kirby & Logg).  g does not change when an element is
+rotated or scaled, so rotated sectors and similar children of red
+refinement share one block in exact arithmetic.  ``Assembler.elements``
+groups the elements by (g, det) rounded far above round-off and far below
+any real difference in shape (``CLASS_BITS``), and writes one unsigned
+block L^ per class, from its representative's geometry, largest class
+first; each element that takes a boundary term (in strong mode, identity
+rows and columns) is a class of its own.  So a class is an element shape
+up to round-off: 312 classes for 6,144 elements at disk k=3 level 5, 630
+for 8,192 at ring level 4.  Every member takes its representative's
+geometry, the pressure integrals c of the border row too, so the element
+applies, the CSR and the solve use one operator exactly.
+``SaddleSystem.matvec`` applies S_K L^ S_K element by element
+(``ElementBlocks.apply``): in rounds of one element per class on a prefix
+of the class blocks, then the rest of each large class in one product
+with its block, and the hybridized solve (``solver``) inverts each class
+block once.  Sign flips are exact and LU with partial pivoting is
+sign-symmetric, so every signed block, product and inverse equals, entry
+for entry, that of the element's block from its class representative's
+geometry.  The solve's interface goes to it as the mesh holds it, each
 interior edge's two (triangle, local edge) copies
 (``ElementBlocks.copies``), and the solver numbers it.  The global
 sparse matrix is built on request only, by one builder, ``operator_csr``:
@@ -105,6 +113,17 @@ __all__ = [
     "build_saddle_system",
     "quadrature_orders",
 ]
+
+
+# the bits of (g, det) that the element classes key on: g rounded to
+# multiples of 2^-36 (its entries are O(1), as g does not depend on scale)
+# and det to a 36-bit mantissa.  Classes at k=3, with exact bits before:
+# disk L5 312 (2,301), L6 632-635 (4,639), ring L2 148 (446), L4 628-630
+# (3,381), the same for every quantum from 2^-20 to 2^-36.  Within a class
+# g and log2 det spread by at most 6.3e-14 (ring L4), round-off, and
+# distinct shapes are at least 7.3e-3 apart (disk L6).  A bucket edge that
+# splits a cluster costs one extra class, never accuracy.
+CLASS_BITS = 36
 
 
 def _matvec2(m, x):
@@ -209,9 +228,12 @@ class ElementBlocks:
 
     Element K's block L_K = [A_K B1_K^T; B0_K 0], in local (velocity,
     pressure) order, is ``flip[K] * matrix[cls[K]] * flip[K]`` (rows, then
-    columns): ``matrix`` holds one unsigned block per class of elements with
-    bit-identical geometry, largest class first, and ``flip[K]`` is S_K
-    padded with +1 on pressure.  Every boundary term is folded into the
+    columns): ``matrix`` holds one unsigned block per class, an element
+    shape up to round-off (``CLASS_BITS``), built from its representative's
+    geometry, largest class first, and ``flip[K]`` is S_K padded with +1 on
+    pressure.  ``apply`` runs ``rounds``, one element of each class per
+    batched product, then tails, the rest of each large class in one
+    product.  Every boundary term is folded into the
     edge's owner; in strong mode the rows and columns of the constrained
     velocity dofs are identity.  It is the only copy of the blocks:
     ``operator_csr`` writes the global CSR from ``matrix``, ``cls`` and
@@ -231,38 +253,48 @@ class ElementBlocks:
     flip: np.ndarray  # (nel, nd + npr) S_K, +1 on pressure
     udofs: np.ndarray  # (nel, nd) global velocity dofs of the local ones
     copies: np.ndarray  # (m, 2, 2) (triangle, local edge) per interior edge and copy
-    c: np.ndarray  # (nel, npr) theta_scale times the pressure basis integrals
+    c: np.ndarray  # (nel, npr) theta_scale times the representative's pressure integrals
 
     @cached_property
     def rounds(self):
-        """(order, flip, sizes): the elements in round order (row i of a
-        round-order array is element ``order[i]``), their signs ``flip`` in
-        that order, and each round's element count n_r.  Round r is the r-th
-        element (by index) of every class with more than r elements, in
-        class order: classes come largest first, so these are the classes
-        0..n_r - 1, and the round meets the contiguous blocks
-        ``matrix[:n_r]``."""
+        """(order, flip, sizes, tails): the elements in round order (row i
+        of a round-order array is element ``order[i]``), their signs
+        ``flip`` in that order, each round's element count n_r, and each
+        tail's.  Round r is the r-th element (by index) of every class with
+        more than r elements, in class order: classes come largest first, so
+        these are the classes 0..n_r - 1, and the round meets the contiguous
+        blocks ``matrix[:n_r]``.  After R rounds, tail c is the rest of class
+        c, for each class with more than R elements, in class order.  R
+        minimizes the number of batched products, R plus the number of
+        tails: one large class is one tail, not a round per element."""
         size = np.bincount(self.cls)
         by_class = np.argsort(self.cls, kind="stable")
         rank = np.empty(len(self.cls), np.int64)
         rank[by_class] = np.arange(len(by_class)) - np.repeat(np.cumsum(size) - size, size)
-        order = np.lexsort((self.cls, rank))
-        return order, self.flip[order], np.bincount(rank)
+        per_round = np.bincount(rank)
+        n_rounds = int(np.argmin(np.arange(len(per_round) + 1) + np.append(per_round, 0)))
+        tail = rank >= n_rounds
+        order = np.lexsort((np.where(tail, rank, self.cls), np.where(tail, self.cls, rank), tail))
+        return order, self.flip[order], per_round[:n_rounds], size[size > n_rounds] - n_rounds
 
     def apply(self, x, blocks=None):
         """S_K blocks[cls[K]] S_K x[K] for every element K, with x and the
         result of shape (nel, nd + npr) in round order (``rounds``);
         ``blocks`` defaults to ``matrix`` (the solver passes the class
         inverses).  Each round is one batched product with a prefix of
-        ``blocks``: the same per-element products as with gathered blocks,
-        so the same bits, and no (nel, nd + npr, nd + npr) array."""
+        ``blocks``, each tail one product broadcast from its class's block:
+        the same per-element products as with gathered blocks, so the same
+        bits, and no (nel, nd + npr, nd + npr) array.  (A GEMM per tail,
+        x @ block.T, is faster but moves the last bit.)"""
         blocks = self.matrix if blocks is None else blocks
-        _, flip, sizes = self.rounds
+        _, flip, sizes, tails = self.rounds
         x = flip * x
         y = np.empty_like(x)
         lo = 0
-        for n in sizes.tolist():
-            np.matmul(blocks[:n], x[lo : lo + n, :, None], out=y[lo : lo + n, :, None])
+        calls = [(blocks[:n], n) for n in sizes.tolist()]
+        calls += [(blocks[c], n) for c, n in enumerate(tails.tolist())]
+        for block, n in calls:
+            np.matmul(block, x[lo : lo + n, :, None], out=y[lo : lo + n, :, None])
             lo += n
         y *= flip
         return y
@@ -461,8 +493,10 @@ class Assembler:
         per class of elements into one (n_cls, nd + npr, nd + npr) array, and
         the two copies of each interior edge (see ``ElementBlocks``).
 
-        A class is the elements with the same bit patterns of (g, det); each
-        element that takes a boundary term is a class of its own.  A_K is
+        A class is the elements whose (g, det) round to the same key
+        (``CLASS_BITS``), with the first of them, by index, as the
+        representative whose geometry they all take; each element that
+        takes a boundary term is a class of its own.  A_K is
         mass + div-div, plus (corrected mode) each boundary edge's penalty in
         its owner; symmetric by construction.  B1_K is B0_K plus (corrected
         mode) the straight-normal term of the element's boundary edges.  In
@@ -481,7 +515,10 @@ class Assembler:
 
         jt = self.jac.transpose(0, 2, 1)
         g = _matvec2(jt[:, None], jt) / self.det[:, None, None]  # J^T J / det
-        key = np.column_stack([g.reshape(nel, 4), self.det, np.zeros(nel)]).view(np.int64)
+        mantissa, exponent = np.frexp(self.det)
+        det = np.ldexp(np.rint(np.ldexp(mantissa, CLASS_BITS)), exponent - CLASS_BITS)
+        g_key = np.rint(np.ldexp(g.reshape(nel, 4), CLASS_BITS)) + 0.0  # no -0.0
+        key = np.column_stack([g_key, det, np.zeros(nel)]).view(np.int64)
         key[alone, -1] = alone + 1
         # one class per distinct key, numbered largest first, ties in key
         # order (``ElementBlocks.apply`` runs on prefixes of the classes);
@@ -526,7 +563,7 @@ class Assembler:
             flip=np.concatenate([s, np.ones((nel, npr))], axis=1),
             udofs=self.gidx,
             copies=np.stack([mesh.edge_tris[interior], mesh.edge_slots[interior]], axis=2),
-            c=self.theta_scale * self.pressure_integrals().reshape(nel, -1),
+            c=self.theta_scale * self.pressure_integrals().reshape(nel, -1)[rep][cls],
         )
 
     def matrix_a(self):

@@ -3,23 +3,25 @@
 The solve is a hybridized one (Arnold-Brezzi).  Normal continuity
 is broken on interior edges and restored by k+1 multipliers per edge; the
 element blocks L_K = S_K L^ S_K of ``SaddleSystem.elements`` (every
-boundary term belongs to one element) are inverted once per class of
-bit-identical blocks L^, in one batched call, and L_K^-1 is S_K L^^-1 S_K
-bit for bit (partial pivoting chooses by magnitude, and sign flips are
-exact).  What is left is a sparse interface system on the multipliers,
-which the solver numbers edge by edge: it orders the table of each interior
-edge's two copies (``ElementBlocks.copies``) by nested dissection of the
-triangle tree (``_nested_dissection``; George 1973, Lipton, Rose & Tarjan
-1979), and factors it on that tree in dense fronts (``_Fronts``;
+boundary term belongs to one element) are inverted once per class, an
+element shape up to round-off whose members share one block L^, in one
+batched call, and L_K^-1 is S_K L^^-1 S_K bit for bit (partial pivoting
+chooses by magnitude, and sign flips are exact).  What is left is a sparse
+interface system on the multipliers, which the solver numbers edge by
+edge: it orders the table of each interior edge's two copies
+(``ElementBlocks.copies``) by nested dissection of the triangle tree
+(``_nested_dissection``; George 1973, Lipton, Rose & Tarjan 1979), and
+factors it on that tree in dense fronts (``_Fronts``;
 multifrontal: Duff & Reid 1983, Liu 1992), one batched step per bit of the
 triangle index, with numpy alone; the factor is kept as three arrays per
 bit, and each sweep of a solve is one gather, one batched product and one
 scatter per bit.  No interface matrix is assembled: each element's block
-G~^T L_K^-1 G~ (``_leaves``, from the class-level blocks) goes straight
-into the front where its first multiplier is eliminated.
-``_Hybrid.apply`` gathers the load straight into the round order of
-``ElementBlocks.apply`` (one batched product per round, on a prefix of the
-class inverses) and ties the copies edge by edge.  The system's last unknown,
+G~^T L_K^-1 G~ (``_leaves``, signed from the class-level blocks in the
+batch of fronts that takes it) goes straight into the front where its
+first multiplier is eliminated.  ``_Hybrid.apply`` gathers the load
+straight into the round order of ``ElementBlocks.apply`` (one batched
+product per round, on a prefix of the class inverses, then one per tail)
+and ties the copies edge by edge.  The system's last unknown,
 theta (the pressure-mean multiplier with the boundary-mean term folded in;
 see ``build_saddle_system``), is the last interface unknown, whose row is
 c.p = gauge, and is returned as it is.  Velocity and pressure are recovered
@@ -81,17 +83,19 @@ def _nested_dissection(copies):
 
 
 def _leaves(el, inv, tris, slots):
-    """Each element's block of the interface matrix sum_K G_K^T L_K^-1 G_K,
-    (nel, 3(k+1) + 1, 3(k+1) + 1) on its local edge dofs and theta, from the
-    class inverses ``inv``: G~^T L^^-1 G~ is formed once per class, with G~
-    the unsigned edge-dof columns and the c column of theta, and element K's
-    block is its class's with the rows and columns of its edge dofs times
-    sign * S_K, with sign +1 on copy 0 of an edge of the table (tris,
-    slots), -1 on copy 1 and 0 on a boundary edge."""
+    """``leaves(rows)``: the elements ``rows``' blocks of the interface
+    matrix sum_K G_K^T L_K^-1 G_K, (len(rows), 3(k+1) + 1, 3(k+1) + 1) on
+    their local edge dofs and theta, from the class inverses ``inv``:
+    G~^T L^^-1 G~ is formed once per class, with G~ the unsigned edge-dof
+    columns and the c column of theta, and element K's block is its
+    class's with the rows and columns of its edge dofs times sign * S_K,
+    with sign +1 on copy 0 of an edge of the table (tris, slots), -1 on
+    copy 1 and 0 on a boundary edge.  The factor builds them a batch of
+    fronts at a time, so no (nel, 3(k+1) + 1, 3(k+1) + 1) array is held."""
     nd = el.udofs.shape[1]
     ne = 3 * isqrt(nd)  # edge dofs: nd = (k+1)(k+2)
     c = np.empty((len(inv), el.c.shape[1]))
-    c[el.cls] = el.c  # c_K depends on det only, so it is one per class
+    c[el.cls] = el.c  # c_K is its class representative's, so it is one per class
     # the edge-dof rows of L^^-1 G~ (its c column is L^^-1 c), then theta's
     # row c^T times its pressure rows
     lc = inv[:, :, nd:] @ c[:, :, None]
@@ -102,11 +106,15 @@ def _leaves(el, inv, tris, slots):
     q[:, ne:, ne:] = c[:, None, :] @ lc[:, nd:]
     sign = np.zeros((len(el.cls), 3))
     sign[tris, slots] = (1.0, -1.0)
-    d = np.ones((len(el.cls), ne + 1))
-    d[:, :ne] = sign.repeat(ne // 3, axis=1) * el.flip[:, :ne]
-    leaves = q[el.cls]
-    leaves *= d[:, :, None]
-    leaves *= d[:, None, :]
+
+    def leaves(rows):
+        d = np.ones((len(rows), ne + 1))
+        d[:, :ne] = sign[rows].repeat(ne // 3, axis=1) * el.flip[rows, :ne]
+        out = q[el.cls[rows]]
+        out *= d[:, :, None]
+        out *= d[:, None, :]
+        return out
+
     return leaves
 
 
@@ -212,7 +220,11 @@ class _Fronts:
     fixed order; one batched LAPACK inverse (LU with partial pivoting) of
     the separator blocks F11 follows, then the Schur update
     F22 - F21 F11^-1 F12, which waits, one array per batch, as a child of
-    the fronts above and is freed once they are built.  Kept, in one
+    the fronts above and is freed once they are built.  A waiting source
+    whose rows go to fronts of two bits is split in two when the lower
+    one is built, and freed at once.  The leaves wait as element numbers,
+    and a batch signs its own from the class-level blocks, which are freed
+    once every leaf is in its front.  Kept, in one
     buffer, are F11^-1, F11^-1 F12 and F21, three arrays per bit of which
     each batch fills a slice: ``fill`` counts their entries without the
     padding, sum over the fronts of s^2 + 2 s b (s separator and b
@@ -231,8 +243,10 @@ class _Fronts:
         codes = np.full((n_tri, 3), none)  # row i's copies are 2 i + side
         codes[tris, slots] = 2 * np.arange(m)[:, None] + np.arange(2)
         # what waits for its front: (a triangle of each node, the edge codes
-        # of its blocks' dof slots, theta last, the blocks)
-        pending = [(np.arange(n_tri), codes, _leaves(el, inv, tris, slots))]
+        # of its blocks' dof slots, theta last, the blocks); the leaves wait
+        # as their element numbers, and are built in the batch that takes them
+        leaves = _leaves(el, inv, tris, slots)
+        pending = [(np.arange(n_tri), codes, np.arange(n_tri))]
         bits = list(_tree(tris, n_tri, k1))
         self.fill = sum(bit.fill for bit in bits)
         # one buffer for everything kept: at the finest levels it is above
@@ -252,7 +266,8 @@ class _Fronts:
             b, fronts, f, s = bit.b, bit.fronts, bit.f, bit.s
             # the children of this bit's fronts, in the order of their fronts
             here, left = [], []
-            for rep, child, block in pending:
+            for i, (rep, child, block) in enumerate(pending):
+                pending[i] = None  # a source split in two is freed at once
                 parent = bit.index[rep >> b]
                 go = parent >= 0
                 if go.all():
@@ -274,8 +289,10 @@ class _Fronts:
                 parts = []
                 for parent, child, block in here:
                     a, z = np.searchsorted(parent, (lo, hi))
-                    if a < z:
-                        parts.append((parent[a:z] - lo, child[a:z], block[a:z].ravel()))
+                    if a < z:  # the leaves are element numbers until here
+                        rows = block[a:z] if block.ndim > 1 else leaves(block[a:z])
+                        parts.append((parent[a:z] - lo, child[a:z], rows.ravel()))
+                        del rows
                 here = [src for src in here if src[0][-1] >= hi]  # free what is used up
                 if len(parts) == 1:
                     idx, weights = _extend_add(parts[0][0], at[parts[0][1]], f), parts[0][2]
@@ -305,6 +322,8 @@ class _Fronts:
                     left.append((fronts[lo:hi] << b, bit.bcodes[lo:hi], schur))
             self.levels.append((bit.sep, bit.bnd, f11inv, upper, lower))
             pending = left
+            if all(block.ndim > 1 for *_, block in pending):
+                leaves = None  # every leaf is in its front: free the class blocks
 
     def solve(self, g):
         """The interface unknowns for the interface load g."""

@@ -5,7 +5,8 @@ assembled sparse matrices or the batched element arrays: mostly by explicit
 quadrature through LocalField evaluations, and in ``element_blocks`` by the
 reference tables contracted one element at a time.  ``signed_blocks`` is
 the exception: the assembler's own arithmetic applied to every element's
-geometry and signs, with no classes, for comparisons bit for bit.  The boundary terms go
+geometry, or its class representative's, and signs, with no classes, for
+comparisons bit for bit.  The boundary terms go
 edge by edge: per-edge projection data, physical mixed partials by the
 chain rule, and the Taylor sum assembled from them, where the program
 computes the same traces for all boundary nodes at once.
@@ -37,7 +38,7 @@ from hypothesis import strategies as st
 from numpy.polynomial.legendre import legvander
 
 from bdmdarcy import solver
-from bdmdarcy.assembly import ShapeFunctions, _contract, _element_index
+from bdmdarcy.assembly import CLASS_BITS, ShapeFunctions, _contract, _element_index
 from bdmdarcy.femcore import edge_quadrature, triangle_quadrature
 from bdmdarcy.femcore.basis import triangle_basis
 from bdmdarcy.femcore.element import REF_EDGES, REF_VERTICES, _bubble_times
@@ -368,19 +369,43 @@ def element_blocks(asm):
     return blocks, dof
 
 
-def signed_blocks(asm):
+def representatives(el):
+    """Each element's class representative, the lowest-numbered element of
+    its class."""
+    return np.unique(el.cls, return_index=True)[1][el.cls]
+
+
+def of_representatives(el, blocks):
+    """Each element's class representative's block from the per-element
+    ``blocks`` (nel, nd + npr, nd + npr), with the element's own signs:
+    S_K S_R L_R S_R S_K, R the representative."""
+    rep = representatives(el)
+    flip = el.flip * el.flip[rep]
+    return flip[:, :, None] * blocks[rep] * flip[:, None, :]
+
+
+def round_off(mesh, curves):
+    """The vertices' round-off relative to the domain's size, in units of
+    that on a domain centred at the origin: max |x| / r_outer, at least 1.
+    Elements of one shape differ by that much more off the origin."""
+    return max(1.0, np.abs(mesh.vertices).max() / curves[0].radius)
+
+
+def signed_blocks(asm, geometry=None):
     """The (nel, nd + npr, nd + npr) blocks L_K with the arithmetic of
-    ``Assembler.elements`` applied to each element: mass + div-div from its
-    own (g, det), signed by S_K, then its boundary terms (corrected mode) or
-    identity rows and columns at its constrained dofs (strong mode)."""
+    ``Assembler.elements`` applied to each element: mass + div-div from the
+    (g, det) of element ``geometry[K]`` (default: K's own), signed by S_K,
+    then its boundary terms (corrected mode) or identity rows and columns at
+    its constrained dofs (strong mode)."""
     t = asm.tables
     nel, nd, npr = asm.mesh.n_triangles, t.element.dim, t.pressure.dim
     s = asm.dof_sign
+    geometry = np.arange(nel) if geometry is None else geometry
     blocks = np.zeros((nel, nd + npr, nd + npr))
     a, bt, b0 = blocks[:, :nd, :nd], blocks[:, :nd, nd:], blocks[:, nd:, :nd]
     g = np.einsum("eba,ebc->eac", asm.jac, asm.jac) / asm.det[:, None, None]
-    a[...] = _contract(g, t.s_mass)
-    a += t.s_div[None, :, :] / asm.det[:, None, None]
+    a[...] = _contract(g[geometry], t.s_mass)
+    a += t.s_div[None, :, :] / asm.det[geometry, None, None]
     a *= s[:, :, None]
     a *= s[:, None, :]
     b0[...] = t.b0_span * s[:, None, :]
@@ -413,13 +438,17 @@ def expand(elements):
 
 def key_classes(asm):
     """Each element's class in key order, the numbering before classes came
-    largest first: the rows of (g = J^T J / det, det) as bit patterns, with
-    each element that has a boundary edge (the owners of the boundary terms,
-    and in strong mode the elements with constrained dofs) alone, numbered
-    by ``np.unique`` over the rows."""
-    mesh, nel = asm.mesh, len(asm.det)
+    largest first: the rows of (g = J^T J / det, det) as bit patterns, g
+    rounded to multiples of 2^-CLASS_BITS and det to a CLASS_BITS-bit
+    mantissa, with each element that has a boundary edge (the owners of the
+    boundary terms, and in strong mode the elements with constrained dofs)
+    alone, numbered by ``np.unique`` over the rows."""
+    mesh, nel, bits = asm.mesh, len(asm.det), CLASS_BITS
     g = np.einsum("eba,ebc->eac", asm.jac, asm.jac) / asm.det[:, None, None]
-    key = np.column_stack([g.reshape(nel, 4), asm.det, np.zeros(nel)]).view(np.int64)
+    mantissa, exponent = np.frexp(asm.det)
+    det = np.round(mantissa * 2.0**bits) * 2.0 ** (exponent - bits)
+    key = np.column_stack([np.round(g.reshape(nel, 4) * 2.0**bits) + 0.0, det, np.zeros(nel)])
+    key = key.view(np.int64)  # +0.0 above: -0.0 has other bits
     alone = np.unique(mesh.edge_tris[mesh.boundary_edges, 0])
     key[alone, -1] = alone + 1
     return np.unique(key, axis=0, return_inverse=True)[1].ravel()

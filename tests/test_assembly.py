@@ -49,11 +49,14 @@ from oracles import (
     key_classes,
     local_field,
     norm_0h,
+    of_representatives,
     ordered_table,
     per_dof_multipliers,
     pressure_index,
     random_domains,
     relabelled,
+    representatives,
+    round_off,
     scatter,
     scattered_operator,
     signed_blocks,
@@ -250,7 +253,8 @@ def _same_csr(mat, expected):
 def test_lazy_matrix_blocks_equal_scattered_blocks(mode):
     """On a fixed disk, each block of the lazy operator is the COO scatter of
     its slice of the expanded element blocks, and the border row and column
-    are c; nothing else is stored."""
+    are c, each element's class representative's pressure integrals, within
+    round-off of its own; nothing else is stored."""
     asm = disk_assembler(2, 2, mode=mode)
     system = asm.system(case_circle())
     blocks, nd, pidx = expand(asm.elements), asm.gidx.shape[1], pressure_index(asm)
@@ -262,9 +266,11 @@ def test_lazy_matrix_blocks_equal_scattered_blocks(mode):
     ]
     for block, expected in pairs:
         assert block.nnz == expected.nnz and (block != expected).nnz == 0
-    c = asm.pressure_integrals()
+    own = asm.pressure_integrals().reshape(len(asm.det), -1)
+    c = own[representatives(asm.elements)].ravel()
     assert np.array_equal(mat[n_u:-1, -1].toarray().ravel(), c)
     assert np.array_equal(mat[-1, n_u:-1].toarray().ravel(), c)
+    assert np.abs(c - own.ravel()).max() <= 1e-14 * np.abs(own).max()
     assert mat.nnz == sum(block.nnz for block, _ in pairs) + 2 * np.count_nonzero(c)
 
 
@@ -318,7 +324,8 @@ def test_one_copy_of_the_element_blocks(mode):
 
 def test_distinct_blocks_are_held_once():
     """On a red-refined disk most elements share their block with another
-    (62% distinct at k=3 level 4), so losing the grouping fails here."""
+    (152 classes for 1,536 elements at k=3 level 4), so losing the grouping
+    fails here."""
     asm = disk_assembler(4, 3)
     assert len(asm.elements.matrix) < 0.75 * asm.mesh.n_triangles
 
@@ -326,19 +333,58 @@ def test_distinct_blocks_are_held_once():
 @settings(max_examples=25, deadline=None)
 @given(random_domains(), st.sampled_from(MODES), st.integers(1, 3), st.integers(0, 3))
 def test_class_blocks_are_the_element_blocks_bit_for_bit(curves, mode, k, level):
-    """The expanded class blocks are each element's own block, and the
-    inverse of each element's block is its class inverse with the signs
-    flipped, equal in every entry (array_equal: a zero's sign aside)."""
+    """The expanded class blocks are each element's block as built from its
+    class representative's geometry, bit for bit, and within round-off of
+    the block of its own geometry; the inverse of each element's block is
+    its class inverse with the signs flipped, equal in every entry
+    (array_equal: a zero's sign aside)."""
     mesh = coarse_mesh(curves)
     for _ in range(level):
         mesh = refine_project(mesh, curves)
     asm = Assembler(mesh, curves, k, mode=mode)
     el = asm.elements
     blocks = expand(el)
-    assert np.array_equal(blocks, signed_blocks(asm))
+    assert np.array_equal(blocks, signed_blocks(asm, representatives(el)))
+    own = signed_blocks(asm)
+    scale = np.linalg.norm(own, axis=(1, 2)) * round_off(mesh, curves)
+    assert np.all(np.linalg.norm(blocks - own, axis=(1, 2)) <= 1e-13 * scale)
     flip = el.flip
     inverses = flip[:, :, None] * np.linalg.inv(el.matrix)[el.cls] * flip[:, None, :]
     assert np.array_equal(np.linalg.inv(blocks), inverses)
+
+
+@settings(max_examples=25, deadline=None)
+@given(random_domains(), st.sampled_from(MODES), st.integers(1, 3), st.integers(0, 3))
+def test_classes_are_element_shapes_up_to_round_off(curves, mode, k, level):
+    """The members of a class lie within 1e-13 of each other in normalised
+    (g, log2 det), g over its largest entry, times the vertices' round-off
+    of ``round_off`` on a domain off the origin; two classes of shapes
+    (those with two or more members) are either as close (one shape split at
+    a bucket edge of the key) or at least 1e-6 apart (distinct shapes)."""
+    mesh = coarse_mesh(curves)
+    for _ in range(level):
+        mesh = refine_project(mesh, curves)
+    asm = Assembler(mesh, curves, k, mode=mode)
+    cls, nel = asm.elements.cls, mesh.n_triangles
+    g = np.einsum("eba,ebc->eac", asm.jac, asm.jac).reshape(nel, 4) / asm.det[:, None]
+    z = np.column_stack([g / np.abs(g).max(axis=1, keepdims=True), np.log2(asm.det)])
+    high, low = np.full((cls.max() + 1, 5), -np.inf), np.full((cls.max() + 1, 5), np.inf)
+    np.maximum.at(high, cls, z)
+    np.minimum.at(low, cls, z)
+    tol = 1e-13 * round_off(mesh, curves)
+    assert (high - low).max() <= tol
+    shapes = z[np.unique(cls, return_index=True)[1][np.bincount(cls) > 1]]
+    apart = np.abs(shapes[:, None] - shapes[None]).max(axis=2)[np.triu_indices(len(shapes), 1)]
+    assert np.all((apart <= tol) | (apart >= 1e-6))
+
+
+@pytest.mark.parametrize("domain,level,n_cls", [(disk_domain, 5, 312), (ring_domain, 4, 630)])
+def test_class_counts_at_the_finest_benchmark_levels(domain, level, n_cls):
+    """The finest levels of the benchmark's disk and ring studies hold one
+    class per element shape (k=3): 312 and 630 classes for 6,144 and 8,192
+    elements, where the exact bit patterns of (g, det) gave 2,301 and
+    3,381."""
+    assert len(Assembler(*_refined(domain, level), 3).elements.matrix) == n_cls
 
 
 @settings(max_examples=30, deadline=None)
@@ -358,10 +404,30 @@ def test_class_ordered_apply_is_the_gathered_one_byte_for_byte(
     el = Assembler(mesh, curves, k, mode=mode).elements
     order = el.rounds[0]
     assert np.array_equal(np.sort(order), np.arange(len(el.cls)))
+    check_apply(el, seed)
+
+
+def check_apply(el, seed):
     x = np.random.default_rng(seed).standard_normal(el.flip.shape)
+    order = el.rounds[0]
     assert el.apply(x[order]).tobytes() == element_apply(el, x)[order].tobytes()
     inv = np.linalg.inv(el.matrix)
     assert el.apply(x[order], inv).tobytes() == element_apply(el, x, inv)[order].tobytes()
+
+
+@pytest.mark.parametrize("domain,level,mode", [
+    (disk_domain, 3, "corrected"), (disk_domain, 5, "corrected"),
+    (ring_domain, 2, "corrected"), (disk_domain, 4, "uncorrected-strong"),
+])
+def test_apply_with_tails_is_the_gathered_one_byte_for_byte(domain, level, mode):
+    """Where the large classes end in tails (one product broadcast from a
+    class block over the rest of its elements), the apply is still the
+    gathered one, byte for byte."""
+    mesh, curves = _refined(domain, level)
+    el = Assembler(mesh, curves, 3, mode=mode).elements
+    _, _, sizes, tails = el.rounds
+    assert len(sizes) and len(tails)
+    check_apply(el, level)
 
 
 def _refined(domain, level):
@@ -514,8 +580,11 @@ def test_mesh_incidences_equal_the_searches_on_relabelled_meshes(setup, mode, k)
 def test_classes_come_largest_first_and_partition_the_elements_as_by_key(setup, mode, k):
     """The classes are the key-order classes of ``key_classes``, the same
     partition of the elements, renumbered largest first with ties in key
-    order; round r of ``ElementBlocks.rounds`` is the r-th element of every
-    class with more than r elements, classes in order, elements by index."""
+    order.  ``ElementBlocks.rounds`` runs R rounds, R the first minimum of
+    R plus the number of classes with more than R elements: round r is the
+    r-th element of every class with more than r elements, classes in
+    order, elements by index; then tail c, the rest of class c by index, for
+    each class with more than R elements, in class order."""
     mesh, curves = setup
     asm = Assembler(mesh, curves, k, mode=mode)
     cls, by_key = asm.elements.cls, key_classes(asm)
@@ -525,14 +594,18 @@ def test_classes_come_largest_first_and_partition_the_elements_as_by_key(setup, 
     assert by_key.max() + 1 == n_cls and np.array_equal(key_of[cls], by_key)
     size = np.bincount(cls)
     assert np.array_equal(np.lexsort((key_of, -size)), np.arange(n_cls))
-    order, flip, sizes = asm.elements.rounds
+    order, flip, sizes, tails = asm.elements.rounds
     assert np.array_equal(flip, asm.elements.flip[order])
-    assert np.array_equal(sizes, [np.sum(size > r) for r in range(size[0])])
-    rounds = np.split(order, np.cumsum(sizes)[:-1])
+    calls = [r + np.sum(size > r) for r in range(size[0] + 1)]
+    n_rounds = calls.index(min(calls))
+    assert np.array_equal(sizes, [np.sum(size > r) for r in range(n_rounds)])
+    assert np.array_equal(tails, size[size > n_rounds] - n_rounds)
+    parts = np.split(order, np.cumsum(np.concatenate([sizes, tails]))[:-1])
     members = [np.flatnonzero(cls == c) for c in range(n_cls)]
-    assert all(np.array_equal(cls[part], np.arange(len(part))) for part in rounds)
     assert all(np.array_equal(part, [members[c][r] for c in range(len(part))])
-               for r, part in enumerate(rounds))
+               for r, part in enumerate(parts[:n_rounds]))
+    assert all(np.array_equal(part, members[c][n_rounds:])
+               for c, part in enumerate(parts[n_rounds:]))
 
 
 def _shuffled(domain, level):
@@ -601,13 +674,14 @@ def _traced(build):
 def _factor_bound(el, inv, tris, fronts):
     """What the tree factorization may hold at its peak: what it keeps
     (F11^-1, F11^-1 F12, F21 and the dofs of every front), its input (the
-    class blocks G~^T L^^-1 G~ and each element's signed copy, the leaves),
-    half the largest bit's Schur complements, and one batch of fronts.
-    Measured with batches of 2**12 entries, the peak above the kept factor
-    and the input is 0.53 (disk level 3) and 0.43 (ring level 2) of the
-    largest bit's Schur complements, each of which is freed as soon as the
-    fronts above it are built; with one Schur buffer per bit, freed only
-    when its last parent is built, it is 0.89 and 0.60."""
+    class blocks G~^T L^^-1 G~ and room for each element's signed copy, the
+    leaves, which the factor builds a batch of fronts at a time), half the
+    largest bit's Schur complements, and one batch of fronts.  Measured with
+    batches of 2**12 entries, the peak above the kept factor and the input
+    is 0.54 (disk level 3) and 0.44 (ring level 2) of the largest bit's
+    Schur complements, each of which is freed as soon as the fronts above
+    it are built; with one Schur buffer per bit, freed only when its last
+    parent is built, it is 1.24 and 0.99."""
     ne = 3 * isqrt(el.udofs.shape[1])
     kept = sum(a.nbytes for level in fronts.levels for a in level)
     bits = list(solver._tree(tris, len(el.cls), ne // 3))
@@ -719,8 +793,10 @@ def test_uncorrected_strong_eliminates_boundary_moments():
 def test_element_arrays_on_power_of_two_meshes(levels, k):
     """Ring level j has 2^(5+2j) elements, where an element-fastest
     contraction result has a power-of-two stride.  The metric contractions
-    come out element-major, the blocks match the loop, and every element's
-    DOF matrix is the diagonal of its signs."""
+    come out element-major, the blocks match the loop's block of the class
+    representative, signed for the element, the loop's own block to within
+    the class's round-off spread, and every element's DOF matrix is the
+    diagonal of its signs."""
     curves = ring_domain()
     mesh = coarse_mesh(curves)
     for _ in range(levels):
@@ -731,8 +807,10 @@ def test_element_arrays_on_power_of_two_meshes(levels, k):
     g = np.einsum("eba,ebc->eac", asm.jac, asm.jac)
     assert assembly._contract(g, t.s_mass).flags.c_contiguous
     blocks, dof = element_blocks(asm)
-    error = np.linalg.norm(expand(asm.elements) - blocks, axis=(1, 2))
-    assert np.all(error <= 1e-14 * np.linalg.norm(blocks, axis=(1, 2)))
+    el, norm = asm.elements, np.linalg.norm(blocks, axis=(1, 2))
+    of_rep = of_representatives(el, blocks)
+    assert np.all(np.linalg.norm(expand(el) - of_rep, axis=(1, 2)) <= 1e-14 * norm)
+    assert np.all(np.linalg.norm(of_rep - blocks, axis=(1, 2)) <= 1e-13 * norm)
     assert np.abs(dof - asm.dof_sign[:, :, None] * np.eye(t.element.dim)).max() <= 1e-12
 
 

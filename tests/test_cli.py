@@ -135,16 +135,16 @@ def test_csv_deterministic_apart_from_wall_time(tmp_path):
 # CSV rows less wall_time, as written by --report
 PINNED_ROWS = {
     ("circle", 3, "1..2"): [
-        "1,0.61965683746373812,360,144,0.0058662028641590334,0.0060742796954734151,"
-        "0.0038690941663364724,0.012313572235602107,,4.3148140788016347e-15",
-        "2,0.33706269530518751,1392,576,0.00055300087931444526,0.00070948638278470774,"
-        "0.00049875842484528078,0.001398303254122554,3.5727601891316603,1.1561681267781133e-14",
+        "1,0.61965683746373812,360,144,0.0058662028641671329,0.0060742796954742781,"
+        "0.0038690941663354476,0.012313572235607329,,4.41253824149094e-15",
+        "2,0.33706269530518751,1392,576,0.00055300087933408525,0.0007094863827862034,"
+        "0.00049875842484195033,0.0013983032541324768,3.5727601891207024,1.0892692630590905e-14",
     ],
     ("ring", 2, "0..1"): [
         "0,0.5710695820026781,288,96,22.801976550699735,0.46763257752690024,"
         "0.33526827726567965,23.142039527186721,,3.5693564579747076e-16",
-        "1,0.30219543245250152,1056,384,5.8156024027510371,0.13037174035594046,"
-        "0.073995817549993778,5.8910593463046075,2.1498039043788513,2.0327047549148358e-15",
+        "1,0.30219543245250152,1056,384,5.8156024027510371,0.13037174035593818,"
+        "0.073995817549993265,5.8910593463046066,2.1498039043788517,1.8374002342438841e-15",
     ],
 }
 

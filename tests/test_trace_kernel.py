@@ -16,7 +16,9 @@ from oracles import (
     edge_geometries,
     element_blocks,
     expand,
+    of_representatives,
     random_domains,
+    round_off,
 )
 from oracles import taylor_trace_normal as slow_trace_normal
 
@@ -82,7 +84,10 @@ def test_batched_traces_match_per_edge_slow_path(setup):
     slow_exact = np.stack([slow_trace_normal(ExactPartials(case), e, asm.m) for e in edges])
     assert relative_gap(exact, slow_exact) <= 1e-12
 
-    # every boundary form of the blocks (penalty, straight-normal term)
+    # every boundary form of the blocks (penalty, straight-normal term), on
+    # the class representatives' geometry, and the class spread apart
     blocks, _ = element_blocks(asm)
-    error = np.linalg.norm(expand(asm.elements) - blocks, axis=(1, 2))
-    assert np.all(error <= 1e-14 * np.linalg.norm(blocks, axis=(1, 2)))
+    norm, of_rep = np.linalg.norm(blocks, axis=(1, 2)), of_representatives(asm.elements, blocks)
+    assert np.all(np.linalg.norm(expand(asm.elements) - of_rep, axis=(1, 2)) <= 1e-14 * norm)
+    spread = np.linalg.norm(of_rep - blocks, axis=(1, 2))
+    assert np.all(spread <= 1e-13 * round_off(mesh, curves) * norm)
