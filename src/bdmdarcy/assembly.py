@@ -257,25 +257,11 @@ class ElementBlocks:
 
     @cached_property
     def rounds(self):
-        """(order, flip, sizes, tails): the elements in round order (row i
-        of a round-order array is element ``order[i]``), their signs
-        ``flip`` in that order, each round's element count n_r, and each
-        tail's.  Round r is the r-th element (by index) of every class with
-        more than r elements, in class order: classes come largest first, so
-        these are the classes 0..n_r - 1, and the round meets the contiguous
-        blocks ``matrix[:n_r]``.  After R rounds, tail c is the rest of class
-        c, for each class with more than R elements, in class order.  R
-        minimizes the number of batched products, R plus the number of
-        tails: one large class is one tail, not a round per element."""
-        size = np.bincount(self.cls)
-        by_class = np.argsort(self.cls, kind="stable")
-        rank = np.empty(len(self.cls), np.int64)
-        rank[by_class] = np.arange(len(by_class)) - np.repeat(np.cumsum(size) - size, size)
-        per_round = np.bincount(rank)
-        n_rounds = int(np.argmin(np.arange(len(per_round) + 1) + np.append(per_round, 0)))
-        tail = rank >= n_rounds
-        order = np.lexsort((np.where(tail, rank, self.cls), np.where(tail, self.cls, rank), tail))
-        return order, self.flip[order], per_round[:n_rounds], size[size > n_rounds] - n_rounds
+        """(order, flip, sizes, tails): ``rounds`` of the classes ``cls``,
+        with the signs ``flip`` in round order (row i of a round-order array
+        is element ``order[i]``)."""
+        order, sizes, tails = rounds(self.cls)
+        return order, self.flip[order], sizes, tails
 
     def apply(self, x, blocks=None):
         """S_K blocks[cls[K]] S_K x[K] for every element K, with x and the
@@ -298,6 +284,27 @@ class ElementBlocks:
             lo += n
         y *= flip
         return y
+
+
+def rounds(cls):
+    """(order, sizes, tails): the items in round order, each round's item
+    count n_r, and each tail's, for the class ``cls`` of each item, the
+    classes numbered largest first.  Round r is the r-th item (by index) of
+    every class with more than r items, in class order: these are the
+    classes 0..n_r - 1, so the round meets the contiguous blocks
+    ``blocks[:n_r]``.  After R rounds, tail c is the rest of class c, for
+    each class with more than R items, in class order.  R minimizes the
+    number of batched products, R plus the number of tails: one large
+    class is one tail, not a round per item."""
+    size = np.bincount(cls)
+    by_class = np.argsort(cls, kind="stable")
+    rank = np.empty(len(cls), np.int64)
+    rank[by_class] = np.arange(len(by_class)) - np.repeat(np.cumsum(size) - size, size)
+    per_round = np.bincount(rank)
+    n_rounds = int(np.argmin(np.arange(len(per_round) + 1) + np.append(per_round, 0)))
+    tail = rank >= n_rounds
+    order = np.lexsort((np.where(tail, rank, cls), np.where(tail, cls, rank), tail))
+    return order, per_round[:n_rounds], size[size > n_rounds] - n_rounds
 
 
 class SaddleSystem:

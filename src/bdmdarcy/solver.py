@@ -13,18 +13,24 @@ edge: it orders the table of each interior edge's two copies
 (``_nested_dissection``; George 1973, Lipton, Rose & Tarjan 1979), and
 factors it on that tree in dense fronts (``_Fronts``;
 multifrontal: Duff & Reid 1983, Liu 1992), one batched step per bit of the
-triangle index, with numpy alone; the factor is kept as three arrays per
-bit, and each sweep of a solve is one gather, one batched product and one
-scatter per bit.  No interface matrix is assembled: each element's block
-G~^T L_K^-1 G~ (``_leaves``, signed from the class-level blocks in the
-batch of fronts that takes it) goes straight into the front where its
-first multiplier is eliminated.  ``_Hybrid.apply`` gathers the load
-straight into the round order of ``ElementBlocks.apply`` (one batched
-product per round, on a prefix of the class inverses, then one per tail)
-and ties the copies edge by edge.  The system's last unknown,
-theta (the pressure-mean multiplier with the boundary-mean term folded in;
-see ``build_saddle_system``), is the last interface unknown, whose row is
-c.p = gauge, and is returned as it is.  Velocity and pressure are recovered
+triangle index, with numpy alone.  Red refinement repeats element shapes,
+so it repeats whole subtrees: a subtree's pattern (``_tree``) is keyed
+bottom-up from the element classes, and all fronts of one pattern are one
+matrix once their multipliers are ordered and signed by the pattern's
+rule, so only one front per pattern is built and factored (disk k=3
+level 5: 482 patterns for 4,097 fronts).  The factor is kept as two
+arrays of blocks per bit, one block per pattern, and each sweep of a solve
+gathers each bit's multipliers in their fronts' signs and multiplies them
+by their patterns' blocks in rounds and tails, as the element applies do.
+No interface matrix is assembled: each element's block G~^T L_K^-1 G~
+(``_leaves``, one per class, taken in the signs of the front it enters)
+goes straight into the front where its first multiplier is eliminated.
+``_Hybrid.apply`` gathers the load straight into the round order of
+``ElementBlocks.apply`` (one batched product per round, on a prefix of the
+class inverses, then one per tail) and ties the copies edge by edge.  The
+system's last unknown, theta (the pressure-mean multiplier with the
+boundary-mean term folded in; see ``build_saddle_system``), is the last
+interface unknown, whose row is c.p = gauge, and is returned as it is.  Velocity and pressure are recovered
 element by element, and iterative refinement against the full operator
 (``SaddleSystem.matvec``, applied on the same element blocks) brings the
 residual to round-off (element blocks reach condition numbers of 6e8 at
@@ -48,6 +54,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from bdmdarcy.assembly import rounds
+
 __all__ = ["SolveReport", "solve"]
 
 RESIDUAL_CONTRACT = 1e-10
@@ -64,7 +72,7 @@ MAX_REFINEMENT_STEPS = 5
 class SolveReport:
     residual: float
     success: bool
-    fill: int = 0  # stored entries of the interface's fronts: sum of s^2 + 2 s b
+    fill: int = 0  # entries of the logical factor, every front's: sum of s^2 + 2 s b
     n_interface: int = 0  # interface unknowns: interior-edge multipliers and theta
     # read by bench/tracer.py: every solve is one LU, with no Krylov iterations
     method, iterations = "lu", 0
@@ -75,23 +83,23 @@ def _nested_dissection(copies):
     tree.  Red refinement numbers the children of triangle t 4t..4t+3, so an
     edge whose triangles first differ in bit b - 1 separates two subtrees
     of the subtree t >> b: edges come by that bit (finest separators first),
-    then by the subtree, then by index.  On any other numbering this is a
-    recursive bisection of the triangle index range, still a valid order."""
+    then by the subtree, then by their copy 0 (triangle, local edge), the
+    order of a front's separator slots (``_tree``).  On any other numbering
+    this is a recursive bisection of the triangle index range, still a
+    valid order."""
     t1, t2 = copies[:, 0, 0], copies[:, 1, 0]
     bit = np.frexp(t1 ^ t2)[1]  # bit_length, exact below 2^53
-    return np.lexsort((np.arange(len(copies)), t1 >> bit, bit))
+    return np.lexsort((3 * t1 + copies[:, 0, 1], t1 >> bit, bit))
 
 
-def _leaves(el, inv, tris, slots):
-    """``leaves(rows)``: the elements ``rows``' blocks of the interface
-    matrix sum_K G_K^T L_K^-1 G_K, (len(rows), 3(k+1) + 1, 3(k+1) + 1) on
-    their local edge dofs and theta, from the class inverses ``inv``:
-    G~^T L^^-1 G~ is formed once per class, with G~ the unsigned edge-dof
-    columns and the c column of theta, and element K's block is its
+def _leaves(el, inv):
+    """The leaves of the interface matrix sum_K G_K^T L_K^-1 G_K, one per
+    class, (n_cls, 3(k+1) + 1, 3(k+1) + 1) on the local edge dofs and theta:
+    G~^T L^^-1 G~ from the class inverses ``inv``, with G~ the unsigned
+    edge-dof columns and the c column of theta.  Element K's block is its
     class's with the rows and columns of its edge dofs times sign * S_K,
-    with sign +1 on copy 0 of an edge of the table (tris, slots), -1 on
-    copy 1 and 0 on a boundary edge.  The factor builds them a batch of
-    fronts at a time, so no (nel, 3(k+1) + 1, 3(k+1) + 1) array is held."""
+    sign +1 on copy 0 of an edge, -1 on copy 1 and 0 on a boundary edge:
+    the factor takes it in those signs (``_tree``)."""
     nd = el.udofs.shape[1]
     ne = 3 * isqrt(nd)  # edge dofs: nd = (k+1)(k+2)
     c = np.empty((len(inv), el.c.shape[1]))
@@ -104,18 +112,7 @@ def _leaves(el, inv, tris, slots):
     q[:, :ne, ne:] = lc[:, :ne]
     q[:, ne:, :ne] = c[:, None, :] @ inv[:, nd:, :ne]
     q[:, ne:, ne:] = c[:, None, :] @ lc[:, nd:]
-    sign = np.zeros((len(el.cls), 3))
-    sign[tris, slots] = (1.0, -1.0)
-
-    def leaves(rows):
-        d = np.ones((len(rows), ne + 1))
-        d[:, :ne] = sign[rows].repeat(ne // 3, axis=1) * el.flip[rows, :ne]
-        out = q[el.cls[rows]]
-        out *= d[:, :, None]
-        out *= d[:, None, :]
-        return out
-
-    return leaves
+    return q
 
 
 def _extend_add(parent, at, f):
@@ -129,74 +126,163 @@ def _extend_add(parent, at, f):
     return (idx[:, :, None] + pos[:, None, :]).ravel()
 
 
-def _tree(tris, n_tri, k1):
-    """The fronts of the refinement tree, bit by bit from the lowest, for
-    the triangles ``tris`` of the edge table in ``_nested_dissection``
-    order (see ``_Fronts``).  Per bit with fronts, a namespace of: the
-    fronts' nodes ``fronts`` and the front of each node ``index`` (-1:
-    none); their separator edge counts ``n_sep``; the padded front size f,
-    its eliminated dofs s (the separator, and theta in the root) and the
-    padded separator's ``pad`` dofs; ``slot``, each edge code's slot in its
-    front (2 i + side: a copy of row i; 2m: none); the multipliers of the
-    fronts' separator and boundary dofs ``sep`` and ``bnd`` (n: padding);
-    the codes of the boundary slots ``bcodes``; and ``fill``, the fronts'
-    s^2 + 2 s b without the padding."""
+def _apply_rounds(blocks, x, sizes, tails):
+    """blocks[p] x[i] for the rows x[i] of fronts of pattern p, in the round
+    order of ``assembly.rounds``: each round is one batched product with a
+    prefix of ``blocks``, each tail one GEMM with its pattern's block."""
+    y = np.empty((len(x), blocks.shape[1]))
+    lo = 0
+    for n in sizes.tolist():
+        np.matmul(blocks[:n], x[lo : lo + n, :, None], out=y[lo : lo + n, :, None])
+        lo += n
+    for p, n in enumerate(tails.tolist()):
+        np.matmul(x[lo : lo + n], blocks[p].T, out=y[lo : lo + n])
+        lo += n
+    return y
+
+
+def _number(key):
+    """The rows of the integer array ``key`` numbered 0, 1, ..., equal rows
+    alike (in the order of their bytes)."""
+    key = np.ascontiguousarray(key)
+    rows = key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).ravel()
+    return np.unique(rows, return_inverse=True)[1]
+
+
+def _tree(el, tris, slots):
+    """The fronts of the refinement tree and their patterns, bit by bit
+    from the lowest, for the elements ``el`` and the edge table (``tris``,
+    ``slots``) in ``_nested_dissection`` order (see ``_Fronts``).
+
+    A node's pattern is its two children's patterns and its separator, each
+    edge as its two copies' (triangle offset in the node, local edge) and
+    the sign of copy 1's dofs against copy 0's; a leaf's is its element's
+    class and which of its edges are interior.  A front's slots are its
+    separator edges by their copy 0 and its boundary edges by their copy in
+    the node, each in (triangle offset, local edge) order, so two fronts of
+    one pattern have one matrix in the signs of those copies, sign * S_K of
+    ``_leaves``: the pattern's, factored once.
+
+    Per bit with fronts, a namespace of: the fronts' nodes ``fronts``;
+    ``target``, per node, the pattern of which it is the representative
+    front (its first), -2 for any other front and -1 for no front; each
+    front's pattern ``pat`` (numbered largest first) and each pattern's
+    representative ``rep``; their separator edge counts ``n_sep``; the
+    padded front size f, its eliminated dofs s (the separator, and theta in
+    the root) and the padded separator's ``pad`` dofs; ``enter(codes)``,
+    the front dofs of edge codes (2 i + side: a copy of row i; 2m: none)
+    and their signs in the front against their own; the multipliers of the
+    fronts' separator and boundary dofs ``sep`` and ``bnd`` (n: padding)
+    and their signs ``sep_sign`` and ``bnd_sign``; the codes of the
+    boundary slots ``bcodes``; ``rounds`` of ``pat``; and ``fill``, the
+    fronts' s^2 + 2 s b without the padding."""
+    n_tri, k1 = len(el.cls), isqrt(el.udofs.shape[1])
     m = len(tris)
-    n, dof = k1 * m + 1, np.arange(k1)
+    n, dof, none = k1 * m + 1, np.arange(k1), 2 * m
     t1, t2 = tris[:, 0], tris[:, 1]
     bit = np.frexp(t1 ^ t2)[1]  # bit_length, exact below 2^53
+    # per edge code 2 i + side (2m: none): its copy's place (triangle, local
+    # edge), its multipliers and its dofs' signs sign * S_K; a separator's
+    # copy 1 enters its front in copy 0's signs, times ``turn``
+    place = 3 * tris.ravel() + slots.ravel()
+    multiplier = np.full((2 * m + 1, k1), n)  # n: padding
+    multiplier[:-1] = k1 * (np.arange(2 * m) >> 1)[:, None] + dof
+    own = np.ones((2 * m + 1, k1), np.int8)
+    own[:-1] = el.flip[tris.ravel()[:, None], k1 * slots.ravel()[:, None] + dof]
+    own[1:-1:2] *= -1
+    turn = np.ones_like(own)
+    turn[1:-1:2] = own[1:-1:2] * own[:-1:2]
+    turn_bits = (turn[1:-1:2] < 0) @ (1 << dof)
+    code_bit = np.append(np.repeat(bit, 2), 0)
+    interior = np.zeros((n_tri, 3), np.int64)
+    interior[tris, slots] = 1
+    pattern = _number(np.column_stack([el.cls, interior]))
     top = max(int(n_tri - 1).bit_length(), 1)
     for b in range(1, top + 1):
-        rows = np.flatnonzero(bit == b)  # by node, then index
+        rows = np.flatnonzero(bit == b)  # by node, then by copy 0
         node = t1[rows] >> b
-        fronts = np.unique(node) if b < top else np.zeros(1, np.int64)
+        n_nodes = ((n_tri - 1) >> b) + 1
+        n_sep_all = np.bincount(node, minlength=n_nodes)
+        s_edges = n_sep_all.max(initial=0)
+        rank = np.arange(len(rows)) - (np.cumsum(n_sep_all) - n_sep_all)[node]
+        children = np.full(2 * n_nodes, -1)  # nodes 2 v and 2 v + 1 of the bit below
+        children[: len(pattern)] = pattern
+        key = np.full((n_nodes, 2 + 3 * s_edges), -1)
+        key[:, :2] = children.reshape(n_nodes, 2)
+        base = node << b
+        key[node, 2 + 3 * rank] = place[2 * rows] - 3 * base
+        key[node, 3 + 3 * rank] = place[2 * rows + 1] - 3 * base
+        key[node, 4 + 3 * rank] = turn_bits[rows]
+        pattern = _number(key)
+
+        fronts = np.flatnonzero(n_sep_all) if b < top else np.zeros(1, np.int64)
         if not len(fronts):
             continue
-        index = np.full(((n_tri - 1) >> b) + 1, -1)
+        index = np.full(n_nodes, -1)
         index[fronts] = np.arange(len(fronts))
-        n_sep = np.bincount(index[node], minlength=len(fronts))
-        rank = np.arange(len(rows)) - (np.cumsum(n_sep) - n_sep)[index[node]]
+        n_sep = n_sep_all[fronts]
+        _, first, inverse, count = np.unique(pattern[fronts], return_index=True,
+                                             return_inverse=True, return_counts=True)
+        by_size = np.argsort(-count, kind="stable")
+        pat, rep = np.argsort(by_size)[inverse], first[by_size]
+        target = np.where(index >= 0, -2, -1)
+        target[fronts[rep]] = np.arange(len(rep))
+
         alive = np.flatnonzero(bit > b)
         code = np.concatenate([2 * alive, 2 * alive + 1])
-        owner = index[np.concatenate([t1[alive], t2[alive]]) >> b]
+        owner = index[tris.ravel()[code] >> b]
         code, owner = code[owner >= 0], owner[owner >= 0]
-        order = np.lexsort((code, owner))
+        order = np.lexsort((place[code], owner))
         code, owner = code[order], owner[order]
         n_bnd = np.bincount(owner, minlength=len(fronts))
         b_rank = np.arange(len(code)) - (np.cumsum(n_bnd) - n_bnd)[owner]
-        s_edges, b_edges = n_sep.max(initial=0), n_bnd.max(initial=0)
+        b_edges = n_bnd.max(initial=0)
         f = k1 * (s_edges + b_edges) + 1  # separator, boundary, theta
         slot = np.zeros(2 * m + 1, np.int64)
         slot[2 * rows], slot[2 * rows + 1] = rank, rank
         slot[code] = s_edges + b_rank
 
-        sep = np.full((len(fronts), s_edges, k1), n)
-        sep[index[node], rank] = k1 * rows[:, None] + dof
-        sep = sep.reshape(len(fronts), -1)
-        bnd = np.full((len(fronts), b_edges, k1), n)
-        bnd[owner, b_rank] = k1 * (code[:, None] >> 1) + dof
-        bnd = np.concatenate([bnd.reshape(len(fronts), -1), np.full((len(fronts), 1), n - 1)], 1)
-        bcodes = np.full((len(fronts), b_edges), 2 * m)
+        # the codes of the fronts' separator slots (copy 0) and boundary slots
+        scodes = np.full((len(fronts), s_edges), none)
+        scodes[index[node], rank] = 2 * rows
+        bcodes = np.full((len(fronts), b_edges), none)
         bcodes[owner, b_rank] = code
+        sep, sep_sign = multiplier[scodes].reshape(len(fronts), -1), own[scodes].reshape(len(fronts), -1)
+        # theta last, in its own sign
+        bnd = np.concatenate([multiplier[bcodes].reshape(len(fronts), -1), np.full((len(fronts), 1), n - 1)], 1)
+        bnd_sign = np.concatenate([own[bcodes].reshape(len(fronts), -1), np.ones((len(fronts), 1), np.int8)], 1)
         s, s_true, b_true = k1 * s_edges, k1 * n_sep, k1 * n_bnd + 1
         if b == top:  # the root eliminates theta too
-            sep, bnd, s, s_true, b_true = np.concatenate([sep, bnd], axis=1), bnd[:, :0], f, s_true + 1, 0
-        yield SimpleNamespace(b=b, fronts=fronts, index=index, n_sep=n_sep, f=f, s=s,
-                              pad=k1 * s_edges, slot=slot, sep=sep, bnd=bnd, bcodes=bcodes,
-                              fill=int(np.sum(s_true**2 + 2 * s_true * b_true)))
+            sep, sep_sign = np.concatenate([sep, bnd], axis=1), np.concatenate([sep_sign, bnd_sign], axis=1)
+            bnd, bnd_sign, s, s_true, b_true = bnd[:, :0], bnd_sign[:, :0], f, s_true + 1, 0
+
+        def enter(code, b=b, slot=slot, f=f):
+            """The front dofs (f: none) of the edge codes ``code``, (n, slots,
+            k+1), and their signs in the front against their own."""
+            at = k1 * slot[code][..., None] + dof
+            at[code == none] = f
+            return at, np.where(code_bit[code, None] == b, turn[code], 1)
+
+        yield SimpleNamespace(b=b, fronts=fronts, target=target, pat=pat, rep=rep, n_sep=n_sep,
+                              f=f, s=s, pad=k1 * s_edges, enter=enter, sep=sep, bnd=bnd,
+                              sep_sign=sep_sign, bnd_sign=bnd_sign, bcodes=bcodes,
+                              rounds=rounds(pat), fill=int(np.sum(s_true**2 + 2 * s_true * b_true)))
 
 
-# front entries per batch of ``_Fronts`` (1 MB): with each bit's fronts in
-# one batch, the front, its bincount, the flat indices and the Schur
-# complement peaked 40 MB above what the factor keeps at ring k=3 level 4,
-# and what glibc keeps of such freed batches raised the benchmark's peak by
-# 29% there; batches of 2**17 entries (1 MB) cost 3% of the factor's time
+# front entries per batch of ``_Fronts`` (1 MB): with each bit's patterns in
+# one batch, the fronts, their bincount, the flat indices and the Schur
+# complements peak 35 MB above what the factor keeps at ring k=3 level 4
+# (26 MB at disk level 5), and 15 MB (10 MB) in batches of 2**17 entries,
+# which cost no measurable time (within 1% of the factor, best of 5).
+# Before the factor was per pattern, what glibc kept of freed one-bit
+# batches raised the benchmark's peak by 29% on the ring
 FRONT_CHUNK = 2**17
 
 
 class _Fronts:
     """The interface matrix factored on the refinement tree (multifrontal;
-    Duff & Reid 1983, Liu 1992), and ``solve(g)`` ~ its inverse times g.
+    Duff & Reid 1983, Liu 1992), one front per pattern, and ``solve(g)`` ~
+    its inverse times g.
 
     The multipliers come numbered by ``_nested_dissection``; row i of the
     edge table (triangles t1 < t2) has k+1 multipliers and is eliminated at
@@ -207,32 +293,42 @@ class _Fronts:
     higher), and theta, which is in every front's boundary and is
     eliminated last, in the root (the node of the top bit, which holds
     every triangle).  The children of a front are the elements (the
-    leaves: element t's signed block G~^T L_t^-1 G~ of ``_leaves``, on its
-    local edge dofs and theta, zero on its boundary edges) and the fronts
-    below it whose lowest front ancestor it is.  Each of their variables is
-    in its front, as separator or boundary.
+    leaves: element t's block G~^T L_t^-1 G~ of ``_leaves``, on its local
+    edge dofs and theta, zero on its boundary edges) and the fronts below
+    it whose lowest front ancestor it is.  Each of their variables is in
+    its front, as separator or boundary.
 
-    The fronts of one bit are padded to the largest separator and boundary
-    of that bit (identity on padded separator dofs, zero on padded boundary
-    dofs) and go in batches of about FRONT_CHUNK entries.  A batch's
-    children enter it through one flat index map (``_extend_add``) and one
+    Red refinement repeats shapes, so most subtrees repeat: two fronts of
+    one pattern (``_tree``) are one matrix once their slots are ordered and
+    signed by the pattern's rule.  Only each pattern's representative front
+    is built and factored (disk k=3 level 5: 112 and 152 patterns for the
+    1,536 fronts of each of bits 1 and 2), from the children of the
+    representative: element classes and the patterns below.  The fronts of
+    one bit are padded to the largest separator and boundary of that bit
+    (identity on padded separator dofs, zero on padded boundary dofs) and
+    go in batches of about FRONT_CHUNK entries of the representatives.  A
+    batch's children, in the signs of their fronts (``enter`` of ``_tree``),
+    enter it through one flat index map (``_extend_add``) and one
     ``bincount`` over all of them, which sums the terms of an entry in a
     fixed order; one batched LAPACK inverse (LU with partial pivoting) of
-    the separator blocks F11 follows, then the Schur update
-    F22 - F21 F11^-1 F12, which waits, one array per batch, as a child of
-    the fronts above and is freed once they are built.  A waiting source
-    whose rows go to fronts of two bits is split in two when the lower
-    one is built, and freed at once.  The leaves wait as element numbers,
-    and a batch signs its own from the class-level blocks, which are freed
-    once every leaf is in its front.  Kept, in one
-    buffer, are F11^-1, F11^-1 F12 and F21, three arrays per bit of which
-    each batch fills a slice: ``fill`` counts their entries without the
-    padding, sum over the fronts of s^2 + 2 s b (s separator and b
-    boundary dofs; the root's s includes theta, and its b is 0).  ``solve``
-    runs the forward sweep by ascending bit, then the backward sweep by
-    descending bit, one gather, one batched product and one scatter per
-    bit, on one vector with a spare last slot that the padding reads and
-    writes as 0."""
+    the separator blocks F11 follows, then the Schur update F22 - F21
+    F11^-1 F12, which waits, one array per batch, as a child of the fronts
+    above every member of its patterns, and is freed once they are built.
+    The leaves wait as the class blocks, freed once every leaf is in its
+    front.  Kept, in one buffer, are [F11^-1; F21 F11^-1] and F11^-1 F12
+    per pattern, two arrays per bit of which each batch fills a slice, so
+    the forward sweep makes one product per front.  ``fill`` counts the
+    entries of F11^-1, F21 and F11^-1 F12 of every front, the logical
+    factor, without the padding: sum over the fronts of s^2 + 2 s b (s
+    separator and b boundary dofs; the root's s includes theta, and its b
+    is 0).  ``levels`` holds, per bit, the fronts' separator and boundary
+    multipliers in elimination order (bit by bit, front by front) and
+    their signs, the ``assembly.rounds`` of their patterns and the two
+    arrays.  ``solve`` runs the forward sweep by ascending bit, then the
+    backward sweep by descending bit: per bit, the fronts' multipliers are
+    gathered in their signs, put in round order and multiplied by their
+    patterns' blocks (``_apply_rounds``, a GEMM per tail), on one
+    vector with a spare last slot that the padding reads and writes as 0."""
 
     def __init__(self, el, inv, tris, slots):
         """The elements ``el``, their class inverses ``inv``, and ``tris``
@@ -243,16 +339,13 @@ class _Fronts:
         codes = np.full((n_tri, 3), none)  # row i's copies are 2 i + side
         codes[tris, slots] = 2 * np.arange(m)[:, None] + np.arange(2)
         # what waits for its front: (a triangle of each node, the edge codes
-        # of its blocks' dof slots, theta last, the blocks); the leaves wait
-        # as their element numbers, and are built in the batch that takes them
-        leaves = _leaves(el, inv, tris, slots)
-        pending = [(np.arange(n_tri), codes, np.arange(n_tri))]
-        bits = list(_tree(tris, n_tri, k1))
+        # of its block's dof slots, theta last, the row of its block, the
+        # blocks in the signs of its own slots); the leaves are the class blocks
+        pending = [(np.arange(n_tri), codes, el.cls, _leaves(el, inv))]
+        bits = list(_tree(el, tris, slots))
         self.fill = sum(bit.fill for bit in bits)
-        # one buffer for everything kept: at the finest levels it is above
-        # glibc's largest mmap threshold (32 MB), so it goes back to the
-        # system when freed, and the freed batches do not stay resident
-        store = np.empty(sum(len(bit.fronts) * bit.s * (2 * bit.f - bit.s) for bit in bits))
+        # one buffer for everything kept, each bit's blocks a slice of it
+        store = np.empty(sum(len(bit.rep) * bit.s * (2 * bit.f - bit.s) for bit in bits))
         used, self.levels = 0, []
 
         def keep(*shape):
@@ -263,82 +356,86 @@ class _Fronts:
 
         dof = np.arange(k1)
         for bit in bits:
-            b, fronts, f, s = bit.b, bit.fronts, bit.f, bit.s
-            # the children of this bit's fronts, in the order of their fronts
+            b, f, s, n_pat = bit.b, bit.f, bit.s, len(bit.rep)
+            # the children of this bit's representative fronts, by pattern;
+            # the children of the other fronts are dropped
             here, left = [], []
-            for i, (rep, child, block) in enumerate(pending):
-                pending[i] = None  # a source split in two is freed at once
-                parent = bit.index[rep >> b]
-                go = parent >= 0
-                if go.all():
-                    here.append((parent, child, block))
-                elif go.any():
-                    here.append((parent[go], child[go], block[go]))
-                    left.append((rep[~go], child[~go], block[~go]))
-                else:
-                    left.append((rep, child, block))
-            del pending, rep, child, block  # the last source too
-            at = k1 * bit.slot[:, None] + dof  # each code's dofs in its front
-            at[none] = f  # a slot without a multiplier: the spare row and column
-            n_fronts = len(fronts)
-            f11inv, upper = keep(n_fronts, s, s), keep(n_fronts, s, f - s)
-            lower = keep(n_fronts, f - s, s)
+            for i, (tri, code, row, block) in enumerate(pending):
+                pending[i] = None  # a source is freed once it is used up
+                target = bit.target[tri >> b]
+                wait = target == -1
+                if wait.any():
+                    left.append((tri[wait], code[wait], row[wait], block))
+                go = np.flatnonzero(target >= 0)
+                go = go[np.argsort(target[go], kind="stable")]
+                if len(go):
+                    here.append((target[go], code[go], row[go], block))
+            del pending, tri, code, row, block  # the last source too
+            # F11^-1 and F21 F11^-1 in one block, so that the forward sweep
+            # makes one product per front
+            forward, upper = keep(n_pat, f, s), keep(n_pat, s, f - s)
             per = max(1, FRONT_CHUNK // (f + 1) ** 2)
-            for lo in range(0, n_fronts, per):
-                hi = min(lo + per, n_fronts)
+            for lo in range(0, n_pat, per):
+                hi = min(lo + per, n_pat)
                 parts = []
-                for parent, child, block in here:
-                    a, z = np.searchsorted(parent, (lo, hi))
-                    if a < z:  # the leaves are element numbers until here
-                        rows = block[a:z] if block.ndim > 1 else leaves(block[a:z])
-                        parts.append((parent[a:z] - lo, child[a:z], rows.ravel()))
-                        del rows
+                for target, code, row, block in here:
+                    a, z = np.searchsorted(target, (lo, hi))
+                    if a < z:
+                        parts.append((target[a:z] - lo, code[a:z], row[a:z], block))
                 here = [src for src in here if src[0][-1] >= hi]  # free what is used up
-                if len(parts) == 1:
-                    idx, weights = _extend_add(parts[0][0], at[parts[0][1]], f), parts[0][2]
-                else:  # written in place: separate arrays and their concatenation raised the peak
-                    size = sum(len(part[2]) for part in parts)
-                    idx, weights, end = np.empty(size, np.int64), np.empty(size), 0
-                    for parent, child, block in parts:
-                        idx[end : end + len(block)] = _extend_add(parent, at[child], f)
-                        weights[end : end + len(block)] = block
-                        end += len(block)
-                del parts
+                # each child's block in the signs of its front, written in place:
+                # separate arrays and their concatenation raised the peak
+                size = sum(len(row) * block[0].size for *_, row, block in parts)
+                idx, weights, end = np.empty(size, np.int64), np.empty(size), 0
+                for parent, code, row, block in parts:
+                    rows = weights[end : end + len(row) * block[0].size].reshape((len(row),) + block.shape[1:])
+                    np.take(block, row, axis=0, out=rows)
+                    at, sign = bit.enter(code)
+                    i, j = np.nonzero(sign.reshape(len(row), -1) < 0)
+                    rows[i, j] *= -1.0
+                    rows[i, :, j] *= -1.0
+                    idx[end : end + rows.size] = _extend_add(parent, at, f)
+                    end += rows.size
+                del parts, rows
                 front = np.bincount(idx, weights, (hi - lo) * (f + 1) ** 2)
                 del idx, weights
                 front = front.reshape(hi - lo, f + 1, f + 1)[:, :f, :f]
-                v, r = np.nonzero(np.arange(bit.pad) >= k1 * bit.n_sep[lo:hi, None])
+                v, r = np.nonzero(np.arange(bit.pad) >= k1 * bit.n_sep[bit.rep[lo:hi], None])
                 front[v, r, r] = 1.0  # the padded separator dofs
 
                 try:
-                    f11inv[lo:hi] = np.linalg.inv(front[:, :s, :s])
+                    forward[lo:hi, :s] = np.linalg.inv(front[:, :s, :s])
                 except np.linalg.LinAlgError as exc:
                     raise RuntimeError("hybridized solve failed: singular interface matrix") from exc
-                np.matmul(f11inv[lo:hi], front[:, :s, s:], out=upper[lo:hi])
-                lower[lo:hi] = front[:, s:, :s]
+                np.matmul(forward[lo:hi, :s], front[:, :s, s:], out=upper[lo:hi])
+                np.matmul(front[:, s:, :s], forward[lo:hi, :s], out=forward[lo:hi, s:])
                 if s < f:
-                    schur = lower[lo:hi] @ upper[lo:hi]
+                    schur = front[:, s:, :s] @ upper[lo:hi]
                     np.subtract(front[:, s:, s:], schur, out=schur)
-                    left.append((fronts[lo:hi] << b, bit.bcodes[lo:hi], schur))
-            self.levels.append((bit.sep, bit.bnd, f11inv, upper, lower))
+                    members = np.flatnonzero((bit.pat >= lo) & (bit.pat < hi))
+                    left.append((bit.fronts[members] << b, bit.bcodes[members],
+                                 bit.pat[members] - lo, schur))
+            self.levels.append((bit.sep, bit.bnd, bit.sep_sign, bit.bnd_sign, *bit.rounds,
+                                forward, upper))
             pending = left
-            if all(block.ndim > 1 for *_, block in pending):
-                leaves = None  # every leaf is in its front: free the class blocks
 
     def solve(self, g):
         """The interface unknowns for the interface load g."""
         z = np.append(g, 0.0)
         ys = []
-        for sep, bnd, f11inv, upper, lower in self.levels:
-            y = (f11inv @ z[sep][:, :, None])[:, :, 0]
+        for sep, bnd, sep_sign, bnd_sign, order, sizes, tails, forward, _ in self.levels:
+            yw = _apply_rounds(forward, (z[sep] * sep_sign)[order], sizes, tails)
+            y, w = yw[:, : sep.shape[1]], yw[:, sep.shape[1] :]
             if bnd.size:
-                z -= np.bincount(bnd.ravel(), (lower @ y[:, :, None]).ravel(), len(z))
+                w *= bnd_sign[order]
+                z -= np.bincount(bnd[order].ravel(), w.ravel(), len(z))
             ys.append(y)
         x = np.zeros(self.n + 1)
-        for (sep, bnd, _, upper, _), y in zip(reversed(self.levels), reversed(ys)):
+        for (sep, bnd, sep_sign, bnd_sign, order, sizes, tails, _, upper), y in zip(
+                reversed(self.levels), reversed(ys)):
             if bnd.size:
-                y = y - (upper @ x[bnd][:, :, None])[:, :, 0]
-            x[sep] = y
+                y = y - _apply_rounds(upper, (x[bnd] * bnd_sign)[order], sizes, tails)
+            x[sep[order]] = y * sep_sign[order]
         return x[:-1]
 
 

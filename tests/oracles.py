@@ -438,14 +438,22 @@ def expand(elements):
 
 def key_classes(asm):
     """Each element's class in key order, the numbering before classes came
-    largest first: the rows of (g = J^T J / det, det) as bit patterns, g
-    rounded to multiples of 2^-CLASS_BITS and det to a CLASS_BITS-bit
-    mantissa, with each element that has a boundary edge (the owners of the
-    boundary terms, and in strong mode the elements with constrained dofs)
-    alone, numbered by ``np.unique`` over the rows."""
-    mesh, nel, bits = asm.mesh, len(asm.det), CLASS_BITS
-    g = np.einsum("eba,ebc->eac", asm.jac, asm.jac) / asm.det[:, None, None]
-    mantissa, exponent = np.frexp(asm.det)
+    largest first: ``mesh_classes`` of the assembler's mesh."""
+    return mesh_classes(asm.mesh)
+
+
+def mesh_classes(mesh):
+    """Each triangle's class in key order: the rows of (g = J^T J / det,
+    det) as bit patterns, g rounded to multiples of 2^-CLASS_BITS and det
+    to a CLASS_BITS-bit mantissa, with each triangle that has a boundary
+    edge (the owners of the boundary terms, and in strong mode the elements
+    with constrained dofs) alone, numbered by ``np.unique`` over the rows."""
+    nel, bits = mesh.n_triangles, CLASS_BITS
+    verts = mesh.vertices[mesh.triangles]
+    jac = np.stack([verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 0]], axis=-1)
+    det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
+    g = np.einsum("eba,ebc->eac", jac, jac) / det[:, None, None]
+    mantissa, exponent = np.frexp(det)
     det = np.round(mantissa * 2.0**bits) * 2.0 ** (exponent - bits)
     key = np.column_stack([np.round(g.reshape(nel, 4) * 2.0**bits) + 0.0, det, np.zeros(nel)])
     key = key.view(np.int64)  # +0.0 above: -0.0 has other bits
@@ -569,6 +577,51 @@ def front_fill(mesh, k):
             if b == top:
                 s, size = s + 1, 0
             total += s * s + 2 * s * size
+    return total
+
+
+def kept_entries(mesh, k):
+    """The closed form of the size of the tree factor's kept blocks: sum
+    over the bits with fronts of p s (2 f - s), with p the number of
+    distinct subtrees among the bit's fronts, and s and f its padded
+    separator and front sizes: (k+1) times the most separator edges of its
+    fronts, and s plus (k+1) times their most boundary edges plus 1 for
+    theta (the root's s is f; see ``front_fill``).  A subtree is keyed one
+    node at a time from ``mesh.edge_tris`` and ``mesh.edge_slots``: a
+    triangle by its class (``mesh_classes``) and which of its edges are
+    interior; node (bit, t >> bit) by its two children's keys and its
+    separator, the edges whose triangles first differ in bit - 1, each as
+    the (offset in the node, local edge) of its two triangles, sorted."""
+    interior = mesh.edge_tris[:, 1] >= 0
+    (t1, t2), (l1, l2) = mesh.edge_tris[interior].T, mesh.edge_slots[interior].T
+    bit = np.array([int(a ^ b).bit_length() for a, b in zip(t1, t2)], dtype=np.int64)
+    n_tri, k1 = mesh.n_triangles, k + 1
+    top = max((n_tri - 1).bit_length(), 1)
+    open_edges = np.ones((n_tri, 3), dtype=int)
+    open_edges[mesh.edge_tris[~interior, 0], mesh.edge_slots[~interior, 0]] = 0
+    keys = [(c, tuple(e)) for c, e in zip(mesh_classes(mesh).tolist(), open_edges.tolist())]
+    total = 0
+    for b in range(1, top + 1):
+        separators = {}
+        for i in np.flatnonzero(bit == b):
+            base = (int(t1[i]) >> b) << b
+            entry = (3 * (int(t1[i]) - base) + int(l1[i]), 3 * (int(t2[i]) - base) + int(l2[i]))
+            separators.setdefault(int(t1[i]) >> b, []).append(entry)
+        n_nodes = ((n_tri - 1) >> b) + 1
+        keys += [None] * (2 * n_nodes - len(keys))
+        number = {}  # a subtree's key -> a small number, so that keys stay flat
+        keys = [number.setdefault((keys[2 * v], keys[2 * v + 1], tuple(sorted(separators.get(v, [])))),
+                                  len(number)) for v in range(n_nodes)]
+        fronts = sorted(separators) if b < top else [0]
+        if not fronts:
+            continue
+        alive = bit > b  # the edges with their triangles in two nodes
+        boundary = np.bincount(np.concatenate([t1[alive], t2[alive]]) >> b, minlength=n_nodes)
+        s = k1 * max(len(separators.get(v, [])) for v in fronts)
+        f = s + k1 * int(boundary[fronts].max()) + 1
+        if b == top:
+            s = f
+        total += len({keys[v] for v in fronts}) * s * (2 * f - s)
     return total
 
 

@@ -321,3 +321,42 @@ def test_criterion_12_ring_optimal_order_at_high_degree(k):
         ok,
         f"last EOC {eoc:.3f} within [{k - 0.2}, {k + 0.3}]; largest residual {residual:.1e}",
     )
+
+
+def test_criterion_13_ring_rate_rises_with_the_taylor_order_at_high_degree():
+    """The paper's arbitrary-order claim with the Taylor order below k: on
+    the ring at k = 6, m = 0, 1, 2 over levels 0-2, the last EOC rises with
+    m (measured 1.615, 3.762 and 6.041), by more than 1 per order.  The
+    abstract states no formula for the rate as a function of m, so none is
+    asserted."""
+    studies = [study("ring", 6, m, "corrected", (0, 2)) for m in (0, 1, 2)]
+    eocs = [compute_eoc([r["E_total"] for r in rows], [r["h"] for r in rows])[-1] for rows in studies]
+    residual = max(r["residual"] for rows in studies for r in rows)
+    ok = all(b > a + 1 for a, b in zip(eocs, eocs[1:])) and residual <= 1e-10
+    report(
+        "criterion 13 (ring, k=6, m=0..2)",
+        ok,
+        f"last EOCs {[round(e, 3) for e in eocs]} rising by more than 1 per order; "
+        f"largest residual {residual:.1e}",
+    )
+
+
+# E_total of the disk from k = 4, where its cubic solution lies in the
+# discrete spaces: round-off alone, at most 9.8e-12 (k = 6, level 2) over
+# levels 0-2 and growing like h^-2, against k = 3's discretization error of
+# 1.4e-3 at level 2
+DISK_EXACT_FLOOR = 1e-10
+
+
+@pytest.mark.parametrize("k", [4, 5, 6])
+def test_criterion_14_disk_is_exact_from_degree_four(k):
+    rows = study("circle", k, k, "corrected", (0, 2))
+    worst = max(r["E_total"] for r in rows)
+    residual = max(r["residual"] for r in rows)
+    ok = worst <= DISK_EXACT_FLOOR and residual <= 1e-10
+    report(
+        f"criterion 14 (corrected disk, k={k}, m={k})",
+        ok,
+        f"largest E_total {worst:.1e} <= {DISK_EXACT_FLOOR:.0e} over levels 0-2; "
+        f"largest residual {residual:.1e}",
+    )

@@ -671,20 +671,22 @@ def _traced(build):
         tracemalloc.stop()
 
 
-def _factor_bound(el, inv, tris, fronts):
+def _factor_bound(el, inv, tris, slots, fronts):
     """What the tree factorization may hold at its peak: what it keeps
-    (F11^-1, F11^-1 F12, F21 and the dofs of every front), its input (the
-    class blocks G~^T L^^-1 G~ and room for each element's signed copy, the
-    leaves, which the factor builds a batch of fronts at a time), half the
-    largest bit's Schur complements, and one batch of fronts.  Measured with
-    batches of 2**12 entries, the peak above the kept factor and the input
-    is 0.54 (disk level 3) and 0.44 (ring level 2) of the largest bit's
-    Schur complements, each of which is freed as soon as the fronts above
-    it are built; with one Schur buffer per bit, freed only when its last
-    parent is built, it is 1.24 and 0.99."""
+    (the blocks of every pattern of fronts, and the dofs and signs of every
+    front), its input (the class blocks G~^T L^^-1 G~ and room for each
+    element's signed copy, the leaves, which the factor signs a batch of
+    fronts at a time), half the largest bit's Schur complements, counted
+    over all its fronts, and one batch of fronts.  Measured with batches
+    of 2**12 entries, the peak above the kept factor and the input is 0.15
+    (disk level 3) and -0.08 (ring level 2) of those Schur complements: the
+    factor holds one per pattern, each freed as soon as the fronts above
+    it are built.  With one per front, before the factor was per pattern,
+    it was 0.54 and 0.44, and 1.24 and 0.99 with one Schur buffer per bit,
+    freed only when its last parent is built."""
     ne = 3 * isqrt(el.udofs.shape[1])
     kept = sum(a.nbytes for level in fronts.levels for a in level)
-    bits = list(solver._tree(tris, len(el.cls), ne // 3))
+    bits = list(solver._tree(el, tris, slots))
     schur = max(len(bit.fronts) * (bit.f - bit.s) ** 2 * 8 for bit in bits)
     batch = max(solver.FRONT_CHUNK, max((bit.f + 1) ** 2 for bit in bits)) * 8
     blocks = (len(inv) + len(el.cls)) * (ne + 1) ** 2 * 8
@@ -702,7 +704,7 @@ def test_interface_build_holds_its_result_the_class_blocks_and_one_chunk(
     monkeypatch.setattr(solver, "FRONT_CHUNK", 2**12)
     el, inv, tris, slots = _interface_input(*_refined(domain, level), 3)
     fronts, peak = _traced(lambda: solver._Fronts(el, inv, tris, slots))
-    bound = _factor_bound(el, inv, tris, fronts)
+    bound = _factor_bound(el, inv, tris, slots, fronts)
     assert peak <= bound
     assert bound < fronts.n**2 * 8 / 8
     assert _traced(lambda: interface_coo(el, inv, tris, slots).toarray())[1] > bound
@@ -726,7 +728,7 @@ def test_solve_holds_the_class_inverses_the_factor_and_a_few_element_arrays(
     assert rep.success
     hybrid = solver._Hybrid(system)
     tris, slots = ordered_table(el)
-    factor = _factor_bound(el, hybrid.inv, tris, hybrid.fronts)
+    factor = _factor_bound(el, hybrid.inv, tris, slots, hybrid.fronts)
     bound = hybrid.inv.nbytes + factor + 4 * el.flip.nbytes
     assert peak <= bound
 

@@ -135,16 +135,16 @@ def test_csv_deterministic_apart_from_wall_time(tmp_path):
 # CSV rows less wall_time, as written by --report
 PINNED_ROWS = {
     ("circle", 3, "1..2"): [
-        "1,0.61965683746373812,360,144,0.0058662028641671329,0.0060742796954742781,"
-        "0.0038690941663354476,0.012313572235607329,,4.41253824149094e-15",
-        "2,0.33706269530518751,1392,576,0.00055300087933408525,0.0007094863827862034,"
-        "0.00049875842484195033,0.0013983032541324768,3.5727601891207024,1.0892692630590905e-14",
+        "1,0.61965683746373812,360,144,0.0058662028641683428,0.0060742796954767293,"
+        "0.0038690941663321655,0.012313572235606651,,4.5492157280893357e-15",
+        "2,0.33706269530518751,1392,576,0.00055300087931828474,0.00070948638278530839,"
+        "0.00049875842484251053,0.0013983032541226177,3.5727601891321914,1.245466475359673e-14",
     ],
     ("ring", 2, "0..1"): [
-        "0,0.5710695820026781,288,96,22.801976550699735,0.46763257752690024,"
-        "0.33526827726567965,23.142039527186721,,3.5693564579747076e-16",
-        "1,0.30219543245250152,1056,384,5.8156024027510371,0.13037174035593818,"
-        "0.073995817549993265,5.8910593463046066,2.1498039043788517,1.8374002342438841e-15",
+        "0,0.5710695820026781,288,96,22.801976550699731,0.46763257752690784,"
+        "0.33526827726568253,23.142039527186725,,3.9136659013044176e-16",
+        "1,0.30219543245250152,1056,384,5.8156024027510398,0.13037174035594262,"
+        "0.073995817549993209,5.8910593463046093,2.1498039043788508,1.9856797601736579e-15",
     ],
 }
 

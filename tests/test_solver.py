@@ -12,7 +12,7 @@ from bdmdarcy.analysis import case_circle, case_ring
 from bdmdarcy.assembly import Assembler, SaddleSystem
 from bdmdarcy import cli, solver
 from bdmdarcy.cli import StudyConfig
-from bdmdarcy.mesh import coarse_mesh, disk_domain, refine_project, ring_domain
+from bdmdarcy.mesh import _build_mesh, coarse_mesh, disk_domain, refine_project, ring_domain
 from bdmdarcy.solver import solve
 from domains import (
     case_polynomial_square,
@@ -27,6 +27,7 @@ from oracles import (
     hybrid_apply_per_dof,
     interface_coo,
     interface_fronts,
+    kept_entries,
     ordered_table,
     per_dof_multipliers,
     random_domains,
@@ -118,15 +119,19 @@ def test_report_gives_interface_size_and_repeatable_fill():
     assert rep1.fill > 0 and rep1.fill == rep2.fill
 
 
-def test_fill_counts_the_stored_entries_of_the_fronts():
+def test_fill_counts_the_logical_entries_of_the_fronts():
     """fill is sum over the fronts of s^2 + 2 s b, the entries of F11^-1,
-    F11^-1 F12 and F21 that the factor keeps, without the padding: a front's
-    s and b are its separator and boundary dofs that are not padding."""
+    F11^-1 F12 and F21 of every front, without the padding: a front's s
+    and b are its separator and boundary dofs that are not padding.  The
+    factor keeps those blocks once per pattern of fronts (see
+    ``test_kept_factor_is_the_closed_form_over_the_patterns``)."""
     system = disk_setup(levels=2, k=3).system(case_circle())
     fronts = solver._Hybrid(system).fronts
     fill = 0
-    for sep, bnd, inv, upper, lower in fronts.levels:
-        assert inv.shape[1:] == (sep.shape[1],) * 2 and upper.shape == lower.transpose(0, 2, 1).shape
+    for sep, bnd, *_, forward, upper in fronts.levels:
+        s, f = sep.shape[1], sep.shape[1] + bnd.shape[1]
+        assert forward.shape[1:] == (f, s) and upper.shape[1:] == (s, f - s)
+        assert len(forward) == len(upper) <= len(sep)
         s, b = np.sum(sep < fronts.n, axis=1), np.sum(bnd < fronts.n, axis=1)
         fill += int(np.sum(s * s + 2 * s * b))
     assert solve(system)[3].fill == fronts.fill == fill
@@ -240,7 +245,7 @@ def test_interface_fill_stays_near_minimum_degree(domain, level):
     assert lu.L.nnz + lu.U.nnz <= 1.10 * MMD_FILL[domain, level]
 
 
-# (interface unknowns, stored front entries) at k=3: an exact count tells a
+# (interface unknowns, logical front entries) at k=3: an exact count tells a
 # changed interface or tree from a changed padding.  SuperLU, which factored
 # the interface before the tree, stored 169,410, 879,266, 160,418 and
 # 906,210 entries (lu.nnz) here; minimum degree gave L.nnz + U.nnz of
@@ -260,6 +265,75 @@ def test_interface_size_and_fill_pinned(domain, level):
     rep = solve(asm.system(case))[3]
     assert rep.success and (rep.n_interface, rep.fill) == INTERFACE[domain, level]
     assert rep.fill == front_fill(asm.mesh, asm.k)
+
+
+# the patterns of fronts per bit, bits 1 up, at k=3: red refinement repeats
+# subtrees, so 1,536/1,536/384/384/96/96/24/24/6/6/3/1/1 fronts at disk
+# level 5 and 2,048/2,048/512/512/128/128/32/32/16/8/4/2/1 at ring level 4
+# are factored as these few
+PATTERNS = {
+    ("disk", 5): [112, 152, 52, 72, 22, 32, 9, 14, 6, 6, 3, 1, 1],
+    ("ring", 4): [192, 316, 92, 155, 38, 68, 32, 32, 16, 8, 4, 2, 1],
+}
+
+
+@pytest.mark.parametrize("domain,level", [("disk", 3), ("disk", 4), ("disk", 5),
+                                          ("ring", 2), ("ring", 3), ("ring", 4)])
+def test_kept_factor_is_the_closed_form_over_the_patterns(domain, level):
+    """The factor keeps its blocks once per pattern of fronts: the store is
+    ``kept_entries``, counted from the mesh alone, and at the finest
+    benchmark levels the patterns per bit are pinned."""
+    asm = k3_assembler(domain, level)
+    el = asm.elements
+    fronts = interface_fronts(el, np.linalg.inv(el.matrix), *ordered_table(el))
+    assert sum(forward.size + upper.size for *_, forward, upper in fronts.levels) == kept_entries(
+        asm.mesh, asm.k)
+    if (domain, level) in PATTERNS:
+        assert [len(forward) for *_, forward, _ in fronts.levels] == PATTERNS[domain, level]
+
+
+def _shuffled(mesh, curves):
+    """The mesh with its triangles in a shuffled order: no tree order."""
+    perm = np.random.default_rng(mesh.n_triangles).permutation(mesh.n_triangles)
+    return _build_mesh(mesh.vertices, mesh.triangles[perm], curves, level=mesh.level)
+
+
+def _refined(curves, level):
+    mesh = coarse_mesh(curves)
+    for _ in range(level):
+        mesh = refine_project(mesh, curves)
+    return mesh, curves
+
+
+PATTERN_SETUPS = {
+    "disk-L3": lambda: (*_refined(disk_domain(), 3), "corrected"),
+    "ring-L2": lambda: (*_refined(ring_domain(), 2), "corrected"),
+    "relabelled-disk-L3": lambda: (relabelled(*_refined(disk_domain(), 3), 3), disk_domain(),
+                                   "corrected"),
+    "shuffled-ring-L2": lambda: (_shuffled(*_refined(ring_domain(), 2)), ring_domain(), "corrected"),
+    "strong-disk-L3": lambda: (*_refined(disk_domain(), 3), "uncorrected-strong"),
+}
+
+
+@pytest.mark.parametrize("name", PATTERN_SETUPS)
+def test_pattern_factor_solves_the_dense_interface(name):
+    """Each front is its pattern's factor with its members' slots and signs:
+    the tree factor's solve of a random load is the dense solve of the COO
+    build of the interface matrix, which signs every element block by
+    itself, to round-off (1e-10 relative; backward error below 1e-14), at
+    k=3 on refined meshes, where most fronts share a pattern, on relabelled
+    and shuffled ones, where few do, and in strong mode."""
+    mesh, curves, mode = PATTERN_SETUPS[name]()
+    el = Assembler(mesh, curves, k=3, mode=mode).elements
+    inv = np.linalg.inv(el.matrix)
+    tris, slots = ordered_table(el)
+    fronts = interface_fronts(el, inv, tris, slots)
+    dense = interface_coo(el, inv, tris, slots).toarray()
+    g = np.random.default_rng(fronts.n).standard_normal(fronts.n)
+    x, expected = fronts.solve(g), np.linalg.solve(dense, g)
+    assert np.abs(x - expected).max() <= 1e-10 * np.abs(expected).max()
+    scale = np.abs(dense).sum(axis=1).max() * np.abs(x).max() + np.abs(g).max()
+    assert np.abs(dense @ x - g).max() <= 1e-14 * scale
 
 
 @pytest.mark.parametrize("k,m", [(k, m) for k in (1, 2, 3) for m in range(k + 1)])
