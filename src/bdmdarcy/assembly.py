@@ -658,8 +658,13 @@ def operator_csr(elements, n_u):
     scipy, which is imported here, on the first call."""
     import scipy.sparse as sp
 
+    c = elements.c.ravel()
+    N = elements.udofs.shape[1] + elements.c.shape[1]
+    # the two large arrays first, N entries per element row and theta's
+    # row, so that the temporaries cannot split the free space they need
+    size = len(elements.cls) * N * N + len(c)
+    indices, data = np.empty(size, np.int32), np.empty(size)
     idx = _element_index(elements, n_u)
-    N, c = idx.shape[1], elements.c.ravel()
     n = n_u + len(c) + 1
     rows = idx.ravel()
     order = np.argsort(rows, kind="stable")
@@ -667,7 +672,6 @@ def operator_csr(elements, n_u):
     length[-1] = len(c)
     indptr = np.zeros(n + 1, np.int32)
     np.cumsum(length, out=indptr[1:])
-    data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], np.int32)
     block, cols = data[: len(rows) * N].reshape(-1, N), indices[: len(rows) * N].reshape(-1, N)
     for first in range(0, len(order), ROW_CHUNK):
         part = slice(first, first + ROW_CHUNK)

@@ -171,11 +171,13 @@ def _tree(el, tris, slots):
     padded front size f, its eliminated dofs s (the separator, and theta in
     the root) and the padded separator's ``pad`` dofs; ``enter(codes)``,
     the front dofs of edge codes (2 i + side: a copy of row i; 2m: none)
-    and their signs in the front against their own; the multipliers of the
-    fronts' separator and boundary dofs ``sep`` and ``bnd`` (n: padding)
-    and their signs ``sep_sign`` and ``bnd_sign``; the codes of the
-    boundary slots ``bcodes``; ``rounds`` of ``pat``; and ``fill``, the
-    fronts' s^2 + 2 s b without the padding."""
+    and their signs in the front against their own; the codes of the
+    fronts' boundary slots ``bcodes``; the multipliers of the fronts'
+    separator and boundary dofs ``sep`` and ``bnd`` (n: padding) and their
+    signs ``sep_sign`` and ``bnd_sign``, these four with the fronts in the
+    round order of ``assembly.rounds`` of ``pat``, whose round and tail
+    sizes are ``sizes`` and ``tails``; and ``fill``, the fronts' s^2 + 2 s
+    b without the padding."""
     n_tri, k1 = len(el.cls), isqrt(el.udofs.shape[1])
     m = len(tris)
     n, dof, none = k1 * m + 1, np.arange(k1), 2 * m
@@ -194,12 +196,16 @@ def _tree(el, tris, slots):
     turn[1:-1:2] = own[1:-1:2] * own[:-1:2]
     turn_bits = (turn[1:-1:2] < 0) @ (1 << dof)
     code_bit = np.append(np.repeat(bit, 2), 0)
+    # the copies by place, so by node at every bit: a front's boundary slots
+    # in (triangle offset, local edge) order
+    by_place = np.argsort(place)
+    bit_by_place = code_bit[by_place]
     interior = np.zeros((n_tri, 3), np.int64)
     interior[tris, slots] = 1
     pattern = _number(np.column_stack([el.cls, interior]))
     top = max(int(n_tri - 1).bit_length(), 1)
     for b in range(1, top + 1):
-        rows = np.flatnonzero(bit == b)  # by node, then by copy 0
+        rows = np.arange(*np.searchsorted(bit, (b, b + 1)))  # by node, then by copy 0
         node = t1[rows] >> b
         n_nodes = ((n_tri - 1) >> b) + 1
         n_sep_all = np.bincount(node, minlength=n_nodes)
@@ -228,12 +234,9 @@ def _tree(el, tris, slots):
         target = np.where(index >= 0, -2, -1)
         target[fronts[rep]] = np.arange(len(rep))
 
-        alive = np.flatnonzero(bit > b)
-        code = np.concatenate([2 * alive, 2 * alive + 1])
-        owner = index[tris.ravel()[code] >> b]
+        code = by_place[bit_by_place > b]
+        owner = index[place[code] // 3 >> b]
         code, owner = code[owner >= 0], owner[owner >= 0]
-        order = np.lexsort((place[code], owner))
-        code, owner = code[order], owner[order]
         n_bnd = np.bincount(owner, minlength=len(fronts))
         b_rank = np.arange(len(code)) - (np.cumsum(n_bnd) - n_bnd)[owner]
         b_edges = n_bnd.max(initial=0)
@@ -263,10 +266,12 @@ def _tree(el, tris, slots):
             at[code == none] = f
             return at, np.where(code_bit[code, None] == b, turn[code], 1)
 
+        order, sizes, tails = rounds(pat)
         yield SimpleNamespace(b=b, fronts=fronts, target=target, pat=pat, rep=rep, n_sep=n_sep,
-                              f=f, s=s, pad=k1 * s_edges, enter=enter, sep=sep, bnd=bnd,
-                              sep_sign=sep_sign, bnd_sign=bnd_sign, bcodes=bcodes,
-                              rounds=rounds(pat), fill=int(np.sum(s_true**2 + 2 * s_true * b_true)))
+                              f=f, s=s, pad=k1 * s_edges, enter=enter, sep=sep[order],
+                              bnd=bnd[order], sep_sign=sep_sign[order], bnd_sign=bnd_sign[order],
+                              bcodes=bcodes, sizes=sizes, tails=tails,
+                              fill=int(np.sum(s_true**2 + 2 * s_true * b_true)))
 
 
 # front entries per batch of ``_Fronts`` (1 MB): with each bit's patterns in
@@ -315,20 +320,21 @@ class _Fronts:
     F11^-1 F12, which waits, one array per batch, as a child of the fronts
     above every member of its patterns, and is freed once they are built.
     The leaves wait as the class blocks, freed once every leaf is in its
-    front.  Kept, in one buffer, are [F11^-1; F21 F11^-1] and F11^-1 F12
-    per pattern, two arrays per bit of which each batch fills a slice, so
-    the forward sweep makes one product per front.  ``fill`` counts the
-    entries of F11^-1, F21 and F11^-1 F12 of every front, the logical
-    factor, without the padding: sum over the fronts of s^2 + 2 s b (s
-    separator and b boundary dofs; the root's s includes theta, and its b
-    is 0).  ``levels`` holds, per bit, the fronts' separator and boundary
-    multipliers in elimination order (bit by bit, front by front) and
-    their signs, the ``assembly.rounds`` of their patterns and the two
-    arrays.  ``solve`` runs the forward sweep by ascending bit, then the
-    backward sweep by descending bit: per bit, the fronts' multipliers are
-    gathered in their signs, put in round order and multiplied by their
-    patterns' blocks (``_apply_rounds``, a GEMM per tail), on one
-    vector with a spare last slot that the padding reads and writes as 0."""
+    front.  Kept, in one buffer, are a copy of the class inverses
+    (``inv``, which the applies of the solve read) and [F11^-1; F21
+    F11^-1] and F11^-1 F12 per pattern, two arrays per bit of which each
+    batch fills a slice, so the forward sweep makes one product per front.
+    ``fill`` counts the entries of F11^-1, F21 and F11^-1 F12 of every
+    front, the logical factor, without the padding: sum over the fronts of
+    s^2 + 2 s b (s separator and b boundary dofs; the root's s includes
+    theta, and its b is 0).  ``levels`` holds, per bit, the fronts' separator and boundary
+    multipliers and their signs, the fronts in the round order of their
+    patterns (``assembly.rounds``), the rounds' and tails' sizes and the
+    two arrays.  ``solve`` runs the forward sweep by ascending bit, then
+    the backward sweep by descending bit: per bit, the fronts' multipliers
+    are gathered in their signs and multiplied by their patterns' blocks
+    (``_apply_rounds``, a GEMM per tail), on one vector with a spare last
+    slot that the padding reads and writes as 0."""
 
     def __init__(self, el, inv, tris, slots):
         """The elements ``el``, their class inverses ``inv``, and ``tris``
@@ -344,9 +350,15 @@ class _Fronts:
         pending = [(np.arange(n_tri), codes, el.cls, _leaves(el, inv))]
         bits = list(_tree(el, tris, slots))
         self.fill = sum(bit.fill for bit in bits)
-        # one buffer for everything kept, each bit's blocks a slice of it
-        store = np.empty(sum(len(bit.rep) * bit.s * (2 * bit.f - bit.s) for bit in bits))
-        used, self.levels = 0, []
+        # one buffer for everything kept: the class inverses, which the
+        # solve keeps as long as the factor, then each bit's blocks.  The
+        # blocks alone (20 MB at ring k=3 level 4) fitted the free space that
+        # a global CSR (``operator_csr``, 21 MB of column indices there) had
+        # left in the heap, and the next CSR then grew the heap by 13 MB
+        store = np.empty(inv.size + sum(len(bit.rep) * bit.s * (2 * bit.f - bit.s) for bit in bits))
+        self.inv = store[: inv.size].reshape(inv.shape)
+        self.inv[...] = inv
+        used, self.levels = inv.size, []
 
         def keep(*shape):
             nonlocal used
@@ -415,27 +427,27 @@ class _Fronts:
                     members = np.flatnonzero((bit.pat >= lo) & (bit.pat < hi))
                     left.append((bit.fronts[members] << b, bit.bcodes[members],
                                  bit.pat[members] - lo, schur))
-            self.levels.append((bit.sep, bit.bnd, bit.sep_sign, bit.bnd_sign, *bit.rounds,
-                                forward, upper))
+            self.levels.append((bit.sep, bit.bnd, bit.sep_sign, bit.bnd_sign, bit.sizes,
+                                bit.tails, forward, upper))
             pending = left
 
     def solve(self, g):
         """The interface unknowns for the interface load g."""
         z = np.append(g, 0.0)
         ys = []
-        for sep, bnd, sep_sign, bnd_sign, order, sizes, tails, forward, _ in self.levels:
-            yw = _apply_rounds(forward, (z[sep] * sep_sign)[order], sizes, tails)
+        for sep, bnd, sep_sign, bnd_sign, sizes, tails, forward, _ in self.levels:
+            yw = _apply_rounds(forward, z[sep] * sep_sign, sizes, tails)
             y, w = yw[:, : sep.shape[1]], yw[:, sep.shape[1] :]
             if bnd.size:
-                w *= bnd_sign[order]
-                z -= np.bincount(bnd[order].ravel(), w.ravel(), len(z))
+                w *= bnd_sign
+                z -= np.bincount(bnd.ravel(), w.ravel(), len(z))
             ys.append(y)
         x = np.zeros(self.n + 1)
-        for (sep, bnd, sep_sign, bnd_sign, order, sizes, tails, _, upper), y in zip(
+        for (sep, bnd, sep_sign, bnd_sign, sizes, tails, _, upper), y in zip(
                 reversed(self.levels), reversed(ys)):
             if bnd.size:
-                y = y - _apply_rounds(upper, (x[bnd] * bnd_sign)[order], sizes, tails)
-            x[sep[order]] = y * sep_sign[order]
+                y = y - _apply_rounds(upper, x[bnd] * bnd_sign, sizes, tails)
+            x[sep] = y * sep_sign
         return x[:-1]
 
 
@@ -451,13 +463,14 @@ class _Hybrid:
         el = system.elements
         self.el, self.nd = el, el.udofs.shape[1]
         try:
-            self.inv = np.linalg.inv(el.matrix)  # one per class
+            inv = np.linalg.inv(el.matrix)  # one per class
         except np.linalg.LinAlgError as exc:
             raise RuntimeError("hybridized solve failed: singular element block") from exc
 
         tris, slots = el.copies[_nested_dissection(el.copies)].transpose(2, 0, 1)
         k1 = isqrt(self.nd)  # multipliers per edge: nd = (k+1)(k+2)
-        self.fronts = _Fronts(el, self.inv, tris, slots)
+        self.fronts = _Fronts(el, inv, tris, slots)
+        self.inv = self.fronts.inv  # the factor's copy, in its buffer
         self.n_interface, self.fill = self.fronts.n, self.fronts.fill
         # the round-order arrays come after the factor, so its peak holds none
         self.index, order = system._index, el.rounds[0]

@@ -673,19 +673,20 @@ def _traced(build):
 
 def _factor_bound(el, inv, tris, slots, fronts):
     """What the tree factorization may hold at its peak: what it keeps
-    (the blocks of every pattern of fronts, and the dofs and signs of every
-    front), its input (the class blocks G~^T L^^-1 G~ and room for each
-    element's signed copy, the leaves, which the factor signs a batch of
-    fronts at a time), half the largest bit's Schur complements, counted
-    over all its fronts, and one batch of fronts.  Measured with batches
-    of 2**12 entries, the peak above the kept factor and the input is 0.15
-    (disk level 3) and -0.08 (ring level 2) of those Schur complements: the
-    factor holds one per pattern, each freed as soon as the fronts above
-    it are built.  With one per front, before the factor was per pattern,
-    it was 0.54 and 0.44, and 1.24 and 0.99 with one Schur buffer per bit,
-    freed only when its last parent is built."""
+    (its copy of the class inverses, the blocks of every pattern of
+    fronts, and the dofs and signs of every front), its input (the class
+    blocks G~^T L^^-1 G~ and room for each element's signed copy, the
+    leaves, which the factor signs a batch of fronts at a time), half the
+    largest bit's Schur complements, counted over all its fronts, and one
+    batch of fronts.  Measured with batches of 2**12 entries, the peak
+    above the kept factor and the input is 0.15 (disk level 3) and -0.08
+    (ring level 2) of those Schur complements: the factor holds one per
+    pattern, each freed as soon as the fronts above it are built.  With
+    one per front, before the factor was per pattern, it was 0.54 and
+    0.44, and 1.24 and 0.99 with one Schur buffer per bit, freed only when
+    its last parent is built."""
     ne = 3 * isqrt(el.udofs.shape[1])
-    kept = sum(a.nbytes for level in fronts.levels for a in level)
+    kept = fronts.inv.nbytes + sum(a.nbytes for level in fronts.levels for a in level)
     bits = list(solver._tree(el, tris, slots))
     schur = max(len(bit.fronts) * (bit.f - bit.s) ** 2 * 8 for bit in bits)
     batch = max(solver.FRONT_CHUNK, max((bit.f + 1) ** 2 for bit in bits)) * 8
@@ -715,7 +716,8 @@ def test_interface_build_holds_its_result_the_class_blocks_and_one_chunk(
 def test_solve_holds_the_class_inverses_the_factor_and_a_few_element_arrays(
         monkeypatch, domain, level, case):
     """The traced peak of a whole solve, refinement steps included, stays
-    within the class inverses, ``_factor_bound`` of its tree factor and
+    within the class inverses, ``_factor_bound`` of its tree factor (which
+    counts the factor's copy of them: both exist while it is built) and
     four (nel, nd + npr) element arrays: the round-order arrays are built
     after the factor, and the applies hold a few element arrays each.  An
     apply that gathers its blocks 256 elements at a time (1.4 MB at k=3)
