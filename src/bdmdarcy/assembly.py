@@ -50,17 +50,17 @@ The system is held once, as one block per element shape.  Away from the
 boundary, L_K depends on K only through (g = J^T J / det, det) and its
 signs: L_K = S_K L^(g, det) S_K, S_K padded with +1 on pressure (the tensor
 representation of Kirby & Logg).  g does not change when an element is
-rotated or scaled, so rotated sectors and similar children of red
-refinement share one block in exact arithmetic.  ``Assembler.elements``
-groups the elements by (g, det) rounded far above round-off and far below
-any real difference in shape (``CLASS_BITS``), and writes one unsigned
-block L^ per class, from its representative's geometry, largest class
-first; each element that takes a boundary term (in strong mode, identity
-rows and columns) is a class of its own.  So a class is an element shape
-up to round-off: 312 classes for 6,144 elements at disk k=3 level 5, 630
-for 8,192 at ring level 4.  Every member takes its representative's
-geometry, the pressure integrals c of the border row too, so the element
-applies, the CSR and the solve use one operator exactly.
+rotated or scaled, so rotated sectors and similar children of red refinement
+share one block in exact arithmetic.  ``Assembler.elements`` groups the
+elements by (g, det) rounded far above round-off and far below any real
+difference in shape (``CLASS_BITS``), numbers the classes by ``classes`` and
+writes one unsigned block L^ per class, from its representative's geometry;
+each element that takes a boundary term (in strong mode, identity rows and
+columns) is a class of its own.  So a class is an element shape up to
+round-off: 312 classes for 6,144 elements at disk k=3 level 5, 630 for 8,192
+at ring level 4.  Every member takes its representative's geometry, the
+pressure integrals c of the border row too, so the element applies, the CSR
+and the solve use one operator exactly.
 ``SaddleSystem.matvec`` applies S_K L^ S_K element by element
 (``ElementBlocks.apply``): in rounds of one element per class on a prefix
 of the class blocks, then the rest of each large class in one product
@@ -230,8 +230,8 @@ class ElementBlocks:
     pressure) order, is ``flip[K] * matrix[cls[K]] * flip[K]`` (rows, then
     columns): ``matrix`` holds one unsigned block per class, an element
     shape up to round-off (``CLASS_BITS``), built from its representative's
-    geometry, largest class first, and ``flip[K]`` is S_K padded with +1 on
-    pressure.  ``apply`` runs ``rounds``, one element of each class per
+    geometry, numbered by ``classes``, and ``flip[K]`` is S_K padded with
+    +1 on pressure.  ``apply`` runs ``rounds``, one element of each class per
     batched product, then tails, the rest of each large class in one
     product.  Every boundary term is folded into the
     edge's owner; in strong mode the rows and columns of the constrained
@@ -286,16 +286,31 @@ class ElementBlocks:
         return y
 
 
+def classes(key):
+    """(cls, rep): the rows of the integer array ``key`` (n, w) in classes
+    of equal rows.  The numbering rule of every class here (element
+    classes, subtree patterns): largest class first, ties in key order
+    (lexicographic, column 0 first), one ``lexsort``; ``rep[c]`` is class
+    c's first row."""
+    order = np.lexsort(key.T[::-1])
+    new = np.ones(len(key), bool)
+    new[1:] = np.any(key[order[1:]] != key[order[:-1]], axis=1)
+    by_size = np.argsort(-np.diff(np.flatnonzero(np.r_[new, True])), kind="stable")
+    cls = np.empty(len(key), np.int64)
+    cls[order] = np.argsort(by_size)[np.cumsum(new) - 1]
+    return cls, order[new][by_size]
+
+
 def rounds(cls):
     """(order, sizes, tails): the items in round order, each round's item
     count n_r, and each tail's, for the class ``cls`` of each item, the
-    classes numbered largest first.  Round r is the r-th item (by index) of
-    every class with more than r items, in class order: these are the
-    classes 0..n_r - 1, so the round meets the contiguous blocks
+    classes numbered by the rule of ``classes``.  Round r is the r-th item
+    (by index) of every class with more than r items, in class order: these
+    are the classes 0..n_r - 1, so the round meets the contiguous blocks
     ``blocks[:n_r]``.  After R rounds, tail c is the rest of class c, for
     each class with more than R items, in class order.  R minimizes the
-    number of batched products, R plus the number of tails: one large
-    class is one tail, not a round per item."""
+    number of batched products, R plus the number of tails: one large class
+    is one tail, not a round per item."""
     size = np.bincount(cls)
     by_class = np.argsort(cls, kind="stable")
     rank = np.empty(len(cls), np.int64)
@@ -501,9 +516,9 @@ class Assembler:
         the two copies of each interior edge (see ``ElementBlocks``).
 
         A class is the elements whose (g, det) round to the same key
-        (``CLASS_BITS``), with the first of them, by index, as the
-        representative whose geometry they all take; each element that
-        takes a boundary term is a class of its own.  A_K is
+        (``CLASS_BITS``), numbered by ``classes``, with the first of them,
+        by index, as the representative whose geometry they all take; each
+        element that takes a boundary term is a class of its own.  A_K is
         mass + div-div, plus (corrected mode) each boundary edge's penalty in
         its owner; symmetric by construction.  B1_K is B0_K plus (corrected
         mode) the straight-normal term of the element's boundary edges.  In
@@ -527,15 +542,7 @@ class Assembler:
         g_key = np.rint(np.ldexp(g.reshape(nel, 4), CLASS_BITS)) + 0.0  # no -0.0
         key = np.column_stack([g_key, det, np.zeros(nel)]).view(np.int64)
         key[alone, -1] = alone + 1
-        # one class per distinct key, numbered largest first, ties in key
-        # order (``ElementBlocks.apply`` runs on prefixes of the classes);
-        # rep: first element
-        order = np.lexsort(key.T[::-1])
-        new = np.r_[True, np.any(key[order[1:]] != key[order[:-1]], axis=1)]
-        by_size = np.argsort(-np.diff(np.flatnonzero(np.r_[new, True])), kind="stable")
-        rep = order[new][by_size]
-        cls = np.empty(nel, dtype=np.int64)
-        cls[order] = np.argsort(by_size)[np.cumsum(new) - 1]
+        cls, rep = classes(key)  # largest first: the applies run on prefixes
 
         # the unsigned blocks L^: mass + div-div of the mapped nodal basis
         matrix = np.zeros((len(rep), nd + npr, nd + npr))

@@ -54,7 +54,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from bdmdarcy.assembly import rounds
+from bdmdarcy.assembly import classes, rounds
 
 __all__ = ["SolveReport", "solve"]
 
@@ -141,14 +141,6 @@ def _apply_rounds(blocks, x, sizes, tails):
     return y
 
 
-def _number(key):
-    """The rows of the integer array ``key`` numbered 0, 1, ..., equal rows
-    alike (in the order of their bytes)."""
-    key = np.ascontiguousarray(key)
-    rows = key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).ravel()
-    return np.unique(rows, return_inverse=True)[1]
-
-
 def _tree(el, tris, slots):
     """The fronts of the refinement tree and their patterns, bit by bit
     from the lowest, for the elements ``el`` and the edge table (``tris``,
@@ -157,27 +149,28 @@ def _tree(el, tris, slots):
     A node's pattern is its two children's patterns and its separator, each
     edge as its two copies' (triangle offset in the node, local edge) and
     the sign of copy 1's dofs against copy 0's; a leaf's is its element's
-    class and which of its edges are interior.  A front's slots are its
-    separator edges by their copy 0 and its boundary edges by their copy in
-    the node, each in (triangle offset, local edge) order, so two fronts of
-    one pattern have one matrix in the signs of those copies, sign * S_K of
-    ``_leaves``: the pattern's, factored once.
+    class, which fixes which of its edges are interior (an element with a
+    boundary edge is a class of its own).  Each bit's nodes are numbered
+    once by ``assembly.classes``, whose rule the front patterns keep.  A
+    front's slots are its separator edges by their copy 0 and its boundary
+    edges by their copy in the node, each in (triangle offset, local edge)
+    order, so two fronts of one pattern have one matrix in the signs of
+    those copies, sign * S_K of ``_leaves``: the pattern's, factored once.
 
     Per bit with fronts, a namespace of: the fronts' nodes ``fronts``;
     ``target``, per node, the pattern of which it is the representative
     front (its first), -2 for any other front and -1 for no front; each
-    front's pattern ``pat`` (numbered largest first) and each pattern's
-    representative ``rep``; their separator edge counts ``n_sep``; the
-    padded front size f, its eliminated dofs s (the separator, and theta in
-    the root) and the padded separator's ``pad`` dofs; ``enter(codes)``,
-    the front dofs of edge codes (2 i + side: a copy of row i; 2m: none)
-    and their signs in the front against their own; the codes of the
-    fronts' boundary slots ``bcodes``; the multipliers of the fronts'
-    separator and boundary dofs ``sep`` and ``bnd`` (n: padding) and their
-    signs ``sep_sign`` and ``bnd_sign``, these four with the fronts in the
-    round order of ``assembly.rounds`` of ``pat``, whose round and tail
-    sizes are ``sizes`` and ``tails``; and ``fill``, the fronts' s^2 + 2 s
-    b without the padding."""
+    front's pattern ``pat`` and each pattern's representative ``rep``; their
+    separator edge counts ``n_sep``; the padded front size f, its eliminated
+    dofs s (the separator, and theta in the root) and the padded separator's
+    ``pad`` dofs; ``enter(codes)``, the front dofs of edge codes (2 i +
+    side: a copy of row i; 2m: none) and their signs in the front against
+    their own; the codes of the fronts' boundary slots ``bcodes``; the
+    multipliers of the fronts' separator and boundary dofs ``sep`` and
+    ``bnd`` (n: padding) and their signs ``sep_sign`` and ``bnd_sign``,
+    these four with the fronts in the round order of ``assembly.rounds`` of
+    ``pat``, whose round and tail sizes are ``sizes`` and ``tails``; and
+    ``fill``, the fronts' s^2 + 2 s b without the padding."""
     n_tri, k1 = len(el.cls), isqrt(el.udofs.shape[1])
     m = len(tris)
     n, dof, none = k1 * m + 1, np.arange(k1), 2 * m
@@ -200,9 +193,7 @@ def _tree(el, tris, slots):
     # in (triangle offset, local edge) order
     by_place = np.argsort(place)
     bit_by_place = code_bit[by_place]
-    interior = np.zeros((n_tri, 3), np.int64)
-    interior[tris, slots] = 1
-    pattern = _number(np.column_stack([el.cls, interior]))
+    pattern = el.cls
     top = max(int(n_tri - 1).bit_length(), 1)
     for b in range(1, top + 1):
         rows = np.arange(*np.searchsorted(bit, (b, b + 1)))  # by node, then by copy 0
@@ -219,7 +210,7 @@ def _tree(el, tris, slots):
         key[node, 2 + 3 * rank] = place[2 * rows] - 3 * base
         key[node, 3 + 3 * rank] = place[2 * rows + 1] - 3 * base
         key[node, 4 + 3 * rank] = turn_bits[rows]
-        pattern = _number(key)
+        pattern, first = classes(key)
 
         fronts = np.flatnonzero(n_sep_all) if b < top else np.zeros(1, np.int64)
         if not len(fronts):
@@ -227,10 +218,11 @@ def _tree(el, tris, slots):
         index = np.full(n_nodes, -1)
         index[fronts] = np.arange(len(fronts))
         n_sep = n_sep_all[fronts]
-        _, first, inverse, count = np.unique(pattern[fronts], return_index=True,
-                                             return_inverse=True, return_counts=True)
-        by_size = np.argsort(-count, kind="stable")
-        pat, rep = np.argsort(by_size)[inverse], first[by_size]
+        # a front's key holds its separator, so no other node shares its
+        # pattern: the front patterns, renumbered in their order, keep the rule
+        is_front = np.zeros(len(first), bool)
+        is_front[pattern[fronts]] = True
+        pat, rep = (np.cumsum(is_front) - 1)[pattern[fronts]], index[first[is_front]]
         target = np.where(index >= 0, -2, -1)
         target[fronts[rep]] = np.arange(len(rep))
 

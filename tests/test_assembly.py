@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -606,6 +606,29 @@ def test_classes_come_largest_first_and_partition_the_elements_as_by_key(setup, 
                for r, part in enumerate(parts[:n_rounds]))
     assert all(np.array_equal(part, members[c][n_rounds:])
                for c, part in enumerate(parts[n_rounds:]))
+    # the class fixes which edges are interior: the solver keys the leaves
+    # of its tree on the class alone
+    interior = asm.mesh.edge_tris[asm.mesh.tri_edges, 1] >= 0
+    assert np.array_equal(interior, interior[[m[0] for m in members]][cls])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda w: st.lists(
+    st.lists(st.integers(-1, 1), min_size=w, max_size=w), min_size=1, max_size=40)))
+@example([[2]])
+@example([[0, 5]] * 7)
+def test_classes_number_equal_rows_largest_first_ties_in_key_order(rows):
+    """``assembly.classes`` against a dict grouping of the rows: the same
+    partition, classes by size descending, equal sizes in key order (tuple
+    order, column 0 first), and each class's ``rep`` its lowest row."""
+    cls, rep = assembly.classes(np.array(rows, dtype=np.int64))
+    groups = {}
+    for i, row in enumerate(rows):
+        groups.setdefault(tuple(row), []).append(i)
+    expected = [members for _, members in sorted(groups.items(), key=lambda g: (-len(g[1]), g[0]))]
+    found = [np.flatnonzero(cls == c).tolist() for c in range(len(rep))]
+    assert found == expected and cls.max() + 1 == len(rep)
+    assert rep.tolist() == [members[0] for members in expected]
 
 
 def _shuffled(domain, level):

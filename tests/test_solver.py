@@ -283,13 +283,17 @@ PATTERNS = {
                                           ("ring", 2), ("ring", 3), ("ring", 4)])
 def test_kept_factor_is_the_closed_form_over_the_patterns(domain, level):
     """The factor keeps its blocks once per pattern of fronts: the store is
-    ``kept_entries``, counted from the mesh alone, and at the finest
-    benchmark levels the patterns per bit are pinned."""
+    ``kept_entries``, counted from the mesh alone; each bit's patterns come
+    largest first, each represented by its lowest-index front; and at the
+    finest benchmark levels the patterns per bit are pinned."""
     asm = k3_assembler(domain, level)
     el = asm.elements
     fronts = interface_fronts(el, np.linalg.inv(el.matrix), *ordered_table(el))
     assert sum(forward.size + upper.size for *_, forward, upper in fronts.levels) == kept_entries(
         asm.mesh, asm.k)
+    for bit in solver._tree(el, *ordered_table(el)):
+        assert (np.diff(np.bincount(bit.pat)) <= 0).all()
+        assert np.array_equal(bit.rep, np.unique(bit.pat, return_index=True)[1])
     if (domain, level) in PATTERNS:
         assert [len(forward) for *_, forward, _ in fronts.levels] == PATTERNS[domain, level]
 
