@@ -126,6 +126,12 @@ __all__ = [
 CLASS_BITS = 36
 
 
+def _bucket(v):
+    """The CLASS_BITS bucket of each O(1) entry of v: v rounded to a
+    multiple of 2^-CLASS_BITS, never -0.0 (its bits are not 0.0's)."""
+    return np.rint(np.ldexp(v, CLASS_BITS)) + 0.0
+
+
 def _matvec2(m, x):
     """m x with 2x2 matrices m and 2-vectors x, broadcast over the leading
     axes: one ``dot2`` per coordinate plane, the bits of ``np.einsum``."""
@@ -466,9 +472,23 @@ class Assembler:
             n_pressure_local=t.pressure.dim,
         )
         self._build_indices()
-        self.trace = edge_trace_geometry(mesh, self.curves, t.bnd_rule)
-        self.boundary_shapes = ShapeFunctions(self, self.trace.owner)
-        self.basis_trace = taylor_trace_normal(self.boundary_shapes, self.trace, self.m)
+        self.trace = geom = edge_trace_geometry(mesh, self.curves, t.bnd_rule)
+        self.cls, self.rep = self._classes()
+        # each boundary edge's source: the edge in its slot of its class
+        # representative in corrected mode, whose traces it takes in its own
+        # signs, and itself in strong mode, whose key holds no trace
+        slot = mesh.edge_slots[mesh.boundary_edges, 0]
+        source = np.arange(len(slot))
+        if mode == "corrected":
+            edge_at = np.zeros((mesh.n_triangles, 3), np.int64)
+            edge_at[geom.owner, slot] = source
+            source = edge_at[self.rep[self.cls[geom.owner]], slot]
+        own = source == np.arange(len(slot))
+        self.source_edges = np.flatnonzero(own)
+        self.boundary_shapes = ShapeFunctions(self, geom.owner[self.source_edges])
+        tv = taylor_trace_normal(self.boundary_shapes, geom.rows(self.source_edges), self.m)
+        flip = self.dof_sign[geom.owner] * self.dof_sign[geom.owner[source]]
+        self.basis_trace = tv[(np.cumsum(own) - 1)[source]] * flip[:, None, :]
 
     # -- structural setup ---------------------------------------------------
 
@@ -528,44 +548,40 @@ class Assembler:
         nel, nd = mesh.n_triangles, t.element.dim
         npr = t.pressure.dim
         s = self.dof_sign
-        if self.mode == "corrected":
-            alone = self.trace.owner
-        else:
-            # the local edge dofs of the boundary edges
-            on_boundary = mesh.edge_tris[mesh.tri_edges, 1] < 0
-            alone, constrained = np.nonzero(np.repeat(on_boundary, self.k + 1, axis=1))
-
-        jt = self.jac.transpose(0, 2, 1)
-        g = _matvec2(jt[:, None], jt) / self.det[:, None, None]  # J^T J / det
-        mantissa, exponent = np.frexp(self.det)
-        det = np.ldexp(np.rint(np.ldexp(mantissa, CLASS_BITS)), exponent - CLASS_BITS)
-        g_key = np.rint(np.ldexp(g.reshape(nel, 4), CLASS_BITS)) + 0.0  # no -0.0
-        key = np.column_stack([g_key, det, np.zeros(nel)]).view(np.int64)
-        key[alone, -1] = alone + 1
-        cls, rep = classes(key)  # largest first: the applies run on prefixes
+        geom, cls, rep = self.trace, self.cls, self.rep
+        jt = self.jac[rep].transpose(0, 2, 1)
+        g = _matvec2(jt[:, None], jt) / self.det[rep, None, None]  # J^T J / det
 
         # the unsigned blocks L^: mass + div-div of the mapped nodal basis
         matrix = np.zeros((len(rep), nd + npr, nd + npr))
         a, bt, b0 = matrix[:, :nd, :nd], matrix[:, :nd, nd:], matrix[:, nd:, :nd]
-        a[...] = _contract(g[rep], t.s_mass)
+        a[...] = _contract(g, t.s_mass)
         a += t.s_div[None, :, :] / self.det[rep, None, None]
         b0[...] = t.b0_span
         bt[...] = t.b0_span.T
 
         if self.mode == "corrected":
-            # each boundary term T of L_K goes to the owner's class as S_K T S_K
-            geom, tv, shapes = self.trace, self.basis_trace, self.boundary_shapes
-            flip = s[geom.owner]
-            pen = np.einsum("bq,bqi,bqj->bij", geom.weights, tv, tv) / geom.h_owner[:, None, None]
-            np.add.at(a, cls[geom.owner], flip[:, :, None] * pen * flip[:, None, :])
+            # each boundary term T of L_R, R a representative, goes to its
+            # class as S_R T S_R
+            edges = self.source_edges
+            owner = geom.owner[edges]
+            flip, w = s[owner], geom.weights[edges]
+            tv = self.basis_trace[edges]
+            pen = np.einsum("bq,bqi,bqj->bij", w, tv, tv) / geom.h_owner[edges, None, None]
+            np.add.at(a, cls[owner], flip[:, :, None] * pen * flip[:, None, :])
 
             # straight-normal term int_e p (v . n_h), on the same nodes
-            vn = (shapes.eval(geom.points) @ geom.n_h[:, None, :, None])[..., 0]  # (n_b, q, nd)
-            pvals = t.pressure.eval(shapes._reference(geom.points).reshape(-1, 2))
-            pw = geom.weights[:, :, None] * pvals.reshape(vn.shape[:2] + (npr,))
-            np.add.at(bt, cls[geom.owner], flip[:, :, None] * (vn.transpose(0, 2, 1) @ pw))
+            shapes, points = self.boundary_shapes, geom.points[edges]
+            vn = (shapes.eval(points) @ geom.n_h[edges, None, :, None])[..., 0]  # (n, q, nd)
+            pvals = t.pressure.eval(shapes._reference(points).reshape(-1, 2))
+            pw = w[:, :, None] * pvals.reshape(vn.shape[:2] + (npr,))
+            np.add.at(bt, cls[owner], flip[:, :, None] * (vn.transpose(0, 2, 1) @ pw))
         else:
-            e = cls[alone]
+            # identity rows and columns at the local dofs of the boundary
+            # edges, in the same slots in every member of a class
+            e = np.repeat(cls[geom.owner], self.k + 1)
+            slot = mesh.edge_slots[mesh.boundary_edges, 0]
+            constrained = ((self.k + 1) * slot[:, None] + np.arange(self.k + 1)).ravel()
             matrix[e, constrained, :] = 0.0
             matrix[e, :, constrained] = 0.0
             matrix[e, constrained, constrained] = 1.0
@@ -579,6 +595,39 @@ class Assembler:
             copies=np.stack([mesh.edge_tris[interior], mesh.edge_slots[interior]], axis=2),
             c=self.theta_scale * self.pressure_integrals().reshape(nel, -1)[rep][cls],
         )
+
+    def _classes(self):
+        """(cls, rep) of ``classes`` over each element's key: its (g, det),
+        g rounded by ``_bucket`` and det to a CLASS_BITS-bit mantissa, and
+        per local edge 0, or 1 plus the class of its trace if it is a
+        boundary edge.  In strong mode all traces are one class, and in
+        corrected mode a trace is keyed on its geometry in the owner's frame:
+        per node the pulled-back node, J^-1 (delta nu) and J^T n_gamma /
+        sqrt(det), and J^T n_h / sqrt(det) and h_owner / sqrt(det), all
+        ``_bucket``-ed.  With the owner's (g, det) and the edge's slot these
+        fix the boundary terms, which rotation and translation leave as
+        they are."""
+        mesh, geom, nel = self.mesh, self.trace, self.mesh.n_triangles
+        jt = self.jac.transpose(0, 2, 1)
+        g = _matvec2(jt[:, None], jt) / self.det[:, None, None]  # J^T J / det
+        mantissa, exponent = np.frexp(self.det)
+        det = np.ldexp(np.rint(np.ldexp(mantissa, CLASS_BITS)), exponent - CLASS_BITS)
+        key = np.column_stack([_bucket(g.reshape(nel, 4)), det, np.zeros((nel, 3))]).view(np.int64)
+        trace = 0
+        if self.mode == "corrected":
+            o = geom.owner
+            root, jinv = np.sqrt(self.det[o]), self.jinv[o, None]
+            nodes = np.concatenate([
+                _matvec2(jinv, geom.points - self.v0[o, None]),
+                _matvec2(jinv, geom.delta[..., None] * geom.nu),
+                _matvec2(jt[o, None], geom.n_gamma) / root[:, None, None],
+            ], axis=2)
+            trace_key = np.column_stack([nodes.reshape(len(o), -1),
+                                         _matvec2(jt[o], geom.n_h) / root[:, None],
+                                         geom.h_owner / root])
+            trace = classes(_bucket(trace_key).view(np.int64))[0]
+        key[geom.owner, 5 + mesh.edge_slots[mesh.boundary_edges, 0]] = 1 + trace
+        return classes(key)  # largest first: the applies run on prefixes
 
     def matrix_a(self):
         """Velocity block A, the (u, u) slice of ``operator_csr``."""

@@ -49,6 +49,10 @@ class TraceGeometry:
     h_owner: np.ndarray  # (n_b,) diameters of the owning triangles
     projected: np.ndarray  # (n_b, q, 2) = points + delta * nu
 
+    def rows(self, edges):
+        """The trace geometry of the boundary edges ``edges`` alone."""
+        return TraceGeometry(**{name: value[edges] for name, value in vars(self).items()})
+
 
 def edge_trace_geometry(mesh, curves, rule):
     """Trace geometry of all boundary edges of ``mesh``.

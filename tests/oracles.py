@@ -37,7 +37,7 @@ import scipy.sparse as sp
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import legvander
 
-from bdmdarcy import solver
+from bdmdarcy import correction, solver
 from bdmdarcy.assembly import CLASS_BITS, ShapeFunctions, _contract, _element_index
 from bdmdarcy.femcore import edge_quadrature, triangle_quadrature
 from bdmdarcy.femcore.basis import triangle_basis
@@ -394,9 +394,10 @@ def round_off(mesh, curves):
 def signed_blocks(asm, geometry=None):
     """The (nel, nd + npr, nd + npr) blocks L_K with the arithmetic of
     ``Assembler.elements`` applied to each element: mass + div-div from the
-    (g, det) of element ``geometry[K]`` (default: K's own), signed by S_K,
-    then its boundary terms (corrected mode) or identity rows and columns at
-    its constrained dofs (strong mode)."""
+    (g, det) of element R = ``geometry[K]`` (default: K's own), signed by
+    S_K, then (corrected mode) the boundary terms of R's edges, from R's own
+    traces, in R's edge order and signed by S_K, or (strong mode) identity
+    rows and columns at K's constrained dofs."""
     t = asm.tables
     nel, nd, npr = asm.mesh.n_triangles, t.element.dim, t.pressure.dim
     s = asm.dof_sign
@@ -404,27 +405,68 @@ def signed_blocks(asm, geometry=None):
     blocks = np.zeros((nel, nd + npr, nd + npr))
     a, bt, b0 = blocks[:, :nd, :nd], blocks[:, :nd, nd:], blocks[:, nd:, :nd]
     g = np.einsum("eba,ebc->eac", asm.jac, asm.jac) / asm.det[:, None, None]
-    a[...] = _contract(g[geometry], t.s_mass)
+    # one GEMM row per distinct geometry, as the program's one per class:
+    # a GEMM of one row may be a GEMV, with other bits
+    distinct, which = np.unique(geometry, return_inverse=True)
+    a[...] = _contract(g[distinct], t.s_mass)[which]
     a += t.s_div[None, :, :] / asm.det[geometry, None, None]
     a *= s[:, :, None]
     a *= s[:, None, :]
     b0[...] = t.b0_span * s[:, None, :]
     bt[...] = np.transpose(b0, (0, 2, 1))
     if asm.mode == "corrected":
-        geom, tv = asm.trace, asm.basis_trace
-        pen = np.einsum("bq,bqi,bqj->bij", geom.weights, tv, tv)
-        np.add.at(a, geom.owner, pen / geom.h_owner[:, None, None])
-        shapes = ShapeFunctions(asm, geom.owner)
-        vn = (shapes.eval(geom.points) @ geom.n_h[:, None, :, None])[..., 0]
-        pvals = t.pressure.eval(shapes._reference(geom.points).reshape(-1, 2))
-        pw = geom.weights[:, :, None] * pvals.reshape(vn.shape[:2] + (npr,))
-        np.add.at(bt, geom.owner, vn.transpose(0, 2, 1) @ pw)
+        pen, normal = boundary_terms(asm)
+        edges_of = {}
+        for edge, owner in enumerate(asm.trace.owner.tolist()):
+            edges_of.setdefault(owner, []).append(edge)
+        for owner in edges_of:
+            rep = geometry[owner]
+            flip = s[owner] * s[rep]
+            for edge in edges_of[rep]:
+                a[owner] += flip[:, None] * pen[edge] * flip[None, :]
+                bt[owner] += flip[:, None] * normal[edge]
     else:
         e, i = np.nonzero(np.isin(asm.gidx, asm.constrained))
         blocks[e, i, :] = 0.0
         blocks[e, :, i] = 0.0
         blocks[e, i, i] = 1.0
     return blocks
+
+
+def boundary_terms(asm):
+    """(penalty, straight-normal term) of each boundary edge, (n_b, nd, nd)
+    and (n_b, nd, npr), with the arithmetic of ``Assembler.elements`` on the
+    owner's own geometry and its own Taylor traces, signed by its S_K."""
+    t, geom = asm.tables, asm.trace
+    shapes = ShapeFunctions(asm, geom.owner)
+    tv = correction.taylor_trace_normal(shapes, geom, asm.m)
+    pen = np.einsum("bq,bqi,bqj->bij", geom.weights, tv, tv) / geom.h_owner[:, None, None]
+    vn = (shapes.eval(geom.points) @ geom.n_h[:, None, :, None])[..., 0]
+    pvals = t.pressure.eval(shapes._reference(geom.points).reshape(-1, 2))
+    pw = geom.weights[:, :, None] * pvals.reshape(vn.shape[:2] + (t.pressure.dim,))
+    return pen, vn.transpose(0, 2, 1) @ pw
+
+
+def boundary_spread(asm):
+    """The largest gap between a boundary edge's own terms (``boundary_terms``)
+    and those of the edge in its slot of its owner's class representative,
+    signed for the owner, relative to the owner's class block, in Frobenius
+    norm: how far a member's own boundary terms are from the ones it takes."""
+    el, mesh, geom = asm.elements, asm.mesh, asm.trace
+    if asm.mode != "corrected" or not len(geom.owner):
+        return 0.0
+    pen, normal = boundary_terms(asm)
+    slot = mesh.edge_slots[mesh.boundary_edges, 0]
+    edge_at = {(int(o), int(l)): b for b, (o, l) in enumerate(zip(geom.owner, slot))}
+    rep = representatives(el)
+    gaps = []
+    for b, (owner, l) in enumerate(zip(geom.owner, slot)):
+        r = edge_at[int(rep[owner]), int(l)]
+        flip = asm.dof_sign[owner] * asm.dof_sign[rep[owner]]
+        gap = np.linalg.norm(flip[:, None] * pen[r] * flip[None, :] - pen[b])
+        gap = np.hypot(gap, np.linalg.norm(flip[:, None] * normal[r] - normal[b]))
+        gaps.append(gap / np.linalg.norm(el.matrix[el.cls[owner]]))
+    return max(gaps)
 
 
 def expand(elements):
@@ -438,28 +480,48 @@ def expand(elements):
 
 def key_classes(asm):
     """Each element's class in key order, the numbering before classes came
-    largest first: ``mesh_classes`` of the assembler's mesh."""
-    return mesh_classes(asm.mesh)
+    largest first, from a key built one element and one boundary edge at a
+    time: (g = J^T J / det, det) as bit patterns, g rounded to multiples of
+    2^-CLASS_BITS and det to a CLASS_BITS-bit mantissa, then per local edge
+    0 for an interior edge, else 1 plus the number of its trace's class.  In
+    strong mode every trace is one class; in corrected mode a trace is keyed
+    on the bit patterns, rounded as g, of each node's pulled-back point,
+    J^-1 (delta nu) and J^T n_gamma / sqrt(det), then J^T n_h / sqrt(det)
+    and h_owner / sqrt(det), from ``edge_geometries``; the trace classes are
+    numbered largest first, ties in key order."""
+    mesh, bits = asm.mesh, CLASS_BITS
 
+    def rounded(values):
+        return tuple((np.round(np.ravel(values) * 2.0**bits) + 0.0).view(np.int64).tolist())
 
-def mesh_classes(mesh):
-    """Each triangle's class in key order: the rows of (g = J^T J / det,
-    det) as bit patterns, g rounded to multiples of 2^-CLASS_BITS and det
-    to a CLASS_BITS-bit mantissa, with each triangle that has a boundary
-    edge (the owners of the boundary terms, and in strong mode the elements
-    with constrained dofs) alone, numbered by ``np.unique`` over the rows."""
-    nel, bits = mesh.n_triangles, CLASS_BITS
-    verts = mesh.vertices[mesh.triangles]
-    jac = np.stack([verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 0]], axis=-1)
-    det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-    g = np.einsum("eba,ebc->eac", jac, jac) / det[:, None, None]
-    mantissa, exponent = np.frexp(det)
-    det = np.round(mantissa * 2.0**bits) * 2.0 ** (exponent - bits)
-    key = np.column_stack([np.round(g.reshape(nel, 4) * 2.0**bits) + 0.0, det, np.zeros(nel)])
-    key = key.view(np.int64)  # +0.0 above: -0.0 has other bits
-    alone = np.unique(mesh.edge_tris[mesh.boundary_edges, 0])
-    key[alone, -1] = alone + 1
-    return np.unique(key, axis=0, return_inverse=True)[1].ravel()
+    traces = []
+    for geom in edge_geometries(asm):
+        if asm.mode != "corrected":
+            traces.append(())
+            continue
+        v0, jac, det, jinv = affine_map(element_vertices(asm, geom.owner))
+        root = np.sqrt(det)
+        nodes = np.concatenate([
+            np.einsum("ab,qb->qa", jinv, geom.points - v0),
+            np.einsum("ab,qb->qa", jinv, geom.delta[:, None] * geom.nu),
+            np.einsum("ba,qb->qa", jac, geom.n_gamma) / root,
+        ], axis=1)
+        traces.append(rounded(np.concatenate([nodes.ravel(), np.einsum("ba,b->a", jac, geom.n_h)
+                                              / root, [geom.h_owner / root]])))
+    size = {}
+    for trace in traces:
+        size[trace] = size.get(trace, 0) + 1
+    number = {trace: i for i, trace in enumerate(sorted(size, key=lambda t: (-size[t], t)))}
+    keys = []
+    for t in range(mesh.n_triangles):
+        _, jac, det, _ = affine_map(element_vertices(asm, t))
+        g = np.einsum("ba,bc->ac", jac, jac) / det
+        mantissa, exponent = np.frexp(det)
+        det = np.round(mantissa * 2.0**bits) * 2.0 ** (exponent - bits)
+        keys.append(list(rounded(g)) + [int(np.float64(det).view(np.int64)), 0, 0, 0])
+    for e, trace in zip(mesh.boundary_edges, traces):
+        keys[mesh.edge_tris[e, 0]][5 + mesh.edge_slots[e, 0]] = 1 + number[trace]
+    return np.unique(np.array(keys, dtype=np.int64), axis=0, return_inverse=True)[1].ravel()
 
 
 def element_apply(elements, x, blocks=None, chunk=256):
@@ -580,7 +642,7 @@ def front_fill(mesh, k):
     return total
 
 
-def kept_entries(mesh, k):
+def kept_entries(asm):
     """The closed form of the size of the tree factor's kept blocks: sum
     over the bits with fronts of p s (2 f - s), with p the number of
     distinct subtrees among the bit's fronts, and s and f its padded
@@ -588,10 +650,11 @@ def kept_entries(mesh, k):
     fronts, and s plus (k+1) times their most boundary edges plus 1 for
     theta (the root's s is f; see ``front_fill``).  A subtree is keyed one
     node at a time from ``mesh.edge_tris`` and ``mesh.edge_slots``: a
-    triangle by its class (``mesh_classes``) and which of its edges are
+    triangle by its class (``key_classes``) and which of its edges are
     interior; node (bit, t >> bit) by its two children's keys and its
     separator, the edges whose triangles first differ in bit - 1, each as
     the (offset in the node, local edge) of its two triangles, sorted."""
+    mesh, k = asm.mesh, asm.k
     interior = mesh.edge_tris[:, 1] >= 0
     (t1, t2), (l1, l2) = mesh.edge_tris[interior].T, mesh.edge_slots[interior].T
     bit = np.array([int(a ^ b).bit_length() for a, b in zip(t1, t2)], dtype=np.int64)
@@ -599,7 +662,7 @@ def kept_entries(mesh, k):
     top = max((n_tri - 1).bit_length(), 1)
     open_edges = np.ones((n_tri, 3), dtype=int)
     open_edges[mesh.edge_tris[~interior, 0], mesh.edge_slots[~interior, 0]] = 0
-    keys = [(c, tuple(e)) for c, e in zip(mesh_classes(mesh).tolist(), open_edges.tolist())]
+    keys = [(c, tuple(e)) for c, e in zip(key_classes(asm).tolist(), open_edges.tolist())]
     total = 0
     for b in range(1, top + 1):
         separators = {}

@@ -32,6 +32,7 @@ from domains import (
 )
 from oracles import (
     apply_operator,
+    boundary_spread,
     centroid_normal,
     constant_pressure,
     constrained_local_dofs,
@@ -324,7 +325,7 @@ def test_one_copy_of_the_element_blocks(mode):
 
 def test_distinct_blocks_are_held_once():
     """On a red-refined disk most elements share their block with another
-    (152 classes for 1,536 elements at k=3 level 4), so losing the grouping
+    (72 classes for 1,536 elements at k=3 level 4), so losing the grouping
     fails here."""
     asm = disk_assembler(4, 3)
     assert len(asm.elements.matrix) < 0.75 * asm.mesh.n_triangles
@@ -334,10 +335,11 @@ def test_distinct_blocks_are_held_once():
 @given(random_domains(), st.sampled_from(MODES), st.integers(1, 3), st.integers(0, 3))
 def test_class_blocks_are_the_element_blocks_bit_for_bit(curves, mode, k, level):
     """The expanded class blocks are each element's block as built from its
-    class representative's geometry, bit for bit, and within round-off of
-    the block of its own geometry; the inverse of each element's block is
-    its class inverse with the signs flipped, equal in every entry
-    (array_equal: a zero's sign aside)."""
+    class representative's geometry, its boundary terms too, bit for bit,
+    and within round-off of the block of its own geometry; the members' own
+    boundary terms lie within round-off of the ones they take; the inverse
+    of each element's block is its class inverse with the signs flipped,
+    equal in every entry (array_equal: a zero's sign aside)."""
     mesh = coarse_mesh(curves)
     for _ in range(level):
         mesh = refine_project(mesh, curves)
@@ -348,6 +350,7 @@ def test_class_blocks_are_the_element_blocks_bit_for_bit(curves, mode, k, level)
     own = signed_blocks(asm)
     scale = np.linalg.norm(own, axis=(1, 2)) * round_off(mesh, curves)
     assert np.all(np.linalg.norm(blocks - own, axis=(1, 2)) <= 1e-13 * scale)
+    assert boundary_spread(asm) <= 1e-13 * round_off(mesh, curves)
     flip = el.flip
     inverses = flip[:, :, None] * np.linalg.inv(el.matrix)[el.cls] * flip[:, None, :]
     assert np.array_equal(np.linalg.inv(blocks), inverses)
@@ -378,13 +381,47 @@ def test_classes_are_element_shapes_up_to_round_off(curves, mode, k, level):
     assert np.all((apart <= tol) | (apart >= 1e-6))
 
 
-@pytest.mark.parametrize("domain,level,n_cls", [(disk_domain, 5, 312), (ring_domain, 4, 630)])
-def test_class_counts_at_the_finest_benchmark_levels(domain, level, n_cls):
-    """The finest levels of the benchmark's disk and ring studies hold one
-    class per element shape (k=3): 312 and 630 classes for 6,144 and 8,192
-    elements, where the exact bit patterns of (g, det) gave 2,301 and
-    3,381."""
-    assert len(Assembler(*_refined(domain, level), 3).elements.matrix) == n_cls
+@pytest.mark.parametrize("domain,level,n_cls,spread", [
+    pytest.param(domain, level, n_cls, spread, id=f"{domain.__name__}-{level}-{n_cls}")
+    for domain, level, n_cls, spread in [
+        (disk_domain, 4, 72, 7e-15), (disk_domain, 5, 153, 2e-14), (disk_domain, 6, 316, 4e-14),
+        (ring_domain, 2, 28, 5e-15), (ring_domain, 3, 68, 8e-15), (ring_domain, 4, 150, 2e-14),
+    ]
+])
+def test_class_counts_at_the_finest_benchmark_levels(domain, level, n_cls, spread):
+    """The benchmark's disk and ring studies hold one class per element
+    shape, a boundary owner's shape including its trace geometry (k=3): 153
+    and 150 classes for 6,144 and 8,192 elements at their finest levels,
+    where the exact bit patterns of (g, det) gave 2,301 and 3,381 and one
+    class per boundary owner 312 and 630.  The members' own boundary terms
+    are within ``spread`` of the ones they take (measured 4.8e-15, 1.2e-14
+    and 2.6e-14 on the disk, 3.1e-15, 5.4e-15 and 1.0e-14 on the ring)."""
+    asm = Assembler(*_refined(domain, level), 3)
+    assert len(asm.elements.matrix) == n_cls
+    assert boundary_spread(asm) <= spread
+
+
+def test_owners_of_an_asymmetric_mesh_never_merge():
+    """With its boundary vertices slid along the circle by distinct angles,
+    a refined disk has no two boundary owners of one shape: each is a class
+    of its own, the classes number the interior shapes plus the owners, and
+    each class block is its representative's own block, bit for bit."""
+    mesh, curves = _refined(disk_domain, 2)
+    vertices = mesh.vertices.copy()
+    on_circle = np.unique(mesh.edges[mesh.boundary_edges])
+    angle = np.arctan2(vertices[on_circle, 1], vertices[on_circle, 0])
+    angle += 0.02 * (np.arange(len(on_circle)) + 1) / len(on_circle)
+    vertices[on_circle] = np.column_stack([np.cos(angle), np.sin(angle)])
+    mesh = _build_mesh(vertices, mesh.triangles, curves, level=mesh.level)
+    asm = Assembler(mesh, curves, 3)
+    el = asm.elements
+    owners = np.unique(asm.trace.owner)
+    assert len(np.unique(el.cls[owners])) == len(owners)
+    assert np.bincount(el.cls)[el.cls[owners]].max() == 1
+    interior = np.setdiff1d(np.arange(mesh.n_triangles), owners)
+    assert len(el.matrix) == len(np.unique(key_classes(asm)[interior])) + len(owners)
+    rep = np.unique(el.cls, return_index=True)[1]
+    assert np.array_equal(expand(el)[rep], signed_blocks(asm)[rep])
 
 
 @settings(max_examples=30, deadline=None)
@@ -998,9 +1035,13 @@ def test_patch_test_on_curved_domains(curves, k, level):
     u, p, theta, rep = solve(system)
     floor = residual_floor(system, np.concatenate([u, p, [theta]]))
     assert rep.residual <= max(solver.RESIDUAL_CONTRACT, floor)
-    # the border row c.p = gauge (= 0) is the only pressure normalisation
-    c = asm.pressure_integrals()
+    # the border row c.p = gauge (= 0) is the only pressure normalisation;
+    # its c is the class representatives', within round-off of the
+    # elements' own pressure integrals
+    c = system.elements.c.ravel()
     assert abs(c @ p) <= 1e-14 * (abs(c) @ abs(p))
+    c = asm.pressure_integrals()
+    assert abs(c @ p) <= 1e-14 * round_off(mesh, curves) * (abs(c) @ abs(p))
     err = error_norms(u, p, case, asm).e_total
     if k == 1:  # u = 0 and p is constant: an absolute bound
         assert err <= 1e-10

@@ -135,16 +135,16 @@ def test_csv_deterministic_apart_from_wall_time(tmp_path):
 # CSV rows less wall_time, as written by --report
 PINNED_ROWS = {
     ("circle", 3, "1..2"): [
-        "1,0.61965683746373812,360,144,0.0058662028641683428,0.0060742796954767293,"
-        "0.0038690941663321655,0.012313572235606651,,4.5492157280893357e-15",
-        "2,0.33706269530518751,1392,576,0.00055300087931828474,0.00070948638278530839,"
-        "0.00049875842484251053,0.0013983032541226177,3.5727601891321914,1.245466475359673e-14",
+        "1,0.61965683746373812,360,144,0.0058662028641604238,0.0060742796954762158,"
+        "0.0038690941663317739,0.012313572235600388,,4.6675106307917433e-15",
+        "2,0.33706269530518751,1392,576,0.00055300087933160948,0.00070948638278402058,"
+        "0.00049875842483760409,0.001398303254124887,3.5727601891286906,1.1088501073248293e-14",
     ],
     ("ring", 2, "0..1"): [
-        "0,0.5710695820026781,288,96,22.801976550699731,0.46763257752690784,"
-        "0.33526827726568253,23.142039527186725,,3.9136659013044176e-16",
-        "1,0.30219543245250152,1056,384,5.8156024027510398,0.13037174035594262,"
-        "0.073995817549993209,5.8910593463046093,2.1498039043788508,1.9856797601736579e-15",
+        "0,0.5710695820026781,288,96,22.801976550699731,0.46763257752691623,"
+        "0.33526827726568192,23.142039527186725,,4.1038811488258756e-16",
+        "1,0.30219543245250152,1056,384,5.8156024027510353,0.1303717403559462,"
+        "0.073995817549997858,5.8910593463046093,2.1498039043788508,2.0798524397865508e-15",
     ],
 }
 
@@ -164,9 +164,13 @@ def test_rows_are_byte_identical_to_the_recorded_ones(tmp_path, study):
     assert [line.rsplit(",", 1)[0] for line in lines[1:]] == PINNED_ROWS[study]
 
 
-# sha256 of ``--dump-system`` for the ring, k=2, level 0, as written while
-# the solve still imported scipy (385 unknowns, 6,682 entries)
-RING_DUMP_SHA256 = "65eb15eae0915b55bf575e8e4799ba222d5d81f5af017ecccc2723f0b88435c7"
+# sha256 of ``--dump-system`` for the ring, k=2, level 0 (385 unknowns,
+# 6,688 entries), with the boundary owners in classes by their trace
+# geometry: six entries of B1 whose volume and boundary terms cancel exactly
+# in an owner's own geometry are round-off (at most 2.2e-15) in its
+# representative's, and every other entry is within 1.4e-15 of the maximum
+# of the one-class-per-owner dump
+RING_DUMP_SHA256 = "7f063361a5c816467ccc7329c2505fca71f9fab20f3b37f8687731c3e3b292b0"
 
 
 def test_the_program_runs_without_scipy(tmp_path):

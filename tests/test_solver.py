@@ -274,8 +274,8 @@ def test_interface_size_and_fill_pinned(domain, level):
 # level 5 and 2,048/2,048/512/512/128/128/32/32/16/8/4/2/1 at ring level 4
 # are factored as these few
 PATTERNS = {
-    ("disk", 5): [112, 152, 52, 72, 22, 32, 9, 14, 6, 6, 3, 1, 1],
-    ("ring", 4): [192, 316, 92, 155, 38, 68, 32, 32, 16, 8, 4, 2, 1],
+    ("disk", 5): [72, 73, 33, 33, 12, 13, 4, 5, 1, 2, 2, 1, 1],
+    ("ring", 4): [72, 76, 32, 35, 15, 15, 2, 9, 8, 7, 4, 2, 1],
 }
 
 
@@ -283,14 +283,13 @@ PATTERNS = {
                                           ("ring", 2), ("ring", 3), ("ring", 4)])
 def test_kept_factor_is_the_closed_form_over_the_patterns(domain, level):
     """The factor keeps its blocks once per pattern of fronts: the store is
-    ``kept_entries``, counted from the mesh alone; each bit's patterns come
+    ``kept_entries``, counted from the mesh and its traces alone; each bit's patterns come
     largest first, each represented by its lowest-index front; and at the
     finest benchmark levels the patterns per bit are pinned."""
     asm = k3_assembler(domain, level)
     el = asm.elements
     fronts = interface_fronts(el, np.linalg.inv(el.matrix), *ordered_table(el))
-    assert sum(forward.size + upper.size for *_, forward, upper in fronts.levels) == kept_entries(
-        asm.mesh, asm.k)
+    assert sum(forward.size + upper.size for *_, forward, upper in fronts.levels) == kept_entries(asm)
     for bit in solver._tree(el, *ordered_table(el)):
         assert (np.diff(np.bincount(bit.pat)) <= 0).all()
         assert np.array_equal(bit.rep, np.unique(bit.pat, return_index=True)[1])
