@@ -41,7 +41,8 @@ with one rule: the trace geometry's k+3 Gauss nodes per edge
 (``Assembler.trace``).  The penalty, the Neumann load and the error norms
 contract one array there, the normal Taylor traces of the owning triangles'
 shape functions, computed once per assembler (plain traces, Taylor order 0,
-in strong mode); the straight-normal term of B1 takes the shape functions'
+in strong mode), in corrected mode for the class representatives' edges
+alone (below); the straight-normal term of B1 takes the shape functions'
 values and the pressure basis at the same nodes.  All of these, and the
 vertex velocities of the field export, evaluate shape functions through one
 batched evaluator, ``ShapeFunctions``.
@@ -51,16 +52,20 @@ boundary, L_K depends on K only through (g = J^T J / det, det) and its
 signs: L_K = S_K L^(g, det) S_K, S_K padded with +1 on pressure (the tensor
 representation of Kirby & Logg).  g does not change when an element is
 rotated or scaled, so rotated sectors and similar children of red refinement
-share one block in exact arithmetic.  ``Assembler.elements`` groups the
-elements by (g, det) rounded far above round-off and far below any real
-difference in shape (``CLASS_BITS``), numbers the classes by ``classes`` and
-writes one unsigned block L^ per class, from its representative's geometry;
-each element that takes a boundary term (in strong mode, identity rows and
-columns) is a class of its own.  So a class is an element shape up to
-round-off: 312 classes for 6,144 elements at disk k=3 level 5, 630 for 8,192
-at ring level 4.  Every member takes its representative's geometry, the
-pressure integrals c of the border row too, so the element applies, the CSR
-and the solve use one operator exactly.
+share one block in exact arithmetic.  A boundary edge's terms depend on its
+owner only through (g, det), the edge's local slot and the trace geometry in
+the owner's frame (``Assembler._classes``), which rotation and translation
+leave unchanged too.  ``Assembler._classes`` groups the elements by these,
+rounded far above round-off and far below any real difference in shape
+(``CLASS_BITS``), and numbers the classes by ``classes``;
+``Assembler.elements`` writes one unsigned block L^ per class, from its
+representative's geometry and boundary traces (in strong mode, with
+identity rows and columns at the boundary edges' dofs).  So a class is an
+element shape up to round-off: 153 classes for 6,144 elements at disk k=3
+level 5, 150 for 8,192 at ring level 4.  Every member takes its
+representative's geometry, the boundary traces, which the Neumann load and
+the error norms read too, and the pressure integrals c of the border row,
+so the element applies, the CSR and the solve use one operator exactly.
 ``SaddleSystem.matvec`` applies S_K L^ S_K element by element
 (``ElementBlocks.apply``): in rounds of one element per class on a prefix
 of the class blocks, then the rest of each large class in one product
@@ -117,12 +122,15 @@ __all__ = [
 
 # the bits of (g, det) that the element classes key on: g rounded to
 # multiples of 2^-36 (its entries are O(1), as g does not depend on scale)
-# and det to a 36-bit mantissa.  Classes at k=3, with exact bits before:
-# disk L5 312 (2,301), L6 632-635 (4,639), ring L2 148 (446), L4 628-630
-# (3,381), the same for every quantum from 2^-20 to 2^-36.  Within a class
-# g and log2 det spread by at most 6.3e-14 (ring L4), round-off, and
-# distinct shapes are at least 7.3e-3 apart (disk L6).  A bucket edge that
-# splits a cluster costs one extra class, never accuracy.
+# and det to a 36-bit mantissa; the owners' trace geometry, O(1) in the
+# owner's frame, is rounded as g.  Classes at k=3, with exact bits of
+# (g, det) and one class per boundary owner in brackets: disk L5 152-153
+# (2,301; 312), L6 312-316 (4,639; 632-635), ring L2 28 (446; 148), L4
+# 148-150 (3,381; 628-630), at the quanta 2^-20, 2^-24, ..., 2^-36, the
+# higher counts at 2^-36.  Within a class g (over its largest entry) and
+# log2 det spread by at most 3.6e-14 (disk L6), round-off, and distinct
+# (g, det) are at least 1.6e-3 apart (ring L4).  A bucket edge that splits
+# a cluster costs one extra class, never accuracy.
 CLASS_BITS = 36
 
 
@@ -420,14 +428,16 @@ class ShapeFunctions:
 class Assembler:
     """Assembles the forms of one (mesh, degree, Taylor order, mode) setup.
 
-    Heavy per-element data (the affine maps v0, jac, det, jinv and the DOF
-    signs S_K, which ``ShapeFunctions`` reads for any set of elements) and the
-    boundary data (trace geometry, the owners' shape functions
-    ``boundary_shapes`` and their normal traces ``basis_trace``, shape
-    (n_b, q, n_d)) are computed once and shared by the matrix, load, and
-    error-measurement routines.  ``m`` is the Taylor order, an int in 0..k
-    (default k).  Strong mode has no Taylor extension: it ignores ``m`` and
-    takes plain traces (``self.m`` = 0).
+    Heavy per-element data (the affine maps v0, jac, det, jinv, the DOF
+    signs S_K, which ``ShapeFunctions`` reads for any set of elements, and
+    the element classes ``cls`` and their representatives ``rep``) and the
+    boundary data (trace geometry, the shape functions ``boundary_shapes``
+    of the owners of the ``source_edges``, the edges whose traces are
+    computed, and every edge's normal traces ``basis_trace``, shape
+    (n_b, q, n_d), its source's in its own signs) are computed once and
+    shared by the matrix, load, and error-measurement routines.  ``m`` is
+    the Taylor order, an int in 0..k (default k).  Strong mode has no Taylor
+    extension: it ignores ``m`` and takes plain traces (``self.m`` = 0).
     """
 
     def __init__(self, mesh, curves, k, m=None, mode="corrected",
@@ -535,15 +545,17 @@ class Assembler:
         per class of elements into one (n_cls, nd + npr, nd + npr) array, and
         the two copies of each interior edge (see ``ElementBlocks``).
 
-        A class is the elements whose (g, det) round to the same key
-        (``CLASS_BITS``), numbered by ``classes``, with the first of them,
-        by index, as the representative whose geometry they all take; each
-        element that takes a boundary term is a class of its own.  A_K is
-        mass + div-div, plus (corrected mode) each boundary edge's penalty in
-        its owner; symmetric by construction.  B1_K is B0_K plus (corrected
-        mode) the straight-normal term of the element's boundary edges.  In
-        strong mode the constrained dofs' rows and columns are identity
-        (strong imposition of homogeneous data)."""
+        A class is the elements of one key of ``_classes``, their (g, det)
+        and boundary slots and, in corrected mode, their boundary edges'
+        trace geometry, rounded (``CLASS_BITS``), with the first of them,
+        by index, as the representative whose geometry and boundary traces
+        they all take: the boundary terms are computed for the
+        representatives alone.  A_K is mass + div-div, plus (corrected
+        mode) each boundary edge's penalty in its owner; symmetric by
+        construction.  B1_K is B0_K plus (corrected mode) the
+        straight-normal term of the element's boundary edges.  In strong
+        mode the constrained dofs' rows and columns are identity (strong
+        imposition of homogeneous data)."""
         t, mesh = self.tables, self.mesh
         nel, nd = mesh.n_triangles, t.element.dim
         npr = t.pressure.dim

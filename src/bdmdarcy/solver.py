@@ -4,11 +4,12 @@ The solve is a hybridized one (Arnold-Brezzi).  Normal continuity
 is broken on interior edges and restored by k+1 multipliers per edge; the
 element blocks L_K = S_K L^ S_K of ``SaddleSystem.elements`` (every
 boundary term belongs to one element) are inverted once per class, an
-element shape up to round-off whose members share one block L^, in one
-batched call, and L_K^-1 is S_K L^^-1 S_K bit for bit (partial pivoting
-chooses by magnitude, and sign flips are exact).  What is left is a sparse
-interface system on the multipliers, which the solver numbers edge by
-edge: it orders the table of each interior edge's two copies
+element shape, boundary traces included, up to round-off whose members
+share one block L^, in one batched call, and L_K^-1 is S_K L^^-1 S_K bit
+for bit (partial pivoting chooses by magnitude, and sign flips are
+exact).  What is left is a sparse interface system on the multipliers,
+which the solver numbers edge by edge: it orders the table of each
+interior edge's two copies
 (``ElementBlocks.copies``) by nested dissection of the triangle tree
 (``_nested_dissection``; George 1973, Lipton, Rose & Tarjan 1979), and
 factors it on that tree in dense fronts (``_Fronts``;
@@ -18,7 +19,7 @@ so it repeats whole subtrees: a subtree's pattern (``_tree``) is keyed
 bottom-up from the element classes, and all fronts of one pattern are one
 matrix once their multipliers are ordered and signed by the pattern's
 rule, so only one front per pattern is built and factored (disk k=3
-level 5: 482 patterns for 4,097 fronts).  The factor is kept as two
+level 5: 252 patterns for 4,097 fronts).  The factor is kept as two
 arrays of blocks per bit, one block per pattern, and each sweep of a solve
 gathers each bit's multipliers in their fronts' signs and multiplies them
 by their patterns' blocks in rounds and tails, as the element applies do.
@@ -149,8 +150,8 @@ def _tree(el, tris, slots):
     A node's pattern is its two children's patterns and its separator, each
     edge as its two copies' (triangle offset in the node, local edge) and
     the sign of copy 1's dofs against copy 0's; a leaf's is its element's
-    class, which fixes which of its edges are interior (an element with a
-    boundary edge is a class of its own).  Each bit's nodes are numbered
+    class, which fixes which of its edges are interior (the class key holds
+    the element's boundary slots).  Each bit's nodes are numbered
     once by ``assembly.classes``, whose rule the front patterns keep.  A
     front's slots are its separator edges by their copy 0 and its boundary
     edges by their copy in the node, each in (triangle offset, local edge)
@@ -268,9 +269,9 @@ def _tree(el, tris, slots):
 
 # front entries per batch of ``_Fronts`` (1 MB): with each bit's patterns in
 # one batch, the fronts, their bincount, the flat indices and the Schur
-# complements peak 35 MB above what the factor keeps at ring k=3 level 4
-# (26 MB at disk level 5), and 15 MB (10 MB) in batches of 2**17 entries,
-# which cost no measurable time (within 1% of the factor, best of 5).
+# complements peak 14 MB above what the factor keeps at ring k=3 level 4
+# (13 MB at disk level 5), and 8.4 MB (8.2 MB) in batches of 2**17
+# entries, which are not slower (best of 5).
 # Before the factor was per pattern, what glibc kept of freed one-bit
 # batches raised the benchmark's peak by 29% on the ring
 FRONT_CHUNK = 2**17
@@ -298,7 +299,7 @@ class _Fronts:
     Red refinement repeats shapes, so most subtrees repeat: two fronts of
     one pattern (``_tree``) are one matrix once their slots are ordered and
     signed by the pattern's rule.  Only each pattern's representative front
-    is built and factored (disk k=3 level 5: 112 and 152 patterns for the
+    is built and factored (disk k=3 level 5: 72 and 73 patterns for the
     1,536 fronts of each of bits 1 and 2), from the children of the
     representative: element classes and the patterns below.  The fronts of
     one bit are padded to the largest separator and boundary of that bit

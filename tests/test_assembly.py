@@ -401,22 +401,34 @@ def test_class_counts_at_the_finest_benchmark_levels(domain, level, n_cls, sprea
     assert boundary_spread(asm) <= spread
 
 
-def test_owners_of_an_asymmetric_mesh_never_merge():
-    """With its boundary vertices slid along the circle by distinct angles,
-    a refined disk has no two boundary owners of one shape: each is a class
-    of its own, the classes number the interior shapes plus the owners, and
-    each class block is its representative's own block, bit for bit."""
-    mesh, curves = _refined(disk_domain, 2)
+def _slid(mesh, curves):
+    """The mesh with its boundary vertices slid along the unit circle by
+    distinct angles: no two owners keep one shape."""
     vertices = mesh.vertices.copy()
     on_circle = np.unique(mesh.edges[mesh.boundary_edges])
     angle = np.arctan2(vertices[on_circle, 1], vertices[on_circle, 0])
     angle += 0.02 * (np.arange(len(on_circle)) + 1) / len(on_circle)
     vertices[on_circle] = np.column_stack([np.cos(angle), np.sin(angle)])
-    mesh = _build_mesh(vertices, mesh.triangles, curves, level=mesh.level)
+    return _build_mesh(vertices, mesh.triangles, curves, level=mesh.level), curves
+
+
+def _shifted(mesh, curves):
+    """The mesh under the unit circle moved off its centre by 1e-3: the owners
+    keep their shapes and slots, and no two keep one trace geometry."""
+    return mesh, disk_domain(center=(1e-3, 0.0))
+
+
+@pytest.mark.parametrize("asymmetric", [_slid, _shifted])
+def test_owners_of_an_asymmetric_mesh_never_merge(asymmetric):
+    """On a refined disk whose boundary has lost its symmetry, by its
+    vertices slid along the circle by distinct angles or by the circle
+    moved under the mesh, no two boundary owners share a class, the classes
+    number the interior shapes plus the owners, and each class block is
+    its representative's own block, bit for bit."""
+    mesh, curves = asymmetric(*_refined(disk_domain, 2))
     asm = Assembler(mesh, curves, 3)
     el = asm.elements
     owners = np.unique(asm.trace.owner)
-    assert len(np.unique(el.cls[owners])) == len(owners)
     assert np.bincount(el.cls)[el.cls[owners]].max() == 1
     interior = np.setdiff1d(np.arange(mesh.n_triangles), owners)
     assert len(el.matrix) == len(np.unique(key_classes(asm)[interior])) + len(owners)

@@ -283,9 +283,10 @@ PATTERNS = {
                                           ("ring", 2), ("ring", 3), ("ring", 4)])
 def test_kept_factor_is_the_closed_form_over_the_patterns(domain, level):
     """The factor keeps its blocks once per pattern of fronts: the store is
-    ``kept_entries``, counted from the mesh and its traces alone; each bit's patterns come
-    largest first, each represented by its lowest-index front; and at the
-    finest benchmark levels the patterns per bit are pinned."""
+    ``kept_entries``, counted from the mesh and its boundary traces alone;
+    each bit's patterns come largest first, each represented by its
+    lowest-index front; and at the finest benchmark levels the patterns per
+    bit are pinned."""
     asm = k3_assembler(domain, level)
     el = asm.elements
     fronts = interface_fronts(el, np.linalg.inv(el.matrix), *ordered_table(el))
