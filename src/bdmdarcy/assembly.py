@@ -63,9 +63,12 @@ representative's geometry and boundary traces (in strong mode, with
 identity rows and columns at the boundary edges' dofs).  So a class is an
 element shape up to round-off: 153 classes for 6,144 elements at disk k=3
 level 5, 150 for 8,192 at ring level 4.  Every member takes its
-representative's geometry, the boundary traces, which the Neumann load and
-the error norms read too, and the pressure integrals c of the border row,
-so the element applies, the CSR and the solve use one operator exactly.
+representative's geometry and the boundary traces, which the Neumann load
+and the error norms read too, so the element applies, the CSR and the solve
+use one operator exactly, but for the pressure integrals c of the border
+row and column: the operator holds each element's own, so c.p = gauge
+holds with them, and the solve inverts with its class representative's
+(one per class) and leaves the round-off between them to its refinement.
 ``SaddleSystem.matvec`` applies S_K L^ S_K element by element
 (``ElementBlocks.apply``): in rounds of one element per class on a prefix
 of the class blocks, then the rest of each large class in one product
@@ -267,7 +270,8 @@ class ElementBlocks:
     flip: np.ndarray  # (nel, nd + npr) S_K, +1 on pressure
     udofs: np.ndarray  # (nel, nd) global velocity dofs of the local ones
     copies: np.ndarray  # (m, 2, 2) (triangle, local edge) per interior edge and copy
-    c: np.ndarray  # (nel, npr) theta_scale times the representative's pressure integrals
+    c: np.ndarray  # (nel, npr) theta_scale times the element's own pressure integrals
+    rep: np.ndarray  # (n_cls,) each class's representative, its lowest-numbered element
 
     @cached_property
     def rounds(self):
@@ -490,9 +494,12 @@ class Assembler:
         slot = mesh.edge_slots[mesh.boundary_edges, 0]
         source = np.arange(len(slot))
         if mode == "corrected":
-            edge_at = np.zeros((mesh.n_triangles, 3), np.int64)
+            edge_at = np.full((mesh.n_triangles, 3), -1)
             edge_at[geom.owner, slot] = source
             source = edge_at[self.rep[self.cls[geom.owner]], slot]
+            if np.any(source < 0):  # the key's slot columns rule it out
+                raise RuntimeError(
+                    "a class representative has no boundary edge in the slot of its member's")
         own = source == np.arange(len(slot))
         self.source_edges = np.flatnonzero(own)
         self.boundary_shapes = ShapeFunctions(self, geom.owner[self.source_edges])
@@ -605,7 +612,8 @@ class Assembler:
             flip=np.concatenate([s, np.ones((nel, npr))], axis=1),
             udofs=self.gidx,
             copies=np.stack([mesh.edge_tris[interior], mesh.edge_slots[interior]], axis=2),
-            c=self.theta_scale * self.pressure_integrals().reshape(nel, -1)[rep][cls],
+            c=self.theta_scale * self.pressure_integrals().reshape(nel, -1),
+            rep=rep,
         )
 
     def _classes(self):

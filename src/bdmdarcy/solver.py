@@ -97,14 +97,15 @@ def _leaves(el, inv):
     """The leaves of the interface matrix sum_K G_K^T L_K^-1 G_K, one per
     class, (n_cls, 3(k+1) + 1, 3(k+1) + 1) on the local edge dofs and theta:
     G~^T L^^-1 G~ from the class inverses ``inv``, with G~ the unsigned
-    edge-dof columns and the c column of theta.  Element K's block is its
+    edge-dof columns and the c column of theta, c the class
+    representative's (the operator's own c_K differs from it by round-off,
+    which the refinement takes out).  Element K's block is its
     class's with the rows and columns of its edge dofs times sign * S_K,
     sign +1 on copy 0 of an edge, -1 on copy 1 and 0 on a boundary edge:
     the factor takes it in those signs (``_tree``)."""
     nd = el.udofs.shape[1]
     ne = 3 * isqrt(nd)  # edge dofs: nd = (k+1)(k+2)
-    c = np.empty((len(inv), el.c.shape[1]))
-    c[el.cls] = el.c  # c_K is its class representative's, so it is one per class
+    c = el.c[el.rep]  # each class's representative's, so one leaf per class
     # the edge-dof rows of L^^-1 G~ (its c column is L^^-1 c), then theta's
     # row c^T times its pressure rows
     lc = inv[:, :, nd:] @ c[:, :, None]
@@ -469,7 +470,9 @@ class _Hybrid:
         self.index, order = system._index, el.rounds[0]
         self.row = np.empty_like(order)  # each element's row in round order
         self.row[order] = np.arange(len(order))
-        self.c = el.c[order]
+        # theta's row and column with each element's c its class's, as in
+        # the leaves: refinement closes the round-off to the operator's own c
+        self.c = el.c[el.rep[el.cls[order]]]
         # the k+1 dofs of each ordered edge's copy 0 and copy 1 as flat positions
         # in the element arrays: take/put is several times faster than pairs
         flat = (self.row[tris] * self.index.shape[1] + slots * k1)[:, :, None] + np.arange(k1)

@@ -696,8 +696,7 @@ def interface_coo(el, inv, tris, slots):
     multiplier, sign = per_dof_multipliers(el, tris, slots)
     nd, ne = el.udofs.shape[1], sign.shape[1]
     n = ne // 3 * len(tris) + 1
-    c = np.empty((len(inv), el.c.shape[1]))
-    c[el.cls] = el.c
+    c = el.c[np.unique(el.cls, return_index=True)[1]]  # each class's first element's
     z = np.concatenate([inv[:, :, :ne], inv[:, :, nd:] @ c[:, :, None]], axis=2)
     local = np.concatenate([z[:, :ne, :], c[:, None, :] @ z[:, nd:, :]], axis=1)[el.cls]
     d = np.concatenate([sign * el.flip[:, :ne], np.ones((len(el.cls), 1))], axis=1)
@@ -723,6 +722,7 @@ def hybrid_apply_per_dof(system, hybrid, b):
     copy 0, G^T y by one masked ``bincount`` in element order, G xi by
     sign * xi[multiplier], and each shared dof's value taken from copy 0."""
     el, n_u = system.elements, system.n_u
+    c = el.c[representatives(el)]  # the solve's c: its class's first element's
     multiplier, sign = per_dof_multipliers(el, *ordered_table(el))
     nd, ne, theta = el.udofs.shape[1], sign.shape[1], hybrid.n_interface - 1
     holder = np.ones(el.udofs.shape, dtype=bool)
@@ -733,11 +733,11 @@ def hybrid_apply_per_dof(system, hybrid, b):
     g = np.empty(theta + 1)
     inner = multiplier >= 0
     g[:theta] = np.bincount(multiplier[inner], weights=(sign * y[:, :ne])[inner], minlength=theta)
-    g[theta] = np.sum(el.c * y[:, nd:]) - b[-1]
+    g[theta] = np.sum(c * y[:, nd:]) - b[-1]
     xi = hybrid.fronts.solve(g)
 
     f[:, :ne] -= sign * xi[multiplier]  # sign 0 where there is no multiplier
-    f[:, nd:] -= el.c * xi[theta]
+    f[:, nd:] -= c * xi[theta]
     x_loc = element_apply(el, f, hybrid.inv)
 
     u = np.empty(n_u)

@@ -1,6 +1,7 @@
 """Assembled forms against dense/matrix-free oracles and structural
 identities of the constrained system."""
 
+import copy
 import tracemalloc
 from math import isqrt
 
@@ -14,8 +15,8 @@ from hypothesis.extra import numpy as hnp
 
 from bdmdarcy import assembly, solver
 from bdmdarcy.analysis import case_circle, case_ring, error_norms
-from bdmdarcy.assembly import Assembler, build_saddle_system, reference_tables
-from bdmdarcy.correction import dot2
+from bdmdarcy.assembly import Assembler, ShapeFunctions, build_saddle_system, reference_tables
+from bdmdarcy.correction import dot2, taylor_trace_normal
 from bdmdarcy.mesh import (
     _build_mesh,
     coarse_mesh,
@@ -254,8 +255,7 @@ def _same_csr(mat, expected):
 def test_lazy_matrix_blocks_equal_scattered_blocks(mode):
     """On a fixed disk, each block of the lazy operator is the COO scatter of
     its slice of the expanded element blocks, and the border row and column
-    are c, each element's class representative's pressure integrals, within
-    round-off of its own; nothing else is stored."""
+    are c, each element's own pressure integrals; nothing else is stored."""
     asm = disk_assembler(2, 2, mode=mode)
     system = asm.system(case_circle())
     blocks, nd, pidx = expand(asm.elements), asm.gidx.shape[1], pressure_index(asm)
@@ -267,11 +267,9 @@ def test_lazy_matrix_blocks_equal_scattered_blocks(mode):
     ]
     for block, expected in pairs:
         assert block.nnz == expected.nnz and (block != expected).nnz == 0
-    own = asm.pressure_integrals().reshape(len(asm.det), -1)
-    c = own[representatives(asm.elements)].ravel()
+    c = asm.pressure_integrals()
     assert np.array_equal(mat[n_u:-1, -1].toarray().ravel(), c)
     assert np.array_equal(mat[-1, n_u:-1].toarray().ravel(), c)
-    assert np.abs(c - own.ravel()).max() <= 1e-14 * np.abs(own).max()
     assert mat.nnz == sum(block.nnz for block, _ in pairs) + 2 * np.count_nonzero(c)
 
 
@@ -432,8 +430,42 @@ def test_owners_of_an_asymmetric_mesh_never_merge(asymmetric):
     assert np.bincount(el.cls)[el.cls[owners]].max() == 1
     interior = np.setdiff1d(np.arange(mesh.n_triangles), owners)
     assert len(el.matrix) == len(np.unique(key_classes(asm)[interior])) + len(owners)
-    rep = np.unique(el.cls, return_index=True)[1]
-    assert np.array_equal(expand(el)[rep], signed_blocks(asm)[rep])
+    assert np.array_equal(expand(el)[el.rep], signed_blocks(asm)[el.rep])
+
+
+def test_a_representative_without_a_members_boundary_slot_is_refused(monkeypatch):
+    """Each boundary edge takes the traces of the edge in its slot of its
+    class representative; a class whose representative has no boundary edge
+    there (here every element in one class, represented by an interior
+    element) is refused, not read as some other edge's traces."""
+    mesh, curves = _refined(disk_domain, 1)
+    interior = np.flatnonzero(np.all(mesh.edge_tris[mesh.tri_edges, 1] >= 0, axis=1))[0]
+    one_class = (np.zeros(mesh.n_triangles, np.int64), np.array([interior]))
+    monkeypatch.setattr(Assembler, "_classes", lambda self: one_class)
+    with pytest.raises(RuntimeError, match="no boundary edge in the slot"):
+        Assembler(mesh, curves, 2)
+
+
+@pytest.mark.parametrize("domain,case,k,level,bound", [
+    (disk_domain, case_circle, 3, 4, 1e-10),
+    (ring_domain, case_ring, 3, 2, 1e-14),
+    (ring_domain, case_ring, 6, 1, 1e-13),
+    (ring_domain, case_ring, 9, 2, 5e-7),
+])
+def test_error_norms_with_the_representatives_traces_are_the_owners_own(
+        domain, case, k, level, bound):
+    """The error norms read each owner's traces from its class
+    representative's edge.  With the owner's own traces they differ by the
+    traces' round-off alone, relative to E_total: measured 1.4e-11 (disk
+    k=3 L4), 3.6e-16 (ring k=3 L2), 1.5e-14 (ring k=6 L1) and 8.4e-8 (ring
+    k=9 L2, where the degree-9 traces keep fewer digits), inside the
+    benchmark gate's rtol of 1e-6 on E_total."""
+    asm = Assembler(*_refined(domain, level), k)
+    u, p, _, _ = solve(asm.system(case()))
+    own = copy.copy(asm)
+    own.basis_trace = taylor_trace_normal(ShapeFunctions(asm, asm.trace.owner), asm.trace, asm.m)
+    taken, mine = error_norms(u, p, case(), asm).e_total, error_norms(u, p, case(), own).e_total
+    assert abs(taken - mine) <= bound * mine
 
 
 @settings(max_examples=30, deadline=None)
@@ -651,6 +683,7 @@ def test_classes_come_largest_first_and_partition_the_elements_as_by_key(setup, 
     assert np.array_equal(tails, size[size > n_rounds] - n_rounds)
     parts = np.split(order, np.cumsum(np.concatenate([sizes, tails]))[:-1])
     members = [np.flatnonzero(cls == c) for c in range(n_cls)]
+    assert np.array_equal(asm.elements.rep, [m[0] for m in members])
     assert all(np.array_equal(part, [members[c][r] for c in range(len(part))])
                for r, part in enumerate(parts[:n_rounds]))
     assert all(np.array_equal(part, members[c][n_rounds:])
@@ -1031,13 +1064,17 @@ def residual_floor(system, x):
 
 @settings(max_examples=40, deadline=None)
 @given(accepted_domains(), st.integers(1, 3), st.integers(0, 1))
+@example(ring_domain(center=(0.0, 8.0), r_inner=0.018, r_outer=0.032), 3, 0)
 def test_patch_test_on_curved_domains(curves, k, level):
     """Polynomial data inside the discrete spaces (p of degree k-1, u = -grad
     p of degree k-2 <= m = k) is reproduced to round-off on disks and rings
     over the whole accepted geometry.  The solve meets the residual contract
     unless the data's own residual floor is above it: large rings with a
     small hole reach 4e-10 there (r_outer = 100, r_inner = 1, k = 2), and
-    then the residual is at that floor."""
+    then the residual is at that floor.  The pressure mean is zero with the
+    elements' own integrals, also where congruent boundary owners share a
+    class (the example: 5 classes for 32 elements; with the
+    representatives' integrals in the border row it read 1.4e-14)."""
     mesh = coarse_mesh(curves)
     for _ in range(level):
         mesh = refine_project(mesh, curves)
@@ -1047,13 +1084,9 @@ def test_patch_test_on_curved_domains(curves, k, level):
     u, p, theta, rep = solve(system)
     floor = residual_floor(system, np.concatenate([u, p, [theta]]))
     assert rep.residual <= max(solver.RESIDUAL_CONTRACT, floor)
-    # the border row c.p = gauge (= 0) is the only pressure normalisation;
-    # its c is the class representatives', within round-off of the
-    # elements' own pressure integrals
-    c = system.elements.c.ravel()
-    assert abs(c @ p) <= 1e-14 * (abs(c) @ abs(p))
+    # the border row c.p = gauge (= 0) is the only pressure normalisation
     c = asm.pressure_integrals()
-    assert abs(c @ p) <= 1e-14 * round_off(mesh, curves) * (abs(c) @ abs(p))
+    assert abs(c @ p) <= 1e-14 * (abs(c) @ abs(p))
     err = error_norms(u, p, case, asm).e_total
     if k == 1:  # u = 0 and p is constant: an absolute bound
         assert err <= 1e-10
