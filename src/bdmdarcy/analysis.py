@@ -19,26 +19,50 @@ __all__ = [
 ]
 
 
+def _horner(x, coeffs):
+    """sum_i coeffs[i] x^i by Horner's rule from the top, as
+    ``npoly.polyval`` sums it, but with the zero coefficients (None)
+    skipped: c + 0.0 is c for every c but -0.0, and a nonzero sum is never
+    -0.0, so a skipped addition changes no bit unless the constant term is
+    the zero, which then gets polyval's last + 0.0.  None if every
+    coefficient is; a scalar if only the constant term is not."""
+    value = None
+    for c in reversed(coeffs):
+        if value is not None:
+            value = value * x
+        if c is not None:
+            value = c if value is None else value + c
+    if value is not None and coeffs[0] is None:
+        value = value + 0.0
+    return value
+
+
 class _Poly2D:
-    """Bivariate polynomial with exact mixed partials."""
+    """Bivariate polynomial sum_ij coeff[i, j] x^i y^j with exact mixed
+    partials.  It is summed as ``npoly.polyval2d`` sums it, by Horner's rule
+    in x per power of y and then in y, over the nonzero coefficients alone
+    (``_horner``): the same bits at real points, with a few passes over the
+    points where polyval2d runs every power of x over (deg_y + 1, n)
+    arrays.  Complex points, as in complex-step derivatives, work too."""
 
     def __init__(self, coeff):
         self.coeff = np.asarray(coeff, dtype=float)
 
     def __call__(self, pts):
-        pts = np.atleast_2d(pts)
-        return npoly.polyval2d(pts[:, 0], pts[:, 1], self.coeff)
+        return self._eval(pts, self.coeff)
 
     def derivative(self, pts, rx, ry):
-        c = self.coeff
-        if rx >= c.shape[0] or ry >= c.shape[1]:
-            return np.zeros(len(np.atleast_2d(pts)))
-        if rx:
-            c = npoly.polyder(c, m=rx, axis=0)
-        if ry:
-            c = npoly.polyder(c, m=ry, axis=1)
+        return self._eval(pts, npoly.polyder(npoly.polyder(self.coeff, rx, axis=0), ry, axis=1))
+
+    @staticmethod
+    def _eval(pts, coeff):
         pts = np.atleast_2d(pts)
-        return npoly.polyval2d(pts[:, 0], pts[:, 1], c)
+        x, y = pts[:, 0], pts[:, 1]
+        nonzero = [[c if c else None for c in column] for column in coeff.T.tolist()]
+        value = _horner(y, [_horner(x, column) for column in nonzero])
+        if value is None or np.ndim(value) == 0:  # a constant
+            return np.full(x.shape, 0.0 if value is None else value, np.result_type(x, 0.0))
+        return value
 
 
 @dataclass
@@ -165,36 +189,31 @@ def error_norms(u, p, case, assembler):
     geometric error of the polygonal approximation (dominant O(h^{1/2})).
     """
     t = assembler.tables
-    wq = t.err.weights
+    wq, det = t.err.weights, assembler.det
     flat = assembler.physical_points(t.err.points).reshape(-1, 2)
-    # discrete velocity and divergence at the error-rule nodes, as GEMMs
+    # discrete velocity and divergence at the error-rule nodes, as GEMMs,
+    # and every integral as GEMVs: over the nodes, with the weights, then
+    # over the elements, with det
     w = assembler.local_coeffs(u)
     nel, nd = w.shape
-    uh_ref = (w @ t.v_vals_err.transpose(1, 0, 2).reshape(nd, -1)).reshape(nel, -1, 2)
-    uh_vals = uh_ref @ assembler.jac.transpose(0, 2, 1) / assembler.det[:, None, None]
-    uh_div = w @ t.v_div_err.T / assembler.det[:, None]
+    uh_vals = assembler.piola((w @ t.v_vals_err.transpose(1, 0, 2).reshape(nd, -1)).reshape(nel, -1, 2))
+    uh_div = w @ t.v_div_err.T / det[:, None]
 
     ue = case.velocity(flat).reshape(uh_vals.shape)
     fe = case.source(flat).reshape(uh_div.shape)
-    l2_sq = float(np.einsum("e,q,eqa->", assembler.det, wq, (ue - uh_vals) ** 2))
-    div_sq = float(np.einsum("e,q,eq->", assembler.det, wq, (fe - uh_div) ** 2))
+    l2_sq = float(det @ (((ue - uh_vals) ** 2).reshape(nel, -1) @ np.repeat(wq, 2)))
+    div_sq = float(det @ (((fe - uh_div) ** 2) @ wq))
 
     geom = assembler.trace
     exact = taylor_trace_normal(case, geom, assembler.m)
-    discrete = np.einsum("bqi,bi->bq", assembler.basis_trace, u[assembler.gidx[geom.owner]])
-    diff = exact - discrete
-    pen_sq = float(np.einsum("bq,b,bq->", geom.weights, 1.0 / geom.h_owner, diff**2))
+    discrete = (assembler.basis_trace @ u[assembler.gidx[geom.owner], None])[..., 0]
+    pen_sq = float(np.vdot(geom.weights / geom.h_owner[:, None], (exact - discrete) ** 2))
 
-    p_loc = p.reshape(assembler.mesh.n_triangles, -1)
-    ph_vals = np.einsum("el,ql->eq", p_loc, t.p_vals_err)
+    ph_vals = p.reshape(nel, -1) @ t.p_vals_err.T
     pe_vals = case.pressure(flat).reshape(ph_vals.shape)
-    mean_h = float(np.einsum("e,q,eq->", assembler.det, wq, ph_vals)) / assembler.area
-    mean_e = float(np.einsum("e,q,eq->", assembler.det, wq, pe_vals)) / assembler.area
-    p_sq = float(
-        np.einsum(
-            "e,q,eq->", assembler.det, wq, ((pe_vals - mean_e) - (ph_vals - mean_h)) ** 2
-        )
-    )
+    mean_h = float(det @ (ph_vals @ wq)) / assembler.area
+    mean_e = float(det @ (pe_vals @ wq)) / assembler.area
+    p_sq = float(det @ ((((pe_vals - mean_e) - (ph_vals - mean_h)) ** 2) @ wq))
 
     e_hdiv = np.sqrt(l2_sq + div_sq)
     e_pen = np.sqrt(pen_sq)

@@ -895,3 +895,57 @@ def apply_operator(asm, x):
     y_p += c * lam + (c / asm.area) * flux_u
     y_lam = c @ p
     return np.concatenate([y_u, y_p, [y_lam]])
+
+
+def einsum_loads(asm, case):
+    """(rhs_u, rhs_p) of ``Assembler.rhs`` as einsums over the quadrature
+    axis, with the weights applied in each einsum, not folded into the
+    tables, the nodes mapped by an einsum, and the volume and Neumann
+    entries scattered by ``np.add.at``: the reference of the program's GEMM
+    loads.  The inputs are the assembler's tables, geometry and basis
+    traces."""
+    t, det = asm.tables, asm.det
+    pts = asm.v0[:, None, :] + np.einsum("eab,qb->eqa", asm.jac, t.vol.points)
+    f = case.source(pts.reshape(-1, 2)).reshape(pts.shape[:2])
+    rhs_u = np.zeros(asm.dofmap.n_u)
+    np.add.at(rhs_u, asm.gidx, asm.dof_sign * np.einsum("q,eq,qn->en", t.vol.weights, f, t.v_div))
+    if asm.mode == "corrected":
+        geom = asm.trace
+        gn = case.neumann(geom.projected.reshape(-1, 2), geom.n_gamma.reshape(-1, 2))
+        gn = np.asarray(gn, dtype=float).reshape(geom.delta.shape)
+        contrib = np.einsum("bq,bq,bqi->bi", geom.weights, gn, asm.basis_trace)
+        np.add.at(rhs_u, asm.gidx[geom.owner], contrib / geom.h_owner[:, None])
+    f_mean = float(np.einsum("e,q,eq->", det, t.vol.weights, f)) / asm.area
+    rhs_p = -np.einsum("e,q,eq,ql->el", det, t.vol.weights, f - f_mean, t.p_vals).ravel()
+    return rhs_u, rhs_p
+
+
+def einsum_error_norms(u, p, case, asm):
+    """(E_u_hdiv, E_penalty, E_u_0h, E_p, E_total) of ``error_norms`` as
+    einsums over the quadrature axis, the nodes and the Piola map by
+    einsums too: the reference of the program's GEMV norms.  The exact
+    field's Taylor traces are the program's (``correction``), as they are
+    an input of the norms, not one of their reductions."""
+    t, det, wq = asm.tables, asm.det, asm.tables.err.weights
+    pts = (asm.v0[:, None, :] + np.einsum("eab,qb->eqa", asm.jac, t.err.points)).reshape(-1, 2)
+    w = asm.local_coeffs(u)
+    uh = np.einsum("eab,eqb->eqa", asm.jac, np.einsum("en,qna->eqa", w, t.v_vals_err))
+    uh /= det[:, None, None]
+    div = np.einsum("en,qn->eq", w, t.v_div_err) / det[:, None]
+    ue = case.velocity(pts).reshape(uh.shape)
+    fe = case.source(pts).reshape(div.shape)
+    l2_sq = float(np.einsum("e,q,eqa->", det, wq, (ue - uh) ** 2))
+    div_sq = float(np.einsum("e,q,eq->", det, wq, (fe - div) ** 2))
+
+    geom = asm.trace
+    exact = correction.taylor_trace_normal(case, geom, asm.m)
+    discrete = np.einsum("bqi,bi->bq", asm.basis_trace, u[asm.gidx[geom.owner]])
+    pen_sq = float(np.einsum("bq,b,bq->", geom.weights, 1.0 / geom.h_owner, (exact - discrete) ** 2))
+
+    ph = np.einsum("el,ql->eq", p.reshape(len(det), -1), t.p_vals_err)
+    pe = case.pressure(pts).reshape(ph.shape)
+    mean_h = float(np.einsum("e,q,eq->", det, wq, ph)) / asm.area
+    mean_e = float(np.einsum("e,q,eq->", det, wq, pe)) / asm.area
+    p_sq = float(np.einsum("e,q,eq->", det, wq, ((pe - mean_e) - (ph - mean_h)) ** 2))
+    e_0h = np.sqrt(l2_sq + div_sq + pen_sq)
+    return np.sqrt(l2_sq + div_sq), np.sqrt(pen_sq), e_0h, np.sqrt(p_sq), e_0h + np.sqrt(p_sq)

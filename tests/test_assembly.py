@@ -42,6 +42,8 @@ from oracles import (
     dense_matrix_b1_flat,
     dense_rhs_u_volume,
     dof_sign_by_vertex_lookup,
+    einsum_error_norms,
+    einsum_loads,
     element_apply,
     element_blocks,
     expand,
@@ -976,6 +978,50 @@ def test_physical_points_equal_the_einsum_map(domain, level):
     for rule in (asm.tables.vol, asm.tables.err):
         expected = asm.v0[:, None, :] + np.einsum("eab,qb->eqa", asm.jac, rule.points)
         assert _same_bits(asm.physical_points(rule.points), expected)
+
+
+@pytest.mark.parametrize("domain,level", [(disk_domain, 2), (ring_domain, 1)])
+def test_piola_map_equals_the_einsum_map(domain, level):
+    """``Assembler.piola`` gives the bits of the einsum form, signed zeros
+    included.  The batched ``matmul`` it replaced, v @ J^T / det, fuses
+    each multiply-add in BLAS, so no product-then-sum form has its bits: it
+    differs in the last bit of about a fifth of the entries, within 4 eps of
+    |J| |v| / det (1.7 eps measured on these meshes and disk level 4)."""
+    curves = domain()
+    mesh = coarse_mesh(curves)
+    for _ in range(level):
+        mesh = refine_project(mesh, curves)
+    asm = Assembler(mesh, curves, 3)
+    v = np.random.default_rng(level).standard_normal((mesh.n_triangles, 25, 2))
+    v[:, ::5] = 0.0
+    v[:, 1::5] = -0.0
+    det = asm.det[:, None, None]
+    values = asm.piola(v)
+    assert _same_bits(values, np.einsum("eab,eqb->eqa", asm.jac, v) / det)
+    fused = v @ asm.jac.transpose(0, 2, 1) / det
+    scale = (np.abs(v) @ np.abs(asm.jac).transpose(0, 2, 1)) / det
+    assert np.all(np.abs(values - fused) <= 4 * 2.0**-52 * scale)
+
+
+@settings(max_examples=30, deadline=None)
+@given(random_domains(), st.sampled_from(MODES), st.integers(1, 3), st.integers(0, 2), st.booleans())
+def test_loads_and_error_norms_equal_the_einsum_forms(curves, mode, k, level, ring_data):
+    """The GEMM loads and the GEMV error norms are the einsum forms of
+    ``oracles`` with their sums in another order: every load entry within
+    1e-13 of the load's largest, every norm within 1e-12 relative, on the
+    discrete solution (the ring's data has inhomogeneous Neumann loads;
+    strong mode takes homogeneous data alone)."""
+    mesh = coarse_mesh(curves)
+    for _ in range(level):
+        mesh = refine_project(mesh, curves)
+    case = case_ring() if ring_data and mode == "corrected" else case_circle()
+    asm = Assembler(mesh, curves, k, mode=mode)
+    for load, expected in zip(asm.rhs(case), einsum_loads(asm, case)):
+        assert np.abs(load - expected).max() <= 1e-13 * np.abs(expected).max()
+    u, p, _, _ = solve(asm.system(case))
+    err = error_norms(u, p, case, asm)
+    norms = (err.e_u_hdiv, err.e_penalty, err.e_u_0h, err.e_p, err.e_total)
+    assert norms == pytest.approx(einsum_error_norms(u, p, case, asm), rel=1e-12, abs=0.0)
 
 
 def test_assembly_is_deterministic():

@@ -135,16 +135,16 @@ def test_csv_deterministic_apart_from_wall_time(tmp_path):
 # CSV rows less wall_time, as written by --report
 PINNED_ROWS = {
     ("circle", 3, "1..2"): [
-        "1,0.61965683746373812,360,144,0.0058662028641602113,0.0060742796954755766,"
-        "0.0038690941663339917,0.012313572235602,,4.2657266112406808e-15",
-        "2,0.33706269530518751,1392,576,0.00055300087933160948,0.00070948638278402058,"
-        "0.00049875842483760625,0.0013983032541248891,3.5727601891289038,1.1093781525929057e-14",
+        "1,0.61965683746373812,360,144,0.0058662028641584592,0.0060742796954749703,"
+        "0.0038690941663300799,0.012313572235596435,,3.9927043227354284e-15",
+        "2,0.33706269530518751,1392,576,0.00055300087932340066,0.00070948638278546148,"
+        "0.00049875842484060136,0.0013983032541239745,3.5727601891292355,1.0522961431217058e-14",
     ],
     ("ring", 2, "0..1"): [
-        "0,0.5710695820026781,288,96,22.801976550699731,0.46763257752691623,"
-        "0.33526827726568198,23.142039527186725,,4.0941619291171203e-16",
-        "1,0.30219543245250152,1056,384,5.815602402751038,0.13037174035594709,"
-        "0.073995817549992612,5.8910593463046066,2.1498039043788517,1.9829505743560204e-15",
+        "0,0.5710695820026781,288,96,22.801976550699745,0.46763257752691362,"
+        "0.33526827726568348,23.142039527186736,,3.555926178753341e-16",
+        "1,0.30219543245250152,1056,384,5.8156024027510371,0.13037174035594495,"
+        "0.073995817549997719,5.891059346304611,2.1498039043788513,2.1023353849428295e-15",
     ],
 }
 
