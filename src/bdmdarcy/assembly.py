@@ -89,11 +89,17 @@ of it.  Accumulation order is fixed (elements ascending, then boundary
 edges ascending), so repeated assemblies are bit-identical.
 
 Every contraction over a length-2 axis of per-element or per-node arrays
-(the affine maps of reference points, the inverse maps, J^T J, the normal
-components) is two products and one sum per coordinate plane
-(``_matvec2``, ``correction.dot2``): the bits of ``np.einsum``, at several
-times its speed.  Never ``@`` for these: BLAS may fuse the multiply-adds,
-and the last bit of the rows moves.
+(the affine maps of reference points, the Piola map of the error norms'
+discrete velocity, the inverse maps, J^T J, the normal components) is two
+products and one sum per coordinate plane (``_matvec2``, written a plane
+at a time into one array, and ``correction.dot2``): the bits of
+``np.einsum``, at several times its speed.  Never ``@`` for these: BLAS
+fuses the multiply-adds, and the last bit moves.  The contractions over
+the quadrature nodes, in the loads (``Assembler.rhs``) and the error
+norms, are BLAS GEMMs and GEMVs instead, with the weights folded into the
+tabulated basis (``ReferenceTables.v_div_w``, ``p_vals_w``): their sums
+run in BLAS's order, so the loads and the norms differ from the einsum
+forms in the last bits (``tests/oracles.py`` keeps those forms).
 """
 
 from dataclasses import dataclass

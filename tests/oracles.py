@@ -26,7 +26,9 @@ reference of the solver's per-edge one.  The mesh's
 incidence data has its references here too, derived by geometry and
 searches: the edge normals by a centroid test, the DOF signs by a vertex
 lookup, the interface slots by an ``argmax`` and the strong mode's
-constrained local dofs by ``np.isin``.
+constrained local dofs by ``np.isin``.  The loads and the error norms
+have their einsum forms here, the references of the program's GEMM and
+GEMV reductions.
 """
 
 from math import comb, factorial, isqrt
