@@ -6,8 +6,12 @@ closed forms (exact to machine precision for these analytic formulas).
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from numpy.polynomial import polynomial as npoly
 
-from bdmdarcy.analysis import case_circle, case_ring, compute_eoc, error_norms
+from bdmdarcy.analysis import _Poly2D, case_circle, case_ring, compute_eoc, error_norms
 from bdmdarcy.assembly import Assembler
 from bdmdarcy.mesh import coarse_mesh, disk_domain, refine_project, ring_domain
 from bdmdarcy.solver import solve
@@ -91,6 +95,39 @@ def test_case_derivatives_match_complex_step():
                 lambda q: case.velocity_derivative(q, rx, ry - 1)[:, 0], pts
             )[:, 1]
             assert np.abs(exact[:, 0] - ref).max() < 1e-10 * (np.abs(ref).max() + 1)
+
+
+# coefficients as the cases write them: zeros often, never -0.0 (polyval2d
+# would carry that zero's sign into a zero sum); points with signed zeros
+_COEFFS = st.one_of(st.just(0.0), st.floats(-10.0, 10.0).map(lambda v: v + 0.0))
+_POINTS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-10.0, 10.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 4), st.integers(0, 4),
+       st.integers(1, 12), st.data())
+def test_poly2d_sums_as_polyval2d(nx, ny, rx, ry, n, data):
+    """``_Poly2D`` and its partials are ``npoly.polyval2d`` of the
+    (differentiated) coefficients within 0 ulp: bit for bit at real points,
+    signed zeros included, and equal at complex points (a zero's sign
+    aside), as the complex-step tests take them.  A partial of an order
+    above the degree is +0.0."""
+    coeff = data.draw(hnp.arrays(np.float64, (nx, ny), elements=_COEFFS))
+    pts = data.draw(hnp.arrays(np.float64, (n, 2), elements=_POINTS))
+    step = data.draw(hnp.arrays(np.float64, (n, 2), elements=st.floats(-1e-20, 1e-20)))
+    poly = _Poly2D(coeff)
+    c = npoly.polyder(npoly.polyder(coeff, rx, axis=0), ry, axis=1)
+    for points in (pts, pts + 1j * step):
+        got = poly.derivative(points, rx, ry) if rx or ry else poly(points)
+        if rx < nx and ry < ny:
+            expected = npoly.polyval2d(points[:, 0], points[:, 1], c)
+        else:
+            expected = np.zeros(n, points.dtype)
+        assert got.dtype == expected.dtype
+        if points.dtype == np.float64:
+            assert got.tobytes() == expected.tobytes()
+        else:
+            assert np.array_equal(got, expected)
 
 
 @pytest.mark.parametrize("case_factory", [case_circle, case_ring])
