@@ -196,7 +196,8 @@ def error_norms(u, p, case, assembler):
     # over the elements, with det
     w = assembler.local_coeffs(u)
     nel, nd = w.shape
-    uh_vals = assembler.piola((w @ t.v_vals_err.transpose(1, 0, 2).reshape(nd, -1)).reshape(nel, -1, 2))
+    uh_ref = (w @ t.v_vals_err.transpose(1, 0, 2).reshape(nd, -1)).reshape(nel, -1, 2)
+    uh_vals = assembler.piola(uh_ref)
     uh_div = w @ t.v_div_err.T / det[:, None]
 
     ue = case.velocity(flat).reshape(uh_vals.shape)
