@@ -1,5 +1,9 @@
 """Manufactured solutions, the mesh-dependent velocity norm, and
-convergence-order bookkeeping."""
+convergence-order bookkeeping.
+
+A manufactured case is built from its pressure p alone, given with its
+mixed partials: the velocity u = -grad p and the partials of u that the
+Taylor traces read are derived from them (``ManufacturedCase``)."""
 
 from dataclasses import dataclass
 from math import pi
@@ -67,8 +71,10 @@ class _Poly2D:
 
 @dataclass
 class ManufacturedCase:
-    """Closed-form solution data: velocity u, pressure p, source f = div u,
-    and the Neumann functional u . n evaluated with a supplied normal.  The
+    """Closed-form Darcy data built from the pressure p: its mixed partials
+    ``pressure_derivative(pts, rx, ry)``, (n, 2) -> (n,), the velocity
+    u = -grad p and its partials, derived here, the source f = div u, and
+    the Neumann functional u . n evaluated with a supplied normal.  The
     formulas are globally smooth, so they stand in for their own extensions
     off the physical domain.  A case is also the velocity field of
     ``correction.taylor_trace``, at points with leading axes (n_b, q); its
@@ -77,11 +83,20 @@ class ManufacturedCase:
     degree = None
 
     domain: str
-    velocity: callable  # (n, 2) -> (n, 2)
-    velocity_derivative: callable  # (pts, rx, ry) -> (n, 2)
-    pressure: callable  # (n, 2) -> (n,)
+    pressure_derivative: callable  # (pts, rx, ry) -> (n,)
     source: callable  # (n, 2) -> (n,)
     homogeneous_neumann: bool = False
+
+    def pressure(self, pts):
+        return self.pressure_derivative(np.atleast_2d(pts), 0, 0)
+
+    def velocity_derivative(self, pts, rx, ry):
+        """The (rx, ry) mixed partial of u = -grad p, shape (n, 2)."""
+        d = self.pressure_derivative
+        return -np.column_stack([d(pts, rx + 1, ry), d(pts, rx, ry + 1)])
+
+    def velocity(self, pts):
+        return self.velocity_derivative(np.atleast_2d(pts), 0, 0)
 
     def neumann(self, pts, normals):
         """Boundary functional u . n on the physical boundary."""
@@ -103,26 +118,14 @@ class ManufacturedCase:
 
 
 def case_circle():
-    """Unit-disk solution: u = (3 - 3x^2 - y^2, -2xy), p = x^3 + x y^2 - 3x.
+    """Unit-disk solution: p = x^3 + x y^2 - 3x, u = (3 - 3x^2 - y^2, -2xy).
 
     u . n vanishes on the unit circle and f = div u = -8x.
     """
-    u1 = _Poly2D([[3.0, 0.0, -1.0], [0.0, 0.0, 0.0], [-3.0, 0.0, 0.0]])
-    u2 = _Poly2D([[0.0, 0.0], [0.0, -2.0]])
     p = _Poly2D([[0.0, 0.0, 0.0], [-3.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-
-    def velocity(pts):
-        pts = np.atleast_2d(pts)
-        return np.column_stack([u1(pts), u2(pts)])
-
-    def velocity_derivative(pts, rx, ry):
-        return np.column_stack([u1.derivative(pts, rx, ry), u2.derivative(pts, rx, ry)])
-
     return ManufacturedCase(
         domain="circle",
-        velocity=velocity,
-        velocity_derivative=velocity_derivative,
-        pressure=lambda pts: p(pts),
+        pressure_derivative=p.derivative,
         source=lambda pts: -8.0 * np.atleast_2d(pts)[:, 0],
         homogeneous_neumann=True,
     )
@@ -133,35 +136,20 @@ def case_ring():
     f = -8 pi^2 sin(2 pi x) sin(2 pi y); u . n is nonzero on both circles."""
     w = 2.0 * pi
 
-    def velocity(pts):
+    def partial(pts, rx, ry, amp):
+        """amp times the (rx, ry) partial of sin(w x) sin(w y) over
+        w^(rx + ry): each derivative turns the phase by a quarter turn,
+        sin -> cos -> -sin -> -cos, so only the signs change, exactly."""
         pts = np.atleast_2d(pts)
-        x, y = pts[:, 0], pts[:, 1]
-        return np.column_stack([w * np.cos(w * x) * np.sin(w * y),
-                                w * np.sin(w * x) * np.cos(w * y)])
-
-    def velocity_derivative(pts, rx, ry):
-        # each derivative advances the trig phase by pi/2
-        pts = np.atleast_2d(pts)
-        x, y = pts[:, 0], pts[:, 1]
-        amp = w * w ** (rx + ry)
-        c1 = amp * np.cos(w * x + rx * pi / 2.0) * np.sin(w * y + ry * pi / 2.0)
-        c2 = amp * np.sin(w * x + rx * pi / 2.0) * np.cos(w * y + ry * pi / 2.0)
-        return np.column_stack([c1, c2])
-
-    def pressure(pts):
-        pts = np.atleast_2d(pts)
-        return -np.sin(w * pts[:, 0]) * np.sin(w * pts[:, 1])
-
-    def source(pts):
-        pts = np.atleast_2d(pts)
-        return -8.0 * pi**2 * np.sin(w * pts[:, 0]) * np.sin(w * pts[:, 1])
+        amp *= (-1) ** (rx // 2 + ry // 2)
+        fx = (np.sin, np.cos)[rx % 2](w * pts[:, 0])
+        fy = (np.sin, np.cos)[ry % 2](w * pts[:, 1])
+        return amp * fx * fy
 
     return ManufacturedCase(
         domain="ring",
-        velocity=velocity,
-        velocity_derivative=velocity_derivative,
-        pressure=pressure,
-        source=source,
+        pressure_derivative=lambda pts, rx, ry: partial(pts, rx, ry, -(w ** (rx + ry))),
+        source=lambda pts: partial(pts, 0, 0, -8.0 * pi**2),
         homogeneous_neumann=False,
     )
 

@@ -72,11 +72,12 @@ holds with them, and the solve inverts with its class representative's
 ``SaddleSystem.matvec`` applies S_K L^ S_K element by element
 (``ElementBlocks.apply``): in rounds of one element per class on a prefix
 of the class blocks, then the rest of each large class in one product
-with its block, and the hybridized solve (``solver``) inverts each class
-block once.  Sign flips are exact and LU with partial pivoting is
-sign-symmetric, so every signed block, product and inverse equals, entry
-for entry, that of the element's block from its class representative's
-geometry.  The solve's interface goes to it as the mesh holds it, each
+broadcast from its block (``apply_rounds``, the program's one
+class-batched product, which the solver's fronts run too), and the
+hybridized solve (``solver``) inverts each class block once.  Sign flips
+are exact and LU with partial pivoting is sign-symmetric, so every signed
+block, product and inverse equals, entry for entry, that of the element's
+block from its class representative's geometry.  The solve's interface goes to it as the mesh holds it, each
 interior edge's two (triangle, local edge) copies
 (``ElementBlocks.copies``), and the solver numbers it.  The global
 sparse matrix is built on request only, by one builder, ``operator_csr``:
@@ -89,12 +90,13 @@ of it.  Accumulation order is fixed (elements ascending, then boundary
 edges ascending), so repeated assemblies are bit-identical.
 
 Every contraction over a length-2 axis of per-element or per-node arrays
-(the affine maps of reference points, the Piola map of the error norms'
-discrete velocity, the inverse maps, J^T J, the normal components) is two
-products and one sum per coordinate plane (``_matvec2``, written a plane
-at a time into one array, and ``correction.dot2``): the bits of
-``np.einsum``, at several times its speed.  Never ``@`` for these: BLAS
-fuses the multiply-adds, and the last bit moves.  The contractions over
+(the affine maps of reference points, the one Piola map ``_piola`` of the
+shape functions and of the error norms' discrete velocity, the inverse
+maps, J^T J, the normal components, v . n_h of B1) is two products and one
+sum per coordinate plane (``_matvec2``, written a plane at a time into one
+array, and ``correction.dot2``): the bits of ``np.einsum``, at several
+times its speed.  No exception: never ``@`` for these, as BLAS fuses the
+multiply-adds, and the last bit moves.  The contractions over
 the quadrature nodes, in the loads (``Assembler.rhs``) and the error
 norms, are BLAS GEMMs and GEMVs instead, with the weights folded into the
 tabulated basis (``ReferenceTables.v_div_w``, ``p_vals_w``): their sums
@@ -109,6 +111,7 @@ import numpy as np
 
 from bdmdarcy.correction import (
     directional_derivative,
+    dot2,
     edge_trace_geometry,
     pullback_neumann,
     taylor_trace_normal,
@@ -162,6 +165,15 @@ def _matvec2(m, x):
         np.multiply(m[..., a, 1], x[..., 1], out=second)
         plane += second
         plane += 0.0
+    return out
+
+
+def _piola(jac, det, values):
+    """The contravariant Piola images J v / det of the vectors ``values``
+    (n, r, 2), row i in element i of ``jac`` (n, 2, 2) and ``det`` (n,):
+    the one Piola map, ``_matvec2`` then the division."""
+    out = _matvec2(jac[:, None], values)
+    out /= det[:, None, None]
     return out
 
 
@@ -304,21 +316,10 @@ class ElementBlocks:
         """S_K blocks[cls[K]] S_K x[K] for every element K, with x and the
         result of shape (nel, nd + npr) in round order (``rounds``);
         ``blocks`` defaults to ``matrix`` (the solver passes the class
-        inverses).  Each round is one batched product with a prefix of
-        ``blocks``, each tail one product broadcast from its class's block:
-        the same per-element products as with gathered blocks, so the same
-        bits, and no (nel, nd + npr, nd + npr) array.  (A GEMM per tail,
-        x @ block.T, is faster but moves the last bit.)"""
+        inverses), applied by ``apply_rounds``."""
         blocks = self.matrix if blocks is None else blocks
         _, flip, sizes, tails = self.rounds
-        x = flip * x
-        y = np.empty_like(x)
-        lo = 0
-        calls = [(blocks[:n], n) for n in sizes.tolist()]
-        calls += [(blocks[c], n) for c, n in enumerate(tails.tolist())]
-        for block, n in calls:
-            np.matmul(block, x[lo : lo + n, :, None], out=y[lo : lo + n, :, None])
-            lo += n
+        y = apply_rounds(blocks, flip * x, sizes, tails)
         y *= flip
         return y
 
@@ -357,6 +358,24 @@ def rounds(cls):
     tail = rank >= n_rounds
     order = np.lexsort((np.where(tail, rank, cls), np.where(tail, cls, rank), tail))
     return order, per_round[:n_rounds], size[size > n_rounds] - n_rounds
+
+
+def apply_rounds(blocks, x, sizes, tails):
+    """blocks[c] x[i] for every row x[i] of an item of class c, the rows in
+    the round order of ``rounds`` with its ``sizes`` and ``tails``: each
+    round is one batched product with a prefix of ``blocks``, each tail one
+    product broadcast from its class's block.  These are the per-row
+    products of gathered blocks, so their bits, with no gathered array: the
+    one class-batched product of the element applies and the fronts'
+    sweeps."""
+    y = np.empty((len(x), blocks.shape[1]))
+    lo = 0
+    calls = [(blocks[:n], n) for n in sizes.tolist()]
+    calls += [(blocks[c], n) for c, n in enumerate(tails.tolist())]
+    for block, n in calls:
+        np.matmul(block, x[lo : lo + n, :, None], out=y[lo : lo + n, :, None])
+        lo += n
+    return y
 
 
 class SaddleSystem:
@@ -424,7 +443,7 @@ class ShapeFunctions:
         self.degree = self.element.k
         self.v0 = assembler.v0[owner]
         self.jinv = assembler.jinv[owner]
-        self.piola = assembler.jac[owner] / assembler.det[owner, None, None]
+        self.jac, self.det = assembler.jac[owner], assembler.det[owner]
         self.sign = assembler.dof_sign[owner]
 
     def _reference(self, points):
@@ -432,8 +451,11 @@ class ShapeFunctions:
 
     def _physical(self, ref_values, n_q):
         """(n_b * q, n_d, 2) reference values -> (n_b, q, n_d, 2)."""
-        vals = ref_values.reshape((len(self.sign), n_q) + ref_values.shape[1:])
-        return (vals @ self.piola.transpose(0, 2, 1)[:, None]) * self.sign[:, None, :, None]
+        n_b = len(self.sign)
+        vals = _piola(self.jac, self.det, ref_values.reshape(n_b, -1, 2))
+        vals = vals.reshape((n_b, n_q) + ref_values.shape[1:])
+        vals *= self.sign[:, None, :, None]
+        return vals
 
     def eval(self, points):
         ref = self._reference(points).reshape(-1, 2)
@@ -610,7 +632,7 @@ class Assembler:
 
             # straight-normal term int_e p (v . n_h), on the same nodes
             shapes, points = self.boundary_shapes, geom.points[edges]
-            vn = (shapes.eval(points) @ geom.n_h[edges, None, :, None])[..., 0]  # (n, q, nd)
+            vn = dot2(shapes.eval(points), geom.n_h[edges, None, None, :])  # (n, q, nd)
             pvals = t.pressure.eval(shapes._reference(points).reshape(-1, 2))
             pw = w[:, :, None] * pvals.reshape(vn.shape[:2] + (npr,))
             np.add.at(bt, cls[owner], flip[:, :, None] * (vn.transpose(0, 2, 1) @ pw))
@@ -690,9 +712,7 @@ class Assembler:
     def piola(self, ref_values):
         """The contravariant Piola images J v / det of reference vectors
         (nel, q, 2), one row of q per element."""
-        values = _matvec2(self.jac[:, None], ref_values)
-        values /= self.det[:, None, None]
-        return values
+        return _piola(self.jac, self.det, ref_values)
 
     def rhs(self, case):
         """Velocity and pressure load vectors for a manufactured case."""

@@ -22,7 +22,8 @@ rule, so only one front per pattern is built and factored (disk k=3
 level 5: 252 patterns for 4,097 fronts).  The factor is kept as two
 arrays of blocks per bit, one block per pattern, and each sweep of a solve
 gathers each bit's multipliers in their fronts' signs and multiplies them
-by their patterns' blocks in rounds and tails, as the element applies do.
+by their patterns' blocks in rounds and tails, with the element applies'
+product (``assembly.apply_rounds``).
 No interface matrix is assembled: each element's block G~^T L_K^-1 G~
 (``_leaves``, one per class, taken in the signs of the front it enters)
 goes straight into the front where its first multiplier is eliminated.
@@ -55,7 +56,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from bdmdarcy.assembly import classes, rounds
+from bdmdarcy.assembly import apply_rounds, classes, rounds
 
 __all__ = ["SolveReport", "solve"]
 
@@ -126,21 +127,6 @@ def _extend_add(parent, at, f):
     pos[:, :-1] = at.reshape(len(at), -1)
     idx = (parent * (f + 1) ** 2)[:, None] + pos * (f + 1)
     return (idx[:, :, None] + pos[:, None, :]).ravel()
-
-
-def _apply_rounds(blocks, x, sizes, tails):
-    """blocks[p] x[i] for the rows x[i] of fronts of pattern p, in the round
-    order of ``assembly.rounds``: each round is one batched product with a
-    prefix of ``blocks``, each tail one GEMM with its pattern's block."""
-    y = np.empty((len(x), blocks.shape[1]))
-    lo = 0
-    for n in sizes.tolist():
-        np.matmul(blocks[:n], x[lo : lo + n, :, None], out=y[lo : lo + n, :, None])
-        lo += n
-    for p, n in enumerate(tails.tolist()):
-        np.matmul(x[lo : lo + n], blocks[p].T, out=y[lo : lo + n])
-        lo += n
-    return y
 
 
 def _tree(el, tris, slots):
@@ -321,14 +307,16 @@ class _Fronts:
     ``fill`` counts the entries of F11^-1, F21 and F11^-1 F12 of every
     front, the logical factor, without the padding: sum over the fronts of
     s^2 + 2 s b (s separator and b boundary dofs; the root's s includes
-    theta, and its b is 0).  ``levels`` holds, per bit, the fronts' separator and boundary
-    multipliers and their signs, the fronts in the round order of their
-    patterns (``assembly.rounds``), the rounds' and tails' sizes and the
-    two arrays.  ``solve`` runs the forward sweep by ascending bit, then
-    the backward sweep by descending bit: per bit, the fronts' multipliers
-    are gathered in their signs and multiplied by their patterns' blocks
-    (``_apply_rounds``, a GEMM per tail), on one vector with a spare last
-    slot that the padding reads and writes as 0."""
+    theta, and its b is 0).  ``levels`` holds, per bit, the fronts'
+    separator and boundary multipliers and their signs, the fronts in the
+    round order of their patterns (``assembly.rounds``), the rounds' and
+    tails' sizes and the two arrays.  ``solve`` runs the forward sweep by
+    ascending bit, then the backward sweep by descending bit: per bit, the
+    fronts' multipliers are gathered in their signs and multiplied by their
+    patterns' blocks with the element applies' one class-batched product
+    (``assembly.apply_rounds``), so each front row has the bits of its own
+    product with its pattern's block, on one vector with a spare last slot
+    that the padding reads and writes as 0."""
 
     def __init__(self, el, inv, tris, slots):
         """The elements ``el``, their class inverses ``inv``, and ``tris``
@@ -430,7 +418,7 @@ class _Fronts:
         z = np.append(g, 0.0)
         ys = []
         for sep, bnd, sep_sign, bnd_sign, sizes, tails, forward, _ in self.levels:
-            yw = _apply_rounds(forward, z[sep] * sep_sign, sizes, tails)
+            yw = apply_rounds(forward, z[sep] * sep_sign, sizes, tails)
             y, w = yw[:, : sep.shape[1]], yw[:, sep.shape[1] :]
             if bnd.size:
                 w *= bnd_sign
@@ -440,7 +428,7 @@ class _Fronts:
         for (sep, bnd, sep_sign, bnd_sign, sizes, tails, _, upper), y in zip(
                 reversed(self.levels), reversed(ys)):
             if bnd.size:
-                y = y - _apply_rounds(upper, x[bnd] * bnd_sign, sizes, tails)
+                y = y - apply_rounds(upper, x[bnd] * bnd_sign, sizes, tails)
             x[sep] = y * sep_sign
         return x[:-1]
 

@@ -178,22 +178,12 @@ def case_polynomial_square(k):
     else:
         p = _Poly2D([[0.0, 0.2, 0.5], [-0.3, -1.0, 0.0], [1.0, 0.0, 0.0]])
 
-    def velocity(pts):
-        return -np.column_stack([p.derivative(pts, 1, 0), p.derivative(pts, 0, 1)])
-
-    def velocity_derivative(pts, rx, ry):
-        return -np.column_stack(
-            [p.derivative(pts, rx + 1, ry), p.derivative(pts, rx, ry + 1)]
-        )
-
     def source(pts):
         return -(p.derivative(pts, 2, 0) + p.derivative(pts, 0, 2))
 
     return ManufacturedCase(
         domain="square",
-        velocity=velocity,
-        velocity_derivative=velocity_derivative,
-        pressure=lambda pts: p(pts),
+        pressure_derivative=p.derivative,
         source=source,
         homogeneous_neumann=False,
     )

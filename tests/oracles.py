@@ -28,7 +28,8 @@ searches: the edge normals by a centroid test, the DOF signs by a vertex
 lookup, the interface slots by an ``argmax`` and the strong mode's
 constrained local dofs by ``np.isin``.  The loads and the error norms
 have their einsum forms here, the references of the program's GEMM and
-GEMV reductions.
+GEMV reductions, and the manufactured cases their closed forms, the
+references of the cases that ``analysis`` builds from their pressure.
 """
 
 from math import comb, factorial, isqrt
@@ -40,6 +41,7 @@ from hypothesis import strategies as st
 from numpy.polynomial.legendre import legvander
 
 from bdmdarcy import correction, solver
+from bdmdarcy.analysis import _Poly2D
 from bdmdarcy.assembly import CLASS_BITS, ShapeFunctions, _contract, _element_index
 from bdmdarcy.femcore import edge_quadrature, triangle_quadrature
 from bdmdarcy.femcore.basis import triangle_basis
@@ -266,6 +268,52 @@ class ExactPartials:
         return self.case.velocity_derivative(pts, rx, ry)
 
 
+def closed_form_circle():
+    """The disk case with its velocity and partials written out by hand,
+    u = (3 - 3x^2 - y^2, -2xy), p = x^3 + x y^2 - 3x, f = -8x: the reference
+    of ``analysis.case_circle``, which derives u from p."""
+    u1 = _Poly2D([[3.0, 0.0, -1.0], [0.0, 0.0, 0.0], [-3.0, 0.0, 0.0]])
+    u2 = _Poly2D([[0.0, 0.0], [0.0, -2.0]])
+    p = _Poly2D([[0.0, 0.0, 0.0], [-3.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    return SimpleNamespace(
+        velocity=lambda pts: np.column_stack([u1(pts), u2(pts)]),
+        velocity_derivative=lambda pts, rx, ry: np.column_stack(
+            [u1.derivative(pts, rx, ry), u2.derivative(pts, rx, ry)]),
+        pressure=p,
+        source=lambda pts: -8.0 * np.atleast_2d(pts)[:, 0],
+    )
+
+
+def closed_form_ring():
+    """The ring case written out by hand, p = -sin(2 pi x) sin(2 pi y), with
+    the partials of u = -grad p by a phase advance of pi/2 per derivative:
+    the reference of ``analysis.case_ring``."""
+    w = 2.0 * np.pi
+
+    def velocity(pts):
+        x, y = np.atleast_2d(pts).T
+        return np.column_stack([w * np.cos(w * x) * np.sin(w * y),
+                                w * np.sin(w * x) * np.cos(w * y)])
+
+    def velocity_derivative(pts, rx, ry):
+        x, y = np.atleast_2d(pts).T
+        amp = w * w ** (rx + ry)
+        c1 = amp * np.cos(w * x + rx * np.pi / 2.0) * np.sin(w * y + ry * np.pi / 2.0)
+        c2 = amp * np.sin(w * x + rx * np.pi / 2.0) * np.cos(w * y + ry * np.pi / 2.0)
+        return np.column_stack([c1, c2])
+
+    def pressure(pts):
+        x, y = np.atleast_2d(pts).T
+        return -np.sin(w * x) * np.sin(w * y)
+
+    def source(pts):
+        x, y = np.atleast_2d(pts).T
+        return -8.0 * np.pi**2 * np.sin(w * x) * np.sin(w * y)
+
+    return SimpleNamespace(velocity=velocity, velocity_derivative=velocity_derivative,
+                           pressure=pressure, source=source)
+
+
 def edge_geometry(mesh, curve, edge_id, rule, h_owner):
     """Projection data of the nodes of one boundary edge."""
     a, b = mesh.vertices[mesh.edges[edge_id]]
@@ -443,7 +491,7 @@ def boundary_terms(asm):
     shapes = ShapeFunctions(asm, geom.owner)
     tv = correction.taylor_trace_normal(shapes, geom, asm.m)
     pen = np.einsum("bq,bqi,bqj->bij", geom.weights, tv, tv) / geom.h_owner[:, None, None]
-    vn = (shapes.eval(geom.points) @ geom.n_h[:, None, :, None])[..., 0]
+    vn = correction.dot2(shapes.eval(geom.points), geom.n_h[:, None, None, :])
     pvals = t.pressure.eval(shapes._reference(geom.points).reshape(-1, 2))
     pw = geom.weights[:, :, None] * pvals.reshape(vn.shape[:2] + (t.pressure.dim,))
     return pen, vn.transpose(0, 2, 1) @ pw

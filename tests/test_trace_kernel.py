@@ -5,9 +5,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bdmdarcy.analysis import ManufacturedCase
 from bdmdarcy.assembly import Assembler
-from bdmdarcy.correction import taylor_trace_normal
+from bdmdarcy.correction import directional_derivative, taylor_trace_normal
 from bdmdarcy.mesh import coarse_mesh, refine_project
 from oracles import (
     ExactPartials,
@@ -23,23 +22,32 @@ from oracles import (
 from oracles import taylor_trace_normal as slow_trace_normal
 
 
-def random_trig_case(rng):
-    """u_c = A_c cos(a_c x + b_c y + phi_c) with random coefficients, and
-    its closed-form mixed partials."""
-    amp, a, b, phase = rng.uniform(-2.0, 2.0, size=(4, 2))
+class RandomTrigField:
+    """u_c = A_c cos(a_c x + b_c y + phi_c) with random coefficients and
+    its closed-form mixed partials: a Taylor field of
+    ``correction.taylor_trace`` that is not a gradient, so no
+    ``ManufacturedCase``, and the velocity of ``oracles.ExactPartials``."""
 
-    def velocity_derivative(pts, rx, ry):
+    degree = None
+
+    def __init__(self, rng):
+        self.amp, self.a, self.b, self.phase = rng.uniform(-2.0, 2.0, size=(4, 2))
+
+    def velocity_derivative(self, pts, rx, ry):
         pts = np.atleast_2d(pts)
-        arg = np.outer(pts[:, 0], a) + np.outer(pts[:, 1], b) + phase
-        return amp * a**rx * b**ry * np.cos(arg + (rx + ry) * np.pi / 2.0)
+        arg = np.outer(pts[:, 0], self.a) + np.outer(pts[:, 1], self.b) + self.phase
+        return self.amp * self.a**rx * self.b**ry * np.cos(arg + (rx + ry) * np.pi / 2.0)
 
-    return ManufacturedCase(
-        domain="random",
-        velocity=lambda pts: velocity_derivative(pts, 0, 0),
-        velocity_derivative=velocity_derivative,
-        pressure=None,
-        source=None,
-    )
+    def velocity(self, pts):
+        return self.velocity_derivative(pts, 0, 0)
+
+    def eval(self, pts):
+        return self.velocity(pts.reshape(-1, 2)).reshape(pts.shape)
+
+    def nu_derivative(self, geom, j):
+        pts = geom.points.reshape(-1, 2)
+        partial = lambda rx, ry: self.velocity_derivative(pts, rx, ry)
+        return directional_derivative(partial, geom.nu.reshape(-1, 2), j).reshape(geom.points.shape)
 
 
 def relative_gap(batched, slow):
@@ -79,9 +87,9 @@ def test_batched_traces_match_per_edge_slow_path(setup):
     assert relative_gap(np.einsum("bqi,bi->bq", asm.basis_trace, u_loc),
                         np.einsum("bqi,bi->bq", slow_basis, u_loc)) <= 1e-12
 
-    case = random_trig_case(rng)
-    exact = taylor_trace_normal(case, geom, asm.m)
-    slow_exact = np.stack([slow_trace_normal(ExactPartials(case), e, asm.m) for e in edges])
+    field = RandomTrigField(rng)
+    exact = taylor_trace_normal(field, geom, asm.m)
+    slow_exact = np.stack([slow_trace_normal(ExactPartials(field), e, asm.m) for e in edges])
     assert relative_gap(exact, slow_exact) <= 1e-12
 
     # every boundary form of the blocks (penalty, straight-normal term), on
