@@ -51,18 +51,19 @@ class _Poly2D:
 
     def __init__(self, coeff):
         self.coeff = np.asarray(coeff, dtype=float)
+        self._partials = {}  # (rx, ry): the partial's nonzero coefficients, per power of y
 
     def __call__(self, pts):
-        return self._eval(pts, self.coeff)
+        return self.derivative(pts, 0, 0)
 
     def derivative(self, pts, rx, ry):
-        return self._eval(pts, npoly.polyder(npoly.polyder(self.coeff, rx, axis=0), ry, axis=1))
-
-    @staticmethod
-    def _eval(pts, coeff):
+        nonzero = self._partials.get((rx, ry))
+        if nonzero is None:
+            coeff = npoly.polyder(npoly.polyder(self.coeff, rx, axis=0), ry, axis=1)
+            nonzero = [[c if c else None for c in column] for column in coeff.T.tolist()]
+            self._partials[rx, ry] = nonzero
         pts = np.atleast_2d(pts)
         x, y = pts[:, 0], pts[:, 1]
-        nonzero = [[c if c else None for c in column] for column in coeff.T.tolist()]
         value = _horner(y, [_horner(x, column) for column in nonzero])
         if value is None or np.ndim(value) == 0:  # a constant
             return np.full(x.shape, 0.0 if value is None else value, np.result_type(x, 0.0))

@@ -54,11 +54,12 @@ _SCALE = 100.0
 _RING_RATIO = 0.9
 # largest degree: through level 2 the default disk and ring studies (and the
 # strong disk) stay 10x inside the residual contract up to k = 9 (the disk's
-# level 0, 2.4e-12, is the tightest); at k = 10 that level reaches 1e-11,
-# and from k = 12 on it misses the contract.  A corner of the accepted
-# geometry misses it below the cap: the r_inner/r_outer = 0.01/100 ring at
-# k = 9, at level 0 (the 0.01/0.01112 ring meets it through k = 9 now that
-# the solve refines while each step halves the residual)
+# level 0, 2.3e-12, is the tightest); at k = 10 that level reaches 9.9e-12,
+# and from k = 12 on it misses the contract.  Corners of the accepted
+# geometry miss it below the cap: the r_inner/r_outer = 0.01/100 ring at
+# level 0 for k = 3, 4, 5, 7 and 9 (1.0e-10 to 2.3e-10; 1.4e-10 at k = 9)
+# and at level 1 for k = 3 (1.4e-10), and the 0.01/0.01112 ring at k = 9,
+# level 2 (3.4e-10), which meets it at levels 0 and 1 through k = 9
 K_MAX = 9
 
 

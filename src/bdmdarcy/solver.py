@@ -39,9 +39,12 @@ residual to round-off (element blocks reach condition numbers of 6e8 at
 ring level 4, and the unrefined residual misses the contract at the
 finest studied levels).  The fronts apply explicit inverses of their
 separator blocks, which on ill-conditioned interfaces (thin rings at high
-degree) leaves the first solve less accurate than an LU solve would; the
-refinement goes on while each step halves the residual, as LAPACK's
-xGERFS does (Wilkinson 1963; Skeel 1980), so those cases take more steps.
+degree) leaves the first solve less accurate than an LU solve would.  The
+refinement stops on LAPACK xGERFS's three tests (Wilkinson 1963; Skeel
+1980): once the normwise backward error is at round-off (Oettli & Prager
+1964; Arioli, Demmel & Duff 1989), once a step fails to halve the
+residual, or after MAX_REFINEMENT_STEPS steps.  A well-conditioned solve
+stops after one step, and those cases take more.
 No global sparse matrix of the saddle system is built, and the solve
 imports no scipy.
 
@@ -61,13 +64,20 @@ from bdmdarcy.assembly import apply_rounds, classes, rounds
 __all__ = ["SolveReport", "solve"]
 
 RESIDUAL_CONTRACT = 1e-10
-# refinement steps at most: a step is kept if it lowers the residual, and
-# the next is taken if it halved it (the rule of LAPACK's xGERFS).  The
-# fronts apply explicit separator inverses, so one step can leave the
-# residual far above round-off on ill-conditioned interfaces: 5.0e-8 at
-# k=6, level 1, on the ring of radii 0.01 and 0.01112, which four steps
-# bring to 1.9e-14
+# refinement steps at most (xGERFS's step limit).  The fronts apply explicit
+# separator inverses, so one step can leave the residual far above round-off
+# on ill-conditioned interfaces: 7.1e-9 at k=6, level 1, on the ring of radii
+# 0.01 and 0.01112, which three steps bring to 4.2e-14
 MAX_REFINEMENT_STEPS = 5
+# refinement stops once the normwise backward error ||r|| / (|| |M| |x| || +
+# ||b||), in the max norm, is at most this, 4 eps.  After one step the
+# well-conditioned solves read 0.26-0.79 eps (disk k=3 levels 1-5, ring k=3
+# level 4, k=6 level 3, k=9 level 2), and further steps only move it within
+# 0.16-1.1; the thin 0.01/0.01112 rings settle at 1.25-1.6 eps.  4 eps is
+# above both floors, and below the 5.3 eps of the 0.01/100 ring at k=2,
+# level 0, after one step, whose second step still lowers the residual
+# 15-fold
+BACKWARD_ERROR_STOP = 4 * np.finfo(float).eps
 
 
 @dataclass
@@ -492,14 +502,31 @@ class _Hybrid:
         return x
 
 
+def _abs_matvec(system, x):
+    """|M| |x| as ``SaddleSystem.matvec`` forms M x: over the element blocks
+    with their flips left out, since |S_K L^ S_K| = |L^|, then theta's row
+    and column |c|.  A shared entry's two element terms are summed in
+    absolute value, |a| + |b| >= |a + b|."""
+    el, idx, n_u = system.elements, system._index, system.n_u
+    _, _, sizes, tails = el.rounds
+    y_loc = apply_rounds(np.abs(el.matrix), np.abs(x[idx]), sizes, tails)
+    y = np.bincount(idx.ravel(), weights=y_loc.ravel(), minlength=len(x))
+    c = np.abs(el.c.ravel())
+    y[n_u:-1] += c * abs(x[-1])
+    y[-1] = c @ np.abs(x[n_u:-1])
+    return y
+
+
 def solve(system, rhs=None):
     """Solve the assembled system; returns (u, p, theta, report), with theta
     the border unknown of ``SaddleSystem``.
 
     One hybridized solve and iterative refinement against the element-block
-    operator while each step halves the residual (at most
-    MAX_REFINEMENT_STEPS steps); the report's ``success`` says whether the
-    residual meets the contract.
+    operator: a step is kept if it lowers the residual, and refinement stops
+    once a step fails to halve it, once the backward error is at most
+    BACKWARD_ERROR_STOP, or after MAX_REFINEMENT_STEPS steps (xGERFS's three
+    tests); the report's ``success`` says whether the residual meets the
+    contract.
     """
     rhs = system.rhs if rhs is None else rhs
     hybrid = _Hybrid(system)
@@ -513,6 +540,8 @@ def solve(system, rhs=None):
         if norm_step < norm_r:
             x, r, norm_r = step, r_step, norm_step
         if not norm_step < last / 2:
+            break
+        if np.abs(r).max() <= BACKWARD_ERROR_STOP * (_abs_matvec(system, x).max() + np.abs(rhs).max()):
             break
     norm_b = np.linalg.norm(rhs)
     res = norm_r / norm_b if norm_b > 0 else norm_r

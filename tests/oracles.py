@@ -17,9 +17,9 @@ the canonical BDM interpolant, the pressure projection and the constant
 pressure live here: only the tests read them.  So do the pressure index
 of each element, the expanded element blocks and the COO scatter of the
 global matrices from them, the reference of the program's one-pass CSR
-builder, the element apply on blocks gathered a chunk of elements at a
-time, the reference of the program's one in class order, with the classes
-in key order, the COO build of the interface matrix, the matrix that the
+builder and, in absolute value, of the solver's |M| |x|, the element
+apply on blocks gathered a chunk of elements at a time, the reference of
+the program's one in class order, with the classes in key order, the COO build of the interface matrix, the matrix that the
 solver's tree factor factors, with the closed form of the fronts' sizes,
 and the hybridized apply on per-dof multiplier and sign arrays, the
 reference of the solver's per-edge one.  The mesh's
@@ -795,13 +795,17 @@ def hybrid_apply_per_dof(system, hybrid, b):
     return np.concatenate([u, x_loc[:, nd:].ravel(), [xi[theta]]])
 
 
-def scattered_operator(system):
+def scattered_operator(system, absolute=False):
     """The saddle operator's CSR as the sum of three COO scatters: the
-    expanded element blocks, the column c and the row c."""
-    n, c = system.dimension, system.elements.c
+    expanded element blocks, the column c and the row c; with ``absolute``,
+    of their absolute values, the reference of ``solver._abs_matvec``: an
+    entry that two elements share is then |a| + |b|, not |a + b|."""
+    n, c, blocks = system.dimension, system.elements.c, expand(system.elements)
+    if absolute:
+        c, blocks = np.abs(c), np.abs(blocks)
     idx = _element_index(system.elements, system.n_u)
     col = scatter(c[:, :, None], idx[:, -c.shape[1]:], np.full((len(c), 1), n - 1), (n, n))
-    return scatter(expand(system.elements), idx, idx, (n, n)) + col + col.T
+    return scatter(blocks, idx, idx, (n, n)) + col + col.T
 
 
 def dense_matrix_a_flat(asm, vol_degree=12, edge_points=8):

@@ -135,16 +135,16 @@ def test_csv_deterministic_apart_from_wall_time(tmp_path):
 # CSV rows less wall_time, as written by --report
 PINNED_ROWS = {
     ("circle", 3, "1..2"): [
-        "1,0.61965683746373812,360,144,0.0058662028641551615,0.0060742796954729936,"
-        "0.0038690941663408092,0.01231357223560345,,4.3386043271971204e-15",
-        "2,0.33706269530518751,1392,576,0.0005530008793250699,0.0007094863827856897,"
-        "0.00049875842484342885,0.0013983032541280082,3.5727601891254333,1.2529640586896936e-14",
+        "1,0.61965683746373812,360,144,0.0058662028641584497,0.0060742796954746789,"
+        "0.0038690941663330519,0.01231357223559919,,4.8239592003214393e-15",
+        "2,0.33706269530518751,1392,576,0.00055300087933763287,0.00070948638278641699,"
+        "0.00049875842484291483,0.0013983032541357908,3.5727601891157246,1.2774092400031561e-14",
     ],
     ("ring", 2, "0..1"): [
-        "0,0.5710695820026781,288,96,22.801976550699745,0.46763257752691595,"
-        "0.33526827726567648,23.142039527186729,,4.0059439291607814e-16",
+        "0,0.5710695820026781,288,96,22.801976550699745,0.46763257752691018,"
+        "0.33526827726568398,23.142039527186736,,4.2742564105742985e-16",
         "1,0.30219543245250152,1056,384,5.8156024027510371,0.13037174035594754,"
-        "0.07399581754999679,5.8910593463046101,2.1498039043788508,1.9344270149727077e-15",
+        "0.07399581754999679,5.8910593463046101,2.1498039043788517,1.9344270149727077e-15",
     ],
 }
 

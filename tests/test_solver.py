@@ -32,6 +32,7 @@ from oracles import (
     per_dof_multipliers,
     random_domains,
     relabelled,
+    scattered_operator,
 )
 
 
@@ -108,6 +109,71 @@ def test_auto_solve_factors_once_without_krylov(monkeypatch):
     _, _, _, rep = solve(system)
     assert len(built) == 1 and rep.method == "lu" and rep.iterations == 0
     assert rep.fill == built[0].fill
+
+
+def study_system(level, **options):
+    """The assembled system of a ``StudyConfig`` at refinement ``level``."""
+    cfg = StudyConfig(**options)
+    curves, case = cli._domain_curves(cfg), cli._domain_case(cfg)
+    mesh = coarse_mesh(curves)
+    for _ in range(level):
+        mesh = refine_project(mesh, curves)
+    return Assembler(mesh, curves, cfg.k, m=cfg.m).system(case)
+
+
+def counted_solve(monkeypatch, system):
+    """``solve``'s x and report, and the number of hybridized applies it made."""
+    calls, real = [], solver._Hybrid.apply
+    monkeypatch.setattr(solver._Hybrid, "apply", lambda self, b: calls.append(1) or real(self, b))
+    u, p, theta, rep = solve(system)
+    return np.concatenate([u, p, [theta]]), rep, len(calls)
+
+
+def backward_error(system, x):
+    """||b - M x|| / (|| |M| |x| || + ||b||) in the max norm, |M| |x| from the
+    absolute element blocks scattered."""
+    r = system.rhs - system.matvec(x)
+    abs_mx = scattered_operator(system, absolute=True) @ np.abs(x)
+    return np.abs(r).max() / (abs_mx.max() + np.abs(system.rhs).max())
+
+
+@pytest.mark.parametrize("domain,level", [("circle", 1), ("circle", 2), ("circle", 3), ("ring", 1), ("ring", 2)])
+def test_well_conditioned_solve_stops_after_one_refinement_step(monkeypatch, domain, level):
+    """One refinement step brings the backward error to round-off, so the
+    solve makes two hybridized applies, the first solve and one step, and
+    stops on xGERFS's backward-error test."""
+    system = study_system(level, domain=domain, k=3)
+    x, rep, applies = counted_solve(monkeypatch, system)
+    assert applies == 2 and rep.success
+    assert backward_error(system, x) <= solver.BACKWARD_ERROR_STOP
+
+
+def test_thin_ring_refines_until_the_backward_error_is_at_round_off(monkeypatch):
+    """On the ring of radii 0.01 and 0.01112 at k = 8, level 0, one step
+    leaves the backward error at ~3e7 eps: refinement goes on while each
+    step halves the residual, and stops at round-off."""
+    system = study_system(0, domain="ring", k=8, r_inner=0.01, r_outer=0.01112)
+    x, rep, applies = counted_solve(monkeypatch, system)
+    assert applies > 2 and rep.success and rep.residual <= 1e-12
+    assert backward_error(system, x) <= solver.BACKWARD_ERROR_STOP
+
+
+@pytest.mark.parametrize("setup,k", SMALL)
+def test_abs_matvec_is_the_scattered_absolute_blocks(setup, k):
+    """|M| |x| over the element blocks, theta's row and column included, is
+    the absolute element blocks and |c| scattered; it bounds |M| |x| of the
+    global matrix, whose shared entries sum their terms before the absolute
+    value, and is it on the pressure rows and theta's, which no two
+    elements share."""
+    system = small_system(setup, k)
+    x = np.random.default_rng(5).standard_normal(system.dimension)
+    y = solver._abs_matvec(system, x)
+    expected = scattered_operator(system, absolute=True) @ np.abs(x)
+    tol = 1e-15 * expected.max()
+    assert np.abs(y - expected).max() <= tol
+    global_ = abs(system.matrix) @ np.abs(x)
+    assert np.all(global_ <= y + tol)
+    assert np.abs(y - global_)[system.n_u :].max() <= tol
 
 
 def test_report_gives_interface_size_and_repeatable_fill():
