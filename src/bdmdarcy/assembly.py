@@ -92,7 +92,9 @@ edges ascending), so repeated assemblies are bit-identical.
 Every contraction over a length-2 axis of per-element or per-node arrays
 (the affine maps of reference points, the one Piola map ``_piola`` of the
 shape functions and of the error norms' discrete velocity, the inverse
-maps, J^T J, the normal components, v . n_h of B1) is two products and one
+maps, J^T J, the normal components, v . n_h of B1, and in
+``femcore.element`` the reference edges' normal moments and the curls of
+the bubbles, an exact swap with a sign) is two products and one
 sum per coordinate plane (``_matvec2``, written a plane at a time into one
 array, and ``correction.dot2``): the bits of ``np.einsum``, at several
 times its speed.  No exception: never ``@`` for these, as BLAS fuses the

@@ -54,12 +54,13 @@ _SCALE = 100.0
 _RING_RATIO = 0.9
 # largest degree: through level 2 the default disk and ring studies (and the
 # strong disk) stay 10x inside the residual contract up to k = 9 (the disk's
-# level 0, 2.3e-12, is the tightest); at k = 10 that level reaches 9.9e-12,
+# level 0, 2.0e-12, is the tightest); at k = 10 that level reaches 1.1e-11,
 # and from k = 12 on it misses the contract.  Corners of the accepted
 # geometry miss it below the cap: the r_inner/r_outer = 0.01/100 ring at
-# level 0 for k = 3, 4, 5, 7 and 9 (1.0e-10 to 2.3e-10; 1.4e-10 at k = 9)
-# and at level 1 for k = 3 (1.4e-10), and the 0.01/0.01112 ring at k = 9,
-# level 2 (3.4e-10), which meets it at levels 0 and 1 through k = 9
+# level 0 for k = 4 and 9 (1.7e-10, 1.1e-10) and at level 1 for k = 3, 4
+# and 9 (2.3e-10, 1.1e-10, 1.1e-10), and the 0.01/0.01112 ring at level 2
+# for k = 7 and 9 (3.7e-10, 1.6e-9; on one BLAS thread, where k = 7 passes on
+# two), which meets it at levels 0 and 1 through k = 9
 K_MAX = 9
 
 

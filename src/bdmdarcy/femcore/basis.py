@@ -1,115 +1,105 @@
-"""Orthonormal polynomial bases on the reference triangle."""
+"""Orthonormal polynomial bases on the reference triangle.
 
-from fractions import Fraction
+The basis is the collapsed-coordinate (Dubiner) one (Dubiner 1991; Sherwin
+& Karniadakis 1995), phi_pq = P_p(a) ((1 - b)/2)^p P_q^(2p+1,0)(b) scaled to
+unit L2 norm by sqrt(2 (2p + 1) (p + q + 1)), evaluated by its three-term
+recurrences in Cartesian coordinates, with no division by 1 - y (Kirby
+2010, ACM TOMS 37).
+
+Partials come from two derivative matrices: dx phi_i = sum_j Dx[i, j] phi_j
+over deg phi_j < deg phi_i, and by parts Dx[i, j] = oint phi_i phi_j n_x ds,
+since the volume term's dx phi_j has a lower degree than phi_i.  So Dx and
+Dy are the lower-degree parts of two boundary Gram matrices, and a mixed
+partial is phi @ (Dx^rx Dy^ry)^T.
+"""
+
 from functools import lru_cache
-from math import factorial, isqrt
 
 import numpy as np
+
+from bdmdarcy.femcore.quadrature import edge_quadrature
 
 __all__ = ["TriangleBasis"]
 
 
-def _monomial_exponents(degree):
-    """Graded ordering (0,0), (1,0), (0,1), (2,0), (1,1), (0,2), ..."""
-    return [(d - j, j) for d in range(degree + 1) for j in range(d + 1)]
-
-
-def _monomial_gram_exact(exps):
-    """Exact rational L2 Gram of monomials on the reference triangle,
-    from the closed form  int x^a y^b = a! b! / (a + b + 2)!."""
-    n = len(exps)
-    g = [[Fraction(0)] * n for _ in range(n)]
-    for i, (ai, bi) in enumerate(exps):
-        for j, (aj, bj) in enumerate(exps[: i + 1]):
-            a, b = ai + aj, bi + bj
-            g[i][j] = g[j][i] = Fraction(factorial(a) * factorial(b), factorial(a + b + 2))
-    return g
-
-
-def _sqrt_fraction(q):
-    """High-accuracy float sqrt of a positive rational."""
-    scale = 10**40
-    return isqrt((q.numerator * scale * scale) // q.denominator) / scale
-
-
-def _orthonormal_coeff(exps):
-    """Orthonormalizing coefficient matrix via an exact rational LDL^T
-    factorization of the Gram matrix; only the final scaling by 1/sqrt(D)
-    leaves exact arithmetic."""
-    g = _monomial_gram_exact(exps)
-    n = len(exps)
-    lower = [[Fraction(0)] * n for _ in range(n)]
-    diag = [Fraction(0)] * n
-    for j in range(n):
-        diag[j] = g[j][j] - sum(lower[j][t] ** 2 * diag[t] for t in range(j))
-        lower[j][j] = Fraction(1)
-        for i in range(j + 1, n):
-            lower[i][j] = (g[i][j] - sum(lower[i][t] * lower[j][t] * diag[t] for t in range(j))) / diag[j]
-    # forward-substitute L X = I exactly
-    inv = [[Fraction(0)] * n for _ in range(n)]
-    for col in range(n):
-        for row in range(col, n):
-            s = Fraction(1) if row == col else Fraction(0)
-            s -= sum(lower[row][t] * inv[t][col] for t in range(col, row))
-            inv[row][col] = s
-    coeff = np.empty((n, n))
-    for i in range(n):
-        scale = 1.0 / _sqrt_fraction(diag[i])
-        for j in range(n):
-            coeff[i, j] = float(inv[i][j]) * scale
-    return coeff
+def _jacobi_step(alpha, n):
+    """P_{n+1} = (a x + b) P_n - c P_{n-1} for the Jacobi P^(alpha, 0)."""
+    s = 2 * n + alpha
+    a = (s + 1) * (s + 2) / (2 * (n + 1) * (n + alpha + 1))
+    b = alpha * alpha * (s + 1) / (2 * (n + 1) * (n + alpha + 1) * s)
+    c = n * (n + alpha) * (s + 2) / ((n + 1) * (n + alpha + 1) * s)
+    return a, b, c
 
 
 class TriangleBasis:
     """L2-orthonormal basis of P_degree on the triangle {(0,0),(1,0),(0,1)}.
 
-    Built by orthonormalizing the monomial basis against the exact rational
-    Gram matrix, so the coefficient matrix is exact up to the final float
-    conversion.  Values and arbitrary mixed partials are evaluated through
-    the (exact) monomial derivative tables.
+    Degree d occupies slots d(d+1)/2 ... (d+1)(d+2)/2 - 1, so the first
+    function is the constant sqrt(2).
     """
 
     def __init__(self, degree):
         if degree < 0:
             raise ValueError("degree must be nonnegative")
         self.degree = degree
-        self.exponents = _monomial_exponents(degree)
-        self.dim = len(self.exponents)
-        self._coeff = _orthonormal_coeff(self.exponents)
+        self.dim = (degree + 1) * (degree + 2) // 2
+        # eval works on rows ordered by q, then p: row block q holds phi_pq
+        # for p = 0 .. degree - q, and takes the Jacobi steps P_q -> P_{q+1}
+        # of P^(2p+1, 0) from blocks q and q - 1; _order sorts them by slot
+        p_q = [np.arange(degree + 1 - q) for q in range(degree + 1)]
+        self._blocks = np.cumsum([0] + [len(p) for p in p_q])
+        self._steps = [
+            tuple(c[:, None] for c in _jacobi_step(2 * p_q[q + 1] + 1, q)) for q in range(degree)
+        ]
+        p, q = np.concatenate(p_q), np.repeat(np.arange(degree + 1), np.arange(degree + 1, 0, -1))
+        self._order = np.argsort((p + q) * (p + q + 1) // 2 + q)
+        self._norms = np.sqrt(2.0 * (2 * p + 1) * (p + q + 1))[:, None]
+        # oint phi_i phi_j n ds: on x + y = 1 the length element times n is
+        # (1, 1) ds, on x = 0 it is (-1, 0) ds, on y = 0 it is (0, -1) ds
+        rule = edge_quadrature(degree + 1)
+        s, w = 0.5 * (1.0 + rule.points), 0.5 * rule.weights
+        hyp, left, bottom = (
+            self.eval(np.column_stack(xy)) for xy in ((1.0 - s, s), (0.0 * s, s), (s, 0.0 * s))
+        )
+        slanted = (hyp.T * w) @ hyp
+        deg = np.repeat(np.arange(degree + 1), np.arange(1, degree + 2))
+        lower = deg[:, None] > deg[None, :]
+        self._dx = np.where(lower, slanted - (left.T * w) @ left, 0.0)
+        self._dy = np.where(lower, slanted - (bottom.T * w) @ bottom, 0.0)
         self._dcache = {}
-
-    def _derivative_coeff(self, rx, ry):
-        """Coefficients of the (rx, ry) mixed partial in the monomial basis."""
-        key = (rx, ry)
-        if key not in self._dcache:
-            dmat = np.zeros((self.dim, self.dim))
-            index = {e: i for i, e in enumerate(self.exponents)}
-            for p, (a, b) in enumerate(self.exponents):
-                if a < rx or b < ry:
-                    continue
-                factor = (factorial(a) // factorial(a - rx)) * (
-                    factorial(b) // factorial(b - ry)
-                )
-                dmat[index[(a - rx, b - ry)], p] = factor
-            self._dcache[key] = self._coeff @ dmat.T
-        return self._dcache[key]
-
-    def _vandermonde(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        x, y = pts[:, 0, None], pts[:, 1, None]
-        ax = np.array([e[0] for e in self.exponents])
-        by = np.array([e[1] for e in self.exponents])
-        return x**ax * y**by
 
     def eval(self, pts):
         """Basis values, shape (npts, dim)."""
-        return self._vandermonde(pts) @ self._coeff.T
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        x, y = pts[:, 0], pts[:, 1]
+        n, r = self.degree, self._blocks
+        f1, f2 = 2.0 * x + y - 1.0, (1.0 - y) ** 2  # a (1 - b)/2 and ((1 - b)/2)^2
+        eta = 2.0 * y - 1.0
+        phi = np.empty((self.dim, len(x)))
+        # q = 0: P_p(a) ((1 - b)/2)^p by Legendre's recurrence in p
+        phi[0] = 1.0
+        if n:
+            phi[1] = f1
+        for p in range(1, n):
+            phi[p + 1] = ((2 * p + 1) * f1 * phi[p] - p * f2 * phi[p - 1]) / (p + 1)
+        # times P_q^(2p+1,0)(eta) by Jacobi's recurrence in q, all p at once
+        for q, (a, b, c) in enumerate(self._steps):
+            step = (a * eta + b) * phi[r[q] : r[q] + n - q]
+            if q:
+                step -= c * phi[r[q - 1] : r[q - 1] + n - q]
+            phi[r[q + 1] : r[q + 2]] = step
+        phi *= self._norms
+        return np.ascontiguousarray(phi[self._order].T)
 
     def eval_derivative(self, pts, rx, ry):
         """Mixed partial d^rx/dx d^ry/dy of each basis function, (npts, dim)."""
         if rx == 0 and ry == 0:
             return self.eval(pts)
-        return self._vandermonde(pts) @ self._derivative_coeff(rx, ry).T
+        key = (rx, ry)
+        if key not in self._dcache:
+            power = np.linalg.matrix_power
+            self._dcache[key] = (power(self._dx, rx) @ power(self._dy, ry)).T
+        return self.eval(pts) @ self._dcache[key]
 
     def grad(self, pts):
         """Gradients, shape (npts, dim, 2)."""
@@ -122,4 +112,3 @@ class TriangleBasis:
 def triangle_basis(degree):
     """Shared, immutable TriangleBasis instances."""
     return TriangleBasis(degree)
-

@@ -35,8 +35,6 @@ REF_EDGE_NORMALS = np.array(
 )
 REF_EDGE_LENGTHS = np.array([np.sqrt(2.0), 1.0, 1.0])
 
-_ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])  # curl w = _ROT @ grad w
-
 
 def _bubble_times(scalar, pts):
     """Gradients of b*psi for psi in a scalar basis; b = l1 l2 l3."""
@@ -106,7 +104,8 @@ class BDMElement:
             a, b = REF_VERTICES[a_idx], REF_VERTICES[b_idx]
             pts = 0.5 * (a + b) + 0.5 * np.outer(edge_rule.points, b - a)
             vals = self._span_values(pts)  # (g, dim, 2)
-            vn = vals @ REF_EDGE_NORMALS[l]  # (g, dim)
+            normal = REF_EDGE_NORMALS[l]
+            vn = vals[..., 0] * normal[0] + vals[..., 1] * normal[1]  # (g, dim)
             w = 0.5 * REF_EDGE_LENGTHS[l] * edge_rule.weights
             rows.append(np.einsum("g,gm,gn->mn", w, leg_vals, vn))
         rule = triangle_quadrature(2 * k)
@@ -116,7 +115,7 @@ class BDMElement:
             rows.append(np.einsum("q,qra,qna->rn", rule.weights, grads, vals))
         if self.n_curl:
             gw = _bubble_times(triangle_basis(k - 2), rule.points)  # (q, r, 2)
-            curls = gw @ _ROT.T
+            curls = np.stack([gw[..., 1], -gw[..., 0]], axis=-1)  # curl w = (w_y, -w_x)
             rows.append(np.einsum("q,qra,qna->rn", rule.weights, curls, vals))
         return np.concatenate(rows, axis=0)
 

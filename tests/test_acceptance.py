@@ -342,7 +342,7 @@ def test_criterion_13_ring_rate_rises_with_the_taylor_order_at_high_degree():
 
 
 # E_total of the disk from k = 4, where its cubic solution lies in the
-# discrete spaces: round-off alone, at most 9.8e-12 (k = 6, level 2) over
+# discrete spaces: round-off alone, at most 3.7e-12 (k = 6, level 2) over
 # levels 0-2 and growing like h^-2, against k = 3's discretization error of
 # 1.4e-3 at level 2
 DISK_EXACT_FLOOR = 1e-10

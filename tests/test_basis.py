@@ -1,20 +1,41 @@
-"""Orthonormality and derivative tables of the reference bases."""
+"""Orthonormality and partials of the reference bases."""
+
+from math import factorial
 
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import legvander
 
+from bdmdarcy.correction import directional_derivative
 from bdmdarcy.femcore import TriangleBasis, edge_quadrature, triangle_quadrature
 
 
-@pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("degree", range(10))
 def test_triangle_basis_orthonormal(degree):
     basis = TriangleBasis(degree)
     assert basis.dim == (degree + 1) * (degree + 2) // 2
     rule = triangle_quadrature(2 * degree)
     vals = basis.eval(rule.points)
     gram = np.einsum("q,qi,qj->ij", rule.weights, vals, vals)
-    assert np.abs(gram - np.eye(basis.dim)).max() < 1e-12
+    assert np.abs(gram - np.eye(basis.dim)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("degree", range(1, 10))
+def test_taylor_sum_of_the_partials_is_the_shifted_value(degree):
+    """phi(x0 + h) = sum_{j <= k} (h . grad)^j phi(x0) / j! holds exactly for
+    a polynomial of degree k, so it checks every mixed partial up to order k,
+    as the boundary correction reads them."""
+    basis = TriangleBasis(degree)
+    rng = np.random.default_rng(degree)
+    x0 = rng.random((400, 2))
+    x0 = x0[x0.sum(axis=1) < 1.0]
+    h = 0.5 * (rng.random(x0.shape) - 0.5)
+    total = 0.0
+    for j in range(degree + 1):
+        derivative = directional_derivative(lambda rx, ry: basis.eval_derivative(x0, rx, ry), h, j)
+        total = total + derivative / factorial(j)
+    shifted = basis.eval(x0 + h)
+    assert np.abs(total - shifted).max() <= 2e-14 * np.abs(shifted).max()
 
 
 def test_triangle_basis_first_function_is_constant():
